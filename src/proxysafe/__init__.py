@@ -14,7 +14,7 @@ from proxysafe.dob import DobChainState, DobSpec, dob_derivative, filter_derivat
 from proxysafe.controllers import (
     BarrierBreach, FunnelBreach, SingularGain,
     NominalGains, PpcGains, NussbaumGains, NussbaumState, DobBackstepGains,
-    build_nominal, nominal_control, ppc_control, nussbaum_control,
+    build_nominal, ppc_control, nussbaum_control,
     nussbaum_gain, build_dob_backstepping, eval_dob_backstepping,
 )
 from proxysafe.scenario import (

@@ -47,14 +47,15 @@ from proxysafe.expr import (
 
 __all__ = [
     "RhoSpec", "ProxySpec", "BarrierStack", "ConditionCheck",
-    "ConditionReport", "chi", "build_barrier_stack", "check_conditions",
+    "ConditionReport", "chi", "chi_expr", "CHI_SATURATE",
+    "build_barrier_stack", "check_conditions",
     "state_names", "mu_names", "y_names",
 ]
 
 EPS_GRAD = 1e-8       # ||L_g0 h|| below this counts as vanishing
 H_SLACK = 1e-9        # tolerance on h >= xi at vanishing-gradient points
 _CHI_MAX_ORDER = 12
-_CHI_SATURATE = 1.0 - 1e-12
+CHI_SATURATE = 1.0 - 1e-12   # chi and its derivatives saturate from here
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +98,19 @@ def _chi_fn(k: int):
     return _chi_fns[k][1]
 
 
+def _check_order(k: int) -> None:
+    if not 0 <= k <= _CHI_MAX_ORDER:
+        raise ValueError(f"derivative order {k} outside 0..{_CHI_MAX_ORDER}")
+
+
+def chi_expr(k: int) -> Expr:
+    """The k-th derivative of chi's closed form below the switch point, as
+    an expression in tau (what ``chi`` evaluates there)."""
+    _check_order(k)
+    _chi_fn(k)
+    return _chi_fns[k][0]
+
+
 def chi(tau: float, k: int = 0) -> float:
     """k-th derivative of the switch function at tau.
 
@@ -108,9 +122,8 @@ def chi(tau: float, k: int = 0) -> float:
     exact to double precision and are returned directly, which also keeps
     the derivative denominators (tau-1)^2k away from underflow.
     """
-    if not 0 <= k <= _CHI_MAX_ORDER:
-        raise ValueError(f"derivative order {k} outside 0..{_CHI_MAX_ORDER}")
-    if tau >= _CHI_SATURATE:
+    _check_order(k)
+    if tau >= CHI_SATURATE:
         return 1.0 if k == 0 else 0.0
     return _chi_fn(k)(float(tau))
 

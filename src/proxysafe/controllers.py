@@ -24,7 +24,7 @@ from proxysafe.expr import (
 
 __all__ = [
     "BarrierBreach", "FunnelBreach", "SingularGain", "SymbolicSizeError",
-    "NominalGains", "NominalController", "build_nominal", "nominal_control",
+    "NominalGains", "NominalController", "build_nominal",
     "PpcGains", "initialize_funnels", "ppc_control",
     "NussbaumGains", "NussbaumState", "nussbaum_gain", "nussbaum_control",
     "DobBackstepGains", "DobBackstepController", "build_dob_backstepping",
@@ -187,10 +187,6 @@ def build_nominal(proxy: ProxySpec, gains: NominalGains) -> NominalController:
     if _node_count(ctrl.alphas) > NODE_CAP:
         raise SymbolicSizeError("nominal controller exceeded the node cap")
     return ctrl
-
-
-def nominal_control(ctrl: NominalController, x, mu, t) -> float:
-    return ctrl.control(x, mu, t)
 
 
 # ---------------------------------------------------------------------------

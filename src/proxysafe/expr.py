@@ -19,7 +19,9 @@ so shared subtrees are visited once).  Differentiation is exact and
 symbolic.  Simplification applies a fixed rewrite list to a fixpoint; it
 is deliberately not a canonicalizer.  For inner loops, ``compile_exprs``
 turns a batch of trees into one generated Python function with common
-subexpressions evaluated once.
+subexpressions evaluated once; ``Emitter``, the code generator behind it,
+also writes larger generated functions that mix expressions with
+statements of their own.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ __all__ = [
     "Expr", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "ParseError", "EvalError", "UnboundVariableError", "DomainError",
     "FUNCTIONS", "parse", "differentiate", "simplify", "evaluate",
-    "compile_expr", "compile_exprs",
+    "compile_expr", "compile_exprs", "Emitter",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -791,6 +793,91 @@ def _literal(value: float) -> str:
     return f"({text})" if value < 0 else text
 
 
+class Emitter:
+    """Straight-line Python source for expression trees.
+
+    ``emit`` returns an atom for a tree (a literal, a bound variable's
+    name, or a temporary ``_t<n>``) and appends the assignments of the
+    subexpressions not bound yet; structurally equal subexpressions are
+    bound once.  ``line`` appends a statement of the caller's own, so
+    generated code can interleave expressions with control flow.
+
+    A temporary exists only on the paths that ran its assignment, so the
+    body of an ``if`` is emitted through ``branch()``: a scope that reuses
+    every temporary bound before it and keeps the ones it binds to itself.
+    """
+
+    def __init__(self, names: Mapping[str, str], indent: str = "    "):
+        self.names = dict(names)        # variable name -> Python name
+        self.indent = indent
+        self.lines: list[str] = []
+        self._count = [0]
+        self._by_structure: dict[tuple, str] = {}
+        self._by_id: dict[int, str] = {}
+        self._roots: list[Expr] = []    # keeps node ids unique while in use
+
+    def bind(self, name: str, atom: str) -> None:
+        """Read variable ``name`` from ``atom`` in what is emitted next."""
+        self.names[name] = atom
+        self._by_id.clear()             # node -> atom held under old names
+
+    def line(self, text: str) -> None:
+        self.lines.append(self.indent + text)
+
+    def branch(self) -> "Emitter":
+        child = Emitter(self.names, self.indent + "    ")
+        child.lines, child._count, child._roots = \
+            self.lines, self._count, self._roots
+        child._by_structure = dict(self._by_structure)
+        child._by_id = dict(self._by_id)
+        return child
+
+    def emit(self, node: Expr) -> str:
+        self._roots.append(node)
+        return self._emit(node)
+
+    def _emit(self, node: Expr) -> str:
+        atom = self._by_id.get(id(node))
+        if atom is not None:
+            return atom
+        if isinstance(node, Const):
+            atom = _literal(node.value)
+        elif isinstance(node, Var):
+            atom = self.names.get(node.name)
+            if atom is None:
+                raise UnboundVariableError(node.name)
+        else:
+            kids = tuple(self._emit(k) for k in node.children())
+            key = (type(node).__name__, node._payload(), kids)
+            atom = self._by_structure.get(key)
+            if atom is None:
+                atom = f"_t{self._count[0]}"
+                self._count[0] += 1
+                self.line(f"{atom} = {_render(node, kids)}")
+                self._by_structure[key] = atom
+        self._by_id[id(node)] = atom
+        return atom
+
+    def function(self, name: str, params: str,
+                 namespace: Mapping | None = None) -> Callable:
+        """Define ``def name(params):`` with the emitted lines as its body.
+
+        The body sees the math functions the rendered expressions call,
+        plus ``namespace``, and no builtins.
+        """
+        src = "\n".join([f"def {name}({params}):", *self.lines])
+        ns = {
+            "_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
+            "_log": math.log, "_sqrt": math.sqrt, "_pow": math.pow,
+            **(namespace or {}),
+            "__builtins__": {},
+        }
+        exec(compile(src, "<proxysafe.expr>", "exec"), ns)
+        fn = ns[name]
+        fn._source = src
+        return fn
+
+
 def _compile(exprs: Sequence[Expr], params: Sequence[str], scalar: bool) -> Callable:
     params = list(params)
     seen = set()
@@ -800,48 +887,14 @@ def _compile(exprs: Sequence[Expr], params: Sequence[str], scalar: bool) -> Call
         if p in seen:
             raise ValueError(f"duplicate parameter name {p!r}")
         seen.add(p)
-    param_set = frozenset(params)
 
-    lines: list[str] = []
-    by_structure: dict[tuple, str] = {}
-    by_id: dict[int, str] = {}
-
-    def emit(node: Expr) -> str:
-        atom = by_id.get(id(node))
-        if atom is not None:
-            return atom
-        if isinstance(node, Const):
-            atom = _literal(node.value)
-        elif isinstance(node, Var):
-            if node.name not in param_set:
-                raise UnboundVariableError(node.name)
-            atom = node.name
-        else:
-            kids = tuple(emit(k) for k in node.children())
-            key = (type(node).__name__, node._payload(), kids)
-            atom = by_structure.get(key)
-            if atom is None:
-                atom = f"_t{len(lines)}"
-                lines.append(f"    {atom} = {_render(node, kids)}")
-                by_structure[key] = atom
-        by_id[id(node)] = atom
-        return atom
-
-    outs = [emit(e) for e in exprs]
+    em = Emitter({p: p for p in params})
+    outs = [em.emit(e) for e in exprs]
     if scalar:
-        ret = f"    return {outs[0]}"
+        em.line(f"return {outs[0]}")
     else:
-        ret = "    return (" + ", ".join(outs) + ("," if len(outs) == 1 else "") + ")"
-    src = "\n".join([f"def _compiled({', '.join(params)}):", *lines, ret])
-    ns = {
-        "_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
-        "_log": math.log, "_sqrt": math.sqrt, "_pow": math.pow,
-        "__builtins__": {},
-    }
-    exec(compile(src, "<proxysafe.expr>", "exec"), ns)
-    fn = ns["_compiled"]
-    fn._source = src
-    return fn
+        em.line("return (" + ", ".join(outs) + ("," if len(outs) == 1 else "") + ")")
+    return em.function("_compiled", ", ".join(params))
 
 
 def _render(node: Expr, kids: tuple) -> str:

@@ -8,16 +8,30 @@ every control signal recomputed at every stage, matching a
 continuous-time analysis; an optional hold interval freezes the control
 outputs between updates for robustness studies.
 
+`RuntimeModel` is the reference composition of the per-module laws:
+`controls`, `safe_input`, `deriv`, `step` and `trace_row` call the
+nominal law, the barrier constraint, the projection, the tracking law
+and the plant and observer derivatives one by one.  `simulate` runs the
+loop on the functions `loop.ClosedLoop` generates from the same
+symbolic pieces for the run's scenario and controller; a grid row comes
+from the same evaluation that supplies the next step's first RK4 stage.
+At the start of every run the first step and the t=0 row are computed
+both ways and must agree bit for bit, or the run raises `LoopMismatch`.
+
 Each grid point is logged with the barrier values, the filter constraint
 row and its margin, the funnel, and the controller internals, and the
 run ends with a verdict: SAFE when every barrier stayed above -1e-6 and
 the tracking error stayed inside the funnel (within 1e-9), UNSAFE when
 either failed, ABORTED (with the reason and the partial trace) when the
-loop broke down before the horizon.
+loop broke down before the horizon.  A compiled expression that leaves
+its real domain aborts the run as a `RunDomainError` naming the
+scenario expression that fails at that stage.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -28,18 +42,20 @@ from proxysafe.controllers import (
     initialize_funnels, nussbaum_control, ppc_control,
 )
 from proxysafe.dob import DobChainState, dob_derivative, filter_derivative
-from proxysafe.expr import EvalError, compile_expr
+from proxysafe.expr import DomainError, EvalError, compile_expr, evaluate
 from proxysafe.filter import FEAS_TOL, Infeasible, project_halfspace, \
     solve_cbf_qp_pair
+from proxysafe.loop import ClosedLoop
 from proxysafe.scenario import ScenarioError, ScenarioSpec
 
-__all__ = ["CheckFailed", "SimTrace", "RuntimeModel", "rk4_step", "simulate"]
+__all__ = ["CheckFailed", "LoopMismatch", "RunDomainError", "SimTrace",
+           "RuntimeModel", "rk4_step", "simulate"]
 
 H_TOL = 1e-6     # verdict slack on the barrier values
 E_TOL = 1e-9     # verdict slack on the funnel bound
 
-_ABORTS = (Infeasible, BarrierBreach, FunnelBreach, SingularGain, EvalError,
-           ZeroDivisionError, OverflowError)
+_ABORTS = (Infeasible, BarrierBreach, FunnelBreach, SingularGain, EvalError)
+_RAW = (ValueError, ArithmeticError)     # what compiled code raises itself
 
 
 class CheckFailed(Exception):
@@ -51,16 +67,38 @@ class CheckFailed(Exception):
         super().__init__("feasibility checks failed:\n" + "\n".join(self.lines))
 
 
-def rk4_step(deriv, state, t: float, dt: float) -> list:
-    """One classical RK4 step of d(state)/dt = deriv(state, t)."""
-    k1 = deriv(state, t)
-    s2 = [v + 0.5 * dt * d for v, d in zip(state, k1)]
-    k2 = deriv(s2, t + 0.5 * dt)
-    s3 = [v + 0.5 * dt * d for v, d in zip(state, k2)]
-    k3 = deriv(s3, t + 0.5 * dt)
-    s4 = [v + dt * d for v, d in zip(state, k3)]
-    k4 = deriv(s4, t + dt)
-    return [v + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+class LoopMismatch(RuntimeError):
+    """The generated closed loop disagreed with the reference composition
+    at the start of a run."""
+
+
+class RunDomainError(EvalError):
+    """Compiled code raised a raw arithmetic error at a stage of the run.
+
+    Carries the raw error, the stage time and, when one of the scenario's
+    own expressions fails there under `expr.evaluate`, its key path and
+    the DomainError naming the failing subexpression.
+    """
+
+    def __init__(self, raw: Exception, t: float, label=None,
+                 cause: DomainError | None = None):
+        text = f"{type(raw).__name__} ({raw}) at t={t:.6g}"
+        if cause is not None:
+            text += f" in {label}: {cause}"
+        super().__init__(text)
+        self.raw, self.t, self.label, self.cause = raw, t, label, cause
+
+
+def rk4_step(deriv, state, t: float, dt: float, k1=None) -> list:
+    """One classical RK4 step of d(state)/dt = deriv(state, t); k1, when
+    given, is deriv(state, t) already evaluated."""
+    if k1 is None:
+        k1 = deriv(state, t)
+    half, sixth = 0.5 * dt, dt / 6.0
+    k2 = deriv([v + half * d for v, d in zip(state, k1)], t + half)
+    k3 = deriv([v + half * d for v, d in zip(state, k2)], t + half)
+    k4 = deriv([v + dt * d for v, d in zip(state, k3)], t + dt)
+    return [v + sixth * (a + 2.0 * b + 2.0 * c + d)
             for v, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
@@ -85,10 +123,11 @@ class SimTrace:
         return [row[idx] for row in self.rows]
 
     def to_csv(self, path) -> None:
+        line = ",".join(["%.17g"] * len(self.columns)) + "\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(self.columns) + "\n")
             for row in self.rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+                fh.write(line % tuple(row))
 
     @classmethod
     def from_csv(cls, path, scenario: str = "", controller: str = ""):
@@ -168,6 +207,7 @@ class RuntimeModel:
         self.ppc_gains = None
         self.ppc_signs = None
         self.nuss_gains = None
+        self.phis = ()
         self.phi_fns = []
         if self.kind == "dob_backstepping":
             self.dob = block["observer"]
@@ -181,7 +221,8 @@ class RuntimeModel:
                 spec.initial_z[0], spec.rho)
         elif self.kind == "nussbaum":
             self.nuss_gains = block["gains"]
-            self.phi_fns = [compile_expr(p, ["z1"]) for p in block["phi"]]
+            self.phis = block["phi"]
+            self.phi_fns = [compile_expr(p, ["z1"]) for p in self.phis]
             self.nuss_init = (block["zeta0"], *block["theta0"])
 
         # state layout: x, then plant levels, then the virtual chain,
@@ -319,20 +360,34 @@ class RuntimeModel:
     def step(self, state, t: float, dt: float,
              held: _Controls | None = None, c1: _Controls | None = None):
         """One RK4 step; controls recomputed per stage unless held."""
-        first = held if held is not None else c1
+        k1 = self.deriv(state, t, held if held is not None else c1)
+        return rk4_step(lambda s, tt: self.deriv(s, tt, held), state, t, dt,
+                        k1)
 
-        def f(s, tt, cc):
-            return self.deriv(s, tt, cc)
-
-        k1 = f(state, t, first)
-        s2 = [v + 0.5 * dt * d for v, d in zip(state, k1)]
-        k2 = f(s2, t + 0.5 * dt, held)
-        s3 = [v + 0.5 * dt * d for v, d in zip(state, k2)]
-        k3 = f(s3, t + 0.5 * dt, held)
-        s4 = [v + dt * d for v, d in zip(state, k3)]
-        k4 = f(s4, t + dt, held)
-        return [v + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-                for v, a, b, c, d in zip(state, k1, k2, k3, k4)]
+    def domain_error(self, exc: Exception, state, t: float) -> RunDomainError:
+        """The raw error `exc` that compiled code raised at (state, t), with
+        the first scenario expression that fails there under evaluate."""
+        x, z, _ = self._split(state)
+        binding = {"x": x, "t": t}
+        binding.update((f"z{i}", v) for i, v in enumerate(z, start=1))
+        spec, plant = self.spec, self.spec.plant
+        exprs = [("nominal.x_d", spec.nominal.x_d), ("plant.f0", plant.f0),
+                 ("plant.g0", plant.g0)]
+        exprs += [(f"proxy[{k}].h", p.h) for k, p in enumerate(spec.proxies)]
+        if self.has_plant:
+            for i, (f, g) in enumerate(zip(plant.fs, plant.gs)):
+                exprs += [(f"plant.levels[{i}].f", f),
+                          (f"plant.levels[{i}].g", g)]
+            exprs += [(f"plant.disturbances[{i}]", d)
+                      for i, d in enumerate(plant.disturbances)]
+        exprs += [(f"controllers.nussbaum.phi[{j}]", p)
+                  for j, p in enumerate(self.phis)]
+        for label, e in exprs:
+            try:
+                evaluate(e, binding)
+            except DomainError as cause:
+                return RunDomainError(exc, t, label, cause)
+        return RunDomainError(exc, t)
 
     # -- checks and logging -------------------------------------------------
 
@@ -400,6 +455,54 @@ class RuntimeModel:
         return row
 
 
+def _first_step(model: RuntimeModel, steps) -> dict:
+    """The t=0 row and the state one step later that `steps` yields, as
+    bit patterns, up to an abort; the abort's raw reason; and the pair
+    fallbacks counted on the way."""
+    model.qp_fallbacks = 0
+    out: dict = {"t=0 row": None, "first step": None, "abort": None}
+    try:
+        for key, values in zip(["t=0 row", "first step"], steps):
+            out[key] = [float(v).hex() for v in values]
+    except _ABORTS + _RAW as exc:
+        exc = exc.raw if isinstance(exc, RunDomainError) else exc
+        out["abort"] = f"{type(exc).__name__}: {exc}"
+    out["qp_fallbacks"] = model.qp_fallbacks
+    return out
+
+
+def _check_start(model: RuntimeModel, loop: ClosedLoop) -> None:
+    """Compute the t=0 row and the first step through the reference
+    composition and through the generated loop; raise LoopMismatch
+    unless they agree bit for bit, abort reason and fallbacks included."""
+    hold, dt = model.hold_dt is not None, model.dt
+
+    def reference():
+        state = model.initial_state()
+        c = model.controls(state, 0.0)
+        yield model.trace_row(state, 0.0, c)
+        yield model.step(state, 0.0, dt, held=c if hold else None, c1=c)
+
+    def generated():
+        state = model.initial_state()
+        k1, row, ctrl = loop.point(state, 0.0, None)
+        yield row
+        if k1 is None:
+            k1 = loop.stage_held(state, 0.0, ctrl)
+        stage = functools.partial(loop.stage_held, held=ctrl) if hold \
+            else loop.stage
+        yield rk4_step(stage, state, 0.0, dt, k1)
+
+    want = _first_step(model, reference())
+    got = _first_step(model, generated())
+    for key in want:
+        if got[key] != want[key]:
+            raise LoopMismatch(
+                f"generated closed loop of {model.spec.name}/{model.kind} "
+                f"disagrees with the reference composition ({key}): "
+                f"reference {want[key]!r}, generated {got[key]!r}")
+
+
 def simulate(spec: ScenarioSpec, controller: str | None = None,
              dt: float | None = None, horizon: float | None = None,
              hold_dt: float | None = None, force: bool = False,
@@ -408,7 +511,8 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
 
     The feasibility checks run first and a failing report stops the run
     unless force is set, in which case the override is recorded in the
-    trace monitors.
+    trace monitors.  The loop runs on the generated closed loop, checked
+    against the reference composition over its first step.
     """
     model = RuntimeModel(spec, controller=controller, dt=dt, horizon=horizon,
                          hold_dt=hold_dt)
@@ -424,69 +528,57 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
         if bad:
             monitors["check_forced"] = 1.0
 
-    columns = model.trace_columns()
-    rows: list = []
-    verdict_floor = {"min_h": math.inf, "max_e_excess": -math.inf,
-                     "min_margin": math.inf, "min_b": math.inf}
-    i_e = columns.index("e")
-    i_rho = columns.index("rho")
-    h_idx = [columns.index(f"h{k}") for k in range(1, len(model.stacks) + 1)]
-    m_idx = [columns.index(f"margin{k}")
-             for k in range(1, len(model.stacks) + 1)]
-    b_idx = [columns.index(f"b{k}_{i}")
-             for k in range(1, len(model.stacks) + 1)
-             for i in range(model.m + 1)]
-
-    def log(state, t, c):
-        row = model.trace_row(state, t, c)
-        rows.append(row)
-        verdict_floor["min_h"] = min(verdict_floor["min_h"],
-                                     *(row[i] for i in h_idx))
-        verdict_floor["max_e_excess"] = max(verdict_floor["max_e_excess"],
-                                            abs(row[i_e]) - row[i_rho])
-        verdict_floor["min_margin"] = min(verdict_floor["min_margin"],
-                                          *(row[i] for i in m_idx))
-        verdict_floor["min_b"] = min(verdict_floor["min_b"],
-                                     *(row[i] for i in b_idx))
+    loop = ClosedLoop(model)
+    _check_start(model, loop)
 
     model.qp_fallbacks = 0
+    rows: list = []
     state = model.initial_state()
     n_steps = max(1, int(round(model.horizon / model.dt)))
     reason = None
     aborted = False
+    stage = loop.stage
     held = None
     next_hold = 0.0
     try:
-        c = model.controls(state, 0.0)
-        log(state, 0.0, c)
+        k1, row, ctrl = loop.point(state, 0.0, None)
+        rows.append(row)
         for k in range(1, n_steps + 1):
             t_prev = (k - 1) * model.dt
             if model.hold_dt is not None and t_prev >= next_hold - 1e-12:
-                held = c
+                held = ctrl
                 next_hold += model.hold_dt
-            state = model.step(state, t_prev, model.dt, held=held, c1=c)
+                stage = functools.partial(loop.stage_held, held=held)
+            if k1 is None:      # the derivative failed where the row did not
+                k1 = loop.stage_held(state, t_prev, ctrl)
+            state = rk4_step(stage, state, t_prev, model.dt, k1)
             t = k * model.dt
             if not all(math.isfinite(v) for v in state):
                 reason = f"non-finite state at t={t:.6g}"
                 aborted = True
                 break
-            c = held if held is not None else model.controls(state, t)
-            if held is not None:
-                # recompute diagnostics at the grid point, keep held inputs
-                fresh = model.controls(state, t)
-                c = _Controls(nu_d=held.nu_d, nu=held.nu, u=held.u,
-                              dzeta=held.dzeta, dtheta=held.dtheta,
-                              eps=fresh.eps, xis=fresh.xis)
-            log(state, t, c)
+            k1, row, ctrl = loop.point(state, t, held)
+            rows.append(row)
     except _ABORTS as exc:
         reason = f"{type(exc).__name__}: {exc}"
         aborted = True
 
+    columns = model.trace_columns()
+    stacks = range(1, len(model.stacks) + 1)
+
+    def lowest(names):
+        # a running minimum from +inf over the rows in order, NaN included
+        idx = [columns.index(name) for name in names]
+        return min(itertools.chain([math.inf],
+                                   (row[i] for row in rows for i in idx)))
+
+    i_e, i_rho = columns.index("e"), columns.index("rho")
     monitors.update(
-        min_h=verdict_floor["min_h"],
-        max_e_excess=verdict_floor["max_e_excess"],
-        min_qp_margin=verdict_floor["min_margin"],
-        min_b=verdict_floor["min_b"],
+        min_h=lowest(f"h{k}" for k in stacks),
+        max_e_excess=max(itertools.chain(
+            [-math.inf], (abs(row[i_e]) - row[i_rho] for row in rows))),
+        min_qp_margin=lowest(f"margin{k}" for k in stacks),
+        min_b=lowest(f"b{k}_{i}" for k in stacks for i in range(model.m + 1)),
         qp_fallbacks=float(model.qp_fallbacks),
         steps=float(len(rows) - 1),
     )

@@ -156,6 +156,26 @@ def test_run_aborted_keeps_partial_trace(tmp_path, capsys):
     assert len(out_csv.read_text().splitlines()) == summary["steps"] + 2
 
 
+def test_run_domain_error_aborts_with_partial_trace(tmp_path, capsys):
+    # log(1.5 - t) leaves its domain at t = 1.5: the run must end ABORTED
+    # with the trace up to there and a reason naming the expression, not
+    # crash on the raw ValueError of the compiled code
+    path = _write_variant(
+        tmp_path / "log.yaml", "electromech",
+        lambda m: m["plant"].update(disturbances=["log(1.5 - t)"] * 2))
+    out_csv = tmp_path / "log.csv"
+    code = main(["run", path, "--controller", "ppc", "--horizon", "2",
+                 "--out", str(out_csv)])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == EXIT_ABORTED
+    assert summary["verdict"] == "ABORTED"
+    assert summary["steps"] == 1499
+    assert "at t=1.5" in summary["reason"]
+    assert "plant.disturbances[0]" in summary["reason"]
+    assert "'log(1.5 - t)'" in summary["reason"]
+    assert len(out_csv.read_text().splitlines()) == summary["steps"] + 2
+
+
 def test_run_check_failure_blocks_without_force(bad_init_ship, tmp_path,
                                                capsys):
     assert main(["run", bad_init_ship,

@@ -16,7 +16,7 @@ from proxysafe.controllers import (
     BarrierBreach, DobBackstepGains, FunnelBreach, NominalGains,
     NussbaumGains, NussbaumState, PpcGains, SingularGain, SymbolicSizeError,
     build_dob_backstepping, build_nominal, eval_dob_backstepping,
-    initialize_funnels, nominal_control, nussbaum_control, nussbaum_gain,
+    initialize_funnels, nussbaum_control, nussbaum_gain,
     ppc_control,
 )
 from proxysafe.dob import DobChainState, DobSpec
@@ -174,7 +174,7 @@ def test_nominal_ship_example_point():
     ctrl = build_nominal(ship_proxy(), ship_gains())
     alpha1 = compile_expr(ctrl.alphas[0], ["x", "t"])
     assert abs(alpha1(0.0, 0.0) - math.pi / 300) <= 1e-15
-    got = nominal_control(ctrl, [0.0], [0.0], 0.0)
+    got = ctrl.control([0.0], [0.0], 0.0)
     assert abs(got - 29 * math.pi / 2400) <= 1e-15
 
 
@@ -200,7 +200,7 @@ def test_nominal_matches_hand_recursion():
         x = rng.uniform(-0.34, 0.34)
         mu1 = rng.uniform(-0.5, 0.5)
         t = rng.uniform(0.0, 400.0)
-        got = nominal_control(ctrl, [x], [mu1], t)
+        got = ctrl.control([x], [mu1], t)
         want = hand_ship_nu(x, mu1, t)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 

@@ -309,6 +309,18 @@ def test_csv_round_trip_exact(tmp_path):
     assert back.rows == tr.rows                   # 17 digits round-trip
 
 
+def test_csv_keeps_seventeen_digit_format(tmp_path):
+    # the bytes every trace has been written with, signed zero and
+    # non-finite values included
+    rows = [[0.1, -0.0, 1e300], [math.pi, math.inf, math.nan]]
+    tr = SimTrace(scenario="s", controller="c", columns=["a", "b", "c"],
+                  rows=rows, verdict="SAFE")
+    path = tmp_path / "trace.csv"
+    tr.to_csv(path)
+    assert path.read_text() == "a,b,c\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+
+
 def test_csv_rejects_malformed(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
