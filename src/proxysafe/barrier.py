@@ -1,20 +1,21 @@
 """Symbolic barrier stack for the proxy subsystem.
 
-Given a proxy model (state dynamics f0, g0, an integrator chain of length
-m feeding the first virtual state) and a safe-set function h, this module
-builds, once and symbolically, the chain of barrier functions
+Given a scalar proxy model (state x with dynamics dx/dt = f0(x) +
+g0(x) mu_1, an integrator chain mu_1..mu_m of length m driven by the
+filtered input nu) and a safe-set function h(x), this module builds,
+once and symbolically, the chain of barrier functions
 
     b_0 = y_0
-    b_i = M_i (f0 + g0 mu_1) - ||M_i g0||^2 / (2 beta_i)
+    b_i = M_i (f0 + g0 mu_1) - (M_i g0)^2 / (2 beta_i)
           - (beta_i/2) rho(t)^2 + lambda_i b_{i-1}
           + d b_{i-1} / dt + sum_{j<i} (d b_{i-1} / d mu_j) mu_{j+1}
 
-with the row vector
+with the scalar
 
     M_i = (1/xi) sum_{j=0}^{i-1} (d b_{i-1} / d y_j) (dh/dx) y_{j+1}
           + d b_{i-1} / d x
 
-together with the affine constraint data psi0, psi1 whose half-space
+together with the affine constraint data psi0, psi1 whose half-line
 {nu : psi0 + psi1 nu >= 0} the safety filter projects onto.  The y_j are
 kept as formal variables during construction; at evaluation time they are
 bound to derivatives of the switch function chi at h(x)/xi, which is what
@@ -49,33 +50,12 @@ __all__ = [
     "RhoSpec", "ProxySpec", "BarrierStack", "ConditionCheck",
     "ConditionReport", "chi", "chi_expr", "CHI_SATURATE",
     "build_barrier_stack", "check_conditions",
-    "state_names", "mu_names", "y_names",
 ]
 
-EPS_GRAD = 1e-8       # ||L_g0 h|| below this counts as vanishing
+EPS_GRAD = 1e-8       # |L_g0 h| below this counts as vanishing
 H_SLACK = 1e-9        # tolerance on h >= xi at vanishing-gradient points
 _CHI_MAX_ORDER = 12
 CHI_SATURATE = 1.0 - 1e-12   # chi and its derivatives saturate from here
-
-
-# ---------------------------------------------------------------------------
-# variable naming conventions
-# ---------------------------------------------------------------------------
-
-def state_names(p: int) -> list:
-    """Proxy state variables: 'x' when scalar, else 'x1'..'xp'."""
-    return ["x"] if p == 1 else [f"x{i}" for i in range(1, p + 1)]
-
-
-def mu_names(m: int, p1: int) -> list:
-    """Virtual-chain variables per level: 'mu1'.. when scalar per level."""
-    if p1 == 1:
-        return [[f"mu{i}"] for i in range(1, m + 1)]
-    return [[f"mu{i}_{k}" for k in range(1, p1 + 1)] for i in range(1, m + 1)]
-
-
-def y_names(count: int) -> list:
-    return [f"y{j}" for j in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +147,15 @@ class RhoSpec:
 class ProxySpec:
     """Proxy subsystem data: dynamics, safe set, and chain constants.
 
-    f0 has length p, g0 is p rows of p1 entries, h maps the state to a
-    scalar whose nonnegative region is the safe set.  lambdas holds
-    lambda_1..lambda_{m+1} and betas holds beta_1..beta_m.  mode is
+    The proxy is scalar: f0, g0 and h are expressions in the one state
+    variable x, and h is nonnegative exactly on the safe set.  lambdas
+    holds lambda_1..lambda_{m+1} and betas holds beta_1..beta_m.  mode is
     "switched" (default construction through chi) or "plain".
     """
 
-    p: int
-    p1: int
     m: int
-    f0: tuple
-    g0: tuple
+    f0: Expr
+    g0: Expr
     h: Expr
     xi: float
     lambdas: tuple
@@ -185,8 +163,8 @@ class ProxySpec:
     mode: str = "switched"
 
     def __post_init__(self):
-        if self.p < 1 or self.p1 < 1 or self.m < 1:
-            raise ValueError("dimensions p, p1 and chain length m must be >= 1")
+        if self.m < 1:
+            raise ValueError("chain length m must be >= 1")
         if self.mode not in ("switched", "plain"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.xi <= 0.0:
@@ -195,42 +173,22 @@ class ProxySpec:
             raise ValueError(f"need {self.m + 1} positive lambdas")
         if len(self.betas) != self.m or any(v <= 0 for v in self.betas):
             raise ValueError(f"need {self.m} positive betas")
-        object.__setattr__(self, "f0", tuple(self.f0))
-        object.__setattr__(self, "g0", tuple(tuple(row) for row in self.g0))
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
         object.__setattr__(self, "betas", tuple(float(v) for v in self.betas))
-        if len(self.f0) != self.p:
-            raise ValueError("f0 must have one entry per state dimension")
-        if len(self.g0) != self.p or any(len(r) != self.p1 for r in self.g0):
-            raise ValueError("g0 must be p rows of p1 entries")
-        allowed = set(state_names(self.p))
-        for name, e in [("h", self.h), *((f"f0[{k}]", v) for k, v in enumerate(self.f0))]:
-            extra = e.variables() - allowed
+        for name in ("h", "f0", "g0"):
+            extra = getattr(self, name).variables() - {"x"}
             if extra:
                 raise ValueError(f"{name} uses undeclared variables {sorted(extra)}")
-        for k, row in enumerate(self.g0):
-            for l, e in enumerate(row):
-                extra = e.variables() - allowed
-                if extra:
-                    raise ValueError(
-                        f"g0[{k}][{l}] uses undeclared variables {sorted(extra)}")
 
 
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
 
-def _dot_rows(row: Sequence[Expr], vec: Sequence[Expr]) -> Expr:
-    acc = Const(0.0)
-    for a, b in zip(row, vec):
-        acc = acc + a * b
-    return acc
-
-
 class BarrierStack:
     """Symbolically constructed barrier chain for one proxy subsystem.
 
-    Holds the expressions b_0..b_m, the rows M_1..M_{m+1}, and the
+    Holds the expressions b_0..b_m, the scalars M_1..M_{m+1}, and the
     constraint pair (psi0, psi1); all immutable after construction.
     Evaluation helpers bind the y variables to chi derivatives of
     h(x)/xi automatically ("switched") or skip them entirely ("plain").
@@ -240,14 +198,13 @@ class BarrierStack:
         self.proxy = proxy
         self.rho = rho
         self.b = tuple(b)
-        self.M = tuple(tuple(row) for row in M)
+        self.M = tuple(M)
         self.psi0 = psi0
-        self.psi1 = tuple(psi1)
-        self.x_vars = state_names(proxy.p)
-        self.mu_groups = mu_names(proxy.m, proxy.p1)
-        self.mu_vars = [v for group in self.mu_groups for v in group]
+        self.psi1 = psi1
+        self.x_vars = ["x"]
+        self.mu_vars = [f"mu{i}" for i in range(1, proxy.m + 1)]
         self.y_count = proxy.m + 2 if proxy.mode == "switched" else 0
-        self.y_vars = y_names(self.y_count)
+        self.y_vars = [f"y{j}" for j in range(self.y_count)]
         self._params = [*self.x_vars, *self.mu_vars, *self.y_vars, "t"]
         self._h_fn = compile_expr(proxy.h, self.x_vars)
         self._qp_fn = None
@@ -266,19 +223,22 @@ class BarrierStack:
         return [chi(tau, k) for k in range(self.y_count)]
 
     def _args(self, x, mu, t):
-        x = [float(v) for v in x]
-        mu = _flatten_mu(mu, self.proxy.m, self.proxy.p1)
-        if len(x) != self.proxy.p:
-            raise ValueError(f"expected {self.proxy.p} state values")
-        ys = self.y_values(self._h_fn(*x))
-        return [*x, *mu, *ys, float(t)]
+        """x is a one-element sequence, mu the m virtual-state values."""
+        if len(x) != 1:
+            raise ValueError(f"expected one state value, got {len(x)}")
+        if len(mu) != self.proxy.m:
+            raise ValueError(f"expected {self.proxy.m} virtual-state values, "
+                             f"got {len(mu)}")
+        x = float(x[0])
+        ys = self.y_values(self._h_fn(x))
+        return [x, *(float(v) for v in mu), *ys, float(t)]
 
     def eval_constraint(self, x, mu, t):
-        """Numeric (psi0, psi1) at a state, virtual chain, and time."""
+        """Numeric (psi0, [psi1]) at a state, virtual chain, and time."""
         if self._qp_fn is None:
-            self._qp_fn = compile_exprs([self.psi0, *self.psi1], self._params)
-        out = self._qp_fn(*self._args(x, mu, t))
-        return out[0], list(out[1:])
+            self._qp_fn = compile_exprs([self.psi0, self.psi1], self._params)
+        psi0, psi1 = self._qp_fn(*self._args(x, mu, t))
+        return psi0, [psi1]
 
     def eval_barriers(self, x, mu, t) -> list:
         """Numeric b_0..b_m at a state, virtual chain, and time."""
@@ -287,23 +247,10 @@ class BarrierStack:
         return list(self._b_fn(*self._args(x, mu, t)))
 
 
-def _flatten_mu(mu, m: int, p1: int) -> list:
-    flat: list = []
-    for item in mu:
-        if isinstance(item, (int, float)):
-            flat.append(float(item))
-        else:
-            flat.extend(float(v) for v in item)
-    if len(flat) != m * p1:
-        raise ValueError(f"expected {m * p1} virtual-state values, got {len(flat)}")
-    return flat
-
-
 def build_barrier_stack(proxy: ProxySpec, rho: RhoSpec) -> BarrierStack:
     """Run the barrier recursion symbolically and package the results."""
-    m, p, p1 = proxy.m, proxy.p, proxy.p1
-    xs = state_names(p)
-    mus = mu_names(m, p1)
+    m = proxy.m
+    mus = [Var(f"mu{i}") for i in range(1, m + 1)]
     xi = Const(proxy.xi)
     rho_expr = rho.expr()
     rho_sq = simplify(rho_expr * rho_expr)
@@ -314,59 +261,50 @@ def build_barrier_stack(proxy: ProxySpec, rho: RhoSpec) -> BarrierStack:
     else:
         y = [proxy.h] + [Const(0.0)] * (m + 1)
 
-    h_grad = [differentiate(proxy.h, xv) for xv in xs]
-    # f0 + g0 mu_1, componentwise over the state dimension
-    drift = [simplify(proxy.f0[k] + _dot_rows(proxy.g0[k], [Var(v) for v in mus[0]]))
-             for k in range(p)]
+    h_grad = differentiate(proxy.h, "x")
+    drift = simplify(proxy.f0 + proxy.g0 * mus[0])
 
-    def m_row(b_prev: Expr, level: int) -> list:
-        """The row M_level built from b_{level-1}."""
-        row = []
-        for k in range(p):
-            term = differentiate(b_prev, xs[k])
-            if switched:
-                acc = Const(0.0)
-                for j in range(level):
-                    dby = differentiate(b_prev, f"y{j}")
-                    acc = acc + dby * h_grad[k] * y[j + 1]
-                term = term + acc / xi
-            row.append(simplify(term))
-        return row
+    def m_row(b_prev: Expr, level: int) -> Expr:
+        """M_level built from b_{level-1}."""
+        term = differentiate(b_prev, "x")
+        if switched:
+            acc = Const(0.0)
+            for j in range(level):
+                dby = differentiate(b_prev, f"y{j}")
+                acc = acc + dby * h_grad * y[j + 1]
+            term = term + acc / xi
+        return simplify(term)
+
+    def chained(acc: Expr, b_prev: Expr, level: int) -> Expr:
+        """acc + sum_{j<level} (d b_prev / d mu_j) mu_{j+1}."""
+        for j in range(1, level):
+            acc = acc + differentiate(b_prev, f"mu{j}") * mus[j]
+        return acc
 
     b_list = [y[0]]
     m_rows = []
     for i in range(1, m + 1):
         b_prev = b_list[i - 1]
-        row = m_row(b_prev, i)
-        m_rows.append(row)
-        mg = [_dot_rows([row[k] for k in range(p)],
-                        [proxy.g0[k][l] for k in range(p)]) for l in range(p1)]
-        norm2 = _dot_rows(mg, mg)
+        M_i = m_row(b_prev, i)
+        m_rows.append(M_i)
+        mg = M_i * proxy.g0
         beta = Const(proxy.betas[i - 1])
-        b_i = _dot_rows(row, drift) - norm2 / (Const(2.0) * beta) \
+        b_i = M_i * drift - mg * mg / (Const(2.0) * beta) \
             - beta / Const(2.0) * rho_sq \
             + Const(proxy.lambdas[i - 1]) * b_prev \
             + differentiate(b_prev, "t")
-        for j in range(1, i):
-            for l in range(p1):
-                b_i = b_i + differentiate(b_prev, mus[j - 1][l]) * Var(mus[j][l])
-        b_list.append(simplify(b_i))
+        b_list.append(simplify(chained(b_i, b_prev, i)))
 
     # the extra row for the constraint, one past the chain
-    row = m_row(b_list[m], m + 1)
-    m_rows.append(row)
-    mg = [_dot_rows([row[k] for k in range(p)],
-                    [proxy.g0[k][l] for k in range(p)]) for l in range(p1)]
-    norm2 = _dot_rows(mg, mg)
+    M_i = m_row(b_list[m], m + 1)
+    m_rows.append(M_i)
+    mg = M_i * proxy.g0
     b_m = b_list[m]
-    psi0 = differentiate(b_m, "t") + _dot_rows(row, drift) \
+    psi0 = differentiate(b_m, "t") + M_i * drift \
         + Const(proxy.lambdas[m]) * b_m \
-        - Call("sqrt", norm2) * rho_expr
-    for j in range(1, m):
-        for l in range(p1):
-            psi0 = psi0 + differentiate(b_m, mus[j - 1][l]) * Var(mus[j][l])
-    psi0 = simplify(psi0)
-    psi1 = [differentiate(b_m, mus[m - 1][l]) for l in range(p1)]
+        - Call("sqrt", mg * mg) * rho_expr
+    psi0 = simplify(chained(psi0, b_m, m))
+    psi1 = differentiate(b_m, f"mu{m}")
 
     return BarrierStack(proxy, rho, b_list, m_rows, psi0, psi1)
 
@@ -440,38 +378,33 @@ def rho_budget(proxy: ProxySpec, rho: RhoSpec) -> dict:
 
 def _grad_condition(stack: BarrierStack, box, samples: int, seed: int) -> ConditionCheck:
     proxy = stack.proxy
-    xs = stack.x_vars
-    if box is None or len(box) != proxy.p:
-        raise ValueError("condition check needs one (lo, hi) interval per state dim")
-    h_grad = [differentiate(proxy.h, xv) for xv in xs]
-    # squared norm of the h-gradient pushed through g0
-    mg = [simplify(_dot_rows(h_grad, [proxy.g0[k][l] for k in range(proxy.p)]))
-          for l in range(proxy.p1)]
-    norm2_fn = compile_expr(simplify(_dot_rows(mg, mg)), xs)
+    if box is None or len(box) != 1:
+        raise ValueError("condition check needs one (lo, hi) interval")
+    # squared h-gradient pushed through g0
+    mg = simplify(differentiate(proxy.h, "x") * proxy.g0)
+    norm2_fn = compile_expr(simplify(mg * mg), ["x"])
     h_fn = stack._h_fn
 
     rng = random.Random(seed)
-    lo = [float(a) for a, _ in box]
-    hi = [float(b) for _, b in box]
+    lo, hi = (float(v) for v in box[0])
 
     def draw(center=None, width=None):
         if center is None:
-            return [rng.uniform(a, b) for a, b in zip(lo, hi)]
-        return [min(hi[k], max(lo[k], center[k] + width[k] * (rng.random() - 0.5)))
-                for k in range(proxy.p)]
+            return rng.uniform(lo, hi)
+        return min(hi, max(lo, center + width * (rng.random() - 0.5)))
 
     best_x, best_n2 = None, math.inf
     in_set = 0
     for _ in range(samples):
         x = draw()
-        if h_fn(*x) < 0.0:
+        if h_fn(x) < 0.0:
             continue
         in_set += 1
-        n2 = norm2_fn(*x)
-        if n2 <= EPS_GRAD * EPS_GRAD and h_fn(*x) < proxy.xi - H_SLACK:
+        n2 = norm2_fn(x)
+        if n2 <= EPS_GRAD * EPS_GRAD and h_fn(x) < proxy.xi - H_SLACK:
             return ConditionCheck("falsified",
-                                  f"gradient vanishes at {x} but h={h_fn(*x):.6g} < xi",
-                                  {"witness": x, "h": h_fn(*x)})
+                                  f"gradient vanishes at {[x]} but h={h_fn(x):.6g} < xi",
+                                  {"witness": [x], "h": h_fn(x)})
         if n2 < best_n2:
             best_x, best_n2 = x, n2
     if best_x is None:
@@ -482,26 +415,27 @@ def _grad_condition(stack: BarrierStack, box, samples: int, seed: int) -> Condit
     # shrink a local window around the incumbent to chase the gradient
     # toward zero; only a genuinely vanishing point can falsify or
     # positively confirm the implication
-    width = [(b - a) for a, b in zip(lo, hi)]
+    width = hi - lo
     for _ in range(90):
-        width = [w * 0.75 for w in width]
+        width = width * 0.75
         for _ in range(120):
             x = draw(best_x, width)
-            if h_fn(*x) < 0.0:
+            if h_fn(x) < 0.0:
                 continue
-            n2 = norm2_fn(*x)
+            n2 = norm2_fn(x)
             if n2 < best_n2:
                 best_x, best_n2 = x, n2
-    data = {"min_grad_norm": math.sqrt(best_n2), "witness": best_x,
-            "h_at_witness": h_fn(*best_x), "samples_in_set": in_set}
+    h_best = h_fn(best_x)
+    data = {"min_grad_norm": math.sqrt(best_n2), "witness": [best_x],
+            "h_at_witness": h_best, "samples_in_set": in_set}
     if best_n2 <= EPS_GRAD * EPS_GRAD:
-        if h_fn(*best_x) >= proxy.xi - H_SLACK:
+        if h_best >= proxy.xi - H_SLACK:
             return ConditionCheck(
-                "pass", f"gradient vanishes near {best_x} with "
-                f"h={h_fn(*best_x):.6g} >= xi={proxy.xi:.6g}", data)
+                "pass", f"gradient vanishes near {[best_x]} with "
+                f"h={h_best:.6g} >= xi={proxy.xi:.6g}", data)
         return ConditionCheck(
-            "falsified", f"gradient vanishes at {best_x} but "
-            f"h={h_fn(*best_x):.6g} < xi={proxy.xi:.6g}", data)
+            "falsified", f"gradient vanishes at {[best_x]} but "
+            f"h={h_best:.6g} < xi={proxy.xi:.6g}", data)
     return ConditionCheck(
         "inconclusive-pass",
         f"no vanishing gradient found (min norm {math.sqrt(best_n2):.3g}); "
@@ -533,10 +467,11 @@ def check_conditions(stack: BarrierStack, x0, z1_0, box=None,
             f"(margin {bd['margin']:.6g})", bd)
 
     x0 = [float(v) for v in x0]
-    z1_0 = [float(v) for v in ([z1_0] if isinstance(z1_0, (int, float)) else z1_0)]
-    if len(z1_0) != proxy.p1:
-        raise ValueError(f"expected {proxy.p1} initial values for the first block")
-    mu0 = [z1_0] + [[0.0] * proxy.p1 for _ in range(proxy.m - 1)]
+    if not isinstance(z1_0, (int, float)):
+        if len(z1_0) != 1:
+            raise ValueError("expected one initial value for the first block")
+        (z1_0,) = z1_0
+    mu0 = [float(z1_0)] + [0.0] * (proxy.m - 1)
     h0 = stack.h_value(x0)
     y0 = chi(h0 / proxy.xi, 0) if not plain else h0
     bvals = stack.eval_barriers(x0, mu0, 0.0)

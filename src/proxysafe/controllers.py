@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from proxysafe.barrier import ProxySpec, RhoSpec, state_names
+from proxysafe.barrier import ProxySpec, RhoSpec
 from proxysafe.dob import DobChainState, DobSpec
 from proxysafe.expr import (
     Const, Expr, Var, compile_expr, compile_exprs, differentiate, simplify,
@@ -57,12 +57,6 @@ class SingularGain(Exception):
 
 class SymbolicSizeError(Exception):
     """A built controller exceeded the expression node cap."""
-
-
-def _require_scalar(proxy: ProxySpec, what: str) -> None:
-    if proxy.p != 1 or proxy.p1 != 1:
-        raise ValueError(f"{what} requires a scalar proxy (p=p1=1), "
-                         f"got p={proxy.p}, p1={proxy.p1}")
 
 
 def _node_count(exprs) -> int:
@@ -123,10 +117,10 @@ class NominalController:
         self.partials = dict(partials)
         self.params = tuple(params)
         self._fn = None
-        self._g0_fn = compile_expr(proxy.g0[0][0], state_names(proxy.p))
+        self._g0_fn = compile_expr(proxy.g0, ["x"])
 
     def control(self, x, mu, t) -> float:
-        """Numeric nominal input at one state; scalar because p1=1."""
+        """Numeric nominal input at one state."""
         if self._fn is None:
             self._fn = compile_expr(self.nu_d, list(self.params))
         g0 = self._g0_fn(float(x[0]))
@@ -143,13 +137,12 @@ def build_nominal(proxy: ProxySpec, gains: NominalGains) -> NominalController:
     stage differentiates its predecessor along the chain flow, damps the
     gradient-squared term, and cancels the previous stage's error.
     """
-    _require_scalar(proxy, "the nominal backstepping builder")
     m = proxy.m
     if len(gains.ks) != m + 1:
         raise ValueError(f"need {m + 1} gains k_0..k_m for chain length {m}")
     x = Var("x")
     mus = [Var(f"mu{i}") for i in range(1, m + 1)]
-    f0, g0 = proxy.f0[0], proxy.g0[0][0]
+    f0, g0 = proxy.f0, proxy.g0
     drift = simplify(f0 + g0 * mus[0])
     xd = gains.x_d
     xd_dot = differentiate(xd, "t")
@@ -393,7 +386,6 @@ def build_dob_backstepping(fs, gs, proxy: ProxySpec, dob: DobSpec,
     depends on (state, chain, filter stages, time), compensating the
     filter-stage motion exactly and the estimation error by damping.
     """
-    _require_scalar(proxy, "the observer backstepping builder")
     n = dob.n
     if proxy.m != n:
         raise ValueError(f"chain length m={proxy.m} must equal plant depth n={n}")
@@ -444,7 +436,7 @@ def build_dob_backstepping(fs, gs, proxy: ProxySpec, dob: DobSpec,
         dx_ = differentiate(prev, "x")
         partials[(i - 1, "t")] = dt_
         partials[(i - 1, "x")] = dx_
-        nterm = dt_ + dx_ * (proxy.f0[0] + proxy.g0[0][0] * zs[0])
+        nterm = dt_ + dx_ * (proxy.f0 + proxy.g0 * zs[0])
         for j in range(1, i):
             dz = partials[(i - 1, f"z{j}")]
             nterm = nterm + dz * (fs[j - 1] + gs[j - 1] * zs[j])

@@ -9,10 +9,11 @@ projection of the nominal input onto a half-space: either the nominal is
 already feasible and is returned untouched, or it is shifted along psi1
 by exactly the violation over ||psi1||^2.  No QP library is needed.
 
-A two-constraint variant (used when a scenario carries two safe-set
-barriers and sequential filtering lands in the corner where both bind)
-solves the same projection over the intersection of two half-spaces by
-enumerating the possible active sets, which is still closed form.
+A two-constraint variant serves the scalar proxy input when a scenario
+carries two safe-set barriers and sequential filtering leaves the first
+constraint violated: it clamps the nominal input into the intersection
+of the two half-lines {nu : psi0 + psi1 nu >= 0}, or raises Infeasible
+when that intersection is empty.
 """
 
 from __future__ import annotations
@@ -88,64 +89,39 @@ def solve_cbf_qp(q: QpInstance) -> list:
     return project_halfspace(q.nu_d, q.psi0, q.psi1)
 
 
-def solve_cbf_qp_pair(nu_d: Sequence[float],
-                      psi0_a: float, psi1_a: Sequence[float],
-                      psi0_b: float, psi1_b: Sequence[float]) -> list:
-    """Project nu_d onto the intersection of two half-space constraints.
+def solve_cbf_qp_pair(nu_d: float, psi0_a: float, psi1_a: float,
+                      psi0_b: float, psi1_b: float) -> float:
+    """Clamp the scalar nu_d into the intersection of two half-lines
+    {nu : psi0 + psi1 nu >= 0}.
 
-    Active-set enumeration: the optimum either is the nominal, lies on one
-    of the two boundaries (single projection), or sits in the corner where
-    both constraints are tight (2x2 Gram system).  Every candidate is
-    checked for primal feasibility and the feasible one closest to the
-    nominal wins.  Degenerate (zero-row) constraints are constant: they
-    are dropped when slack and fatal when violated.
+    The candidates are the nominal and each row's boundary point (its
+    single projection); a candidate is kept when it meets both rows
+    within FEAS_TOL, and the kept one closest to the nominal wins.
+    Degenerate (zero-row) constraints are constant: they are dropped when
+    slack and fatal when violated.
     """
-    nu_d = [float(v) for v in nu_d]
-    rows = [(float(psi0_a), [float(v) for v in psi1_a]),
-            (float(psi0_b), [float(v) for v in psi1_b])]
+    nu_d = float(nu_d)
+    rows = [(float(psi0_a), float(psi1_a)), (float(psi0_b), float(psi1_b))]
 
     live = []
     for a, b in rows:
-        if _dot(b, b) <= EPS_PSI * EPS_PSI:
-            if a + _dot(b, nu_d) < -FEAS_TOL:
-                raise Infeasible(a, b)
+        if b * b <= EPS_PSI * EPS_PSI:
+            if a + b * nu_d < -FEAS_TOL:
+                raise Infeasible(a, [b])
         else:
             live.append((a, b))
 
     def feasible(nu):
-        return all(a + _dot(b, nu) >= -FEAS_TOL for a, b in rows)
+        return all(a + b * nu >= -FEAS_TOL for a, b in rows)
 
-    candidates = []
-    if feasible(nu_d):
-        candidates.append(nu_d)
+    candidates = [nu_d] if feasible(nu_d) else []
     for a, b in live:
-        try:
-            p = project_halfspace(nu_d, a, b)
-        except Infeasible:
-            continue
-        if feasible(p):
-            candidates.append(p)
-    if len(live) == 2:
-        (a1, b1), (a2, b2) = live
-        g11 = _dot(b1, b1)
-        g12 = _dot(b1, b2)
-        g22 = _dot(b2, b2)
-        det = g11 * g22 - g12 * g12
-        if abs(det) > 1e-14 * g11 * g22:
-            m1 = a1 + _dot(b1, nu_d)
-            m2 = a2 + _dot(b2, nu_d)
-            l1 = (-m1 * g22 + m2 * g12) / det
-            l2 = (-m2 * g11 + m1 * g12) / det
-            corner = [v + l1 * p + l2 * q for v, p, q in zip(nu_d, b1, b2)]
-            if feasible(corner):
-                candidates.append(corner)
+        (nu,) = project_halfspace([nu_d], a, [b])
+        if feasible(nu):
+            candidates.append(nu)
 
     if not candidates:
-        # intersection is empty (opposing constraints with no gap)
-        worst = min(rows, key=lambda row: row[0] + _dot(row[1], nu_d))
-        raise Infeasible(worst[0], worst[1])
-
-    def objective(nu):
-        return sum((v - w) ** 2 for v, w in zip(nu, nu_d))
-
-    return min(candidates, key=objective)
+        # the half-lines are disjoint beyond the tolerance
+        a, b = min(rows, key=lambda row: row[0] + row[1] * nu_d)
+        raise Infeasible(a, [b])
+    return min(candidates, key=lambda nu: (nu - nu_d) ** 2)

@@ -11,7 +11,7 @@ b_0..b_m, the nominal and observer-backstepping laws, plant f/g/d, phi,
 x_d) go through `expr.Emitter`, so a subexpression they share is
 computed once.  The projection, the funnel, Nussbaum and observer laws
 and their breach checks are inline statements, in the order the
-composition runs them; only the two-barrier corner case stays a call.
+composition runs them; only the two-barrier fallback stays a call.
 Every float comes from the same operations in the same order, so the
 two paths agree bit for bit.
 
@@ -163,14 +163,14 @@ class _Writer:
         m, em = self.model, self.em
         self._dob_outputs()
         nominal = m.nominal
-        g0 = em.emit(nominal.proxy.g0[0][0])
+        g0 = em.emit(nominal.proxy.g0)
         em.line(f"if _abs({g0}) < {_lit(GAIN_EPS)}:")
         em.line(f'    raise _SingularGain(f"g0={{{g0}:.3g}} at x={{x:.6g}}")')
         em.line(f"_nu_d = {em.emit(nominal.nu_d)}")
         em.line("_nu = _nu_d")
         for k, stack in enumerate(m.stacks, start=1):
             self._chi(k, stack)
-            p0, p1 = em.emit(stack.psi0), em.emit(stack.psi1[0])
+            p0, p1 = em.emit(stack.psi0), em.emit(stack.psi1)
             self.psi.append((p0, p1))
             # filter.project_halfspace
             em.line(f"_m = {p0} + {p1} * _nu")
@@ -182,7 +182,7 @@ class _Writer:
         if len(self.psi) == 2:
             (a0, a1), (b0, b1) = self.psi
             em.line(f"if {a0} + {a1} * _nu < {_lit(-FEAS_TOL)}:")
-            em.line(f"    _nu = _pair([_nu_d], {a0}, [{a1}], {b0}, [{b1}])[0]")
+            em.line(f"    _nu = _pair(_nu_d, {a0}, {a1}, {b0}, {b1})")
             em.line("    _model.qp_fallbacks += 1")
         getattr(self, f"_law_{m.kind}")()
 

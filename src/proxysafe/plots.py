@@ -184,11 +184,8 @@ def _safe_bounds(spec, x_lo: float, x_hi: float) -> list:
 
     Scans a padded interval around the observed state range (and the
     scenario's declared box, when present) for sign changes of h, then
-    bisects each bracket.  Only scalar proxy states have an axis to
-    scan; anything else yields no boundary lines.
+    bisects each bracket.
     """
-    if spec.proxies[0].p != 1:
-        return []
     lo, hi = x_lo, x_hi
     for box_lo, box_hi in spec.check_box:
         lo, hi = min(lo, box_lo), max(hi, box_hi)

@@ -195,9 +195,9 @@ def _parse_proxies(data, path, plant: PlantSpec):
                           f"{ep}.betas", m)
         mode = _get(entry, "mode", ep, default="switched")
         try:
-            proxies.append(ProxySpec(p=1, p1=1, m=m, f0=[plant.f0],
-                                     g0=[[plant.g0]], h=h, xi=xi,
-                                     lambdas=lambdas, betas=betas, mode=mode))
+            proxies.append(ProxySpec(m=m, f0=plant.f0, g0=plant.g0, h=h,
+                                     xi=xi, lambdas=lambdas, betas=betas,
+                                     mode=mode))
         except ValueError as exc:
             _fail(ep, str(exc))
     return tuple(proxies)

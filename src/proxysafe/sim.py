@@ -285,13 +285,12 @@ class RuntimeModel:
         rows = []
         for stack in self.stacks:
             psi0, psi1 = stack.eval_constraint([x], mu, t)
-            rows.append((psi0, psi1))
+            rows.append((psi0, psi1[0]))
             nu = project_halfspace(nu, psi0, psi1)
         if len(rows) == 2:
             psi0, psi1 = rows[0]
-            if psi0 + psi1[0] * nu[0] < -FEAS_TOL:
-                nu = solve_cbf_qp_pair([nu_d], rows[0][0], rows[0][1],
-                                       rows[1][0], rows[1][1])
+            if psi0 + psi1 * nu[0] < -FEAS_TOL:
+                nu = [solve_cbf_qp_pair(nu_d, *rows[0], *rows[1])]
                 self.qp_fallbacks += 1
         return nu_d, nu[0], rows
 
@@ -540,12 +539,13 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
     stage = loop.stage
     held = None
     next_hold = 0.0
+    refresh = model.hold_dt is not None     # t=0 is the first hold time
     try:
         k1, row, ctrl = loop.point(state, 0.0, None)
         rows.append(row)
         for k in range(1, n_steps + 1):
             t_prev = (k - 1) * model.dt
-            if model.hold_dt is not None and t_prev >= next_hold - 1e-12:
+            if refresh:     # ctrl holds fresh outputs of the hold time t_prev
                 held = ctrl
                 next_hold += model.hold_dt
                 stage = functools.partial(loop.stage_held, held=held)
@@ -557,7 +557,8 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
                 reason = f"non-finite state at t={t:.6g}"
                 aborted = True
                 break
-            k1, row, ctrl = loop.point(state, t, held)
+            refresh = model.hold_dt is not None and t >= next_hold - 1e-12
+            k1, row, ctrl = loop.point(state, t, None if refresh else held)
             rows.append(row)
     except _ABORTS as exc:
         reason = f"{type(exc).__name__}: {exc}"

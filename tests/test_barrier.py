@@ -42,15 +42,14 @@ XI_SHIP = math.pi ** 2 / 81
 
 def ship_proxy(mode="switched"):
     return ProxySpec(
-        p=1, p1=1, m=1,
-        f0=(Const(0.0),), g0=((Const(1.0),),),
+        m=1, f0=Const(0.0), g0=Const(1.0),
         h=parse("pi^2/81 - x^2"), xi=XI_SHIP,
         lambdas=(6.0, 1.0), betas=(20.0,), mode=mode)
 
 
 def chain_proxy(m=2, h="x + 0.5", xi=0.1, lambdas=(10.0, 10.0, 15.0),
                 betas=(0.05, 0.05), mode="switched"):
-    return ProxySpec(p=1, p1=1, m=m, f0=(Const(0.0),), g0=((Const(1.0),),),
+    return ProxySpec(m=m, f0=Const(0.0), g0=Const(1.0),
                      h=parse(h), xi=xi, lambdas=lambdas, betas=betas, mode=mode)
 
 
@@ -146,7 +145,7 @@ def test_rho_spec_value_derivative_expr_agree():
 
 
 def test_proxy_spec_validation():
-    good = dict(p=1, p1=1, m=1, f0=(Const(0.0),), g0=((Const(1.0),),),
+    good = dict(m=1, f0=Const(0.0), g0=Const(1.0),
                 h=parse("1 - x^2"), xi=0.5, lambdas=(1.0, 1.0), betas=(1.0,))
     ProxySpec(**good)
     with pytest.raises(ValueError):
@@ -160,7 +159,7 @@ def test_proxy_spec_validation():
     with pytest.raises(ValueError):
         ProxySpec(**{**good, "h": parse("1 - q^2")})
     with pytest.raises(ValueError):
-        ProxySpec(**{**good, "f0": (parse("mu1"),)})
+        ProxySpec(**{**good, "f0": parse("mu1")})
 
 
 # ═══════════════════════════════════════════════════════════════════
@@ -487,9 +486,8 @@ def test_constraint_saturates_deep_inside():
 
 def test_mu_argument_forms():
     stack = build_barrier_stack(chain_proxy(), RhoSpec(0.85, 0.05, 10.0))
-    flat = stack.eval_constraint([0.1], [0.3, -0.2], 1.0)
-    nested = stack.eval_constraint([0.1], [[0.3], [-0.2]], 1.0)
-    assert flat == nested
+    psi0, psi1 = stack.eval_constraint([0.1], [0.3, -0.2], 1.0)
+    assert len(psi1) == 1
     with pytest.raises(ValueError):
         stack.eval_constraint([0.1], [0.3], 1.0)
     with pytest.raises(ValueError):

@@ -35,8 +35,7 @@ LM, RM, KB = 0.0250, 5.0000, 0.9000
 
 
 def ship_proxy():
-    return ProxySpec(p=1, p1=1, m=1,
-                     f0=[parse("0")], g0=[[parse("1")]],
+    return ProxySpec(m=1, f0=parse("0"), g0=parse("1"),
                      h=parse("pi^2/81 - x^2"), xi=math.pi ** 2 / 81,
                      lambdas=(6.0, 1.0), betas=(20.0,), mode="switched")
 
@@ -47,8 +46,7 @@ def ship_gains():
 
 
 def motor_parts():
-    proxy = ProxySpec(p=1, p1=1, m=2,
-                      f0=[parse("0")], g0=[[parse("1")]],
+    proxy = ProxySpec(m=2, f0=parse("0"), g0=parse("1"),
                       h=parse("x + 0.5"), xi=0.1,
                       lambdas=(10.0, 10.0, 15.0), betas=(0.05, 0.05),
                       mode="switched")
@@ -96,17 +94,6 @@ def test_nominal_build_rejects_wrong_gain_count():
                                                  x_d=parse("0")))
 
 
-def test_nominal_build_rejects_vector_proxy():
-    proxy = ProxySpec(p=2, p1=1, m=1,
-                      f0=[parse("0"), parse("0")],
-                      g0=[[parse("1")], [parse("0")]],
-                      h=parse("1 - x1^2 - x2^2"), xi=1.0,
-                      lambdas=(1.0, 1.0), betas=(1.0,), mode="switched")
-    with pytest.raises(ValueError, match="scalar"):
-        build_nominal(proxy, NominalGains(ks=(1.0, 1.0), cs=(1.0, 1.0),
-                                          x_d=parse("0")))
-
-
 def test_ppc_gains_validation():
     with pytest.raises(ValueError):
         PpcGains(ks=())
@@ -148,7 +135,7 @@ def test_dob_build_rejects_bad_setups():
     with pytest.raises(ValueError, match="kappa"):
         build_dob_backstepping(fs, gs, proxy, dob, bad, rho)
     # chain length must match plant depth
-    short = ProxySpec(p=1, p1=1, m=1, f0=[parse("0")], g0=[[parse("1")]],
+    short = ProxySpec(m=1, f0=parse("0"), g0=parse("1"),
                       h=parse("x + 0.5"), xi=0.1,
                       lambdas=(10.0, 15.0), betas=(0.05,), mode="switched")
     with pytest.raises(ValueError, match="depth"):
@@ -253,8 +240,7 @@ def test_nominal_tracks_reference_into_tiny_ball():
 
 
 def test_nominal_singular_gain_raises():
-    proxy = ProxySpec(p=1, p1=1, m=1,
-                      f0=[parse("0")], g0=[[parse("x")]],
+    proxy = ProxySpec(m=1, f0=parse("0"), g0=parse("x"),
                       h=parse("1 - x^2"), xi=1.0,
                       lambdas=(1.0, 1.0), betas=(1.0,), mode="switched")
     ctrl = build_nominal(proxy, NominalGains(ks=(1.0, 1.0), cs=(1.0, 1.0),

@@ -6,18 +6,24 @@
  3. 1000 random instances in dims 1..4 against a projected-grid brute
     force, with a convexity certificate on a subsample.
  4. Infeasibility signaling when psi1 is numerically zero.
- 5. Two-constraint projection against a 2-D plane grid search.
+ 5. Two-constraint clamp of a scalar input against a line grid search.
+ 6. Generated inputs: the two-constraint clamp against an exact interval
+    oracle, and the 1-D half-space projection.
 """
 
 import math
 import random
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxysafe.filter import (
-    EPS_PSI, FEAS_TOL, Infeasible, QpInstance, solve_cbf_qp,
-    solve_cbf_qp_pair,
+    EPS_PSI, FEAS_TOL, Infeasible, QpInstance, project_halfspace,
+    solve_cbf_qp, solve_cbf_qp_pair,
 )
 
 SEED = 20260822
@@ -240,67 +246,137 @@ def test_zero_row_with_slack_is_fine():
 
 def test_pair_slab():
     """nu >= 1 and nu <= 3 clamp the scalar nominal into the slab."""
-    lo = (-1.0, (1.0,))
-    hi = (3.0, (-1.0,))
-    assert solve_cbf_qp_pair((0.0,), *lo, *hi) == [1.0]
-    assert solve_cbf_qp_pair((5.0,), *lo, *hi) == [3.0]
-    assert solve_cbf_qp_pair((2.0,), *lo, *hi) == [2.0]
+    lo = (-1.0, 1.0)
+    hi = (3.0, -1.0)
+    assert solve_cbf_qp_pair(0.0, *lo, *hi) == 1.0
+    assert solve_cbf_qp_pair(5.0, *lo, *hi) == 3.0
+    assert solve_cbf_qp_pair(2.0, *lo, *hi) == 2.0
 
 
 def test_pair_empty_slab_raises():
     with pytest.raises(Infeasible):
-        solve_cbf_qp_pair((0.0,), -2.0, (1.0,), 1.0, (-1.0,))
-
-
-def test_pair_corner_case():
-    """Both constraints bind: the corner of two 2-D half-planes."""
-    got = solve_cbf_qp_pair((0.0, 0.0), -1.0, (1.0, 1.0), -0.2, (1.0, -1.0))
-    assert max(abs(g - w) for g, w in zip(got, (0.6, 0.4))) <= 1e-12
-    brute = plane_grid((0.0, 0.0),
-                       [(-1.0, (1.0, 1.0)), (-0.2, (1.0, -1.0))], span=3.0)
-    assert max(abs(g - b) for g, b in zip(got, brute)) <= 2e-3
-
-
-def test_pair_axis_corner_against_grid():
-    rows = [(-0.5, (1.0, 0.0)), (-0.25, (0.0, 1.0))]
-    got = solve_cbf_qp_pair((0.0, 0.0), *rows[0], *rows[1])
-    assert got == [0.5, 0.25]
-    brute = plane_grid((0.0, 0.0), rows, span=2.0)
-    assert max(abs(g - b) for g, b in zip(got, brute)) <= 2e-3
+        solve_cbf_qp_pair(0.0, -2.0, 1.0, 1.0, -1.0)
 
 
 def test_pair_degenerate_rows():
     with pytest.raises(Infeasible):
-        solve_cbf_qp_pair((0.0,), -1.0, (0.0,), 1.0, (1.0,))
-    got = solve_cbf_qp_pair((0.0,), 1.0, (0.0,), -2.0, (1.0,))
-    assert got == [2.0]
+        solve_cbf_qp_pair(0.0, -1.0, 0.0, 1.0, 1.0)
+    got = solve_cbf_qp_pair(0.0, 1.0, 0.0, -2.0, 1.0)
+    assert got == 2.0
 
 
 def test_pair_random_against_plane_grid():
-    """Feasible-by-construction random pairs match the plane search."""
+    """Feasible-by-construction random pairs match the line search."""
     rng = np.random.default_rng(SEED + 5)
     worst = 0.0
     for _ in range(150):
-        dim = int(rng.integers(1, 4))
-        witness = rng.normal(0.0, 1.0, dim)
-        nu_d = rng.normal(0.0, 2.0, dim)
+        witness = rng.normal(0.0, 1.0)
+        nu_d = rng.normal(0.0, 2.0)
         rows = []
         for _ in range(2):
-            b = rng.normal(0.0, 1.0, dim)
-            if np.linalg.norm(b) < 1e-3:
+            b = rng.normal(0.0, 1.0)
+            if abs(b) < 1e-3:
                 b = b + 1.0
-            a = float(-b @ witness + rng.uniform(0.0, 1.0))
-            rows.append((a, tuple(b)))
-        got = np.asarray(solve_cbf_qp_pair(tuple(nu_d), *rows[0], *rows[1]))
+            a = float(-b * witness + rng.uniform(0.0, 1.0))
+            rows.append((a, b))
+        got = solve_cbf_qp_pair(nu_d, *rows[0], *rows[1])
         for a, b in rows:
-            assert a + got @ np.asarray(b) >= -FEAS_TOL
-        dist = sum(abs(a + float(np.asarray(b) @ nu_d)) / np.linalg.norm(b)
-                   for a, b in rows)
-        brute = plane_grid(tuple(nu_d), rows, span=2.0 * dist + 1.0)
+            assert a + got * b >= -FEAS_TOL
+        dist = sum(abs(a + b * nu_d) / abs(b) for a, b in rows)
+        brute = plane_grid((nu_d,), [(a, (b,)) for a, b in rows],
+                           span=2.0 * dist + 1.0)
         assert brute is not None
-        obj = float(((got - nu_d) ** 2).sum())
-        obj_brute = float(((brute - nu_d) ** 2).sum())
+        obj = (got - nu_d) ** 2
+        obj_brute = float((brute[0] - nu_d) ** 2)
         gap = obj - obj_brute
         assert gap <= 1e-4, f"solver beaten by grid: {gap:.2e}"
         worst = max(worst, abs(gap))
-    print(f"\n  pair solver vs plane grid: worst objective gap {worst:.2e}")
+    print(f"\n  pair solver vs line grid: worst objective gap {worst:.2e}")
+
+
+# ═══════════════════════════════════════════════════════════════════════════
+# 6. properties over generated inputs
+# ═══════════════════════════════════════════════════════════════════════════
+
+PROPERTY = settings(max_examples=400, deadline=None, derandomize=True,
+                    database=None)
+# magnitudes at which float rounding stays far below FEAS_TOL
+_value = st.floats(-1e3, 1e3, allow_nan=False)
+_slope = st.one_of(st.just(0.0), st.floats(1e-3, 1e3),
+                   st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def _pair_rows(draw):
+    """Two scalar rows; half the time the second one is placed so that
+    the half-lines touch, overlap or miss each other by about FEAS_TOL."""
+    a1, b1 = draw(_value), draw(_slope)
+    a2, b2 = draw(_value), draw(_slope)
+    if b1 != 0.0 and draw(st.booleans()):
+        b2 = -b1 * draw(st.floats(0.5, 2.0))
+        edge = -a1 / b1 + draw(st.floats(-3e-9, 3e-9))
+        a2 = -b2 * edge
+    return a1, b1, a2, b2
+
+
+def _interval(rows, slack):
+    """Exact set {nu : a + b nu >= -slack for every row} as (lo, hi),
+    None when it is empty; lo and hi may be infinite."""
+    lo, hi = -math.inf, math.inf
+    for a, b in rows:
+        a, b = Fraction(a), Fraction(b)
+        if b == 0:
+            if a < -slack:
+                return None
+        elif b > 0:
+            lo = max(lo, (-slack - a) / b)
+        else:
+            hi = min(hi, (-slack - a) / b)
+    return (lo, hi) if lo <= hi else None
+
+
+@PROPERTY
+@given(_value, _pair_rows())
+def test_pair_matches_interval_oracle(nu_d, rows):
+    """The scalar pair solver is the clamp into the intersection of two
+    half-lines: it succeeds whenever the intersection, narrowed by the
+    tolerance, is nonempty, fails whenever it is empty even widened by
+    the tolerance, and a returned value meets both rows, is the nominal
+    itself when that meets both rows, and is no farther from the nominal
+    than the exact clamp."""
+    a1, b1, a2, b2 = rows
+    pairs = [(a1, b1), (a2, b2)]
+    tol = Fraction(FEAS_TOL)
+    exact = _interval(pairs, Fraction(0))
+    try:
+        got = solve_cbf_qp_pair(nu_d, a1, b1, a2, b2)
+    except Infeasible:
+        assert _interval(pairs, -tol) is None
+        return
+    assert _interval(pairs, tol) is not None
+    for a, b in pairs:
+        assert a + b * got >= -FEAS_TOL
+    if all(a + b * nu_d >= -FEAS_TOL for a, b in pairs):
+        assert got == nu_d
+    if exact is not None:
+        lo, hi = exact
+        clamp = min(max(Fraction(nu_d), lo), hi)
+        slack = 1e-12 * (1.0 + abs(nu_d) + abs(float(clamp)))
+        assert abs(got - nu_d) <= abs(float(clamp) - nu_d) + slack
+
+
+@PROPERTY
+@given(_value, _value, st.one_of(_slope, st.floats(-1e-3, 1e-3)))
+def test_project_halfspace_1d_properties(nu_d, psi0, psi1):
+    """Unchanged when the margin is nonnegative, else on the boundary."""
+    margin = psi0 + psi1 * nu_d
+    if margin < 0.0 and psi1 * psi1 <= EPS_PSI * EPS_PSI:
+        with pytest.raises(Infeasible):
+            project_halfspace([nu_d], psi0, [psi1])
+        return
+    (got,) = project_halfspace([nu_d], psi0, [psi1])
+    if margin >= 0.0:
+        assert got == nu_d
+    else:
+        scale = abs(psi0) + abs(psi1 * nu_d) + 1.0
+        assert abs(psi0 + psi1 * got) <= 1e-12 * scale

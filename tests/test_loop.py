@@ -195,7 +195,7 @@ def test_pair_fallback_same_calls_and_count(monkeypatch):
     def recorder(side):
         def solve(nu_d, psi0_a, psi1_a, psi0_b, psi1_b):
             calls[side].append(bits([nu_d, psi0_a, psi1_a, psi0_b, psi1_b]))
-            return [nu_d[0] + 1e-3 * psi0_a - 1e-3 * psi0_b]
+            return nu_d + 1e-3 * psi0_a - 1e-3 * psi0_b
         return solve
 
     monkeypatch.setattr(filter_mod, "solve_cbf_qp_pair",
@@ -245,17 +245,19 @@ def test_failing_derivative_keeps_the_grid_row():
 def reference_run(model):
     """Rows and abort reason of the loop that integrated the reference
     composition: controls per stage, trace_row per grid point, and under
-    hold the first grid point's outputs kept with fresh diagnostics."""
+    hold the outputs evaluated at each hold time kept, with fresh
+    diagnostics, until the next hold time."""
     dt = model.dt
     rows, reason = [], None
     held, next_hold = None, 0.0
+    refresh = model.hold_dt is not None
     state = model.initial_state()
     try:
         c = model.controls(state, 0.0)
         rows.append(model.trace_row(state, 0.0, c))
         for k in range(1, max(1, int(round(model.horizon / dt))) + 1):
             t_prev = (k - 1) * dt
-            if model.hold_dt is not None and t_prev >= next_hold - 1e-12:
+            if refresh:
                 held = c
                 next_hold += model.hold_dt
             state = model.step(state, t_prev, dt, held=held, c1=c)
@@ -263,7 +265,8 @@ def reference_run(model):
             if not all(math.isfinite(v) for v in state):
                 return rows, f"non-finite state at t={t:.6g}"
             c = model.controls(state, t)
-            if held is not None:
+            refresh = model.hold_dt is not None and t >= next_hold - 1e-12
+            if held is not None and not refresh:
                 c = _Controls(nu_d=held.nu_d, nu=held.nu, u=held.u,
                               dzeta=held.dzeta, dtheta=held.dtheta,
                               eps=c.eps, xis=c.xis)

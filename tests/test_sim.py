@@ -264,11 +264,28 @@ def test_funnel_breach_aborts_ppc():
 def test_hold_mode_runs_and_degrades_honestly():
     # zero-order hold disables the per-stage safety recomputation; the
     # scheme is not claimed to survive it, and on this scenario it does
-    # not -- the run must end in a clean abort, not a crash
-    tr = simulate(load_builtin("ship"), hold_dt=0.05, horizon=120.0)
+    # not at this hold interval -- the run must end in a clean abort, not
+    # a crash
+    tr = simulate(load_builtin("ship"), hold_dt=0.5, horizon=120.0)
     assert tr.verdict == "ABORTED"
     assert "BarrierBreach" in tr.reason
     assert len(tr.rows) > 100
+
+
+def test_hold_mode_refreshes_held_outputs():
+    # every hold time evaluates the controls afresh and holds them: the
+    # logged input is constant inside each hold interval and moves from
+    # one interval to the next
+    hold = 0.05
+    tr = simulate(load_builtin("ship"), hold_dt=hold, horizon=5.0)
+    assert tr.verdict == "SAFE"
+    per_interval = {}
+    for t, u in zip(tr.column("t"), tr.column("u")):
+        per_interval.setdefault(math.floor(t / hold + 1e-9), set()).add(u)
+    assert len(per_interval) == 101
+    assert all(len(us) == 1 for us in per_interval.values())
+    held = [us.pop() for _, us in sorted(per_interval.items())]
+    assert all(a != b for a, b in zip(held, held[1:]))
 
 
 # ═══════════════════════════════════════════════════════════════════
