@@ -14,14 +14,16 @@ Unary minus binds tighter than binary + and - but looser than ^, so
 built-in constant, not a variable.
 
 Expression trees are immutable; all operations return new trees and it is
-safe to share subtrees freely (the walkers below memoize on node identity,
-so shared subtrees are visited once).  Differentiation is exact and
-symbolic.  Simplification applies a fixed rewrite list to a fixpoint; it
-is deliberately not a canonicalizer.  For inner loops, ``compile_exprs``
-turns a batch of trees into one generated Python function with common
-subexpressions evaluated once; ``Emitter``, the code generator behind it,
-also writes larger generated functions that mix expressions with
-statements of their own.
+safe to share subtrees freely.  Differentiation, evaluation, simplification
+and compilation memoize on node identity, so each visits a shared subtree
+once, and structural equality compares a pair of nodes once; only ``str``
+writes a shared subtree out once per occurrence.  Differentiation is exact
+and symbolic.  Simplification applies a fixed rewrite list to a fixpoint
+and marks the nodes it leaves in normal form; it is deliberately not a
+canonicalizer.  For inner loops, ``compile_exprs`` turns a batch of trees
+into one generated Python function with common subexpressions evaluated
+once; ``Emitter``, the code generator behind it, also writes larger
+generated functions that mix expressions with statements of their own.
 """
 
 from __future__ import annotations
@@ -108,7 +110,9 @@ class Expr:
     evaluation, never by comparing shapes.
     """
 
-    __slots__ = ("_hash", "_vars")
+    # _vars and _simple are caches, outside hash and eq: the free
+    # variables, and whether simplify leaves this node unchanged
+    __slots__ = ("_hash", "_vars", "_simple")
 
     prec = 100  # printing precedence; overridden per node kind
 
@@ -148,11 +152,18 @@ class Expr:
             return True
         if not isinstance(other, Expr):
             return NotImplemented
+        # pairs already compared are skipped, so shared subtrees on both
+        # sides are compared once, not once per path
         stack = [(self, other)]
+        seen = set()
         while stack:
             p, q = stack.pop()
             if p is q:
                 continue
+            pair = (id(p), id(q))
+            if pair in seen:
+                continue
+            seen.add(pair)
             if type(p) is not type(q) or p._hash != q._hash:
                 return False
             if p._payload() != q._payload():
@@ -234,6 +245,7 @@ class Const(Expr):
         self.value = value
         self._hash = hash(("const", value))
         self._vars = frozenset()
+        self._simple = True
 
     @property
     def prec(self):
@@ -262,6 +274,7 @@ class Var(Expr):
         self.name = name
         self._hash = hash(("var", name))
         self._vars = frozenset((name,))
+        self._simple = True
 
     def _payload(self):
         return self.name
@@ -288,6 +301,7 @@ class Neg(Expr):
         self.a = _coerce(a)
         self._hash = hash(("neg", self.a._hash))
         self._vars = None
+        self._simple = False
 
     def children(self):
         return (self.a,)
@@ -317,6 +331,7 @@ class _Binary(Expr):
         self.b = _coerce(b)
         self._hash = hash((self.op, self.a._hash, self.b._hash))
         self._vars = None
+        self._simple = False
 
     def children(self):
         return (self.a, self.b)
@@ -436,6 +451,7 @@ class Call(Expr):
         self.arg = _coerce(arg)
         self._hash = hash(("call", fn, self.arg._hash))
         self._vars = None
+        self._simple = False
 
     def children(self):
         return (self.arg,)
@@ -742,27 +758,37 @@ def _combine_product(c1: float, c2: float, rest: Expr) -> Expr | None:
 
 
 def _local_fixpoint(node: Expr) -> Expr:
+    """Rewrite ``node`` until no rule fires, at most _MAX_LOCAL times.
+
+    A result no rule rewrites, over children already in normal form, is
+    marked as in normal form itself; a result left by the cap is not.
+    """
     for _ in range(_MAX_LOCAL):
         new = _rewrite(node)
         if new is None:
+            if all(k._simple for k in node.children()):
+                node._simple = True
             return node
         node = new
     return node
 
 
 def _simplify_pass(e: Expr) -> Expr:
+    # keyed by the input node, so each shared subtree is walked once
     memo: dict[int, Expr] = {}
 
     def walk(node: Expr) -> Expr:
+        if node._simple:
+            return node
         out = memo.get(id(node))
         if out is not None:
             return out
         kids = node.children()
-        if kids:
-            new_kids = tuple(walk(k) for k in kids)
-            if any(nk is not k for nk, k in zip(new_kids, kids)):
-                node = node._with_children(new_kids)
-        out = _local_fixpoint(node)
+        new_kids = tuple(walk(k) for k in kids)
+        rebuilt = node
+        if any(nk is not k for nk, k in zip(new_kids, kids)):
+            rebuilt = node._with_children(new_kids)
+        out = _local_fixpoint(rebuilt)
         memo[id(node)] = out
         return out
 
@@ -775,6 +801,11 @@ def simplify(e: Expr) -> Expr:
     Evaluation of the result agrees with evaluation of the input on every
     binding where the input is defined; dropped subtrees (x*0 and friends)
     may widen the domain, never narrow it.
+
+    Each pass visits a shared subtree once, and nodes reached in normal
+    form (no rule fires on them or below them) are marked so that no
+    later pass or call walks them again: simplifying a tree built from
+    simplified pieces costs only the nodes added on top of them.
     """
     for _ in range(_MAX_PASSES):
         out = _simplify_pass(e)

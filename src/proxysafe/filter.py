@@ -96,7 +96,10 @@ def solve_cbf_qp_pair(nu_d: float, psi0_a: float, psi1_a: float,
 
     The candidates are the nominal and each row's boundary point (its
     single projection); a candidate is kept when it meets both rows
-    within FEAS_TOL, and the kept one closest to the nominal wins.
+    within FEAS_TOL, and the kept one closest to the nominal wins.  When
+    none is kept, the crossing point of two rows of opposite slope is
+    tried last: inside the tolerance window the intersection can hold
+    neither the nominal nor either boundary point.
     Degenerate (zero-row) constraints are constant: they are dropped when
     slack and fatal when violated.
     """
@@ -117,6 +120,15 @@ def solve_cbf_qp_pair(nu_d: float, psi0_a: float, psi1_a: float,
     candidates = [nu_d] if feasible(nu_d) else []
     for a, b in live:
         (nu,) = project_halfspace([nu_d], a, [b])
+        if feasible(nu):
+            candidates.append(nu)
+
+    if not candidates and len(live) == 2 and live[0][1] * live[1][1] < 0.0:
+        # rows of opposite slope meet where their margins are equal, the
+        # point that maximises the smaller margin: it meets both within
+        # FEAS_TOL whenever any point does
+        (a1, b1), (a2, b2) = live
+        nu = (a2 - a1) / (b1 - b2)
         if feasible(nu):
             candidates.append(nu)
 

@@ -10,7 +10,9 @@ Covers, in order:
     1000 random (expression, point) pairs, mixed-partial symmetry.
  4. Simplification: the required identities, semantic preservation on
     random bindings, idempotence, and refusal to fold outside the
-    finite real domain.
+    finite real domain; on shared DAGs, work linear in the distinct
+    nodes, and none at all on an already simplified tree.  Structural
+    equality of shared DAGs, likewise linear.
  5. Compilation: generated functions agree with the tree walker and
     deduplicate common subexpressions.
 """
@@ -482,6 +484,93 @@ def test_simplify_never_folds_outside_domain():
 def test_simplify_combines_nested_constant_products():
     got = E.simplify(Mul(Const(2.0), Mul(Const(3.0), Var("x"))))
     assert got == Mul(Const(6.0), Var("x"))
+
+
+DAG_DEPTH = 20
+
+
+def shared_dag(depth, leaf="x"):
+    """e <- (e * 1) + e, `depth` times: 2^depth paths, 3 new nodes a level.
+    Differentiation results share subtrees the same way."""
+    e = Var(leaf)
+    for _ in range(depth):
+        e = Add(Mul(e, Const(1.0)), e)
+    return e
+
+
+def tree_copy(node):
+    """The same expression with no interior node shared."""
+    return node._with_children(tuple(tree_copy(k) for k in node.children()))
+
+
+def count_calls(monkeypatch, owner, name, cap):
+    """Count calls of owner.name; fail fast past `cap` so that a slide
+    back to exponential work fails instead of running for hours."""
+    calls = [0]
+    inner = getattr(owner, name)
+
+    def counting(*args):
+        calls[0] += 1
+        if calls[0] > cap:
+            raise AssertionError(f"{name} called more than {cap} times")
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_simplify_walks_a_shared_dag_once(monkeypatch):
+    """Each pass visits a shared subtree once: the rewrite count grows
+    with the depth of the DAG, not with its 2^depth paths."""
+    calls = count_calls(monkeypatch, E, "_rewrite", cap=100 * DAG_DEPTH)
+    got = E.simplify(shared_dag(DAG_DEPTH))
+    assert calls[0] <= 4 * DAG_DEPTH
+    want = Var("x")
+    for _ in range(DAG_DEPTH):
+        want = Add(want, want)
+    assert got == want
+
+
+def test_simplify_dag_matches_its_tree_copy():
+    dag = shared_dag(10)
+    assert E.simplify(dag) == E.simplify(tree_copy(dag))
+
+
+def test_simplify_returns_a_simplified_tree_untouched(monkeypatch):
+    rng = random.Random(SEED + 6)
+    done = [E.simplify(shared_dag(DAG_DEPTH))]
+    done += [E.simplify(random_expr(rng, ["x", "y"], 4)) for _ in range(50)]
+    calls = count_calls(monkeypatch, E, "_rewrite", cap=0)
+    for s in done:
+        assert E.simplify(s) is s
+    assert calls[0] == 0
+
+
+def test_simplify_marks_only_converged_nodes(monkeypatch):
+    """A node the rewrite caps leave unconverged is not marked, and
+    neither is anything above it, so a later call carries on."""
+    monkeypatch.setattr(E, "_MAX_PASSES", 1)
+    monkeypatch.setattr(E, "_MAX_LOCAL", 1)
+    # 0 - (-x) -> -(-x) takes the one local step; -(-x) -> x would be next
+    first = E.simplify(Add(Sub(Const(0.0), Neg(Var("x"))), Var("y")))
+    assert first == Add(Neg(Neg(Var("x"))), Var("y"))
+    assert not first._simple and not first.a._simple
+    monkeypatch.undo()
+    assert E.simplify(first) == Add(Var("x"), Var("y"))
+
+
+def test_equality_compares_shared_dags_once(monkeypatch):
+    """Two separately built equal DAGs of depth 40 (2^40 paths) compare
+    equal after one visit per node pair; a difference at the leaf is
+    still found."""
+    a, b = shared_dag(40), shared_dag(40)
+    assert a is not b
+    calls = count_calls(monkeypatch, E.Add, "_payload", cap=10_000)
+    assert a == b
+    assert calls[0] <= 2 * 40   # one Add and one Mul pair a level
+    assert a != shared_dag(40, leaf="y")
+    assert shared_dag(40) != Add(Mul(shared_dag(39), Const(2.0)),
+                                 shared_dag(39))
 
 
 # ═══════════════════════════════════════════════════════════════════════════

@@ -258,6 +258,18 @@ def test_pair_empty_slab_raises():
         solve_cbf_qp_pair(0.0, -2.0, 1.0, 1.0, -1.0)
 
 
+def test_pair_tolerance_window_takes_the_crossing():
+    """nu >= 0 and nu <= -1.5e-9 miss each other by less than the
+    tolerance allows on both rows together, but by more than it allows
+    on either row alone: neither the nominal nor either boundary point
+    meets both rows, the crossing point does."""
+    got = solve_cbf_qp_pair(0.0, 0.0, 1.0, -1.5e-9, -1.0)
+    assert got == -0.75e-9
+    assert solve_cbf_qp_pair(0.0, -1.5e-9, -1.0, 0.0, 1.0) == got
+    with pytest.raises(Infeasible):
+        solve_cbf_qp_pair(0.0, 0.0, 1.0, -2.5e-9, -1.0)
+
+
 def test_pair_degenerate_rows():
     with pytest.raises(Infeasible):
         solve_cbf_qp_pair(0.0, -1.0, 0.0, 1.0, 1.0)
@@ -309,12 +321,14 @@ _slope = st.one_of(st.just(0.0), st.floats(1e-3, 1e3),
 @st.composite
 def _pair_rows(draw):
     """Two scalar rows; half the time the second one is placed so that
-    the half-lines touch, overlap or miss each other by about FEAS_TOL."""
+    the half-lines touch, overlap or miss each other by about FEAS_TOL,
+    either in nu or in units of the first row's margin."""
     a1, b1 = draw(_value), draw(_slope)
     a2, b2 = draw(_value), draw(_slope)
     if b1 != 0.0 and draw(st.booleans()):
         b2 = -b1 * draw(st.floats(0.5, 2.0))
-        edge = -a1 / b1 + draw(st.floats(-3e-9, 3e-9))
+        scale = draw(st.sampled_from((1.0, 1.0 / abs(b1))))
+        edge = -a1 / b1 + draw(st.floats(-3e-9, 3e-9)) * scale
         a2 = -b2 * edge
     return a1, b1, a2, b2
 
@@ -339,11 +353,11 @@ def _interval(rows, slack):
 @given(_value, _pair_rows())
 def test_pair_matches_interval_oracle(nu_d, rows):
     """The scalar pair solver is the clamp into the intersection of two
-    half-lines: it succeeds whenever the intersection, narrowed by the
-    tolerance, is nonempty, fails whenever it is empty even widened by
-    the tolerance, and a returned value meets both rows, is the nominal
-    itself when that meets both rows, and is no farther from the nominal
-    than the exact clamp."""
+    half-lines: it succeeds whenever the intersection, widened by the
+    tolerance less a few ulps of the rows' terms, is nonempty, fails
+    whenever it is empty even widened by the tolerance, and a returned
+    value meets both rows, is the nominal itself when that meets both
+    rows, and is no farther from the nominal than the exact clamp."""
     a1, b1, a2, b2 = rows
     pairs = [(a1, b1), (a2, b2)]
     tol = Fraction(FEAS_TOL)
@@ -351,7 +365,8 @@ def test_pair_matches_interval_oracle(nu_d, rows):
     try:
         got = solve_cbf_qp_pair(nu_d, a1, b1, a2, b2)
     except Infeasible:
-        assert _interval(pairs, -tol) is None
+        edge = Fraction(16 * math.ulp(max(abs(a1), abs(a2), 1.0)))
+        assert _interval(pairs, tol - edge) is None
         return
     assert _interval(pairs, tol) is not None
     for a, b in pairs:

@@ -1,0 +1,129 @@
+"""The symbolic build, pinned.
+
+ 1. Digests of the printed barrier stacks (every b_i, M_i, psi0 and
+    psi1 of each stack), the nominal law nu_d and the observer-
+    backstepping law (every tau_i and u) of the shipped scenarios and of
+    an m = 4 chain.  Simplification and differentiation are free to get
+    faster, never to change a printed expression; the digests were taken
+    from the build before simplification was made linear on shared
+    subtrees.
+ 2. An operation-count guard on the m = 4 chain: simplification work
+    that grows with the paths through a shared expression, rather than
+    with its distinct nodes, shows up as a rewrite count many times
+    this one.
+"""
+
+import hashlib
+from importlib import resources
+
+import pytest
+import yaml
+
+from proxysafe import expr as E
+from proxysafe.barrier import build_barrier_stack
+from proxysafe.controllers import build_dob_backstepping, build_nominal
+from proxysafe.scenario import load_builtin, loads_scenario
+
+CHAIN_M = 4
+
+
+def chain_scenario():
+    """The shipped electromech scenario with both proxies lengthened to a
+    chain of CHAIN_M under the funnel controller, safe band [-0.5, 0.3]."""
+    text = resources.files("proxysafe").joinpath(
+        "scenarios", "electromech.yaml").read_text(encoding="utf-8")
+    data = yaml.safe_load(text)
+    data["proxy"][0]["h"] = "x + 0.5"
+    data["proxy"][1]["h"] = "0.3 - x"
+    for proxy in data["proxy"]:
+        proxy["m"] = CHAIN_M
+        proxy["lambdas"] = [10.0] * CHAIN_M + [15.0]
+        proxy["betas"] = [0.05] * CHAIN_M
+    data["controller"] = "ppc"
+    # observer backstepping needs m equal to the plant depth
+    del data["controllers"]["dob_backstepping"]
+    data["nominal"]["ks"] = [3.0] * CHAIN_M + [1.0]
+    data["nominal"]["cs"] = [1.0] + [50.0] * (CHAIN_M - 1) + [1.0]
+    data["check_box"] = [[-0.5, 0.3]]
+    return loads_scenario(yaml.safe_dump(data, sort_keys=False))
+
+
+def stack_texts(spec):
+    out = []
+    for proxy in spec.proxies:
+        stack = build_barrier_stack(proxy, spec.rho)
+        out += [str(b) for b in stack.b] + [str(M) for M in stack.M]
+        out += [str(stack.psi0), str(stack.psi1)]
+    return out
+
+
+def nominal_texts(spec):
+    return [str(build_nominal(spec.proxies[0], spec.nominal).nu_d)]
+
+
+def dob_texts(spec):
+    _, block = spec.controller_block("dob_backstepping")
+    ctrl = build_dob_backstepping(list(spec.plant.fs), list(spec.plant.gs),
+                                  spec.proxies[0], block["observer"],
+                                  block["gains"], spec.rho)
+    return [str(tau) for tau in ctrl.taus] + [str(ctrl.u_expr)]
+
+
+def digest(texts):
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+
+# (scenario, part) -> (number of expressions, sha256 of their str() lines)
+PINNED = {
+    ("ship", "stacks"): (6,
+        "2f5b79ccdcface22c0b5332e0f779ed1242c499559cbd1d3e402f70dbaafaf62"),
+    ("ship", "nominal"): (1,
+        "b67d7526536ddc8dd7cfb5e3e4d3731d5c5c0144e775c2f6d39b00965bedc7a1"),
+    ("electromech", "stacks"): (16,
+        "276c6f1069affea0513ee5ab61005241df7ebcbf65ffdeed55f8bdb73c2bd2a7"),
+    ("electromech", "nominal"): (1,
+        "137df2101965b635b91fdf2198d16589cf42fd2aac2d63b7138435ad0d3cbd67"),
+    ("electromech", "dob_backstepping"): (2,
+        "216d896843c1288faf742dcd7b8750c4fb1bb134f29ae9889548238e864019b3"),
+    ("chain", "stacks"): (24,
+        "437399dab6b518650be8cf20f96e323150d165fb20fbd0ce7105f75ccdd8d152"),
+    ("chain", "nominal"): (1,
+        "1541926c461f72aa4e625c7ae501211848270ee2473fafe793b8ec8f7eb86b1e"),
+}
+
+PARTS = {"stacks": stack_texts, "nominal": nominal_texts,
+         "dob_backstepping": dob_texts}
+
+
+@pytest.fixture(scope="module")
+def specs():
+    return {"ship": load_builtin("ship"),
+            "electromech": load_builtin("electromech"),
+            "chain": chain_scenario()}
+
+
+@pytest.mark.parametrize("scenario,part", sorted(PINNED))
+def test_symbolic_build_is_pinned(specs, scenario, part):
+    texts = PARTS[part](specs[scenario])
+    assert (len(texts), digest(texts)) == PINNED[scenario, part]
+
+
+# _rewrite calls for both stacks of the chain: 890 105 when each pass
+# walked a shared subtree once per path into it, 56 552 when it walks it
+# once and skips subtrees already simplified
+PER_PATH_CHAIN_REWRITES = 890_105
+
+
+def test_chain_build_rewrite_count(monkeypatch):
+    spec = chain_scenario()
+    calls = [0]
+    inner = E._rewrite
+
+    def counting(node):
+        calls[0] += 1
+        return inner(node)
+
+    monkeypatch.setattr(E, "_rewrite", counting)
+    for proxy in spec.proxies:
+        build_barrier_stack(proxy, spec.rho)
+    assert calls[0] <= PER_PATH_CHAIN_REWRITES // 4
