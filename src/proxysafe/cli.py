@@ -28,7 +28,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import scenario as scenario_mod
 from . import sim as sim_mod
@@ -164,13 +163,13 @@ def cmd_check(args) -> int:
 
 def _run_one(spec, controller, dt, horizon, force, seed, out_path, out_dir):
     spec = _reseed(spec, seed)
+    if out_path is None:
+        kind, _ = spec.controller_block(controller)
+        out_path = os.path.join(out_dir or "", f"{spec.name}_{kind}.csv")
     start = time.perf_counter()
     trace = sim_mod.simulate(spec, controller=controller, dt=dt,
-                             horizon=horizon, force=force)
+                             horizon=horizon, force=force, out=out_path)
     wall = time.perf_counter() - start
-    if out_path is None:
-        out_path = os.path.join(out_dir or "",
-                                f"{spec.name}_{trace.controller}.csv")
     trace.to_csv(out_path)
     ratio = 0.0
     if trace.rows:
@@ -216,6 +215,8 @@ def _run_batch(args) -> int:
     workers = min(len(files), os.cpu_count() or 1)
     jobs = [(path, args.controller, args.dt, args.horizon, args.force,
              args.seed, out_dir) for path in files]
+    # only --batch needs the pool: its import is left out of every other run
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_batch_worker, *zip(*jobs)))
     print(json.dumps([summary for summary, _ in results], indent=2))

@@ -56,6 +56,43 @@ def _clip(text: str, limit: int = 120) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
+def _text(e: "Expr") -> str:
+    """str(e): the text of each distinct node is built once, from the
+    texts of its children, without recursion."""
+    done: dict = {}
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        parts = node._parts()
+        todo = [p for p in parts if type(p) is not str and id(p) not in done]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        done[id(node)] = "".join(p if type(p) is str else done[id(p)]
+                                 for p in parts)
+    return done[id(e)]
+
+
+def _clip_expr(e: "Expr", limit: int = 120) -> str:
+    """_clip(str(e), limit), rendering no more than limit + 1 characters
+    of str(e): a shared subtree prints once per occurrence, so the whole
+    text can be far larger than the expression."""
+    out, size = [], 0
+    stack = [e]
+    while stack and size <= limit:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            size += len(item)
+        else:
+            stack.extend(reversed(item._parts()))
+    return _clip("".join(out), limit)
+
+
 # ---------------------------------------------------------------------------
 # errors
 # ---------------------------------------------------------------------------
@@ -93,7 +130,7 @@ class DomainError(EvalError):
 
     def __init__(self, message: str, subexpr: "Expr"):
         self.subexpr = subexpr
-        super().__init__(f"{message} in '{_clip(str(subexpr))}'")
+        super().__init__(f"{message} in '{_clip_expr(subexpr)}'")
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +253,15 @@ class Expr:
     def __neg__(self):
         return Neg(self)
 
+    def _parts(self) -> tuple:
+        """The printed layout: literal text and child nodes, in order."""
+        raise NotImplementedError
+
+    def __str__(self):
+        return _text(self)
+
     def __repr__(self):
-        return f"{type(self).__name__}({_clip(str(self))})"
+        return f"{type(self).__name__}({_clip_expr(self)})"
 
 
 def _coerce_opt(value):
@@ -261,8 +305,8 @@ class Const(Expr):
     def _eval(self, ev, binding):
         return self.value
 
-    def __str__(self):
-        return repr(self.value)
+    def _parts(self):
+        return (repr(self.value),)
 
 
 class Var(Expr):
@@ -288,8 +332,8 @@ class Var(Expr):
         except KeyError:
             raise UnboundVariableError(self.name) from None
 
-    def __str__(self):
-        return self.name
+    def _parts(self):
+        return (self.name,)
 
 
 class Neg(Expr):
@@ -315,9 +359,9 @@ class Neg(Expr):
     def _eval(self, ev, binding):
         return -ev(self.a)
 
-    def __str__(self):
+    def _parts(self):
         a = self.a
-        return f"-{a}" if a.prec >= self.prec else f"-({a})"
+        return ("-", a) if a.prec >= self.prec else ("-(", a, ")")
 
 
 class _Binary(Expr):
@@ -347,13 +391,13 @@ class _Binary(Expr):
         except (ArithmeticError, ValueError):
             raise DomainError(self._domain_msg, self) from None
 
-    def __str__(self):
+    def _parts(self):
         # left-associative layout; the right operand needs parens unless
         # it binds strictly tighter
         a, b = self.a, self.b
-        left = str(a) if a.prec >= self.prec else f"({a})"
-        right = str(b) if b.prec > self.prec else f"({b})"
-        return f"{left} {self.op} {right}"
+        left = (a,) if a.prec >= self.prec else ("(", a, ")")
+        right = (b,) if b.prec > self.prec else ("(", b, ")")
+        return (*left, f" {self.op} ", *right)
 
 
 class Add(_Binary):
@@ -433,12 +477,12 @@ class Pow(_Binary):
         return Mul(self, Add(Mul(d(expo), Call("log", base)),
                              Div(Mul(expo, d(base)), base)))
 
-    def __str__(self):
+    def _parts(self):
         # right-associative: x^y^z prints without parens on the right
         a, b = self.a, self.b
-        left = str(a) if a.prec > self.prec else f"({a})"
-        right = str(b) if b.prec >= self.prec else f"({b})"
-        return f"{left}^{right}"
+        left = (a,) if a.prec > self.prec else ("(", a, ")")
+        right = (b,) if b.prec >= self.prec else ("(", b, ")")
+        return (*left, "^", *right)
 
 
 class Call(Expr):
@@ -487,8 +531,8 @@ class Call(Expr):
         except (ArithmeticError, ValueError):
             raise DomainError(f"domain error in {self.fn}", self) from None
 
-    def __str__(self):
-        return f"{self.fn}({self.arg})"
+    def _parts(self):
+        return (f"{self.fn}(", self.arg, ")")
 
 
 _ZERO = Const(0.0)

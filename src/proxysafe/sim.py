@@ -26,6 +26,13 @@ either failed, ABORTED (with the reason and the partial trace) when the
 loop broke down before the horizon.  A compiled expression that leaves
 its real domain aborts the run as a `RunDomainError` naming the
 scenario expression that fails at that stage.
+
+The trace CSV is written while the run integrates: given an output
+path, `simulate` forks a writer child once the run's start checks have
+passed and sends it the grid rows in batches of raw doubles; the child
+formats them with `SimTrace.to_csv`'s own line format, so the file is
+the same byte for byte, and `to_csv` waits for it.  The RK4 step itself
+is generated once per state length as straight-line code.
 """
 
 from __future__ import annotations
@@ -33,6 +40,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import signal
+import weakref
+from array import array
 from dataclasses import dataclass, field
 
 from proxysafe.barrier import build_barrier_stack, check_conditions
@@ -89,17 +100,47 @@ class RunDomainError(EvalError):
         self.raw, self.t, self.label, self.cause = raw, t, label, cause
 
 
+@functools.cache
+def _rk4_body(dim: int):
+    """`rk4_step` for states of length dim, written out as straight-line
+    code: the same float operations in the same order, without the
+    per-step zips and list comprehensions."""
+    def vec(entry):     # a list display, `entry` written out for i < dim
+        return "[" + ", ".join(entry.format(i=i) for i in range(dim)) + "]"
+
+    src = "\n    ".join([
+        "def rk4_step(deriv, state, t, dt, k1=None):",
+        "if k1 is None:",
+        "    k1 = deriv(state, t)",
+        "half, sixth = 0.5 * dt, dt / 6.0",
+        f"{vec('s{i}')} = state",
+        f"{vec('a{i}')} = k1",
+        f"{vec('b{i}')} = deriv({vec('s{i} + half * a{i}')}, t + half)",
+        f"{vec('c{i}')} = deriv({vec('s{i} + half * b{i}')}, t + half)",
+        f"{vec('d{i}')} = deriv({vec('s{i} + dt * c{i}')}, t + dt)",
+        "return " + vec("s{i} + sixth * "
+                        "(a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"),
+    ]) + "\n"
+    namespace: dict = {}
+    exec(compile(src, f"<rk4_step dim={dim}>", "exec"), namespace)
+    return namespace["rk4_step"]
+
+
 def rk4_step(deriv, state, t: float, dt: float, k1=None) -> list:
     """One classical RK4 step of d(state)/dt = deriv(state, t); k1, when
-    given, is deriv(state, t) already evaluated."""
-    if k1 is None:
-        k1 = deriv(state, t)
-    half, sixth = 0.5 * dt, dt / 6.0
-    k2 = deriv([v + half * d for v, d in zip(state, k1)], t + half)
-    k3 = deriv([v + half * d for v, d in zip(state, k2)], t + half)
-    k4 = deriv([v + dt * d for v, d in zip(state, k3)], t + dt)
-    return [v + sixth * (a + 2.0 * b + 2.0 * c + d)
-            for v, a, b, c, d in zip(state, k1, k2, k3, k4)]
+    given, is deriv(state, t) already evaluated.  deriv returns one value
+    per state entry.  The step body is generated once per state length."""
+    return _rk4_body(len(state))(deriv, state, t, dt, k1)
+
+
+def _csv_line(width: int) -> str:
+    """The format of one trace CSV line of `width` values."""
+    return ",".join(["%.17g"] * width) + "\n"
+
+
+def _write_rows(fh, line: str, rows) -> None:
+    for row in rows:
+        fh.write(line % tuple(row))
 
 
 @dataclass
@@ -113,6 +154,9 @@ class SimTrace:
     verdict: str
     reason: str | None = None
     monitors: dict = field(default_factory=dict)
+    # (path, finalizer waiting for the writer) of a trace simulate streams
+    _stream: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def column(self, name: str) -> list:
         try:
@@ -123,11 +167,23 @@ class SimTrace:
         return [row[idx] for row in self.rows]
 
     def to_csv(self, path) -> None:
-        line = ",".join(["%.17g"] * len(self.columns)) + "\n"
+        """Write the trace as CSV, every value as `%.17g`.
+
+        When `simulate(..., out=...)` streamed this trace, the file was
+        written while the run integrated: this first waits for that
+        writer and raises the OSError it met, if any.  The rows are then
+        written here unless `path` is the file the writer wrote.
+        """
+        if self._stream is not None:
+            streamed, finish = self._stream
+            self._stream = None
+            finish()
+            if streamed == os.fspath(path):
+                return
+        line = _csv_line(len(self.columns))
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(line % tuple(row))
+            _write_rows(fh, line, self.rows)
 
     @classmethod
     def from_csv(cls, path, scenario: str = "", controller: str = ""):
@@ -148,6 +204,175 @@ class SimTrace:
                 rows.append([float(v) for v in parts])
         return cls(scenario=scenario, controller=controller, columns=columns,
                    rows=rows, verdict="LOADED")
+
+
+_BATCH_ROWS = 256     # grid rows per message to the trace writer
+
+
+def _open_for_write(path):
+    """`path` opened for writing as `SimTrace.to_csv` opens it, and
+    whether this call created the file."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:     # it exists, or the open below raises the error
+        return open(path, "w", encoding="utf-8", newline=""), False
+    return open(fd, "w", encoding="utf-8", newline=""), True
+
+
+def _write_stream(path, columns, src, err_fd) -> int:
+    """The writer child's work: the CSV of the rows read from `src`.
+    Returns the child's exit status."""
+    width = len(columns)
+    line = _csv_line(width)
+    error = fh = None
+    created = committed = False
+    try:
+        fh, created = _open_for_write(path)
+        fh.write(",".join(columns) + "\n")
+    except OSError as exc:
+        error = exc
+    # read to the end even after an error: only the end of the stream
+    # tells whether the run committed the file or raised
+    while True:
+        head = src.read(8)
+        if len(head) < 8:
+            break
+        n = int(array("d", head)[0])
+        if n == 0:
+            committed = True
+            break
+        values = array("d", src.read(8 * width * n))
+        if len(values) != width * n:
+            break
+        if error is None:
+            try:
+                _write_rows(fh, line, zip(*[iter(values)] * width))
+            except OSError as exc:
+                error = exc
+    if fh is not None:
+        try:
+            fh.close()
+        except OSError as exc:
+            error = error or exc
+    if not committed:   # the run raised: leave no file behind
+        if created:
+            os.unlink(path)
+        return 0
+    if error is None:
+        return 0
+    import pickle
+    with open(err_fd, "wb", closefd=False) as fh:
+        pickle.dump(error, fh)
+    return 1
+
+
+def _leave_parent_cpu() -> None:
+    """Keep this forked child off the CPU its parent runs on, where /proc
+    tells that CPU and others are allowed: the scheduler does not always
+    move a child off its parent's CPU while another CPU idles."""
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        with open(f"/proc/{os.getppid()}/stat", "rb") as fh:
+            cpu = int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return
+    others = os.sched_getaffinity(0) - {cpu}
+    if others:
+        os.sched_setaffinity(0, others)
+
+
+class _TraceStream:
+    """A forked child that writes a run's trace CSV while the run
+    integrates.
+
+    The run sends grid rows in batches over a pipe as raw doubles, each
+    batch headed by its row count; a batch of no rows commits the file.
+    The child reads to the end of the stream whatever happens, so it
+    exits only after the run closed it.  An OSError on the file comes
+    back pickled over a second pipe and `finish` raises it.  A stream
+    closed without the commit (the run raised) leaves no file: the child
+    removes the file if it created it.  The child runs off the run's CPU,
+    ignores SIGINT (the run ends it), and leaves through os._exit, so it
+    runs no exit handler and flushes none of the stdio buffers it
+    inherited.
+    """
+
+    def __init__(self, path, columns):
+        self.path = os.fspath(path)
+        self.sent = 0
+        data_r, data_w = os.pipe()
+        err_r, err_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                _leave_parent_cpu()
+                os.close(data_w)    # else the child never sees the end
+                os.close(err_r)
+                with open(data_r, "rb") as src:
+                    status = _write_stream(self.path, columns, src, err_w)
+            finally:
+                os._exit(status)
+        os.close(data_r)
+        os.close(err_w)
+        self.pid, self.fd, self.err_fd = pid, data_w, err_r
+
+    def _put(self, values: array) -> None:
+        view = memoryview(values).cast("B")
+        try:
+            while view and self.fd is not None:
+                view = view[os.write(self.fd, view):]
+        except BrokenPipeError:     # the child died; finish reports it
+            self._close()
+
+    def _close(self) -> None:
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+
+    def send(self, rows: list) -> None:
+        """Send the rows not sent yet."""
+        n = len(rows) - self.sent
+        if n:
+            values = array("d", [n])
+            for row in rows[self.sent:]:
+                values.fromlist(row)
+            self._put(values)
+            self.sent = len(rows)
+
+    def commit(self, rows: list) -> None:
+        """Send the last rows and end the stream with the file complete."""
+        self.send(rows)
+        self._put(array("d", [0.0]))
+        self._close()
+
+    def finish(self) -> None:
+        """Wait for the child; raise the OSError it reported, if any."""
+        if self.pid is None:
+            return
+        chunks = []
+        while chunk := os.read(self.err_fd, 65536):
+            chunks.append(chunk)
+        os.close(self.err_fd)
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if chunks:
+            import pickle
+            raise pickle.loads(b"".join(chunks))
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise OSError(f"trace writer for {self.path} ended with "
+                          f"status {code}")
+
+    def abort(self) -> None:
+        """End the stream without the commit and wait for the child."""
+        self._close()
+        try:
+            self.finish()
+        except OSError:     # the run's own exception is the one to raise
+            pass
 
 
 @dataclass
@@ -502,40 +727,16 @@ def _check_start(model: RuntimeModel, loop: ClosedLoop) -> None:
                 f"reference {want[key]!r}, generated {got[key]!r}")
 
 
-def simulate(spec: ScenarioSpec, controller: str | None = None,
-             dt: float | None = None, horizon: float | None = None,
-             hold_dt: float | None = None, force: bool = False,
-             check: bool = True) -> SimTrace:
-    """Run one scenario to its horizon (or to breakdown).
-
-    The feasibility checks run first and a failing report stops the run
-    unless force is set, in which case the override is recorded in the
-    trace monitors.  The loop runs on the generated closed loop, checked
-    against the reference composition over its first step.
-    """
-    model = RuntimeModel(spec, controller=controller, dt=dt, horizon=horizon,
-                         hold_dt=hold_dt)
-    monitors: dict = {}
-    if check:
-        try:
-            reports = model.run_checks()
-        except ValueError as exc:
-            raise CheckFailed([str(exc)]) from None
-        bad = [line for rep in reports if not rep.ok for line in rep.lines()]
-        if bad and not force:
-            raise CheckFailed(bad)
-        if bad:
-            monitors["check_forced"] = 1.0
-
-    loop = ClosedLoop(model)
-    _check_start(model, loop)
-
+def _integrate(model: RuntimeModel, loop: ClosedLoop, stream) -> tuple:
+    """The grid rows of one run and its abort reason (None when it
+    reached the horizon); every full batch of rows goes to `stream`."""
     model.qp_fallbacks = 0
     rows: list = []
     state = model.initial_state()
     n_steps = max(1, int(round(model.horizon / model.dt)))
+    step = _rk4_body(model.dim)
+    flush_at = _BATCH_ROWS if stream is not None else -1
     reason = None
-    aborted = False
     stage = loop.stage
     held = None
     next_hold = 0.0
@@ -551,20 +752,25 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
                 stage = functools.partial(loop.stage_held, held=held)
             if k1 is None:      # the derivative failed where the row did not
                 k1 = loop.stage_held(state, t_prev, ctrl)
-            state = rk4_step(stage, state, t_prev, model.dt, k1)
+            state = step(stage, state, t_prev, model.dt, k1)
             t = k * model.dt
             if not all(math.isfinite(v) for v in state):
                 reason = f"non-finite state at t={t:.6g}"
-                aborted = True
                 break
             refresh = model.hold_dt is not None and t >= next_hold - 1e-12
             k1, row, ctrl = loop.point(state, t, None if refresh else held)
             rows.append(row)
+            if len(rows) == flush_at:
+                stream.send(rows)
+                flush_at += _BATCH_ROWS
     except _ABORTS as exc:
         reason = f"{type(exc).__name__}: {exc}"
-        aborted = True
+    return rows, reason
 
-    columns = model.trace_columns()
+
+def _finish_trace(model: RuntimeModel, columns, rows, reason,
+                  monitors: dict) -> SimTrace:
+    """The trace of a run with its summary monitors and verdict."""
     stacks = range(1, len(model.stacks) + 1)
 
     def lowest(names):
@@ -583,12 +789,66 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
         qp_fallbacks=float(model.qp_fallbacks),
         steps=float(len(rows) - 1),
     )
-    if aborted:
+    if reason is not None:
         verdict = "ABORTED"
     elif monitors["min_h"] >= -H_TOL and monitors["max_e_excess"] <= E_TOL:
         verdict = "SAFE"
     else:
         verdict = "UNSAFE"
-    return SimTrace(scenario=spec.name, controller=model.kind,
+    return SimTrace(scenario=model.spec.name, controller=model.kind,
                     columns=columns, rows=rows, verdict=verdict,
                     reason=reason, monitors=monitors)
+
+
+def simulate(spec: ScenarioSpec, controller: str | None = None,
+             dt: float | None = None, horizon: float | None = None,
+             hold_dt: float | None = None, force: bool = False,
+             check: bool = True, out=None) -> SimTrace:
+    """Run one scenario to its horizon (or to breakdown).
+
+    The feasibility checks run first and a failing report stops the run
+    unless force is set, in which case the override is recorded in the
+    trace monitors.  The loop runs on the generated closed loop, checked
+    against the reference composition over its first step.
+
+    With `out`, a path, the trace CSV is written there while the run
+    integrates, by a forked child that the rows stream to;
+    `trace.to_csv(out)` then waits for it and raises its OSError, if
+    any.  Where `os.fork` does not exist, `to_csv(out)` writes the file
+    itself.  A run that raises (a failed check, `LoopMismatch`, an
+    interrupt) leaves no file it created and no child behind.
+    """
+    model = RuntimeModel(spec, controller=controller, dt=dt, horizon=horizon,
+                         hold_dt=hold_dt)
+    monitors: dict = {}
+    if check:
+        try:
+            reports = model.run_checks()
+        except ValueError as exc:
+            raise CheckFailed([str(exc)]) from None
+        bad = [line for rep in reports if not rep.ok for line in rep.lines()]
+        if bad and not force:
+            raise CheckFailed(bad)
+        if bad:
+            monitors["check_forced"] = 1.0
+
+    loop = ClosedLoop(model)
+    _check_start(model, loop)
+
+    columns = model.trace_columns()
+    stream = None
+    if out is not None and hasattr(os, "fork"):
+        stream = _TraceStream(out, columns)
+    try:
+        rows, reason = _integrate(model, loop, stream)
+        if stream is not None:
+            stream.commit(rows)
+        trace = _finish_trace(model, columns, rows, reason, monitors)
+    except BaseException:
+        if stream is not None:
+            stream.abort()
+        raise
+    if stream is not None:
+        # reaps the child also when to_csv is never called
+        trace._stream = (stream.path, weakref.finalize(trace, stream.finish))
+    return trace

@@ -4,14 +4,17 @@ Coverage:
   1. `scenarios` listing
   2. `check`: pass/fail output, margins, JSON mode, exit codes
   3. `run`: summary block, trace file, overrides, default naming,
-     forced runs, aborted runs, exit codes
+     forced runs, aborted runs, output errors, exit codes
   4. `plot`: panel files, errors for bad inputs
   5. `--batch`: concurrent directory runs with isolated outputs
-  6. usage errors exit with code 1
+  6. usage errors exit with code 1; importing the CLI leaves the
+     process pool of `--batch` out
 """
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -203,6 +206,28 @@ def test_run_dt_and_horizon_overrides(tmp_path, capsys):
     assert summary["steps"] == 100
 
 
+def test_run_into_a_missing_directory_is_an_error(tmp_path, capsys):
+    out_csv = tmp_path / "missing" / "x.csv"
+    code = main(["run", "ship", "--horizon", "1", "--out", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("error: ")
+    assert "No such file or directory" in captured.err
+    assert captured.out == ""
+    assert not out_csv.exists() and not out_csv.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+def test_run_onto_a_full_device_is_an_error(capsys):
+    code = main(["run", "ship", "--horizon", "1", "--out", "/dev/full"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("error: ")
+    assert "No space left on device" in captured.err
+    assert captured.out == ""
+
+
 # ═══════════════════════════════════════════════════════════════════
 # 4. plot
 # ═══════════════════════════════════════════════════════════════════
@@ -326,3 +351,16 @@ def test_usage_errors_exit_one(argv, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == EXIT_OK
     assert "check" in capsys.readouterr().out
+
+
+def test_import_leaves_the_process_pool_out():
+    # only --batch needs concurrent.futures.process
+    code = ("import sys, proxysafe.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

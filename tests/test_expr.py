@@ -15,10 +15,17 @@ Covers, in order:
     equality of shared DAGs, likewise linear.
  5. Compilation: generated functions agree with the tree walker and
     deduplicate common subexpressions.
+ 6. Printing: `str` against a recursive reference layout, and the
+    clipped text of `repr` and `DomainError`, which renders only the
+    clipped prefix, so that it stays cheap on a shared DAG whose full
+    text is astronomically long.
 """
 
 import math
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -620,3 +627,106 @@ def test_compile_domain_errors_are_raw():
     f = E.compile_expr(E.parse("1/x"), ["x"])
     with pytest.raises(ZeroDivisionError):
         f(0.0)
+
+
+# ═══════════════════════════════════════════════════════════════════════════
+# 6. printing
+# ═══════════════════════════════════════════════════════════════════════════
+
+def reference_str(e):
+    """The printed layout, written as the plain recursion over the tree."""
+    if isinstance(e, (Const, Var)):
+        return repr(e.value) if isinstance(e, Const) else e.name
+    if isinstance(e, Neg):
+        a = reference_str(e.a)
+        return f"-{a}" if e.a.prec >= e.prec else f"-({a})"
+    if isinstance(e, Call):
+        return f"{e.fn}({reference_str(e.arg)})"
+    a, b = reference_str(e.a), reference_str(e.b)
+    if isinstance(e, Pow):
+        left = a if e.a.prec > e.prec else f"({a})"
+        right = b if e.b.prec >= e.prec else f"({b})"
+        return f"{left}^{right}"
+    left = a if e.a.prec >= e.prec else f"({a})"
+    right = b if e.b.prec > e.prec else f"({b})"
+    return f"{left} {e.op} {right}"
+
+
+def printed_exprs():
+    rng = random.Random(SEED + 6)
+    names = ["x", "y", "t"]
+    small = [random_expr(rng, names, 3) for _ in range(300)]
+    mid = [random_expr(rng, names, 8) for _ in range(60)]
+    return small + mid + [shared_dag(8), E.parse("-(-x)^-2 - -3"),
+                          Neg(Const(-2.0)), Pow(Const(-2.0), Const(-0.5))]
+
+
+def test_str_matches_the_recursive_layout():
+    for e in printed_exprs():
+        assert str(e) == reference_str(e)
+
+
+def test_clipped_text_matches_clipping_the_full_text():
+    exprs = printed_exprs()
+    # around the limit: a name of n letters prints as n characters
+    exprs += [Var("a" * n) for n in (1, 117, 119, 120, 121, 122, 300)]
+    exprs += [Add(Var("a" * n), Var("b")) for n in (114, 116, 117, 118)]
+    lengths = {len(str(e)) for e in exprs}
+    assert {120, 121}.issubset(lengths) and max(lengths) > 1000
+    for e in exprs:
+        assert E._clip_expr(e) == E._clip(str(e))
+        assert repr(e) == f"{type(e).__name__}({E._clip(str(e))})"
+        for limit in (3, 10, 40):
+            assert E._clip_expr(e, limit) == E._clip(str(e), limit)
+
+
+def shared_zero(depth):
+    """e <- e + e from x - x, `depth` times: zero, and 2^depth copies of
+    x - x in print."""
+    e = Sub(Var("x"), Var("x"))
+    for _ in range(depth):
+        e = Add(e, e)
+    return e
+
+
+def test_domain_error_text_is_clipped_like_the_full_text():
+    for depth in (0, 3, 8):
+        bad = Call("log", shared_zero(depth))
+        with pytest.raises(DomainError) as info:
+            E.evaluate(bad, {"x": 1.5})
+        assert info.value.subexpr is bad
+        assert str(info.value) == \
+            f"log of a non-positive value in '{E._clip(str(bad))}'"
+
+
+def test_clipped_text_of_a_deep_shared_dag_is_cheap():
+    """300 levels of sharing: 2^300 copies of x - x in print.  repr and
+    a DomainError must render only the clipped prefix.  Run in a child
+    limited to 10 s and 1 GB, so that rendering the whole text fails
+    there instead of taking the machine's memory."""
+    code = textwrap.dedent("""
+        import resource, time
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from proxysafe import expr as E
+        small = E.Call("log", E.Sub(E.Var("x"), E.Var("x")))
+        deep = small.arg
+        for depth in range(300):
+            deep = E.Add(deep, deep)
+            if depth == 8:
+                small = E.Call("log", deep)
+        start = time.perf_counter()
+        text = repr(deep)
+        try:
+            E.evaluate(E.Call("log", deep), {"x": 1.5})
+        except E.DomainError as exc:
+            message = str(exc)
+        took = time.perf_counter() - start
+        assert text == "Add(" + E._clip(str(small.arg)) + ")", text
+        assert message == "log of a non-positive value in '" + \
+            E._clip(str(small)) + "'", message
+        print(f"{took:.6f}")
+    """)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=10)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert float(done.stdout) < 0.5

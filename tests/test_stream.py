@@ -1,0 +1,306 @@
+"""Trace CSV streaming: `simulate(..., out=path)` writes the trace in a
+forked child while the run integrates, and `SimTrace.to_csv(path)`
+waits for it.
+
+Covers, in order:
+
+1. the streamed file is byte for byte what `SimTrace.to_csv` writes in
+   process, for ship/nussbaum, electromech/dob_backstepping,
+   electromech/ppc, hold mode and an ABORTED partial trace; without
+   os.fork, `to_csv` writes the same bytes itself;
+2. runs that raise (CheckFailed, LoopMismatch, an exception or an
+   interrupt mid-run) leave no file and no child; a trace never written
+   out still has its child reaped;
+3. output errors come back from the child as the OSError the in-process
+   write raises, and a child that dies is reported;
+4. the child never flushes the stdio buffers it inherited: what the run
+   printed before it forked appears once;
+5. the generated RK4 step equals the textbook list-comprehension step
+   bit for bit.
+
+Every test ends with no child process of this one left (`no_children`).
+"""
+
+import gc
+import math
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from proxysafe import sim
+from proxysafe.scenario import load_builtin, loads_scenario
+from proxysafe.sim import (CheckFailed, LoopMismatch, RuntimeModel, SimTrace,
+                           rk4_step, simulate)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+@pytest.fixture(autouse=True)
+def no_children():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def variant(name, **edits):
+    """Reload a built-in scenario with dotted-path overrides applied."""
+    mapping = load_builtin(name).to_mapping()
+    for path, value in edits.items():
+        node = mapping
+        keys = path.split("__")
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return loads_scenario(yaml.safe_dump(mapping))
+
+
+def in_process_bytes(trace, path):
+    """What SimTrace.to_csv writes for these rows without a stream."""
+    plain = SimTrace(scenario=trace.scenario, controller=trace.controller,
+                     columns=trace.columns, rows=trace.rows,
+                     verdict=trace.verdict)
+    plain.to_csv(path)
+    return path.read_bytes()
+
+
+# ═══════════════════════════════════════════════════════════════════
+# 1. same bytes
+# ═══════════════════════════════════════════════════════════════════
+
+# more rows than a few batches, and not a whole number of them
+RUNS = {
+    "ship/nussbaum": (lambda: load_builtin("ship"), None,
+                      dict(horizon=10.0)),
+    "electromech/dob_backstepping": (lambda: load_builtin("electromech"),
+                                     "dob_backstepping", dict(horizon=1.5)),
+    "electromech/ppc": (lambda: load_builtin("electromech"), "ppc",
+                        dict(horizon=1.5)),
+    "ship hold": (lambda: load_builtin("ship"), None,
+                  dict(horizon=10.0, hold_dt=0.05)),
+    # log(1.5 - t) leaves its domain at t = 1.5: ABORTED after 1499 steps
+    "electromech aborted": (lambda: variant(
+        "electromech", plant__disturbances=["log(1.5 - t)"] * 2), "ppc",
+        dict(horizon=2.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_streamed_file_is_the_in_process_file(name, tmp_path):
+    make, controller, kw = RUNS[name]
+    out = tmp_path / "streamed.csv"
+    trace = simulate(make(), controller=controller, out=out, **kw)
+    trace.to_csv(out)
+    assert len(trace.rows) > 3 * sim._BATCH_ROWS
+    assert len(trace.rows) % sim._BATCH_ROWS
+    if name == "electromech aborted":
+        assert trace.verdict == "ABORTED"
+        assert "RunDomainError" in trace.reason
+    assert out.read_bytes() == in_process_bytes(trace, tmp_path / "ref.csv")
+
+
+def test_stream_overwrites_an_existing_file(tmp_path):
+    out = tmp_path / "old.csv"
+    out.write_text("x\n" * 100000)
+    trace = simulate(load_builtin("ship"), horizon=1.0, out=out)
+    trace.to_csv(out)
+    assert out.read_bytes() == in_process_bytes(trace, tmp_path / "ref.csv")
+
+
+def test_without_fork_to_csv_writes_the_same_bytes(tmp_path, monkeypatch):
+    streamed = tmp_path / "streamed.csv"
+    trace = simulate(load_builtin("ship"), horizon=3.0, out=streamed)
+    trace.to_csv(streamed)
+    monkeypatch.delattr(os, "fork")
+    plain = tmp_path / "plain.csv"
+    trace = simulate(load_builtin("ship"), horizon=3.0, out=plain)
+    assert trace._stream is None and not plain.exists()
+    trace.to_csv(plain)
+    assert plain.read_bytes() == streamed.read_bytes()
+
+
+def test_to_csv_elsewhere_waits_for_the_stream_first(tmp_path):
+    out, other = tmp_path / "out.csv", tmp_path / "other.csv"
+    trace = simulate(load_builtin("ship"), horizon=3.0, out=out)
+    trace.to_csv(other)     # reaps the writer of out.csv, then writes
+    assert trace._stream is None
+    assert out.read_bytes() == other.read_bytes()
+    trace.to_csv(out)       # no stream left: written in process
+    assert out.read_bytes() == other.read_bytes()
+
+
+# ═══════════════════════════════════════════════════════════════════
+# 2. runs that raise
+# ═══════════════════════════════════════════════════════════════════
+
+def test_check_failure_leaves_no_file(tmp_path):
+    out = tmp_path / "no.csv"
+    with pytest.raises(CheckFailed):
+        simulate(variant("ship", initial__x=[0.34]), horizon=1.0, out=out)
+    assert not out.exists()
+
+
+def test_loop_mismatch_leaves_no_file(tmp_path, monkeypatch):
+    real = RuntimeModel.trace_row
+
+    def one_ulp_off(self, state, t, c):
+        row = real(self, state, t, c)
+        row[1] = math.nextafter(row[1], math.inf)
+        return row
+
+    monkeypatch.setattr(RuntimeModel, "trace_row", one_ulp_off)
+    out = tmp_path / "no.csv"
+    with pytest.raises(LoopMismatch):
+        simulate(load_builtin("ship"), horizon=1.0, out=out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
+def test_exception_mid_run_leaves_no_file(exc_type, tmp_path, monkeypatch):
+    calls = [0]
+
+    class Failing(sim.ClosedLoop):
+        def __init__(self, model):
+            super().__init__(model)
+            point = self.point
+
+            def failing(state, t, held):
+                calls[0] += 1       # the first call is the start check's
+                if calls[0] > 3 * sim._BATCH_ROWS:
+                    raise exc_type("injected")
+                return point(state, t, held)
+
+            self.point = failing
+
+    monkeypatch.setattr(sim, "ClosedLoop", Failing)
+    out = tmp_path / "no.csv"
+    with pytest.raises(exc_type, match="injected"):
+        simulate(load_builtin("ship"), horizon=10.0, out=out)
+    assert calls[0] == 3 * sim._BATCH_ROWS + 1
+    assert not out.exists()
+
+
+def test_a_trace_never_written_out_has_its_child_reaped(tmp_path):
+    out = tmp_path / "dropped.csv"
+    trace = simulate(load_builtin("ship"), horizon=3.0, out=out)
+    rows = trace.rows
+    del trace       # its finalizer waits for the writer
+    gc.collect()
+    # the committed file is complete without to_csv
+    assert len(out.read_text().splitlines()) == len(rows) + 1
+
+
+# ═══════════════════════════════════════════════════════════════════
+# 3. output errors
+# ═══════════════════════════════════════════════════════════════════
+
+def test_missing_directory_raises_the_in_process_error(tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    trace = simulate(load_builtin("ship"), horizon=3.0, out=out)
+    with pytest.raises(FileNotFoundError) as streamed:
+        trace.to_csv(out)
+    with pytest.raises(FileNotFoundError) as plain:
+        in_process_bytes(trace, out)
+    assert str(streamed.value) == str(plain.value)
+    assert not out.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+def test_full_device_raises_no_space_left():
+    trace = simulate(load_builtin("ship"), horizon=3.0, out="/dev/full")
+    with pytest.raises(OSError, match="No space left on device"):
+        trace.to_csv("/dev/full")
+
+
+def test_a_writer_that_dies_is_reported(tmp_path, monkeypatch):
+    # the child exits at once with status 7, before it reads any row
+    monkeypatch.setattr(sim, "_write_stream", lambda *args: 7)
+    out = tmp_path / "x.csv"
+    trace = simulate(load_builtin("ship"), horizon=10.0, out=out)
+    assert trace.verdict == "SAFE" and len(trace.rows) == 1001
+    with pytest.raises(OSError, match="ended with status 7"):
+        trace.to_csv(out)
+
+
+# ═══════════════════════════════════════════════════════════════════
+# 4. inherited stdio
+# ═══════════════════════════════════════════════════════════════════
+
+def run_python(code, cwd):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)   # stdio buffers must hold text
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, cwd=cwd, env=env,
+                          timeout=120)
+
+
+def test_the_child_never_flushes_inherited_stdio(tmp_path):
+    # stdout is a pipe, so "before" sits unflushed in the buffer at fork
+    done = run_python("""
+        import sys
+        from proxysafe import load_builtin, simulate
+        print("before")
+        sys.stderr.write("err-before")
+        trace = simulate(load_builtin("ship"), horizon=3.0, out="t.csv")
+        trace.to_csv("t.csv")
+        print("after")
+    """, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "before\nafter\n"
+    assert done.stderr == "err-before"
+
+
+def test_cli_prints_the_summary_once(tmp_path):
+    done = run_python("""
+        import sys
+        from proxysafe.cli import main
+        sys.exit(main(["run", "ship", "--horizon", "3", "--out", "t.csv"]))
+    """, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count('"scenario"') == 1
+    assert done.stderr == ""
+
+
+# ═══════════════════════════════════════════════════════════════════
+# 5. generated RK4 step
+# ═══════════════════════════════════════════════════════════════════
+
+def textbook_rk4(deriv, state, t, dt, k1=None):
+    if k1 is None:
+        k1 = deriv(state, t)
+    half, sixth = 0.5 * dt, dt / 6.0
+    k2 = deriv([v + half * d for v, d in zip(state, k1)], t + half)
+    k3 = deriv([v + half * d for v, d in zip(state, k2)], t + half)
+    k4 = deriv([v + dt * d for v, d in zip(state, k3)], t + dt)
+    return [v + sixth * (a + 2.0 * b + 2.0 * c + d)
+            for v, a, b, c, d in zip(state, k1, k2, k3, k4)]
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(_finite, min_size=n, max_size=n),
+    st.lists(_finite, min_size=n, max_size=n))),
+    _finite, st.floats(1e-6, 1.0), st.booleans())
+def test_generated_rk4_matches_the_textbook_step(data, t, dt, with_k1):
+    state, coef = data
+    n = len(state)
+
+    def deriv(s, tt):
+        # couples every entry to the next, nonlinearly, and to t
+        return [c * s[(i + 1) % n] - 0.01 * s[i] * abs(s[i]) + 0.5 * tt
+                for i, c in enumerate(coef)]
+
+    k1 = deriv(state, t) if with_k1 else None
+    got = rk4_step(deriv, state, t, dt, k1)
+    want = textbook_rk4(deriv, state, t, dt, k1)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
