@@ -171,16 +171,12 @@ def _run_one(spec, controller, dt, horizon, force, seed, out_path, out_dir):
                              horizon=horizon, force=force, out=out_path)
     wall = time.perf_counter() - start
     trace.to_csv(out_path)
-    ratio = 0.0
-    if trace.rows:
-        es, rhos = trace.column("e"), trace.column("rho")
-        ratio = max(abs(e) / r for e, r in zip(es, rhos))
     summary = {
         "scenario": spec.name,
         "controller": trace.controller,
         "verdict": trace.verdict,
         "min_h": _num(trace.monitors["min_h"]),
-        "max_e_over_rho": _num(ratio),
+        "max_e_over_rho": _num(trace.monitors["max_e_over_rho"]),
         "qp_fallbacks": int(trace.monitors["qp_fallbacks"]),
         "steps": int(trace.monitors["steps"]),
         "wall_time_s": round(wall, 3),

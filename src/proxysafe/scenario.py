@@ -46,13 +46,15 @@ def _fail(path: str, message: str):
 
 
 def _get(mapping, key, path, default=None, required=False):
+    """mapping[key]; a missing optional key takes `default`, which is also
+    stored in `mapping`, so the loaded mapping serializes normalized."""
     if not isinstance(mapping, dict):
         _fail(path, "expected a mapping")
-    if key in mapping:
-        return mapping[key]
-    if required:
-        _fail(path, f"missing required key '{key}'")
-    return default
+    if key not in mapping:
+        if required:
+            _fail(path, f"missing required key '{key}'")
+        mapping[key] = default
+    return mapping[key]
 
 
 def _num(value, path) -> float:
@@ -156,16 +158,15 @@ def _parse_plant(data, path) -> PlantSpec:
     known = _get(data, "known", path, default=[True] * n)
     if not isinstance(known, list) or not all(isinstance(v, bool) for v in known):
         _fail(f"{path}.known", "expected a list of booleans")
-    try:
-        return PlantSpec(n=n, f0=f0, g0=g0, fs=fs, gs=gs, disturbances=ds,
-                         bounds=bounds, known=known)
-    except ScenarioError as exc:
-        raise ScenarioError(str(exc)) from None
+    return PlantSpec(n=n, f0=f0, g0=g0, fs=fs, gs=gs, disturbances=ds,
+                     bounds=bounds, known=known)
 
 
 def _parse_rho(data, path) -> RhoSpec:
     initial = _num(_get(data, "initial", path, required=True), f"{path}.initial")
-    final = _num(_get(data, "final", path, default=initial), f"{path}.final")
+    # the default is the initial value as written, so an int stays an int
+    final = _num(_get(data, "final", path, default=data["initial"]),
+                 f"{path}.final")
     decay = _num(_get(data, "decay", path, default=0.0), f"{path}.decay")
     try:
         return RhoSpec(initial, final, decay)
@@ -212,12 +213,15 @@ def _parse_controllers(data, path, plant: PlantSpec):
         if name not in CONTROLLER_TYPES:
             _fail(bp, f"unknown controller type (expected one of "
                       f"{', '.join(CONTROLLER_TYPES)})")
+        if not isinstance(block, dict):
+            _fail(bp, "expected a mapping")
+        if name == "nominal":
+            out[name] = {}
+            continue
         gains = _get(block, "gains", bp, default={})
         gp = f"{bp}.gains"
         try:
-            if name == "nominal":
-                out[name] = {}
-            elif name == "ppc":
+            if name == "ppc":
                 ks = _num_list(_get(gains, "ks", gp, required=True),
                                f"{gp}.ks", plant.n)
                 margin = _num(_get(gains, "margin", gp, default=1.5),
@@ -269,8 +273,12 @@ def _parse_controllers(data, path, plant: PlantSpec):
                 op = f"{bp}.observer"
                 alphas = _num_list(_get(obs, "alphas", op, required=True),
                                    f"{op}.alphas", plant.n)
-                nus = _num_list(_get(obs, "nus", op, default=[]), f"{op}.nus")
-                raw_t = _get(obs, "time_constants", op, default=[])
+                nus = _num_list(_get(obs, "nus", op,
+                                     default=[1.0] * len(alphas)),
+                                f"{op}.nus")
+                raw_t = _get(obs, "time_constants", op,
+                             default=[[1.0] * (len(alphas) - i)
+                                      for i in range(1, len(alphas))])
                 if not isinstance(raw_t, list):
                     _fail(f"{op}.time_constants", "expected a list of lists")
                 tcs = [_num_list(row, f"{op}.time_constants[{i}]")
@@ -333,54 +341,6 @@ def _deep_copy(value):
     return value
 
 
-def _normalize(data) -> dict:
-    """Materialize defaults and coerce numbers so a loaded scenario
-    serializes to a stable, reload-identical mapping."""
-    out = _deep_copy(data)
-    out.setdefault("angle_unit", "radian")
-    plant = out["plant"]
-    plant.setdefault("f0", "0")
-    plant.setdefault("g0", "1")
-    plant.setdefault("disturbances", [])
-    plant.setdefault("bounds", [])
-    plant.setdefault("known", [True] * int(plant.get("n", 0)))
-    rho = out["rho"]
-    rho.setdefault("final", rho.get("initial"))
-    rho.setdefault("decay", 0.0)
-    for entry in out["proxy"]:
-        entry.setdefault("mode", "switched")
-    for name, block in out["controllers"].items():
-        if name == "ppc":
-            block.setdefault("gains", {})
-            block["gains"].setdefault("margin", 1.5)
-            block["gains"].setdefault("floor", 0.1)
-        if name == "nussbaum":
-            init = block.setdefault("initial", {})
-            init.setdefault("zeta", 0.0)
-            init.setdefault("theta", [0.0] * len(block.get("phi", [])))
-        if name == "dob_backstepping":
-            obs = block.setdefault("observer", {})
-            alphas = obs.get("alphas", [])
-            obs.setdefault("nus", [1.0] * len(alphas))
-            obs.setdefault("time_constants",
-                           [[1.0] * (len(alphas) - i)
-                            for i in range(1, len(alphas))])
-    out.setdefault("hold_dt", None)
-    out.setdefault("check_box", None)
-    out.setdefault("seed", 0)
-
-    def coerce(node):
-        if isinstance(node, dict):
-            return {k: coerce(v) for k, v in node.items()}
-        if isinstance(node, list):
-            return [coerce(v) for v in node]
-        if isinstance(node, bool) or not isinstance(node, (int, float)):
-            return node
-        return node if isinstance(node, int) else float(node)
-
-    return coerce(out)
-
-
 def loads_scenario(text: str) -> ScenarioSpec:
     try:
         data = yaml.safe_load(text)
@@ -392,12 +352,12 @@ def loads_scenario(text: str) -> ScenarioSpec:
                 "nominal", "initial", "horizon", "dt"):
         if key not in data:
             raise ScenarioError(f"scenario: missing required key '{key}'")
-    raw = _normalize(data)
+    raw = _deep_copy(data)
 
     name = raw["name"]
     if not isinstance(name, str) or not name:
         _fail("name", "expected a nonempty string")
-    angle_unit = raw["angle_unit"]
+    angle_unit = _get(raw, "angle_unit", "scenario", default="radian")
     if angle_unit not in ("radian", "degree"):
         _fail("angle_unit", "expected 'radian' or 'degree'")
 
@@ -445,23 +405,23 @@ def loads_scenario(text: str) -> ScenarioSpec:
     dt = _num(raw["dt"], "dt")
     if horizon <= 0.0 or dt <= 0.0:
         _fail("horizon", "horizon and dt must be positive")
-    hold_dt = raw["hold_dt"]
+    hold_dt = _get(raw, "hold_dt", "scenario")
     if hold_dt is not None:
         hold_dt = _num(hold_dt, "hold_dt")
         if hold_dt < dt:
             _fail("hold_dt", "must be at least dt")
-    box = raw["check_box"]
+    box = _get(raw, "check_box", "scenario")
     if box is not None:
-        if not isinstance(box, list):
-            _fail("check_box", "expected a list of [low, high] pairs")
-        box = tuple(tuple(_num_list(pair, f"check_box[{i}]", 2))
-                    for i, pair in enumerate(box))
-        for i, (lo, hi) in enumerate(box):
-            if lo >= hi:
-                _fail(f"check_box[{i}]", "low bound must be below high bound")
+        # the proxy is scalar, so the condition box is one interval
+        if not isinstance(box, list) or len(box) != 1:
+            _fail("check_box", "expected one [low, high] pair")
+        lo, hi = _num_list(box[0], "check_box[0]", 2)
+        if lo >= hi:
+            _fail("check_box[0]", "low bound must be below high bound")
+        box = ((lo, hi),)
     else:
         box = ()
-    seed = raw["seed"]
+    seed = _get(raw, "seed", "scenario", default=0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         _fail("seed", "expected an integer")
 

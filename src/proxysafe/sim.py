@@ -754,7 +754,7 @@ def _integrate(model: RuntimeModel, loop: ClosedLoop, stream) -> tuple:
                 k1 = loop.stage_held(state, t_prev, ctrl)
             state = step(stage, state, t_prev, model.dt, k1)
             t = k * model.dt
-            if not all(math.isfinite(v) for v in state):
+            if not all(map(math.isfinite, state)):
                 reason = f"non-finite state at t={t:.6g}"
                 break
             refresh = model.hold_dt is not None and t >= next_hold - 1e-12
@@ -784,6 +784,8 @@ def _finish_trace(model: RuntimeModel, columns, rows, reason,
         min_h=lowest(f"h{k}" for k in stacks),
         max_e_excess=max(itertools.chain(
             [-math.inf], (abs(row[i_e]) - row[i_rho] for row in rows))),
+        max_e_over_rho=max((abs(row[i_e]) / row[i_rho] for row in rows),
+                           default=0.0),
         min_qp_margin=lowest(f"margin{k}" for k in stacks),
         min_b=lowest(f"b{k}_{i}" for k in stacks for i in range(model.m + 1)),
         qp_fallbacks=float(model.qp_fallbacks),
@@ -803,7 +805,7 @@ def _finish_trace(model: RuntimeModel, columns, rows, reason,
 def simulate(spec: ScenarioSpec, controller: str | None = None,
              dt: float | None = None, horizon: float | None = None,
              hold_dt: float | None = None, force: bool = False,
-             check: bool = True, out=None) -> SimTrace:
+             out=None) -> SimTrace:
     """Run one scenario to its horizon (or to breakdown).
 
     The feasibility checks run first and a failing report stops the run
@@ -821,16 +823,15 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
     model = RuntimeModel(spec, controller=controller, dt=dt, horizon=horizon,
                          hold_dt=hold_dt)
     monitors: dict = {}
-    if check:
-        try:
-            reports = model.run_checks()
-        except ValueError as exc:
-            raise CheckFailed([str(exc)]) from None
-        bad = [line for rep in reports if not rep.ok for line in rep.lines()]
-        if bad and not force:
-            raise CheckFailed(bad)
-        if bad:
-            monitors["check_forced"] = 1.0
+    try:
+        reports = model.run_checks()
+    except ValueError as exc:
+        raise CheckFailed([str(exc)]) from None
+    bad = [line for rep in reports if not rep.ok for line in rep.lines()]
+    if bad and not force:
+        raise CheckFailed(bad)
+    if bad:
+        monitors["check_forced"] = 1.0
 
     loop = ClosedLoop(model)
     _check_start(model, loop)

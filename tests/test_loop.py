@@ -37,22 +37,11 @@ from proxysafe.loop import ClosedLoop
 from proxysafe.scenario import load_builtin, loads_scenario
 from proxysafe.sim import (LoopMismatch, RunDomainError, RuntimeModel,
                            _Controls, simulate)
+from scenario_variants import variant
 
 ABORTS = (Infeasible, BarrierBreach, FunnelBreach, SingularGain, EvalError,
           ValueError, ArithmeticError)
 SAMPLES = 400
-
-
-def variant(name, **edits):
-    """Reload a built-in scenario with dotted-path overrides applied."""
-    mapping = load_builtin(name).to_mapping()
-    for path, value in edits.items():
-        node = mapping
-        keys = path.split("__")
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value
-    return loads_scenario(yaml.safe_dump(mapping))
 
 
 def plain_one_barrier():

@@ -10,13 +10,17 @@ Covers, in order:
 4. the degree unit: references written in degrees must evaluate in
    radians after loading;
 5. validation errors: every malformed field is rejected with a
-   ScenarioError naming the offending key path.
+   ScenarioError naming the offending key path;
+6. the README's scenario example, which must load as the shipped ship
+   scenario.
 
 Error cases are generated by editing a valid built-in mapping, so each
 test exercises exactly one defect.
 """
 
 import math
+import os
+import re
 
 import pytest
 import yaml
@@ -155,6 +159,30 @@ def test_minimal_defaults():
     assert spec.hold_dt is None
 
 
+def test_defaults_keep_the_written_types():
+    # rho.final defaults to initial as written: an int stays an int
+    spec = loads_scenario(broken("ship", lambda m: m.update(
+        rho={"initial": 1})))
+    rho = spec.to_mapping()["rho"]
+    assert rho == {"initial": 1, "final": 1, "decay": 0.0}
+    assert type(rho["final"]) is int
+    # a controller kind without gains gains no gains key
+    spec = loads_scenario(broken("ship", lambda m: m.update(
+        controller="nominal", controllers={"nominal": {}})))
+    assert spec.to_mapping()["controllers"] == {"nominal": {}}
+
+
+def test_observer_defaults():
+    def mutate(m):
+        obs = m["controllers"]["dob_backstepping"]["observer"]
+        del obs["nus"], obs["time_constants"]
+    spec = loads_scenario(broken("electromech", mutate))
+    obs = spec.to_mapping()["controllers"]["dob_backstepping"]["observer"]
+    assert obs["nus"] == [1.0, 1.0] and obs["time_constants"] == [[1.0]]
+    dob = spec.controllers["dob_backstepping"]["observer"]
+    assert dob.nus == (1.0, 1.0) and dob.time_constants == ((1.0,),)
+
+
 def test_ppc_gain_defaults():
     spec = loads_scenario(broken(
         "electromech",
@@ -233,11 +261,33 @@ def test_missing_top_level_key(key):
     (lambda m: m.update(hold_dt=0.001), "hold_dt"),
     (lambda m: m.update(check_box=[[1, -1]]), "check_box"),
     (lambda m: m.update(check_box=[[0]]), "check_box"),
+    (lambda m: m.update(check_box=[[-0.35, 0.35], [-1, 1]]),
+     "check_box: expected one"),
     (lambda m: m.update(seed=1.5), "seed"),
+    # a block of the wrong shape is named, not met with a raw traceback
+    (lambda m: m.update(plant=[1, 2]), "plant: expected a mapping"),
+    (lambda m: m.update(rho=5), "rho: expected a mapping"),
+    (lambda m: m.update(proxy={"h": "x"}), "proxy: expected a"),
+    (lambda m: m.update(controllers=["nussbaum"]),
+     "controllers: expected a mapping"),
+    (lambda m: m["plant"].update(n="abc"), "plant.n: expected"),
+    (lambda m: m["controllers"]["nussbaum"].update(initial=[8.8]),
+     "controllers.nussbaum.initial: expected a mapping"),
 ])
 def test_ship_defects_rejected(mutate, fragment):
     with pytest.raises(ScenarioError, match=fragment):
         loads_scenario(broken("ship", mutate))
+
+
+@pytest.mark.parametrize("mutate, fragment", [
+    (lambda m: m["controllers"]["dob_backstepping"].update(observer=[1, 2]),
+     "controllers.dob_backstepping.observer: expected a mapping"),
+    (lambda m: m["controllers"].update(ppc=3),
+     "controllers.ppc: expected a mapping"),
+])
+def test_electromech_defects_rejected(mutate, fragment):
+    with pytest.raises(ScenarioError, match=fragment):
+        loads_scenario(broken("electromech", mutate))
 
 
 def test_nussbaum_needs_single_level():
@@ -290,3 +340,18 @@ def test_ppc_signs_validation():
         loads_scenario(broken(
             "electromech",
             lambda m: m["controllers"]["ppc"].update(signs=[1])))
+
+
+# ═══════════════════════════════════════════════════════════════════
+# 6. documentation
+# ═══════════════════════════════════════════════════════════════════
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_example_is_the_ship_scenario():
+    with open(README, encoding="utf-8") as fh:
+        text = re.search(r"```yaml\n(.*?)```", fh.read(), re.S).group(1)
+    spec = loads_scenario(text)
+    assert spec.to_mapping() == load_builtin("ship").to_mapping()

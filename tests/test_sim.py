@@ -20,22 +20,10 @@ reloading it, so every variant passes schema validation first.
 import math
 
 import pytest
-import yaml
 
 from proxysafe.scenario import ScenarioError, load_builtin, loads_scenario
 from proxysafe.sim import CheckFailed, RuntimeModel, SimTrace, rk4_step, simulate
-
-
-def variant(name, **edits):
-    """Reload a built-in scenario with dotted-path overrides applied."""
-    mapping = load_builtin(name).to_mapping()
-    for path, value in edits.items():
-        node = mapping
-        keys = path.split("__")
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value
-    return loads_scenario(yaml.safe_dump(mapping))
+from scenario_variants import variant
 
 
 # ═══════════════════════════════════════════════════════════════════
@@ -193,6 +181,8 @@ def test_ship_run_is_safe():
     assert tr.monitors["min_h"] == min(tr.column("h1"))
     excess = [abs(e) - r for e, r in zip(tr.column("e"), tr.column("rho"))]
     assert tr.monitors["max_e_excess"] == max(excess)
+    assert tr.monitors["max_e_over_rho"] == max(
+        abs(e) / r for e, r in zip(tr.column("e"), tr.column("rho")))
     assert tr.monitors["steps"] == len(tr.rows) - 1
     # funnel invariance: the error never reaches the rim
     assert tr.monitors["max_e_excess"] < 0.0

@@ -29,14 +29,14 @@ import sys
 import textwrap
 
 import pytest
-import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxysafe import sim
-from proxysafe.scenario import load_builtin, loads_scenario
+from proxysafe.scenario import load_builtin
 from proxysafe.sim import (CheckFailed, LoopMismatch, RuntimeModel, SimTrace,
                            rk4_step, simulate)
+from scenario_variants import variant
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -47,18 +47,6 @@ def no_children():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def variant(name, **edits):
-    """Reload a built-in scenario with dotted-path overrides applied."""
-    mapping = load_builtin(name).to_mapping()
-    for path, value in edits.items():
-        node = mapping
-        keys = path.split("__")
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value
-    return loads_scenario(yaml.safe_dump(mapping))
 
 
 def in_process_bytes(trace, path):
