@@ -18,12 +18,14 @@ safe to share subtrees freely.  Differentiation, evaluation, simplification
 and compilation memoize on node identity, so each visits a shared subtree
 once, and structural equality compares a pair of nodes once; only ``str``
 writes a shared subtree out once per occurrence.  Differentiation is exact
-and symbolic.  Simplification applies a fixed rewrite list to a fixpoint
-and marks the nodes it leaves in normal form; it is deliberately not a
-canonicalizer.  For inner loops, ``compile_exprs`` turns a batch of trees
-into one generated Python function with common subexpressions evaluated
-once; ``Emitter``, the code generator behind it, also writes larger
-generated functions that mix expressions with statements of their own.
+and symbolic, and walks only the nodes that mention the variable: each
+node keeps its derivative by the variables it does not mention.
+Simplification applies a fixed rewrite list to a fixpoint and marks the
+nodes it leaves in normal form; it is deliberately not a canonicalizer.
+For inner loops, ``compile_exprs`` turns a batch of trees into one
+generated Python function with common subexpressions evaluated once;
+``Emitter``, the code generator behind it, also writes larger generated
+functions that mix expressions with statements of their own.
 """
 
 from __future__ import annotations
@@ -147,9 +149,10 @@ class Expr:
     evaluation, never by comparing shapes.
     """
 
-    # _vars and _simple are caches, outside hash and eq: the free
-    # variables, and whether simplify leaves this node unchanged
-    __slots__ = ("_hash", "_vars", "_simple")
+    # _vars, _simple and _dzero are caches, outside hash and eq: the free
+    # variables, whether simplify leaves this node unchanged, and the
+    # simplified derivative by any variable the node does not mention
+    __slots__ = ("_hash", "_vars", "_simple", "_dzero")
 
     prec = 100  # printing precedence; overridden per node kind
 
@@ -290,6 +293,7 @@ class Const(Expr):
         self._hash = hash(("const", value))
         self._vars = frozenset()
         self._simple = True
+        self._dzero = None
 
     @property
     def prec(self):
@@ -319,6 +323,7 @@ class Var(Expr):
         self._hash = hash(("var", name))
         self._vars = frozenset((name,))
         self._simple = True
+        self._dzero = None
 
     def _payload(self):
         return self.name
@@ -346,6 +351,7 @@ class Neg(Expr):
         self._hash = hash(("neg", self.a._hash))
         self._vars = None
         self._simple = False
+        self._dzero = None
 
     def children(self):
         return (self.a,)
@@ -376,6 +382,7 @@ class _Binary(Expr):
         self._hash = hash((self.op, self.a._hash, self.b._hash))
         self._vars = None
         self._simple = False
+        self._dzero = None
 
     def children(self):
         return (self.a, self.b)
@@ -496,6 +503,7 @@ class Call(Expr):
         self._hash = hash(("call", fn, self.arg._hash))
         self._vars = None
         self._simple = False
+        self._dzero = None
 
     def children(self):
         return (self.arg,)
@@ -658,14 +666,22 @@ def parse(source: str) -> Expr:
 def differentiate(e: Expr, var: str) -> Expr:
     """Exact symbolic partial derivative of ``e`` with respect to ``var``.
 
-    Differentiating by a variable the expression never mentions yields the
-    zero constant.  The result is simplified.
+    Differentiating by a variable the expression never mentions yields
+    zero: the constant 0.0, or -0.0, or an unfoldable leftover such as
+    ``0.0 / 0.0``, exactly as the node rules and simplification produce
+    it.  The result is simplified.
+
+    The cost is proportional to the nodes that mention ``var``.  Every
+    other node's derivative is the same for all the variables it does not
+    mention; it is built and simplified once per node, then kept on it.
     """
     if not _NAME_RE.match(var):
         raise ValueError(f"invalid variable name {var!r}")
     memo: dict[int, Expr] = {}
 
     def d(node: Expr) -> Expr:
+        if var not in node.variables():
+            return _dzero(node)
         out = memo.get(id(node))
         if out is None:
             out = node._diff(d, var)
@@ -673,6 +689,15 @@ def differentiate(e: Expr, var: str) -> Expr:
         return out
 
     return simplify(d(e))
+
+
+def _dzero(node: Expr) -> Expr:
+    """The simplified derivative of ``node`` by a variable it does not
+    mention, cached on the node.  No node mentions the empty name."""
+    out = node._dzero
+    if out is None:
+        out = node._dzero = simplify(node._diff(_dzero, ""))
+    return out
 
 
 def evaluate(e: Expr, binding: Mapping[str, float]) -> float:

@@ -419,6 +419,9 @@ def loads_scenario(text: str) -> ScenarioSpec:
         if lo >= hi:
             _fail("check_box[0]", "low bound must be below high bound")
         box = ((lo, hi),)
+    elif any(p.mode == "switched" for p in proxies):
+        # the vanishing-gradient condition samples the box
+        _fail("check_box", "required when a barrier is in switched mode")
     else:
         box = ()
     seed = _get(raw, "seed", "scenario", default=0)

@@ -7,7 +7,9 @@ Covers, in order:
  2. Evaluation: a corpus of 60 expressions with independently computed
     reference values, plus the evaluation error taxonomy.
  3. Differentiation: exact rule checks, central-difference agreement on
-    1000 random (expression, point) pairs, mixed-partial symmetry.
+    1000 random (expression, point) pairs, mixed-partial symmetry, and
+    a property against the uncached algorithm as oracle: the same tree,
+    signed zeros included, by every variable and by an absent one.
  4. Simplification: the required identities, semantic preservation on
     random bindings, idempotence, and refusal to fold outside the
     finite real domain; on shared DAGs, work linear in the distinct
@@ -28,6 +30,8 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from proxysafe import expr as E
 from proxysafe.expr import (
@@ -428,6 +432,82 @@ def test_diff_mixed_partials_commute():
                 break
         if hits:
             checked += 1
+
+
+def oracle_differentiate(e, var):
+    """``expr.differentiate`` as it was before it cached the derivative of
+    variable-free nodes: every node is differentiated by ``var`` afresh,
+    and the whole result is simplified at the end."""
+    if not E._NAME_RE.match(var):
+        raise ValueError(f"invalid variable name {var!r}")
+    memo: dict[int, E.Expr] = {}
+
+    def d(node):
+        out = memo.get(id(node))
+        if out is None:
+            out = node._diff(d, var)
+            memo[id(node)] = out
+        return out
+
+    return E.simplify(d(e))
+
+
+def exact(e):
+    """The tree as nested tuples, constants by repr: unlike ``==`` this
+    tells 0.0 from -0.0."""
+    if isinstance(e, Const):
+        return repr(e.value)
+    if isinstance(e, Var):
+        return e.name
+    return (type(e).__name__, e._payload(),
+            *(exact(k) for k in e.children()))
+
+
+ORACLE_NAMES = ("x", "y", "t")
+ORACLE_ABSENT = "w"
+# 0.0, -0.0 and -1.0 leave unfoldable leftovers: c / 0.0, log(-1.0),
+# sqrt(-1.0), (-1.0)^0.5, 0.0^-1.0
+_oracle_leaf = st.one_of(
+    st.sampled_from((0.0, -0.0, -1.0, 1.0, 0.5, 2.0, 3.0)).map(Const),
+    st.sampled_from(ORACLE_NAMES).map(Var))
+_UNARY_KINDS = (Neg, *E.FUNCTIONS)
+_BINARY_KINDS = (Add, Sub, Mul, Div, Pow)
+
+
+@st.composite
+def oracle_dags(draw):
+    """A random expression over every node kind and every function, whose
+    operands are fresh leaves or earlier nodes, so subtrees are shared."""
+    nodes = [draw(_oracle_leaf)]
+    for _ in range(draw(st.integers(1, 14))):
+        def operand():
+            if draw(st.booleans()):
+                return draw(_oracle_leaf)
+            return nodes[draw(st.integers(0, len(nodes) - 1))]
+        kind = draw(st.sampled_from(_UNARY_KINDS + _BINARY_KINDS))
+        if kind is Neg:
+            node = Neg(operand())
+        elif kind in E.FUNCTIONS:
+            node = Call(kind, operand())
+        else:
+            node = kind(operand(), operand())
+        nodes.append(node)
+    return nodes[-1]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(oracle_dags())
+@example(Call("cos", Var("y")))                  # d/dx is -0.0
+@example(Mul(Var("x"), Div(Var("y"), Const(0.0))))
+@example(Add(Var("x"), Call("log", Const(-1.0))))
+def test_diff_matches_the_uncached_oracle(e):
+    """Caching the derivative of variable-free nodes changes no result,
+    signed zeros and unfoldable leftovers included."""
+    for var in (*sorted(e.variables()), ORACLE_ABSENT):
+        want = oracle_differentiate(e, var)
+        got = E.differentiate(e, var)
+        assert repr(got) == repr(want)
+        assert exact(got) == exact(want), (e, var)
 
 
 # ═══════════════════════════════════════════════════════════════════════════

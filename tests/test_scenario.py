@@ -139,6 +139,7 @@ nominal: {ks: [1, 1], cs: [1, 1], x_d: "0"}
 initial: {x: [0], z: [0]}
 horizon: 1
 dt: 0.01
+check_box: [[-1, 1]]
 """
 
 
@@ -153,10 +154,15 @@ def test_minimal_defaults():
     assert mapping["controllers"]["nussbaum"]["initial"] == \
         {"zeta": 0.0, "theta": [0.0]}
     assert mapping["hold_dt"] is None
-    assert mapping["check_box"] is None
     assert mapping["seed"] == 0
-    assert spec.check_box == ()
     assert spec.hold_dt is None
+
+
+def test_plain_mode_needs_no_check_box():
+    plain = MINIMAL.replace("betas: [1]}", "betas: [1], mode: plain}")
+    spec = loads_scenario(plain.replace("check_box: [[-1, 1]]\n", ""))
+    assert spec.to_mapping()["check_box"] is None
+    assert spec.check_box == ()
 
 
 def test_defaults_keep_the_written_types():
@@ -263,6 +269,7 @@ def test_missing_top_level_key(key):
     (lambda m: m.update(check_box=[[0]]), "check_box"),
     (lambda m: m.update(check_box=[[-0.35, 0.35], [-1, 1]]),
      "check_box: expected one"),
+    (lambda m: m.update(check_box=None), "check_box: required"),
     (lambda m: m.update(seed=1.5), "seed"),
     # a block of the wrong shape is named, not met with a raw traceback
     (lambda m: m.update(plant=[1, 2]), "plant: expected a mapping"),

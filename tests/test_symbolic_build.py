@@ -3,14 +3,19 @@
  1. Digests of the printed barrier stacks (every b_i, M_i, psi0 and
     psi1 of each stack), the nominal law nu_d and the observer-
     backstepping law (every tau_i and u) of the shipped scenarios and of
-    an m = 4 chain.  Simplification and differentiation are free to get
-    faster, never to change a printed expression; the digests were taken
-    from the build before simplification was made linear on shared
-    subtrees.
+    an m = 4 chain, switched and plain, with equal and with unequal
+    lambdas and betas.  Simplification and differentiation are free to
+    get faster, never to change a printed expression; the digests were
+    taken from the build before simplification was made linear on shared
+    subtrees, and those of the plain and the unequal chain from the
+    build before differentiation cached variable-free derivatives.
  2. An operation-count guard on the m = 4 chain: simplification work
     that grows with the paths through a shared expression, rather than
     with its distinct nodes, shows up as a rewrite count many times
-    this one.
+    this one; rebuilding the derivative of every variable-free subtree
+    once per variable shows up above half of the 56 552 rewrites that
+    cost.  The count went 890 105 -> 56 552 -> 15 356 over those two
+    changes.
 """
 
 import hashlib
@@ -25,9 +30,14 @@ from proxysafe.controllers import build_dob_backstepping, build_nominal
 from proxysafe.scenario import load_builtin, loads_scenario
 
 CHAIN_M = 4
+# a chain whose levels all differ: perfbench's deep_chain_check seed-3
+# draw, rounded
+UNEQUAL_LAMBDAS = (11.068, 9.328, 8.065, 11.564, 15.687)
+UNEQUAL_BETAS = (0.0636, 0.0553, 0.0405, 0.036)
 
 
-def chain_scenario():
+def chain_scenario(mode="switched", lambdas=(10.0,) * CHAIN_M + (15.0,),
+                   betas=(0.05,) * CHAIN_M):
     """The shipped electromech scenario with both proxies lengthened to a
     chain of CHAIN_M under the funnel controller, safe band [-0.5, 0.3]."""
     text = resources.files("proxysafe").joinpath(
@@ -37,8 +47,9 @@ def chain_scenario():
     data["proxy"][1]["h"] = "0.3 - x"
     for proxy in data["proxy"]:
         proxy["m"] = CHAIN_M
-        proxy["lambdas"] = [10.0] * CHAIN_M + [15.0]
-        proxy["betas"] = [0.05] * CHAIN_M
+        proxy["mode"] = mode
+        proxy["lambdas"] = list(lambdas)
+        proxy["betas"] = list(betas)
     data["controller"] = "ppc"
     # observer backstepping needs m equal to the plant depth
     del data["controllers"]["dob_backstepping"]
@@ -89,6 +100,10 @@ PINNED = {
         "437399dab6b518650be8cf20f96e323150d165fb20fbd0ce7105f75ccdd8d152"),
     ("chain", "nominal"): (1,
         "1541926c461f72aa4e625c7ae501211848270ee2473fafe793b8ec8f7eb86b1e"),
+    ("chain_plain", "stacks"): (24,
+        "ec6d593af12d7df4a853e3d8853360690a7b94f9dda2ece288b8be66d52c2983"),
+    ("chain_unequal", "stacks"): (24,
+        "22577ba10e6a9da599c765130a7c79e36cd8dcd759567750f45a2342e6f2b903"),
 }
 
 PARTS = {"stacks": stack_texts, "nominal": nominal_texts,
@@ -99,7 +114,10 @@ PARTS = {"stacks": stack_texts, "nominal": nominal_texts,
 def specs():
     return {"ship": load_builtin("ship"),
             "electromech": load_builtin("electromech"),
-            "chain": chain_scenario()}
+            "chain": chain_scenario(),
+            "chain_plain": chain_scenario(mode="plain"),
+            "chain_unequal": chain_scenario(lambdas=UNEQUAL_LAMBDAS,
+                                            betas=UNEQUAL_BETAS)}
 
 
 @pytest.mark.parametrize("scenario,part", sorted(PINNED))
@@ -110,7 +128,9 @@ def test_symbolic_build_is_pinned(specs, scenario, part):
 
 # _rewrite calls for both stacks of the chain: 890 105 when each pass
 # walked a shared subtree once per path into it, 56 552 when it walks it
-# once and skips subtrees already simplified
+# once and skips subtrees already simplified, 15 356 when differentiation
+# also builds the derivative of a node without the variable once per node
+# rather than once per variable
 PER_PATH_CHAIN_REWRITES = 890_105
 
 
@@ -127,3 +147,4 @@ def test_chain_build_rewrite_count(monkeypatch):
     for proxy in spec.proxies:
         build_barrier_stack(proxy, spec.rho)
     assert calls[0] <= PER_PATH_CHAIN_REWRITES // 4
+    assert calls[0] <= 28_000        # about half of 56 552
