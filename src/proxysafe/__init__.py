@@ -9,7 +9,7 @@ from proxysafe.barrier import (
     ProxySpec, RhoSpec, BarrierStack, ConditionCheck, ConditionReport,
     build_barrier_stack, chi, check_conditions, rho_budget,
 )
-from proxysafe.filter import Infeasible, QpInstance, solve_cbf_qp, solve_cbf_qp_pair
+from proxysafe.filter import Infeasible, project_halfspace, solve_cbf_qp_pair
 from proxysafe.dob import DobChainState, DobSpec, dob_derivative, filter_derivative
 from proxysafe.controllers import (
     BarrierBreach, FunnelBreach, SingularGain,

@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from proxysafe.expr import (
     Call, Const, Div, Expr, Sub, Var, compile_expr, compile_exprs,
@@ -190,8 +189,10 @@ class BarrierStack:
 
     Holds the expressions b_0..b_m, the scalars M_1..M_{m+1}, and the
     constraint pair (psi0, psi1); all immutable after construction.
-    Evaluation helpers bind the y variables to chi derivatives of
-    h(x)/xi automatically ("switched") or skip them entirely ("plain").
+    The evaluation helpers take the scalar state x, the m virtual-state
+    values mu and the time t, return floats, and bind the y variables to
+    chi derivatives of h(x)/xi automatically ("switched") or skip them
+    entirely ("plain").
     """
 
     def __init__(self, proxy: ProxySpec, rho: RhoSpec, b, M, psi0, psi1):
@@ -201,19 +202,18 @@ class BarrierStack:
         self.M = tuple(M)
         self.psi0 = psi0
         self.psi1 = psi1
-        self.x_vars = ["x"]
         self.mu_vars = [f"mu{i}" for i in range(1, proxy.m + 1)]
         self.y_count = proxy.m + 2 if proxy.mode == "switched" else 0
         self.y_vars = [f"y{j}" for j in range(self.y_count)]
-        self._params = [*self.x_vars, *self.mu_vars, *self.y_vars, "t"]
-        self._h_fn = compile_expr(proxy.h, self.x_vars)
+        self._params = ["x", *self.mu_vars, *self.y_vars, "t"]
+        self._h_fn = compile_expr(proxy.h, ["x"])
         self._qp_fn = None
         self._b_fn = None
 
     # -- evaluation ---------------------------------------------------------
 
-    def h_value(self, x: Sequence[float]) -> float:
-        return self._h_fn(*x)
+    def h_value(self, x: float) -> float:
+        return self._h_fn(x)
 
     def y_values(self, h_val: float) -> list:
         """Values bound to y0..y_{m+1} at a given h(x)."""
@@ -223,22 +223,19 @@ class BarrierStack:
         return [chi(tau, k) for k in range(self.y_count)]
 
     def _args(self, x, mu, t):
-        """x is a one-element sequence, mu the m virtual-state values."""
-        if len(x) != 1:
-            raise ValueError(f"expected one state value, got {len(x)}")
+        """x is the state, mu the m virtual-state values."""
         if len(mu) != self.proxy.m:
             raise ValueError(f"expected {self.proxy.m} virtual-state values, "
                              f"got {len(mu)}")
-        x = float(x[0])
+        x = float(x)
         ys = self.y_values(self._h_fn(x))
         return [x, *(float(v) for v in mu), *ys, float(t)]
 
-    def eval_constraint(self, x, mu, t):
-        """Numeric (psi0, [psi1]) at a state, virtual chain, and time."""
+    def eval_constraint(self, x, mu, t) -> tuple:
+        """Numeric (psi0, psi1) at a state, virtual chain, and time."""
         if self._qp_fn is None:
             self._qp_fn = compile_exprs([self.psi0, self.psi1], self._params)
-        psi0, psi1 = self._qp_fn(*self._args(x, mu, t))
-        return psi0, [psi1]
+        return self._qp_fn(*self._args(x, mu, t))
 
     def eval_barriers(self, x, mu, t) -> list:
         """Numeric b_0..b_m at a state, virtual chain, and time."""
@@ -378,7 +375,7 @@ def rho_budget(proxy: ProxySpec, rho: RhoSpec) -> dict:
 
 def _grad_condition(stack: BarrierStack, box, samples: int, seed: int) -> ConditionCheck:
     proxy = stack.proxy
-    if box is None or len(box) != 1:
+    if box is None:
         raise ValueError("condition check needs one (lo, hi) interval")
     # squared h-gradient pushed through g0
     mg = simplify(differentiate(proxy.h, "x") * proxy.g0)
@@ -386,7 +383,7 @@ def _grad_condition(stack: BarrierStack, box, samples: int, seed: int) -> Condit
     h_fn = stack._h_fn
 
     rng = random.Random(seed)
-    lo, hi = (float(v) for v in box[0])
+    lo, hi = (float(v) for v in box)
 
     def draw(center=None, width=None):
         if center is None:
@@ -448,8 +445,9 @@ def check_conditions(stack: BarrierStack, x0, z1_0, box=None,
 
     x0 is the initial proxy state; z1_0 the initial first plant block,
     which seeds the first virtual state (remaining virtual states start
-    at zero).  box bounds the sampling domain for the vanishing-gradient
-    check; it is required in switched mode.
+    at zero).  box, one (lo, hi) interval of x, bounds the sampling
+    domain for the vanishing-gradient check; it is required in switched
+    mode.
     """
     proxy = stack.proxy
     plain = proxy.mode == "plain"
@@ -466,11 +464,7 @@ def check_conditions(stack: BarrierStack, x0, z1_0, box=None,
             f"sup budget {bd['value']:.6g} vs bound {bd['bound']:.6g} "
             f"(margin {bd['margin']:.6g})", bd)
 
-    x0 = [float(v) for v in x0]
-    if not isinstance(z1_0, (int, float)):
-        if len(z1_0) != 1:
-            raise ValueError("expected one initial value for the first block")
-        (z1_0,) = z1_0
+    x0 = float(x0)
     mu0 = [float(z1_0)] + [0.0] * (proxy.m - 1)
     h0 = stack.h_value(x0)
     y0 = chi(h0 / proxy.xi, 0) if not plain else h0

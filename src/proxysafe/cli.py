@@ -274,6 +274,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("error: a scenario expression nests too deeply to build",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -123,11 +123,12 @@ class NominalController:
         """Numeric nominal input at one state."""
         if self._fn is None:
             self._fn = compile_expr(self.nu_d, list(self.params))
-        g0 = self._g0_fn(float(x[0]))
+        x = float(x)
+        g0 = self._g0_fn(x)
         if abs(g0) < GAIN_EPS:
-            raise SingularGain(f"g0={g0:.3g} at x={x[0]:.6g}")
+            raise SingularGain(f"g0={g0:.3g} at x={x:.6g}")
         mu = [float(v) for v in mu]
-        return self._fn(float(x[0]), *mu, float(t))
+        return self._fn(x, *mu, float(t))
 
 
 def build_nominal(proxy: ProxySpec, gains: NominalGains) -> NominalController:
@@ -498,6 +499,6 @@ def eval_dob_backstepping(ctrl: DobBackstepController, x, z, mu, nu: float,
     if abs(e) >= rho_t:
         raise BarrierBreach(e, rho_t, t)
     dfs = [v for row in dstate.d_f for v in row]
-    out = ctrl._compiled()(float(x[0]), *z, *mu, float(nu),
+    out = ctrl._compiled()(float(x), *z, *mu, float(nu),
                            *dstate.d_hat, *dfs, float(t))
     return out[0], list(out[1:])

@@ -173,14 +173,8 @@ class Expr:
             self._vars = v
         return v
 
-    def diff(self, var: str) -> "Expr":
-        return differentiate(self, var)
-
     def evaluate(self, binding: Mapping[str, float]) -> float:
         return evaluate(self, binding)
-
-    def simplified(self) -> "Expr":
-        return simplify(self)
 
     # -- structural identity ------------------------------------------------
 

@@ -49,12 +49,6 @@ def _lit(value: float) -> str:
     return f"({value!r})"
 
 
-def _rho(rho) -> str:
-    """RhoSpec.value(t) as source."""
-    return (f"{_lit(rho.rho0 - rho.rho_inf)} * _exp({_lit(-rho.decay)} * t)"
-            f" + {_lit(rho.rho_inf)}")
-
-
 class ClosedLoop:
     """The generated stage and grid-point functions of one RuntimeModel."""
 
@@ -177,7 +171,7 @@ class _Writer:
             em.line("if not _m >= 0.0:")
             em.line(f"    _n2 = {p1} * {p1}")
             em.line(f"    if _n2 <= {_lit(EPS_PSI * EPS_PSI)}:")
-            em.line(f"        raise _Infeasible({p0}, [{p1}])")
+            em.line(f"        raise _Infeasible({p0}, {p1})")
             em.line(f"    _nu = _nu + (-_m / _n2) * {p1}")
         if len(self.psi) == 2:
             (a0, a1), (b0, b1) = self.psi
@@ -214,11 +208,11 @@ class _Writer:
     def _law_ppc(self):
         """controllers.ppc_control."""
         m, em = self.model, self.em
-        em.line(f"_rho = {_rho(m.rho)}")
+        em.line(f"_rho = {em.emit(m.rho.expr())}")
         target = "mu1"
         for i in range(1, m.n + 1):
             width = "_rho" if i == 1 else \
-                f"({_rho(m.ppc_gains.funnels[i - 2])})"
+                em.emit(m.ppc_gains.funnels[i - 2].expr())
             em.line(f"_xi{i} = (z{i} - {target}) / {width}")
             em.line(f"if _abs(_xi{i}) >= 1.0:")
             em.line(f"    raise _FunnelBreach({i}, _xi{i}, t)")
@@ -234,7 +228,7 @@ class _Writer:
         g = m.nuss_gains
         em.line("_e = z1 - mu1")
         phis = [em.emit(p) for p in m.phis]
-        em.line(f"_rho = {_rho(m.rho)}")
+        em.line(f"_rho = {em.emit(m.rho.expr())}")
         em.line("if _abs(_e) >= _rho:")
         em.line("    raise _BarrierBreach(_e, _rho, t)")
         terms = ", ".join(f"_th{j} * {p}" for j, p in enumerate(phis, 1))
@@ -250,7 +244,7 @@ class _Writer:
         """controllers.eval_dob_backstepping."""
         m, em = self.model, self.em
         em.line("_e = z1 - mu1")
-        em.line(f"_rho = {_rho(m.rho)}")
+        em.line(f"_rho = {em.emit(m.rho.expr())}")
         em.line("if _abs(_e) >= _rho:")
         em.line("    raise _BarrierBreach(_e, _rho, t)")
         ctrl = m.dob_ctrl
@@ -264,7 +258,7 @@ class _Writer:
         items = ["t", "x", *self.z, *self.mu]
         items.append("z1 - mu1" if m.has_plant else "0.0")
         if m.kind == "nominal":
-            em.line(f"_rho = {_rho(m.rho)}")
+            em.line(f"_rho = {em.emit(m.rho.expr())}")
         items += ["_rho", em.emit(m.spec.nominal.x_d)]
         for k, (stack, (p0, p1)) in enumerate(zip(m.stacks, self.psi), 1):
             self._bind_ys(k, stack)

@@ -187,8 +187,8 @@ def _safe_bounds(spec, x_lo: float, x_hi: float) -> list:
     bisects each bracket.
     """
     lo, hi = x_lo, x_hi
-    for box_lo, box_hi in spec.check_box:
-        lo, hi = min(lo, box_lo), max(hi, box_hi)
+    if spec.check_box is not None:
+        lo, hi = min(lo, spec.check_box[0]), max(hi, spec.check_box[1])
     slack = (hi - lo) * 0.1 or 1.0
     lo, hi = lo - slack, hi + slack
     grid = 2048

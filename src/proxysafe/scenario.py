@@ -71,6 +71,8 @@ def _const(value, path) -> float:
             return float(evaluate(parse(value), {}))
         except ExprError as exc:
             _fail(path, f"not a constant expression: {exc}")
+        except RecursionError:
+            _fail(path, "expression nests too deeply")
     return _num(value, path)
 
 
@@ -79,9 +81,11 @@ def _expr(value, path, allowed: set) -> Expr:
         _fail(path, f"expected an expression string, got {value!r}")
     try:
         e = parse(value)
+        extra = e.variables() - allowed
     except ExprError as exc:
         _fail(path, f"parse error: {exc}")
-    extra = e.variables() - allowed
+    except RecursionError:
+        _fail(path, "expression nests too deeply")
     if extra:
         _fail(path, f"uses undeclared variables {sorted(extra)} "
                     f"(allowed: {sorted(allowed)})")
@@ -104,8 +108,7 @@ class PlantSpec:
     The head state x follows f0 + g0*z1; each level i follows
     f_i + g_i*(next level or input) plus an optional additive
     time-only disturbance.  `known` marks levels whose model functions
-    the controller may consume; `bounds` are declared disturbance-slope
-    bounds, kept for diagnostics only.
+    the controller may consume.
     """
 
     n: int
@@ -114,20 +117,17 @@ class PlantSpec:
     fs: tuple
     gs: tuple
     disturbances: tuple
-    bounds: tuple
     known: tuple
 
     def __post_init__(self):
         if self.n < 1:
             raise ScenarioError("plant.n: must be at least 1")
-        for name in ("fs", "gs", "disturbances", "bounds", "known"):
+        for name in ("fs", "gs", "disturbances", "known"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.fs) != self.n or len(self.gs) != self.n:
             raise ScenarioError("plant.levels: need one f,g pair per level")
         if self.disturbances and len(self.disturbances) != self.n:
             raise ScenarioError("plant.disturbances: need one per level or none")
-        if self.bounds and len(self.bounds) != self.n:
-            raise ScenarioError("plant.bounds: need one per level or none")
         if len(self.known) != self.n:
             raise ScenarioError("plant.known: need one flag per level")
 
@@ -153,13 +153,17 @@ def _parse_plant(data, path) -> PlantSpec:
         _fail(f"{path}.disturbances", "expected a list")
     ds = [_expr(v, f"{path}.disturbances[{i}]", {"t"})
           for i, v in enumerate(raw_d)]
+    # declared disturbance-slope bounds: validated and kept in the file,
+    # read by nothing
     bounds = _num_list(_get(data, "bounds", path, default=[]),
                        f"{path}.bounds")
     known = _get(data, "known", path, default=[True] * n)
     if not isinstance(known, list) or not all(isinstance(v, bool) for v in known):
         _fail(f"{path}.known", "expected a list of booleans")
+    if bounds and len(bounds) != n:
+        raise ScenarioError("plant.bounds: need one per level or none")
     return PlantSpec(n=n, f0=f0, g0=g0, fs=fs, gs=gs, disturbances=ds,
-                     bounds=bounds, known=known)
+                     known=known)
 
 
 def _parse_rho(data, path) -> RhoSpec:
@@ -304,12 +308,12 @@ class ScenarioSpec:
     controllers: dict
     nominal: NominalGains
     x_d_source: str
-    initial_x: tuple
+    initial_x: float
     initial_z: tuple
     horizon: float
     dt: float
     hold_dt: float | None
-    check_box: tuple
+    check_box: tuple | None
     seed: int
     raw: dict
 
@@ -396,8 +400,8 @@ def loads_scenario(text: str) -> ScenarioSpec:
         _fail("nominal", str(exc))
 
     init = raw["initial"]
-    initial_x = tuple(_num_list(_get(init, "x", "initial", required=True),
-                                "initial.x", 1))
+    (initial_x,) = _num_list(_get(init, "x", "initial", required=True),
+                             "initial.x", 1)
     initial_z = tuple(_num_list(_get(init, "z", "initial", required=True),
                                 "initial.z", plant.n))
 
@@ -418,12 +422,10 @@ def loads_scenario(text: str) -> ScenarioSpec:
         lo, hi = _num_list(box[0], "check_box[0]", 2)
         if lo >= hi:
             _fail("check_box[0]", "low bound must be below high bound")
-        box = ((lo, hi),)
+        box = (lo, hi)
     elif any(p.mode == "switched" for p in proxies):
         # the vanishing-gradient condition samples the box
         _fail("check_box", "required when a barrier is in switched mode")
-    else:
-        box = ()
     seed = _get(raw, "seed", "scenario", default=0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         _fail("seed", "expected an integer")

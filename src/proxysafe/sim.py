@@ -468,7 +468,7 @@ class RuntimeModel:
 
     def initial_state(self) -> list:
         spec = self.spec
-        state = [spec.initial_x[0]]
+        state = [spec.initial_x]
         if self.has_plant:
             state.extend(spec.initial_z)
         state.append(spec.initial_z[0])       # first virtual state
@@ -505,19 +505,18 @@ class RuntimeModel:
 
     def safe_input(self, x: float, mu, t: float):
         """Nominal virtual input projected through every barrier filter."""
-        nu_d = self.nominal.control([x], mu, t)
-        nu = [nu_d]
+        nu = nu_d = self.nominal.control(x, mu, t)
         rows = []
         for stack in self.stacks:
-            psi0, psi1 = stack.eval_constraint([x], mu, t)
-            rows.append((psi0, psi1[0]))
+            psi0, psi1 = stack.eval_constraint(x, mu, t)
+            rows.append((psi0, psi1))
             nu = project_halfspace(nu, psi0, psi1)
         if len(rows) == 2:
             psi0, psi1 = rows[0]
-            if psi0 + psi1 * nu[0] < -FEAS_TOL:
-                nu = [solve_cbf_qp_pair(nu_d, *rows[0], *rows[1])]
+            if psi0 + psi1 * nu < -FEAS_TOL:
+                nu = solve_cbf_qp_pair(nu_d, *rows[0], *rows[1])
                 self.qp_fallbacks += 1
-        return nu_d, nu[0], rows
+        return nu_d, nu, rows
 
     def controls(self, state, t: float) -> _Controls:
         x, z, mu = self._split(state)
@@ -539,7 +538,7 @@ class RuntimeModel:
             return _Controls(nu_d=nu_d, nu=nu, u=u, dzeta=dzeta,
                              dtheta=tuple(dtheta))
         dstate = self._dob_state(state, z)
-        u, eps = eval_dob_backstepping(self.dob_ctrl, [x], z, mu, nu,
+        u, eps = eval_dob_backstepping(self.dob_ctrl, x, z, mu, nu,
                                        dstate, t)
         return _Controls(nu_d=nu_d, nu=nu, u=u, eps=tuple(eps))
 
@@ -617,13 +616,9 @@ class RuntimeModel:
 
     def run_checks(self):
         spec = self.spec
-        box = spec.check_box if spec.check_box else None
-        reports = []
-        for stack in self.stacks:
-            reports.append(check_conditions(
-                stack, list(spec.initial_x), spec.initial_z[0], box=box,
-                seed=spec.seed))
-        return reports
+        return [check_conditions(stack, spec.initial_x, spec.initial_z[0],
+                                 box=spec.check_box, seed=spec.seed)
+                for stack in self.stacks]
 
     def trace_columns(self) -> list:
         cols = ["t", "x"]
@@ -657,10 +652,10 @@ class RuntimeModel:
         e = (z[0] - mu[0]) if self.has_plant else 0.0
         row = [t, x, *z, *mu, e, self.rho.value(t), self.xd_fn(t)]
         for stack in self.stacks:
-            h = stack.h_value([x])
-            bs = stack.eval_barriers([x], mu, t)
-            psi0, psi1 = stack.eval_constraint([x], mu, t)
-            row += [h, *bs, psi0, psi1[0], psi0 + psi1[0] * c.nu]
+            h = stack.h_value(x)
+            bs = stack.eval_barriers(x, mu, t)
+            psi0, psi1 = stack.eval_constraint(x, mu, t)
+            row += [h, *bs, psi0, psi1, psi0 + psi1 * c.nu]
         row += [c.nu_d, c.nu]
         if self.has_plant:
             row.append(c.u)

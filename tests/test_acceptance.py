@@ -36,7 +36,7 @@ from proxysafe import scenario as scenario_mod
 from proxysafe import sim as sim_mod
 from proxysafe.barrier import RhoSpec, build_barrier_stack, chi
 from proxysafe.expr import compile_expr
-from proxysafe.filter import solve_cbf_qp
+from proxysafe.filter import project_halfspace
 
 import test_barrier
 import test_controllers
@@ -164,12 +164,12 @@ def test_criterion_05_qp_oracle():
     instances = test_filter.random_instances(rng, 1000)
     start = time.perf_counter()
     worst_coord = worst_obj = 0.0
-    for q in instances:
-        nu = np.asarray(solve_cbf_qp(q))
-        brute = test_filter.projected_grid(q.nu_d, q.psi0, q.psi1)
+    for nu_d, psi0, psi1 in instances:
+        nu = np.asarray([project_halfspace(nu_d, psi0, psi1)])
+        brute = test_filter.projected_grid((nu_d,), psi0, (psi1,))
         worst_coord = max(worst_coord, float(np.max(np.abs(nu - brute))))
-        obj = float(((nu - np.asarray(q.nu_d)) ** 2).sum())
-        obj_brute = float(((brute - np.asarray(q.nu_d)) ** 2).sum())
+        obj = float(((nu - nu_d) ** 2).sum())
+        obj_brute = float(((brute - nu_d) ** 2).sum())
         worst_obj = max(worst_obj, abs(obj - obj_brute))
     wall = time.perf_counter() - start
     _report(5, [
@@ -188,13 +188,13 @@ def test_criterion_06_barrier_recursion_oracle():
         x = rng.uniform(-0.34, 0.34)
         mu1 = rng.uniform(-2.0, 2.0)
         t = rng.uniform(0.0, 10.0)
-        got = stack.eval_barriers([x], [mu1], t)[1]
+        got = stack.eval_barriers(x, [mu1], t)[1]
         worst_b1 = max(worst_b1,
                        abs(got - test_barrier.hand_b1_ship(x, mu1, t, rho)))
-        _, psi1 = stack.eval_constraint([x], [mu1], t)
+        _, psi1 = stack.eval_constraint(x, [mu1], t)
         tau = (math.pi ** 2 / 81 - x * x) / test_barrier.XI_SHIP
         want = chi(tau, 1) / test_barrier.XI_SHIP * (-2.0 * x)
-        worst_psi1 = max(worst_psi1, abs(psi1[0] - want))
+        worst_psi1 = max(worst_psi1, abs(psi1 - want))
     _report(6, [
         (worst_b1 <= 1e-12, f"b1 closed-form gap {worst_b1:.2e} <= 1e-12"),
         (worst_psi1 <= 1e-12,

@@ -191,7 +191,7 @@ def test_b1_matches_hand_expansion():
         x = rng.uniform(-0.34, 0.34)
         mu1 = rng.uniform(-2.0, 2.0)
         t = rng.uniform(0.0, 10.0)
-        got = stack.eval_barriers([x], [mu1], t)[1]
+        got = stack.eval_barriers(x, [mu1], t)[1]
         want = hand_b1_ship(x, mu1, t, rho)
         worst = max(worst, abs(got - want))
     print(f"\n  b1 closed-form worst abs error: {worst:.3e}")
@@ -207,10 +207,10 @@ def test_psi1_identity_scalar_quadratic_h():
         x = rng.uniform(-0.349, 0.349)
         mu1 = rng.uniform(-2.0, 2.0)
         t = rng.uniform(0.0, 10.0)
-        _, psi1 = stack.eval_constraint([x], [mu1], t)
+        _, psi1 = stack.eval_constraint(x, [mu1], t)
         tau = (math.pi ** 2 / 81 - x * x) / XI_SHIP
         want = chi(tau, 1) / XI_SHIP * (-2.0 * x)
-        worst = max(worst, abs(psi1[0] - want))
+        worst = max(worst, abs(psi1 - want))
     print(f"\n  psi1 identity worst abs error: {worst:.3e}")
     assert worst <= 1e-12
 
@@ -223,9 +223,9 @@ def test_psi1_identity_two_level_chain():
         x = rng.uniform(-0.49, 0.6)
         mu = [rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)]
         t = rng.uniform(0.0, 3.0)
-        _, psi1 = stack.eval_constraint([x], mu, t)
+        _, psi1 = stack.eval_constraint(x, mu, t)
         want = chi((x + 0.5) / 0.1, 1) / 0.1
-        worst = max(worst, abs(psi1[0] - want))
+        worst = max(worst, abs(psi1 - want))
     assert worst <= 1e-12
 
 
@@ -261,10 +261,10 @@ def test_constraint_matches_hand_expansion(rho):
         (rng.uniform(-0.34, 0.34), rng.uniform(-2.0, 2.0), rng.uniform(0.0, 5.0))
         for _ in range(100)]
     for x, mu1, t in pts:
-        p0, p1 = stack.eval_constraint([x], [mu1], t)
+        p0, p1 = stack.eval_constraint(x, [mu1], t)
         w0, w1 = hand_constraint_ship_m1(x, mu1, t, rho)
         assert abs(p0 - w0) <= 1e-9 * (1.0 + abs(w0))
-        assert abs(p1[0] - w1) <= 1e-12
+        assert abs(p1 - w1) <= 1e-12
 
 
 def test_plain_mode_linear_h():
@@ -280,14 +280,14 @@ def test_plain_mode_linear_h():
         mu1 = rng.uniform(-2.0, 2.0)
         t = rng.uniform(0.0, 5.0)
         b1 = mu1 - 1.0 / (2 * 0.5) - (0.5 / 2) * 0.09 + 4.0 * (x + 0.5)
-        got = stack.eval_barriers([x], [mu1], t)
+        got = stack.eval_barriers(x, [mu1], t)
         assert got[0] == pytest.approx(x + 0.5, abs=1e-12)
         assert abs(got[1] - b1) <= 1e-12
-        p0, p1 = stack.eval_constraint([x], [mu1], t)
+        p0, p1 = stack.eval_constraint(x, [mu1], t)
         # the extra row is db1/dx = lambda1; no time dependence
         w0 = 4.0 * mu1 + 2.0 * b1 - 4.0 * 0.3
         assert abs(p0 - w0) <= 1e-12
-        assert p1[0] == 1.0
+        assert p1 == 1.0
 
 
 # ═══════════════════════════════════════════════════════════════════
@@ -320,8 +320,8 @@ def test_time_only_part_is_state_independent():
     rho = RhoSpec(0.85, 0.05, 10.0)
     stack = build_barrier_stack(chain_proxy(), rho)
     from proxysafe.expr import compile_exprs
-    fn = compile_exprs(list(stack.b), [*stack.x_vars, *stack.mu_vars,
-                                      *stack.y_vars, "t"])
+    fn = compile_exprs(list(stack.b), ["x", *stack.mu_vars, *stack.y_vars,
+                                      "t"])
     rng = random.Random(SEED + 5)
     for t in (0.0, 0.37, 1.2, 4.0):
         per_level = [[] for _ in stack.b]
@@ -344,8 +344,8 @@ def test_time_only_part_is_state_independent():
 def test_y0_coefficient_is_lambda_product():
     stack = build_barrier_stack(chain_proxy(), RhoSpec(0.85, 0.05, 10.0))
     from proxysafe.expr import compile_exprs
-    fn = compile_exprs(list(stack.b), [*stack.x_vars, *stack.mu_vars,
-                                      *stack.y_vars, "t"])
+    fn = compile_exprs(list(stack.b), ["x", *stack.mu_vars, *stack.y_vars,
+                                      "t"])
     base = fn(0.3, 0.1, -0.2, 0.0, 0.0, 0.0, 0.0, 0.5)
     lifted = fn(0.3, 0.1, -0.2, 1.0, 0.0, 0.0, 0.0, 0.5)
     assert abs((lifted[1] - base[1]) - 10.0) <= 1e-12
@@ -354,7 +354,7 @@ def test_y0_coefficient_is_lambda_product():
 
 def test_b0_is_the_switched_margin():
     stack = build_barrier_stack(ship_proxy(), RhoSpec(0.02, 0.02))
-    vals = stack.eval_barriers([0.2], [0.0], 0.0)
+    vals = stack.eval_barriers(0.2, [0.0], 0.0)
     tau = (math.pi ** 2 / 81 - 0.04) / XI_SHIP
     assert vals[0] == pytest.approx(chi(tau), abs=1e-15)
 
@@ -363,7 +363,7 @@ def test_b0_is_the_switched_margin():
 # 5. feasibility condition checks
 # ═══════════════════════════════════════════════════════════════════
 
-SHIP_BOX = [(-0.3490, 0.3490)]
+SHIP_BOX = (-0.3490, 0.3490)
 
 
 def test_budget_margin_exact():
@@ -375,7 +375,7 @@ def test_budget_margin_exact():
 
 def test_budget_rejects_wide_constant_funnel():
     stack = build_barrier_stack(ship_proxy(), RhoSpec(10.0, 10.0))
-    rep = check_conditions(stack, [0.0], [0.0], box=SHIP_BOX, samples=500)
+    rep = check_conditions(stack, 0.0, 0.0, box=SHIP_BOX, samples=500)
     assert rep.budget_check.verdict == "fail"
     assert abs(rep.budget_check.data["value"] - 1000.0) <= 1e-9
     assert not rep.ok
@@ -392,7 +392,7 @@ def test_budget_decaying_funnel():
 
 def test_gradient_condition_pass_with_witness():
     stack = build_barrier_stack(ship_proxy(), RhoSpec(0.02, 0.02))
-    rep = check_conditions(stack, [0.0], [0.0], box=SHIP_BOX, samples=4000,
+    rep = check_conditions(stack, 0.0, 0.0, box=SHIP_BOX, samples=4000,
                            seed=SEED)
     assert rep.grad_check.verdict == "pass"
     assert abs(rep.grad_check.data["witness"][0]) <= 1e-6
@@ -405,7 +405,7 @@ def test_gradient_condition_falsified():
     proxy = chain_proxy(m=1, h="0.5 + sin(x)", xi=2.0, lambdas=(1.0, 1.0),
                         betas=(1.0,))
     stack = build_barrier_stack(proxy, RhoSpec(0.1, 0.1))
-    rep = check_conditions(stack, [0.0], [0.0], box=[(0.0, 3.0)], samples=4000,
+    rep = check_conditions(stack, 0.0, 0.0, box=(0.0, 3.0), samples=4000,
                            seed=SEED)
     assert rep.grad_check.verdict == "falsified"
     assert abs(rep.grad_check.data["witness"][0] - math.pi / 2) <= 1e-3
@@ -414,7 +414,7 @@ def test_gradient_condition_falsified():
 
 def test_gradient_condition_inconclusive_when_nonvanishing():
     stack = build_barrier_stack(chain_proxy(), RhoSpec(0.85, 0.05, 10.0))
-    rep = check_conditions(stack, [0.0], [0.0], box=[(-0.49, 1.0)],
+    rep = check_conditions(stack, 0.0, 0.0, box=(-0.49, 1.0),
                            samples=3000, seed=SEED)
     assert rep.grad_check.verdict == "inconclusive-pass"
     assert rep.grad_check.ok and rep.ok
@@ -422,13 +422,13 @@ def test_gradient_condition_inconclusive_when_nonvanishing():
 
 def test_initial_positivity_cases():
     stack = build_barrier_stack(ship_proxy(), RhoSpec(0.02, 0.02))
-    good = check_conditions(stack, [0.0], [0.0], box=SHIP_BOX, samples=500)
+    good = check_conditions(stack, 0.0, 0.0, box=SHIP_BOX, samples=500)
     assert good.init_check.verdict == "pass"
     assert good.init_check.data["y0"] == 1.0
     assert abs(good.init_check.data["b"][1] - 5.996) <= 1e-12
 
     # inside the safe set but so close to its edge that the chain dips
-    near_edge = check_conditions(stack, [0.34], [0.0], box=SHIP_BOX,
+    near_edge = check_conditions(stack, 0.34, 0.0, box=SHIP_BOX,
                                  samples=500)
     assert near_edge.init_check.verdict == "fail"
     assert near_edge.init_check.data["y0"] > 0.0
@@ -436,7 +436,7 @@ def test_initial_positivity_cases():
     assert not near_edge.ok
 
     # outside the safe set entirely: the switched margin itself goes bad
-    outside = check_conditions(stack, [0.36], [0.0], box=SHIP_BOX, samples=500)
+    outside = check_conditions(stack, 0.36, 0.0, box=SHIP_BOX, samples=500)
     assert outside.init_check.verdict == "fail"
     assert outside.init_check.data["y0"] < 0.0
 
@@ -445,7 +445,7 @@ def test_plain_mode_skips_global_checks():
     proxy = chain_proxy(m=1, h="x + 0.5", xi=0.1, lambdas=(4.0, 2.0),
                         betas=(0.5,), mode="plain")
     stack = build_barrier_stack(proxy, RhoSpec(0.3, 0.3))
-    rep = check_conditions(stack, [0.5], [0.0])
+    rep = check_conditions(stack, 0.5, 0.0)
     assert rep.grad_check.verdict == "skipped"
     assert rep.budget_check.verdict == "skipped"
     assert rep.init_check.verdict == "pass"
@@ -455,12 +455,12 @@ def test_plain_mode_skips_global_checks():
 def test_switched_mode_requires_box():
     stack = build_barrier_stack(ship_proxy(), RhoSpec(0.02, 0.02))
     with pytest.raises(ValueError):
-        check_conditions(stack, [0.0], [0.0], box=None)
+        check_conditions(stack, 0.0, 0.0, box=None)
 
 
 def test_report_lines_are_printable():
     stack = build_barrier_stack(ship_proxy(), RhoSpec(0.02, 0.02))
-    rep = check_conditions(stack, [0.0], [0.0], box=SHIP_BOX, samples=500)
+    rep = check_conditions(stack, 0.0, 0.0, box=SHIP_BOX, samples=500)
     lines = rep.lines()
     assert len(lines) == 3
     assert all(isinstance(ln, str) and ln for ln in lines)
@@ -472,23 +472,21 @@ def test_report_lines_are_printable():
 
 def test_constraint_saturates_at_safe_center():
     stack = build_barrier_stack(ship_proxy(), RhoSpec(0.02, 0.02))
-    p0, p1 = stack.eval_constraint([0.0], [0.0], 0.0)
-    assert p1[0] == 0.0
+    p0, p1 = stack.eval_constraint(0.0, [0.0], 0.0)
+    assert p1 == 0.0
     assert abs(p0 - 5.996) <= 1e-12
 
 
 def test_constraint_saturates_deep_inside():
     stack = build_barrier_stack(chain_proxy(), RhoSpec(0.85, 0.05, 10.0))
-    p0, p1 = stack.eval_constraint([0.2], [0.0, 0.0], 0.0)
-    assert p1[0] == 0.0
+    p0, p1 = stack.eval_constraint(0.2, [0.0, 0.0], 0.0)
+    assert p1 == 0.0
     assert p0 > 0.0
 
 
 def test_mu_argument_forms():
     stack = build_barrier_stack(chain_proxy(), RhoSpec(0.85, 0.05, 10.0))
-    psi0, psi1 = stack.eval_constraint([0.1], [0.3, -0.2], 1.0)
-    assert len(psi1) == 1
+    psi0, psi1 = stack.eval_constraint(0.1, [0.3, -0.2], 1.0)
+    assert isinstance(psi0, float) and isinstance(psi1, float)
     with pytest.raises(ValueError):
-        stack.eval_constraint([0.1], [0.3], 1.0)
-    with pytest.raises(ValueError):
-        stack.eval_constraint([0.1, 0.2], [0.3, -0.2], 1.0)
+        stack.eval_constraint(0.1, [0.3], 1.0)

@@ -9,8 +9,11 @@ Coverage:
   5. `--batch`: concurrent directory runs with isolated outputs
   6. usage errors exit with code 1; importing the CLI leaves the
      process pool of `--batch` out
+  7. `check` output pinned byte for byte: ship, electromech and the m=4
+     chain, text and `--json`
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -19,9 +22,11 @@ import sys
 import pytest
 import yaml
 
+from proxysafe import cli as cli_mod
 from proxysafe import scenario as scenario_mod
 from proxysafe.cli import (EXIT_ABORTED, EXIT_CHECK, EXIT_OK, EXIT_UNSAFE,
                            EXIT_USAGE, main)
+from test_symbolic_build import chain_scenario
 
 
 def _write_variant(path, name, mutate):
@@ -103,6 +108,25 @@ def test_check_json_mode(capsys):
 def test_check_unknown_name_is_usage_error(capsys):
     assert main(["check", "no_such_scenario"]) == EXIT_USAGE
     assert "no scenario file or built-in" in capsys.readouterr().err
+
+
+def test_check_too_deep_to_build_is_usage_error(tmp_path, monkeypatch,
+                                                capsys):
+    # a sum one tree level deeper per term, loaded under a raised
+    # recursion limit, overflows the stack in the barrier build
+    def mutate(m):
+        m["proxy"][0]["h"] += " + 0.0001*sin(x)" * 1500
+    path = _write_variant(tmp_path / "deep.yaml", "ship", mutate)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10 * limit)
+    try:
+        spec = scenario_mod.load_scenario(path)
+    finally:
+        sys.setrecursionlimit(limit)
+    monkeypatch.setattr(cli_mod, "_load_spec", lambda target: spec)
+    assert main(["check", path]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "error: a scenario expression nests too deeply to build\n"
 
 
 # ═══════════════════════════════════════════════════════════════════
@@ -364,3 +388,43 @@ def test_import_leaves_the_process_pool_out():
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+# ═══════════════════════════════════════════════════════════════════
+# 7. pinned check output
+# ═══════════════════════════════════════════════════════════════════
+
+# (scenario, output format) -> (exit code, sha256 of stdout)
+PINNED_CHECK = {
+    ("ship", "text"): (EXIT_OK,
+        "694aface73a67575fac0f4c68447471a7f61711fe56a7218639930683c53ca1b"),
+    ("ship", "json"): (EXIT_OK,
+        "0dc74faa5431c087f36aba6206334e4cfc2160b49c079f22373aef8308c68559"),
+    ("electromech", "text"): (EXIT_OK,
+        "f1312b98d71ea7a14bb04fb60f2eadce8305639810ea96b5aa2a84a5e04b1f76"),
+    ("electromech", "json"): (EXIT_OK,
+        "ff11c4761da2348b1ee996c9c011b93ca6bd68e77bab73e5a4bd887af485657e"),
+    ("chain", "text"): (EXIT_OK,
+        "1c272a2f03597742986c6be9a176598d0a6597b586dd8fc09c5e8e2cb56c5ef7"),
+    ("chain", "json"): (EXIT_OK,
+        "028c529e3666b347db01aafc7e006c63870a16389a2b4118bfc2307274ef2a74"),
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(PINNED_CHECK))
+def test_check_output_is_pinned(name, fmt, tmp_path, capsys):
+    """`check` prints byte for byte what it printed at commit eddc663.
+
+    The digests were taken there, before the numeric interfaces of the
+    barrier layer became scalar, so a refactor of the check path cannot
+    change a byte of the output unnoticed.  Regenerate them only for a
+    deliberate change of the output, recorded as such.
+    """
+    target = name
+    if name == "chain":
+        target = str(tmp_path / "chain.yaml")
+        scenario_mod.save_scenario(chain_scenario(), target)
+    code = main(["check", target] + (["--json"] if fmt == "json" else []))
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        PINNED_CHECK[name, fmt], out

@@ -161,7 +161,7 @@ def test_nominal_ship_example_point():
     ctrl = build_nominal(ship_proxy(), ship_gains())
     alpha1 = compile_expr(ctrl.alphas[0], ["x", "t"])
     assert abs(alpha1(0.0, 0.0) - math.pi / 300) <= 1e-15
-    got = ctrl.control([0.0], [0.0], 0.0)
+    got = ctrl.control(0.0, [0.0], 0.0)
     assert abs(got - 29 * math.pi / 2400) <= 1e-15
 
 
@@ -187,7 +187,7 @@ def test_nominal_matches_hand_recursion():
         x = rng.uniform(-0.34, 0.34)
         mu1 = rng.uniform(-0.5, 0.5)
         t = rng.uniform(0.0, 400.0)
-        got = ctrl.control([x], [mu1], t)
+        got = ctrl.control(x, [mu1], t)
         want = hand_ship_nu(x, mu1, t)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -224,7 +224,7 @@ def test_nominal_tracks_reference_into_tiny_ball():
         worst = 0.0
         for _ in range(int(round(t_end / dt))):
             def deriv(xv, mv, tv):
-                return mv, ctrl.control([xv], [mv], tv)
+                return mv, ctrl.control(xv, [mv], tv)
             k1 = deriv(x, mu1, t)
             k2 = deriv(x + 0.5 * dt * k1[0], mu1 + 0.5 * dt * k1[1],
                        t + 0.5 * dt)
@@ -246,7 +246,7 @@ def test_nominal_singular_gain_raises():
     ctrl = build_nominal(proxy, NominalGains(ks=(1.0, 1.0), cs=(1.0, 1.0),
                                              x_d=parse("0")))
     with pytest.raises(SingularGain):
-        ctrl.control([0.0], [0.1], 0.0)
+        ctrl.control(0.0, [0.1], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +449,7 @@ def test_dob_backstep_matches_hand_transcription():
         dstate = DobChainState(s=[0.0, 0.0], d_hat=[s["dhat1"], s["dhat2"]],
                                d_f=[[s["df1_1"]]])
         got_u, eps = eval_dob_backstepping(
-            ctrl, [s["x"]], [s["z1"], s["z2"]], [s["mu1"], s["mu2"]],
+            ctrl, s["x"], [s["z1"], s["z2"]], [s["mu1"], s["mu2"]],
             s["nu"], dstate, s["t"])
         want_u, want_e, want_eps2 = hand_motor_u(
             s["x"], s["z1"], s["z2"], s["mu1"], s["mu2"], s["nu"],
@@ -494,7 +494,7 @@ def test_dob_backstep_initial_state_input_is_zero():
     proxy, fs, gs, dob, gains, rho = motor_parts()
     ctrl = build_dob_backstepping(fs, gs, proxy, dob, gains, rho)
     dstate = DobChainState(s=[0.0, 0.0], d_hat=[0.0, 0.0], d_f=[[0.0]])
-    u, eps = eval_dob_backstepping(ctrl, [0.0], [0.0, 0.0], [0.0, 0.0],
+    u, eps = eval_dob_backstepping(ctrl, 0.0, [0.0, 0.0], [0.0, 0.0],
                                    0.0, dstate, 0.0)
     assert math.isfinite(u) and abs(u) <= 1e-12
     assert eps == [0.0, 0.0]
@@ -511,7 +511,7 @@ def test_dob_backstep_gain_pushes_against_error():
                              sigmas=(15.0, 15.0))
         c = build_dob_backstepping(fs, gs, proxy, dob, g, rho)
         dstate = DobChainState(s=[0.0, 0.0], d_hat=[0.0, 0.0], d_f=[[0.0]])
-        u, _ = eval_dob_backstepping(c, [0.0], [e, 0.0], [0.0, 0.0],
+        u, _ = eval_dob_backstepping(c, 0.0, [e, 0.0], [0.0, 0.0],
                                      0.0, dstate, 0.0)
         return u
 
@@ -528,7 +528,7 @@ def test_dob_backstep_breach_raises():
     t = 1.0
     e = rho.value(t) * 1.01
     with pytest.raises(BarrierBreach) as info:
-        eval_dob_backstepping(ctrl, [0.0], [e, 0.0], [0.0, 0.0], 0.0,
+        eval_dob_backstepping(ctrl, 0.0, [e, 0.0], [0.0, 0.0], 0.0,
                               dstate, t)
     assert info.value.t == t and abs(info.value.e) >= info.value.rho
 
@@ -544,6 +544,6 @@ def test_dob_backstep_rejects_wrong_call_shapes():
     ctrl = build_dob_backstepping(fs, gs, proxy, dob, gains, rho)
     dstate = DobChainState(s=[0.0, 0.0], d_hat=[0.0, 0.0], d_f=[[0.0]])
     with pytest.raises(ValueError):
-        eval_dob_backstepping(ctrl, [0.0], [0.0], [0.0, 0.0], 0.0, dstate, 0.0)
+        eval_dob_backstepping(ctrl, 0.0, [0.0], [0.0, 0.0], 0.0, dstate, 0.0)
     with pytest.raises(ValueError):
-        eval_dob_backstepping(ctrl, [0.0], [0.0, 0.0], [0.0], 0.0, dstate, 0.0)
+        eval_dob_backstepping(ctrl, 0.0, [0.0, 0.0], [0.0], 0.0, dstate, 0.0)

@@ -3,8 +3,8 @@
  1. The worked examples, each confirmed by a full-grid brute force.
  2. Contract properties: minimal invasiveness (bit-for-bit nominal when
     feasible), feasible output, idempotence.
- 3. 1000 random instances in dims 1..4 against a projected-grid brute
-    force, with a convexity certificate on a subsample.
+ 3. 1000 random scalar instances against a projected-grid brute force,
+    with a convexity certificate on a subsample.
  4. Infeasibility signaling when psi1 is numerically zero.
  5. Two-constraint clamp of a scalar input against a line grid search.
  6. Generated inputs: the two-constraint clamp against an exact interval
@@ -22,8 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxysafe.filter import (
-    EPS_PSI, FEAS_TOL, Infeasible, QpInstance, project_halfspace,
-    solve_cbf_qp, solve_cbf_qp_pair,
+    EPS_PSI, FEAS_TOL, Infeasible, project_halfspace, solve_cbf_qp_pair,
 )
 
 SEED = 20260822
@@ -107,16 +106,16 @@ def plane_grid(nu_d, rows, span, passes=2, n=401):
 
 
 def random_instances(rng, count):
-    """Mixed feasible/violated instances in dims 1..4 with usable rows."""
+    """Mixed feasible/violated scalar instances (nu_d, psi0, psi1) with
+    usable rows."""
     out = []
     while len(out) < count:
-        dim = int(rng.integers(1, 5))
-        nu_d = rng.normal(0.0, 2.0, dim)
-        psi1 = rng.normal(0.0, 1.0, dim)
-        if np.linalg.norm(psi1) < 1e-3:
+        nu_d = float(rng.normal(0.0, 2.0))
+        psi1 = float(rng.normal(0.0, 1.0))
+        if abs(psi1) < 1e-3:
             continue
         psi0 = float(rng.uniform(-5.0, 5.0))
-        out.append(QpInstance(tuple(nu_d), psi0, tuple(psi1)))
+        out.append((nu_d, psi0, psi1))
     return out
 
 
@@ -125,24 +124,16 @@ def random_instances(rng, count):
 # ═══════════════════════════════════════════════════════════════════════════
 
 def test_inactive_constraint_returns_nominal():
-    """psi0=1, psi1=[1], nominal 0: already feasible."""
-    assert solve_cbf_qp(QpInstance((0.0,), 1.0, (1.0,))) == [0.0]
+    """psi0=1, psi1=1, nominal 0: already feasible."""
+    assert project_halfspace(0.0, 1.0, 1.0) == 0.0
 
 
 def test_scalar_projection_example():
-    """psi0=-2, psi1=[1], nominal 0: shifted to exactly 2."""
-    got = solve_cbf_qp(QpInstance((0.0,), -2.0, (1.0,)))
-    assert got == [2.0]
+    """psi0=-2, psi1=1, nominal 0: shifted to exactly 2."""
+    got = project_halfspace(0.0, -2.0, 1.0)
+    assert got == 2.0
     brute = full_grid_1d((0.0,), -2.0, (1.0,))
-    assert abs(got[0] - brute[0]) <= 1e-4
-
-
-def test_two_dim_projection_example():
-    """psi0=-1, psi1=[1,1], nominal origin: split evenly."""
-    got = solve_cbf_qp(QpInstance((0.0, 0.0), -1.0, (1.0, 1.0)))
-    assert got == [0.5, 0.5]
-    brute = plane_grid((0.0, 0.0), [(-1.0, (1.0, 1.0))], span=2.0)
-    assert max(abs(g - b) for g, b in zip(got, brute)) <= 1e-3
+    assert abs(got - brute[0]) <= 1e-4
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -153,31 +144,29 @@ def test_feasible_nominal_is_bit_for_bit():
     rng = np.random.default_rng(SEED + 1)
     kept = 0
     while kept < 200:
-        dim = int(rng.integers(1, 5))
-        nu_d = tuple(rng.normal(0.0, 2.0, dim))
-        psi1 = tuple(rng.normal(0.0, 1.0, dim))
-        psi0 = float(rng.uniform(0.0, 5.0) - sum(a * b for a, b in zip(nu_d, psi1)))
-        q = QpInstance(nu_d, psi0, psi1)
-        if q.psi0 + sum(a * b for a, b in zip(q.psi1, q.nu_d)) < 0.0:
+        nu_d = float(rng.normal(0.0, 2.0))
+        psi1 = float(rng.normal(0.0, 1.0))
+        psi0 = float(rng.uniform(0.0, 5.0) - nu_d * psi1)
+        if psi0 + psi1 * nu_d < 0.0:
             continue
-        assert solve_cbf_qp(q) == list(q.nu_d)
+        assert project_halfspace(nu_d, psi0, psi1) == nu_d
         kept += 1
 
 
 def test_output_always_feasible():
     rng = np.random.default_rng(SEED + 2)
-    for q in random_instances(rng, 300):
-        nu = solve_cbf_qp(q)
-        residual = q.psi0 + sum(a * b for a, b in zip(q.psi1, nu))
+    for nu_d, psi0, psi1 in random_instances(rng, 300):
+        nu = project_halfspace(nu_d, psi0, psi1)
+        residual = psi0 + psi1 * nu
         assert residual >= -FEAS_TOL
 
 
 def test_idempotence():
     rng = np.random.default_rng(SEED + 3)
-    for q in random_instances(rng, 300):
-        once = solve_cbf_qp(q)
-        twice = solve_cbf_qp(QpInstance(tuple(once), q.psi0, q.psi1))
-        assert max(abs(a - b) for a, b in zip(once, twice)) <= 1e-12
+    for nu_d, psi0, psi1 in random_instances(rng, 300):
+        once = project_halfspace(nu_d, psi0, psi1)
+        twice = project_halfspace(once, psi0, psi1)
+        assert abs(once - twice) <= 1e-12
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -191,12 +180,13 @@ def test_closed_form_matches_projected_grid():
     worst_coord = 0.0
     worst_obj = 0.0
     for q in instances:
-        nu = np.asarray(solve_cbf_qp(q))
-        brute = projected_grid(q.nu_d, q.psi0, q.psi1)
+        nu_d, psi0, psi1 = q
+        nu = np.asarray([project_halfspace(nu_d, psi0, psi1)])
+        brute = projected_grid((nu_d,), psi0, (psi1,))
         assert brute is not None
         coord_err = float(np.max(np.abs(nu - brute)))
-        obj = float(((nu - np.asarray(q.nu_d)) ** 2).sum())
-        obj_brute = float(((brute - np.asarray(q.nu_d)) ** 2).sum())
+        obj = float(((nu - nu_d) ** 2).sum())
+        obj_brute = float(((brute - nu_d) ** 2).sum())
         assert coord_err <= 1e-4, f"coordinate gap {coord_err:.2e} on {q}"
         assert abs(obj - obj_brute) <= 1e-6, f"objective gap on {q}"
         worst_coord = max(worst_coord, coord_err)
@@ -208,15 +198,14 @@ def test_closed_form_matches_projected_grid():
 def test_no_feasible_point_beats_the_solution():
     """Convexity certificate: random feasible perturbations never win."""
     rng = np.random.default_rng(SEED + 4)
-    for q in random_instances(rng, 100):
-        nu = np.asarray(solve_cbf_qp(q))
-        obj = float(((nu - np.asarray(q.nu_d)) ** 2).sum())
-        deltas = rng.normal(0.0, 1.0, (300, len(nu)))
-        deltas *= (rng.uniform(1e-4, 1e-1, 300) /
-                   np.linalg.norm(deltas, axis=1))[:, None]
-        pts = nu[None, :] + deltas
-        feas = q.psi0 + pts @ np.asarray(q.psi1) >= 0.0
-        objs = ((pts - np.asarray(q.nu_d)) ** 2).sum(axis=1)
+    for nu_d, psi0, psi1 in random_instances(rng, 100):
+        nu = project_halfspace(nu_d, psi0, psi1)
+        obj = (nu - nu_d) ** 2
+        deltas = rng.normal(0.0, 1.0, 300)
+        deltas *= rng.uniform(1e-4, 1e-1, 300) / np.abs(deltas)
+        pts = nu + deltas
+        feas = psi0 + pts * psi1 >= 0.0
+        objs = (pts - nu_d) ** 2
         assert not np.any(feas & (objs < obj - 1e-9))
 
 
@@ -226,18 +215,18 @@ def test_no_feasible_point_beats_the_solution():
 
 def test_zero_row_with_violation_raises():
     with pytest.raises(Infeasible) as info:
-        solve_cbf_qp(QpInstance((1.0,), -1.0, (0.0,)))
+        project_halfspace(1.0, -1.0, 0.0)
     assert info.value.psi0 == -1.0
     assert info.value.psi1 == [0.0]
 
 
 def test_tiny_row_below_threshold_raises():
     with pytest.raises(Infeasible):
-        solve_cbf_qp(QpInstance((0.0,), -1.0, (EPS_PSI / 2,)))
+        project_halfspace(0.0, -1.0, EPS_PSI / 2)
 
 
 def test_zero_row_with_slack_is_fine():
-    assert solve_cbf_qp(QpInstance((3.0,), 0.5, (0.0,))) == [3.0]
+    assert project_halfspace(3.0, 0.5, 0.0) == 3.0
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -387,9 +376,9 @@ def test_project_halfspace_1d_properties(nu_d, psi0, psi1):
     margin = psi0 + psi1 * nu_d
     if margin < 0.0 and psi1 * psi1 <= EPS_PSI * EPS_PSI:
         with pytest.raises(Infeasible):
-            project_halfspace([nu_d], psi0, [psi1])
+            project_halfspace(nu_d, psi0, psi1)
         return
-    (got,) = project_halfspace([nu_d], psi0, [psi1])
+    got = project_halfspace(nu_d, psi0, psi1)
     if margin >= 0.0:
         assert got == nu_d
     else:

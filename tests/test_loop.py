@@ -111,7 +111,7 @@ def sample_state(model, rng):
     set), tracking errors mostly inside the funnel."""
     spec = model.spec
     t = rng.uniform(0.0, spec.horizon)
-    lo, hi = spec.check_box[0]
+    lo, hi = spec.check_box
     x = 0.0 if rng.random() < 0.15 else rng.uniform(lo, hi)
     mu = [rng.uniform(-2.0, 2.0)] + [rng.uniform(-20.0, 20.0)
                                      for _ in range(model.m - 1)]
@@ -146,7 +146,7 @@ def test_stage_and_point_match_reference(name):
         assert outcome(model, lambda: loop.stage(state, t)) == \
             outcome(model, lambda: model.deriv(state, t)), (state, t)
         for stack in switched:
-            tau = stack.h_value([state[0]]) / stack.proxy.xi
+            tau = stack.h_value(state[0]) / stack.proxy.xi
             seen["saturated" if tau >= CHI_SATURATE else "unsaturated"] += 1
         if not isinstance(want[0], str):
             nu_d, nu = model.safe_input(state[0], state[model.i_mu:

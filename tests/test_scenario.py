@@ -21,6 +21,7 @@ test exercises exactly one defect.
 import math
 import os
 import re
+import sys
 
 import pytest
 import yaml
@@ -58,7 +59,7 @@ def test_ship_fields():
     assert spec.proxies[0].xi == pytest.approx(math.pi ** 2 / 81, abs=1e-15)
     assert spec.rho.value(0.0) == 0.02 and spec.rho.value(100.0) == 0.02
     assert spec.plant.known == (False,)
-    assert spec.check_box == ((-0.35, 0.35),)
+    assert spec.check_box == (-0.35, 0.35)
     kind, block = spec.controller_block()
     assert kind == "nussbaum"
     assert block["zeta0"] == 8.8
@@ -73,7 +74,7 @@ def test_electromech_fields():
     assert [p.xi for p in spec.proxies] == [0.4, 0.4]
     assert spec.rho.value(0.0) == pytest.approx(0.85)
     assert spec.rho.rho_inf == 0.05
-    assert spec.initial_x == (-0.08,)
+    assert spec.initial_x == -0.08
     assert spec.initial_z == (0.0, 0.0)
     # both tracking controllers are configured on this scenario
     assert set(spec.controllers) >= {"dob_backstepping", "ppc"}
@@ -162,7 +163,7 @@ def test_plain_mode_needs_no_check_box():
     plain = MINIMAL.replace("betas: [1]}", "betas: [1], mode: plain}")
     spec = loads_scenario(plain.replace("check_box: [[-1, 1]]\n", ""))
     assert spec.to_mapping()["check_box"] is None
-    assert spec.check_box == ()
+    assert spec.check_box is None
 
 
 def test_defaults_keep_the_written_types():
@@ -278,11 +279,28 @@ def test_missing_top_level_key(key):
     (lambda m: m.update(controllers=["nussbaum"]),
      "controllers: expected a mapping"),
     (lambda m: m["plant"].update(n="abc"), "plant.n: expected"),
+    (lambda m: m["plant"].update(bounds=[0.1, 0.2]),
+     "plant.bounds: need one per level or none"),
+    (lambda m: m["plant"].update(bounds=["a"]), "plant.bounds"),
     (lambda m: m["controllers"]["nussbaum"].update(initial=[8.8]),
      "controllers.nussbaum.initial: expected a mapping"),
 ])
 def test_ship_defects_rejected(mutate, fragment):
     with pytest.raises(ScenarioError, match=fragment):
+        loads_scenario(broken("ship", mutate))
+
+
+@pytest.mark.parametrize("key", ["h", "xi"])
+def test_too_deeply_nested_expression_is_named(key):
+    # a left-associated sum parses one tree level deeper per term, and
+    # these terms outnumber the interpreter's recursion limit
+    term = {"h": " + 0.0001*sin(x)", "xi": " + 0.0"}[key]
+
+    def mutate(m):
+        m["proxy"][0][key] = str(m["proxy"][0][key]) + \
+            term * sys.getrecursionlimit()
+    with pytest.raises(ScenarioError, match=rf"^proxy\[0\]\.{key}: "
+                                            "expression nests too deeply$"):
         loads_scenario(broken("ship", mutate))
 
 
