@@ -31,7 +31,7 @@ import time
 
 from . import scenario as scenario_mod
 from . import sim as sim_mod
-from .plots import PlotError, plot_trace
+from .plots import PlotError, plot_trace, plotted_columns
 from .scenario import ScenarioError
 from .sim import CheckFailed
 
@@ -47,6 +47,9 @@ EXIT_ABORTED = 4
 
 _VERDICT_CODE = {"SAFE": EXIT_OK, "UNSAFE": EXIT_UNSAFE,
                  "ABORTED": EXIT_ABORTED}
+
+# what a RecursionError in the barrier or controller build means
+_TOO_DEEP = "a scenario expression nests too deeply to build"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -199,6 +202,9 @@ def _batch_worker(path, controller, dt, horizon, force, seed, out_dir):
     except (ScenarioError, ValueError, OSError) as exc:
         return {"scenario": path, "verdict": "ERROR",
                 "reason": str(exc)}, EXIT_USAGE
+    except RecursionError:
+        return {"scenario": path, "verdict": "ERROR",
+                "reason": _TOO_DEEP}, EXIT_USAGE
 
 
 def _run_batch(args) -> int:
@@ -234,7 +240,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    trace = sim_mod.SimTrace.from_csv(args.trace)
+    trace = sim_mod.SimTrace.from_csv(args.trace, columns=plotted_columns)
     spec = _load_spec(args.scenario) if args.scenario else None
     base = args.out
     if base is None:
@@ -275,8 +281,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
-        print("error: a scenario expression nests too deeply to build",
-              file=sys.stderr)
+        print(f"error: {_TOO_DEEP}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -23,15 +23,19 @@ node keeps its derivative by the variables it does not mention.
 Simplification applies a fixed rewrite list to a fixpoint and marks the
 nodes it leaves in normal form; it is deliberately not a canonicalizer.
 For inner loops, ``compile_exprs`` turns a batch of trees into one
-generated Python function with common subexpressions evaluated once;
-``Emitter``, the code generator behind it, also writes larger generated
-functions that mix expressions with statements of their own.
+generated Python function with common subexpressions evaluated once:
+a shared subexpression is bound to a local once, and one read only once
+is written inline where it is read.  ``Emitter``, the code generator
+behind it, also writes larger generated functions that mix expressions
+with statements of their own.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 __all__ = [
@@ -899,12 +903,24 @@ class Emitter:
     A temporary exists only on the paths that ran its assignment, so the
     body of an ``if`` is emitted through ``branch()``: a scope that reuses
     every temporary bound before it and keeps the ones it binds to itself.
+
+    ``lines`` keeps one assignment per temporary.  ``function`` compiles
+    them with a shared subexpression bound once and a single-use one
+    written inline in the statement that reads it, in parentheses where
+    Python's precedence needs them; the float operations and the order
+    Python evaluates them in stay the same.  A statement of the caller's
+    own that reads a temporary therefore reads it unconditionally (no
+    ``and``, ``or`` or conditional expression around it), after nothing
+    of its own that can raise.
     """
 
     def __init__(self, names: Mapping[str, str], indent: str = "    "):
         self.names = dict(names)        # variable name -> Python name
         self.indent = indent
         self.lines: list[str] = []
+        # line -> (indent, temporary, shape, atoms read) of each
+        # assignment `_emit` wrote, the shape as `_form` gives it
+        self._assignments: dict[str, tuple] = {}
         self._count = [0]
         self._by_structure: dict[tuple, str] = {}
         self._by_id: dict[int, str] = {}
@@ -920,8 +936,8 @@ class Emitter:
 
     def branch(self) -> "Emitter":
         child = Emitter(self.names, self.indent + "    ")
-        child.lines, child._count, child._roots = \
-            self.lines, self._count, self._roots
+        child.lines, child._assignments, child._count, child._roots = \
+            self.lines, self._assignments, self._count, self._roots
         child._by_structure = dict(self._by_structure)
         child._by_id = dict(self._by_id)
         return child
@@ -941,25 +957,30 @@ class Emitter:
             if atom is None:
                 raise UnboundVariableError(node.name)
         else:
-            kids = tuple(self._emit(k) for k in node.children())
+            kids = tuple([self._emit(k) for k in node.children()])
             key = (type(node).__name__, node._payload(), kids)
             atom = self._by_structure.get(key)
             if atom is None:
                 atom = f"_t{self._count[0]}"
                 self._count[0] += 1
-                self.line(f"{atom} = {_render(node, kids)}")
+                shape, reads = _form(node, kids)
+                line = f"{self.indent}{atom} = {shape[0] % reads}"
+                self.lines.append(line)
+                self._assignments[line] = (self.indent, atom, shape, reads)
                 self._by_structure[key] = atom
         self._by_id[id(node)] = atom
         return atom
 
     def function(self, name: str, params: str,
                  namespace: Mapping | None = None) -> Callable:
-        """Define ``def name(params):`` with the emitted lines as its body.
+        """Define ``def name(params):`` with the emitted lines as its body,
+        each single-use temporary written inline (see ``_inline``).
 
         The body sees the math functions the rendered expressions call,
         plus ``namespace``, and no builtins.
         """
-        src = "\n".join([f"def {name}({params}):", *self.lines])
+        body = _inline(self.lines, self._assignments)
+        src = "\n".join([f"def {name}({params}):", *body])
         ns = {
             "_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
             "_log": math.log, "_sqrt": math.sqrt, "_pow": math.pow,
@@ -970,6 +991,95 @@ class Emitter:
         fn = ns[name]
         fn._source = src
         return fn
+
+
+_TEMP_RE = re.compile(r"(_t(?<!\w_t)\d+)(?!\w)")
+# inlined subexpressions nest at most this deep in one statement: CPython
+# refuses source nested more than 200 parentheses deep, and its compiler
+# recurses once per level of an expression
+_INLINE_DEPTH = 32
+
+
+def _inline(lines: list, assignments: dict) -> list:
+    """``lines`` with each temporary that is read exactly once written
+    inline in the statement that reads it.
+
+    Evaluation order is kept.  Single-use temporaries wait in the order
+    they were defined, and a statement takes in the most recent ones only
+    when its text reads them in that same order.  Everything still
+    waiting is written out before a statement that does not wait itself,
+    before one that reads waiting temporaries in another order, and at a
+    change of indentation (a branch scope).  A statement that would nest
+    inlined subexpressions more than ``_INLINE_DEPTH`` deep is written
+    out too.
+
+    An assignment ``_emit`` wrote is written again from its ``_form``,
+    with an inlined value in parentheses only where the precedence of its
+    place needs them, so the syntax tree is the one of the fully
+    parenthesized text.  A statement of the caller's own is scanned for
+    temporaries and takes each one in parentheses.
+    """
+    made = [assignments.get(line) for line in lines]
+    reads_of = [m[3] if m else _TEMP_RE.findall(line)
+                for line, m in zip(lines, made)]
+    uses = Counter(chain.from_iterable(reads_of))
+    out: list[str] = []
+    stack: list[str] = []       # the waiting temporaries, oldest first
+    waiting: dict = {}          # name -> (text, precedence, depth)
+    take = waiting.pop
+
+    def write_out():
+        out.extend([f"{indent}{name} = {waiting[name][0]}"
+                    for name in stack])
+        stack.clear()
+        waiting.clear()
+
+    indent = None
+    for line, m, reads in zip(lines, made, reads_of):
+        here = m[0] if m else line[:len(line) - len(line.lstrip())]
+        if here != indent:
+            if stack:
+                write_out()
+            indent = here
+        depth = 0
+        atoms = reads
+        if waiting and not waiting.keys().isdisjoint(reads):
+            taken = [a for a in reads if a in waiting]
+            k = len(stack) - len(taken)
+            if taken == stack[k:]:
+                del stack[k:]
+                if m:
+                    atoms = []
+                    for a, least in zip(reads, m[2][2]):
+                        entry = take(a, None)
+                        if entry is None:
+                            atoms.append(a)
+                            continue
+                        text, prec, d = entry
+                        atoms.append(text if prec >= least else f"({text})")
+                        if d > depth:
+                            depth = d
+                    atoms = tuple(atoms)
+                else:
+                    parts = _TEMP_RE.split(line)
+                    parts[1::2] = [f"({take(a)[0]})" if a in waiting else a
+                                   for a in reads]
+                    line = "".join(parts)
+            else:
+                write_out()
+        if m:
+            name, (form, prec, _) = m[1], m[2]
+            if uses[name] == 1 and depth < _INLINE_DEPTH:
+                stack.append(name)
+                waiting[name] = (form % atoms, prec, depth + 1)
+                continue
+            if atoms is not reads:
+                line = f"{here}{name} = {form % atoms}"
+        if stack:
+            write_out()
+        out.append(line)
+    write_out()
+    return out
 
 
 def _compile(exprs: Sequence[Expr], params: Sequence[str], scalar: bool) -> Callable:
@@ -991,20 +1101,36 @@ def _compile(exprs: Sequence[Expr], params: Sequence[str], scalar: bool) -> Call
     return em.function("_compiled", ", ".join(params))
 
 
-def _render(node: Expr, kids: tuple) -> str:
-    if isinstance(node, Neg):
-        return f"-{kids[0]}"
+# Python's precedence levels of the forms below, loosest first.  Each
+# shape is (%-format, precedence of what it writes, least precedence each
+# of its places takes without parentheses).
+_SUM, _TERM, _FACTOR, _POWER, _ATOM = range(5)
+_SHAPES = {
+    Neg: ("-%s", _FACTOR, (_FACTOR,)),
+    Add: ("%s + %s", _SUM, (_SUM, _TERM)),
+    Sub: ("%s - %s", _SUM, (_SUM, _TERM)),
+    Mul: ("%s * %s", _TERM, (_TERM, _FACTOR)),
+    Div: ("%s / %s", _TERM, (_TERM, _FACTOR)),
+}
+_CALL_SHAPES = {fn: (f"_{fn}(%s)", _ATOM, (_SUM,)) for fn in FUNCTIONS}
+_POW_SHAPE = ("_pow(%s, %s)", _ATOM, (_SUM, _SUM))
+
+
+def _form(node: Expr, kids: tuple) -> tuple:
+    """The right-hand side of a temporary's assignment: its shape and the
+    atoms it reads, in order (a square reads its base twice)."""
     if isinstance(node, Call):
-        return f"_{node.fn}({kids[0]})"
+        return _CALL_SHAPES[node.fn], kids
     if isinstance(node, Pow):
         expo = node.b
-        if isinstance(expo, Const) and expo.value == int(expo.value) and abs(expo.value) <= 64:
+        if isinstance(expo, Const) and expo.value == int(expo.value) \
+                and abs(expo.value) <= 64:
             n = int(expo.value)
             if n == 2:
-                return f"{kids[0]} * {kids[0]}"
-            return f"{kids[0]} ** {n}"
-        return f"_pow({kids[0]}, {kids[1]})"
-    return f"{kids[0]} {node.op} {kids[1]}"
+                return _SHAPES[Mul], (kids[0], kids[0])
+            return (f"%s ** {n}", _POWER, (_ATOM,)), kids[:1]
+        return _POW_SHAPE, kids
+    return _SHAPES[type(node)], kids
 
 
 def compile_exprs(exprs: Sequence[Expr], params: Sequence[str]) -> Callable[..., tuple]:

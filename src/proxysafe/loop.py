@@ -9,9 +9,11 @@ scenario and controller as straight-line code.  The symbolic pieces (h,
 the chi derivatives of h/xi behind one saturation branch, psi0/psi1,
 b_0..b_m, the nominal and observer-backstepping laws, plant f/g/d, phi,
 x_d) go through `expr.Emitter`, so a subexpression they share is
-computed once.  The projection, the funnel, Nussbaum and observer laws
-and their breach checks are inline statements, in the order the
-composition runs them; only the two-barrier fallback stays a call.
+computed once and bound to a local, while one read once is written
+inline where it is read.  The projection, the funnel, Nussbaum and
+observer laws and their breach checks are inline statements, in the
+order the composition runs them; only the two-barrier fallback stays a
+call.
 Every float comes from the same operations in the same order, so the
 two paths agree bit for bit.
 

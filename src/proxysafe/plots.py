@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from .expr import compile_expr
 
-__all__ = ["PlotError", "Series", "render_panel", "plot_trace"]
+__all__ = ["PlotError", "Series", "render_panel", "plot_trace",
+           "plotted_columns"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 DASH = "7 5"
@@ -171,6 +172,20 @@ def render_panel(path, title: str, xlabel: str, ylabel: str, series) -> str:
     return str(path)
 
 
+def _barrier_columns(columns) -> list:
+    """h1, h2, ... for as long as `columns` has them."""
+    names = []
+    while f"h{len(names) + 1}" in columns:
+        names.append(f"h{len(names) + 1}")
+    return names
+
+
+def plotted_columns(columns) -> list:
+    """The names among a trace's `columns` that `plot_trace` reads."""
+    wanted = {"t", "x", "x_d", "e", "rho", "u", *_barrier_columns(columns)}
+    return [name for name in columns if name in wanted]
+
+
 def _column(trace, name):
     try:
         return trace.column(name)
@@ -259,11 +274,8 @@ def plot_trace(trace, out_base, spec=None) -> list:
 
     inputs = [Series("u", ts, _column(trace, "u"))]
 
-    barriers = []
-    k = 1
-    while f"h{k}" in trace.columns:
-        barriers.append(Series(f"h{k}", ts, _column(trace, f"h{k}")))
-        k += 1
+    barriers = [Series(name, ts, _column(trace, name))
+                for name in _barrier_columns(trace.columns)]
     barriers.append(Series("boundary", [ts[0], ts[-1]], [0.0, 0.0],
                            dashed=True, color="#d62728"))
 

@@ -186,23 +186,36 @@ class SimTrace:
             _write_rows(fh, line, self.rows)
 
     @classmethod
-    def from_csv(cls, path, scenario: str = "", controller: str = ""):
+    def from_csv(cls, path, scenario: str = "", controller: str = "",
+                 columns=None):
+        """Read a trace CSV; every line must have a field per column.
+
+        `columns`, when given, maps the file's column names to the ones
+        to parse: only those fields become floats, and the others read
+        as None.  `columns` of the trace is always the whole header.
+        """
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if not header:
                 raise ValueError(f"{path}: empty trace file")
-            columns = header.split(",")
+            names = header.split(",")
+            width = len(names)
+            parsed = set(names if columns is None else columns(names))
+            keep = [i for i, name in enumerate(names) if name in parsed]
             rows = []
             for line_no, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line:
                     continue
                 parts = line.split(",")
-                if len(parts) != len(columns):
+                if len(parts) != width:
                     raise ValueError(f"{path}:{line_no}: expected "
-                                     f"{len(columns)} fields, got {len(parts)}")
-                rows.append([float(v) for v in parts])
-        return cls(scenario=scenario, controller=controller, columns=columns,
+                                     f"{width} fields, got {len(parts)}")
+                row = [None] * width
+                for i in keep:
+                    row[i] = float(parts[i])
+                rows.append(row)
+        return cls(scenario=scenario, controller=controller, columns=names,
                    rows=rows, verdict="LOADED")
 
 

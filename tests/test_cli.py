@@ -5,8 +5,10 @@ Coverage:
   2. `check`: pass/fail output, margins, JSON mode, exit codes
   3. `run`: summary block, trace file, overrides, default naming,
      forced runs, aborted runs, output errors, exit codes
-  4. `plot`: panel files, errors for bad inputs
-  5. `--batch`: concurrent directory runs with isolated outputs
+  4. `plot`: panel files, only the plotted columns parsed, errors for
+     bad inputs
+  5. `--batch`: concurrent directory runs with isolated outputs, a
+     broken or too deeply nested file reported in its own entry
   6. usage errors exit with code 1; importing the CLI leaves the
      process pool of `--batch` out
   7. `check` output pinned byte for byte: ship, electromech and the m=4
@@ -26,7 +28,12 @@ from proxysafe import cli as cli_mod
 from proxysafe import scenario as scenario_mod
 from proxysafe.cli import (EXIT_ABORTED, EXIT_CHECK, EXIT_OK, EXIT_UNSAFE,
                            EXIT_USAGE, main)
+from proxysafe.plots import plot_trace
+from proxysafe.sim import SimTrace
 from test_symbolic_build import chain_scenario
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def _write_variant(path, name, mutate):
@@ -283,6 +290,49 @@ def test_plot_defaults_to_trace_stem(ship_csv, capsys):
         assert os.path.exists(f"{base}_{suffix}.svg")
 
 
+def test_plot_parses_only_the_plotted_columns(ship_csv, tmp_path, capsys,
+                                              monkeypatch):
+    # the panels are those of the fully parsed trace, byte for byte
+    want = tmp_path / "full"
+    plot_trace(SimTrace.from_csv(ship_csv), want,
+               spec=scenario_mod.load_builtin("ship"))
+    parsed = []
+    from_csv = SimTrace.from_csv.__func__
+
+    def recording(cls, path, *args, **kwargs):
+        trace = from_csv(cls, path, *args, **kwargs)
+        parsed.append(trace)
+        return trace
+
+    monkeypatch.setattr(SimTrace, "from_csv", classmethod(recording))
+    assert main(["plot", ship_csv, "--scenario", "ship",
+                 "--out", str(tmp_path / "part")]) == EXIT_OK
+    capsys.readouterr()
+    for suffix in ("state", "funnel", "input", "barrier"):
+        assert (tmp_path / f"part_{suffix}.svg").read_bytes() == \
+            (tmp_path / f"full_{suffix}.svg").read_bytes()
+    (trace,) = parsed
+    kept = {c for c, v in zip(trace.columns, trace.rows[0]) if v is not None}
+    assert kept == {"t", "x", "x_d", "e", "rho", "u", "h1"}
+
+
+def test_plot_missing_column_lists_the_header(ship_csv, tmp_path, capsys):
+    with open(ship_csv) as fh:
+        lines = fh.read().splitlines()
+    header = lines[0].split(",")
+    drop = header.index("x_d")
+    short = tmp_path / "short.csv"
+    short.write_text("".join(
+        ",".join(f for i, f in enumerate(line.split(",")) if i != drop) + "\n"
+        for line in lines))
+    assert main(["plot", str(short), "--out", str(tmp_path / "p")]) == \
+        EXIT_USAGE
+    kept = [c for c in header if c != "x_d"]
+    assert capsys.readouterr().err == (
+        "error: trace is missing column 'x_d' (has: "
+        + ", ".join(kept) + ")\n")
+
+
 def test_plot_missing_file_is_usage_error(capsys):
     assert main(["plot", "/no/such/trace.csv"]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
@@ -347,6 +397,34 @@ def test_batch_reports_broken_files(tmp_path, capsys):
     assert doc[0]["verdict"] == "ERROR"
 
 
+def test_batch_reports_a_file_too_deep_to_build(tmp_path):
+    """ship with 480 extra terms in its barrier loads, then overflows the
+    stack in the barrier build inside the worker: that file gets its own
+    ERROR entry and the other one its summary.  The window of term counts
+    that load but fail to build is about 30 wide and moves with the stack
+    depth of the caller, so this runs the command in a fresh interpreter,
+    as a user would."""
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    _write_variant(batch / "a.yaml", "ship", lambda m: None)
+    _write_variant(
+        batch / "b.yaml", "ship",
+        lambda m: m.update(name="deep") or m["proxy"][0].update(
+            h=m["proxy"][0]["h"] + " + 0.0001*sin(x)" * 480))
+    code = ("import sys; from proxysafe.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", code, "run", "--batch", str(batch),
+         "--horizon", "1", "--out", str(tmp_path / "results")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == EXIT_USAGE, done.stderr[-2000:]
+    doc = json.loads(done.stdout)
+    assert [item["verdict"] for item in doc] == ["SAFE", "ERROR"]
+    assert doc[1]["reason"] == \
+        "a scenario expression nests too deeply to build"
+
+
 def test_batch_empty_directory_is_usage_error(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -381,10 +459,8 @@ def test_import_leaves_the_process_pool_out():
     # only --batch needs concurrent.futures.process
     code = ("import sys, proxysafe.cli; "
             "print('concurrent.futures.process' in sys.modules)")
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC),
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"

@@ -15,16 +15,24 @@ Covers, in order:
     finite real domain; on shared DAGs, work linear in the distinct
     nodes, and none at all on an already simplified tree.  Structural
     equality of shared DAGs, likewise linear.
- 5. Compilation: generated functions agree with the tree walker and
-    deduplicate common subexpressions.
+ 5. Compilation: generated functions agree with the tree walker bit for
+    bit and raise exactly where it raises, and deduplicate common
+    subexpressions; a property over generated function bodies (shared
+    subtrees, statements of their own, branches, failing points) holds
+    the function with single-use temporaries written inline to its
+    straight lines: the same floats or the same first exception, and
+    the same syntax tree once those temporaries are substituted; a
+    single-use chain 1000 deep compiles.
  6. Printing: `str` against a recursive reference layout, and the
     clipped text of `repr` and `DomainError`, which renders only the
     clipped prefix, so that it stays cheap on a shared DAG whose full
     text is astronomically long.
 """
 
+import ast
 import math
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -35,8 +43,8 @@ from hypothesis import strategies as st
 
 from proxysafe import expr as E
 from proxysafe.expr import (
-    Add, Call, Const, Div, DomainError, Mul, Neg, ParseError, Pow, Sub,
-    UnboundVariableError, Var,
+    Add, Call, Const, Div, DomainError, Emitter, Mul, Neg, ParseError, Pow,
+    Sub, UnboundVariableError, Var,
 )
 
 SEED = 20260822
@@ -665,19 +673,26 @@ def test_equality_compares_shared_dags_once(monkeypatch):
 # ═══════════════════════════════════════════════════════════════════════════
 
 def test_compile_matches_evaluate():
+    """Bit for bit, and the compiled function raises exactly where the
+    tree walker does."""
     rng = random.Random(SEED + 5)
     names = ["x", "y", "t"]
-    checked = 0
-    while checked < 200:
-        e = random_expr(rng, names, 4)
+    seen = {"value": 0, "raised": 0}
+    for _ in range(5000):
+        e = random_expr(rng, names, 5)
         f = E.compile_expr(e, names)
         p = random_point(rng, names)
-        v = try_eval(e, p)
-        if v is None or abs(v) > 1e8:
-            continue
-        w = f(p["x"], p["y"], p["t"])
-        assert abs(w - v) <= 1e-12 * (1.0 + abs(v)), f"compiled {e} differs"
-        checked += 1
+        try:
+            want = E.evaluate(e, p).hex()
+        except E.EvalError:
+            want = "raised"
+        try:
+            got = f(p["x"], p["y"], p["t"]).hex()
+        except (ArithmeticError, ValueError):
+            got = "raised"
+        assert got == want, f"compiled {e} at {p}"
+        seen["value" if want != "raised" else "raised"] += 1
+    assert min(seen.values()) > 500, seen
 
 
 def test_compile_many_returns_tuple_in_order():
@@ -707,6 +722,211 @@ def test_compile_domain_errors_are_raw():
     f = E.compile_expr(E.parse("1/x"), ["x"])
     with pytest.raises(ZeroDivisionError):
         f(0.0)
+
+
+# -- generated functions: single-use temporaries written inline -------------
+
+_NS = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
+       "_log": math.log, "_sqrt": math.sqrt, "_pow": math.pow,
+       "__builtins__": {}}
+_TEMP_NAME = re.compile(r"_t\d+")
+
+
+@st.composite
+def oracle_trees(draw):
+    """A random tree of up to 16 nodes, none shared: every interior node
+    is read once, so whole trees are written inline."""
+    def tree(size):
+        if size <= 1:
+            return draw(_oracle_leaf)
+        kind = draw(st.sampled_from(_UNARY_KINDS + _BINARY_KINDS))
+        if kind is Neg:
+            return Neg(tree(size - 1))
+        if kind in E.FUNCTIONS:
+            return Call(kind, tree(size - 1))
+        left = draw(st.integers(1, size - 2)) if size > 2 else 1
+        return kind(tree(left), tree(max(1, size - 1 - left)))
+
+    return tree(draw(st.integers(1, 16)))
+
+
+# expressions that raise different errors at different points
+_RAISING = ("log(x)", "1 / y", "sqrt(t)", "log(y - x)", "x / t",
+            "exp(t * 800)")
+
+
+@st.composite
+def emitter_programs(draw):
+    """An Emitter holding a function body over x, y, t: expressions with
+    and without shared subtrees, and with domain errors, interleaved with
+    statements of the caller's own that read the atoms once, twice or
+    never, in emission order or not, that can raise, and `if` bodies
+    written through `branch()`, whose atoms may leak out of the branch
+    (reading one there fails on the path that skipped the branch)."""
+    em = Emitter({n: n for n in ORACLE_NAMES})
+    count = [0]
+
+    def block(em, pool, depth):
+        mine = []                       # caller variables of this scope
+        for _ in range(draw(st.integers(1, 6))):
+            kind = draw(st.sampled_from(("emit", "emit", "use", "pair",
+                                         "raise", "branch")))
+            if kind == "emit":
+                pool.append(em.emit(draw(st.one_of(oracle_dags(),
+                                                   oracle_trees()))))
+                continue
+            v = f"_v{count[0]}"
+            count[0] += 1
+            if kind == "use" and pool:
+                a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+                op = draw(st.sampled_from(("+", "*", "/")))
+                em.line(f"{v} = {a} {op} {b}")
+            elif kind == "pair":
+                # two atoms that raise differently, read in emission order
+                # or reversed
+                pair = draw(st.lists(st.sampled_from(_RAISING), min_size=2,
+                                     max_size=2, unique=True))
+                a, b = (em.emit(E.parse(text)) for text in pair)
+                if draw(st.booleans()):
+                    a, b = b, a
+                em.line(f"{v} = {a} - {b}")
+            elif kind == "branch" and depth < 2:
+                # the branch is the if or the else body, and may end on
+                # an emitted atom that only code after it reads
+                first = draw(st.booleans())
+                em.line("if y > 0.0:")
+                if not first:
+                    em.line(f"    {v} = 0.0")
+                    em.line("else:")
+                inner = em.branch()
+                before = len(em.lines)
+                block(inner, pool if draw(st.booleans()) else list(pool),
+                      depth + 1)
+                if len(em.lines) == before or draw(st.booleans()):
+                    inner.line(f"{v} = 1.0")
+                if first:
+                    em.line("else:")
+                    em.line(f"    {v} = 0.0")
+            else:
+                em.line(f"{v} = 1.0 / y")
+            pool.append(v)
+            mine.append(v)
+        return mine
+
+    pool = []
+    mine = block(em, pool, 0)
+    returned = mine + draw(st.lists(st.sampled_from(pool), max_size=3)
+                           if pool else st.just([]))
+    em.line("return [" + ", ".join(returned) + "]")
+    return em
+
+
+_point_value = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -2.5)),
+    st.floats(-4.0, 4.0, allow_nan=False))
+
+
+def outcome(fn, point):
+    """Bit patterns of the returned floats, or the exception raised."""
+    try:
+        return [v.hex() for v in fn(*point)]
+    except (ArithmeticError, ValueError, NameError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def straight_line(em):
+    """The emitted lines, one assignment per temporary, as a function."""
+    ns = dict(_NS)
+    exec("def _f(x, y, t):\n" + "\n".join(em.lines), ns)
+    return ns["_f"]
+
+
+def inlined_by_hand(source, kept):
+    """The syntax tree of `source` with each temporary not in `kept`
+    substituted at the one place that reads it, its assignment dropped."""
+    defs = {}
+
+    class Inline(ast.NodeTransformer):
+        def visit_Name(self, node):
+            return defs.pop(node.id, node)
+
+        def visit_Assign(self, node):
+            self.generic_visit(node)
+            (target,) = node.targets
+            if isinstance(target, ast.Name) and \
+                    _TEMP_NAME.fullmatch(target.id) and target.id not in kept:
+                defs[target.id] = node.value
+                return None
+            return node
+
+    tree = Inline().visit(ast.parse(source))
+    assert not defs, defs
+    return tree
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(emitter_programs(), st.lists(st.tuples(_point_value, _point_value,
+                                              _point_value),
+                                    min_size=4, max_size=4))
+def test_inlined_function_matches_its_lines(em, points):
+    """`Emitter.function` writes single-use temporaries inline.  At every
+    point it returns the floats the straight-line lines return, or raises
+    the exception they raise first, with the same message; and its syntax
+    tree is theirs with exactly the temporaries it no longer assigns
+    substituted where they were read."""
+    fn = em.function("_f", "x, y, t")
+    raw = straight_line(em)
+    for point in points:
+        assert outcome(fn, point) == outcome(raw, point), point
+    kept = set(re.findall(r"^\s*(_t\d+) = ", fn._source, re.M))
+    want = inlined_by_hand("def _f(x, y, t):\n" + "\n".join(em.lines), kept)
+    assert ast.dump(ast.parse(fn._source)) == ast.dump(want)
+
+
+def test_inlining_writes_a_shared_subexpression_once():
+    em = Emitter({"x": "x"})
+    shared = em.emit(E.parse("sin(x) + 1"))
+    em.line(f"return [{em.emit(E.parse('exp(x) * 2'))}, {shared}, {shared}]")
+    src = em.function("_f", "x")._source
+    assert src.splitlines()[1:] == [
+        f"    {shared} = _sin(x) + 1.0",
+        f"    return [(_exp(x) * 2.0), {shared}, {shared}]"]
+
+
+def test_a_branch_writes_out_what_still_waits_at_its_end():
+    # the else body ends on an emitted atom that only the return after
+    # the branch reads: it stays in the body, as in the straight lines
+    em = Emitter({"x": "x", "y": "y", "t": "t"})
+    em.line("if y > 0.0:")
+    em.line("    _v = 0.0")
+    em.line("else:")
+    inner = em.branch()
+    a = inner.emit(E.parse("log(x) + 1"))
+    b = em.emit(E.parse("sin(y) * 2"))
+    em.line(f"return [{a}, {b}]")
+    fn, raw = em.function("_f", "x, y, t"), straight_line(em)
+    assert fn._source.splitlines()[3:5] == ["    else:",
+                                            f"        {a} = _log(x) + 1.0"]
+    for point in [(1.5, -1.0, 0.0), (1.5, 1.0, 0.0)]:
+        assert outcome(fn, point) == outcome(raw, point)
+    assert outcome(fn, (1.5, 1.0, 0.0)).startswith("UnboundLocalError")
+
+
+def test_single_use_chain_a_thousand_deep():
+    """Every level is read once, so all of them are inlined, in statements
+    nested at most _INLINE_DEPTH deep: CPython refuses deeper source."""
+    e = Var("x")
+    for i in range(1000):
+        e = Call("sin", e) if i % 2 else Sub(Var("y"), e)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)   # the emitter and evaluate recurse per level
+    try:
+        f = E.compile_expr(e, ["x", "y"])
+        want = E.evaluate(e, {"x": 0.3, "y": 0.7})
+    finally:
+        sys.setrecursionlimit(limit)
+    assert f(0.3, 0.7).hex() == want.hex()
+    assert len(f._source.splitlines()) <= 2 + 1000 // E._INLINE_DEPTH
 
 
 # ═══════════════════════════════════════════════════════════════════════════

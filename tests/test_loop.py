@@ -12,7 +12,8 @@ computes call by call.  Covers, in order:
    logs them;
 3. the two-barrier pair fallback: the same calls and the same count;
    a derivative that fails alone at a grid point, which keeps the row
-   and names the failing scenario expression;
+   and names the failing scenario expression; the number of locals the
+   generated functions bind;
 4. whole runs of `simulate` against the loop that drove the reference
    composition, hold mode and aborts included;
 5. the run-start check, which must raise on any mismatch.
@@ -174,6 +175,15 @@ def test_held_outputs_match_reference(name):
             outcome(model, lambda: model.deriv(state, t, held)), (state, t)
         assert outcome(model, lambda: loop.point(state, t, outputs(held))) \
             == outcome(model, lambda: reference_point(model, state, t, held))
+
+
+def test_generated_functions_bind_few_locals():
+    # a subexpression read once is written inline, not bound to a local:
+    # electromech's observer-backstepping stage had 455 locals and its
+    # grid point 460 while every subexpression was bound
+    loop = ClosedLoop(RuntimeModel(load_builtin("electromech")))
+    assert loop.stage.__code__.co_nlocals <= 200
+    assert loop.point.__code__.co_nlocals <= 200
 
 
 def test_pair_fallback_same_calls_and_count(monkeypatch):

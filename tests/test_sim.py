@@ -11,7 +11,8 @@ Covers, in order:
    stability, and the documented abort paths with partial traces;
 4. feasibility gating: failing condition reports block a run unless
    forced, and the override is recorded;
-5. CSV export and re-import, which must round-trip bit-exactly.
+5. CSV export and re-import, which must round-trip bit-exactly, and
+   an import that parses only the columns asked for.
 
 Scenario variants are built by editing the mapping of a built-in and
 reloading it, so every variant passes schema validation first.
@@ -337,6 +338,31 @@ def test_csv_rejects_malformed(tmp_path):
     ragged.write_text("t,x\n0.0,1.0\n0.1\n")
     with pytest.raises(ValueError):
         SimTrace.from_csv(ragged)
+
+
+def test_csv_parses_only_the_columns_asked_for(tmp_path):
+    tr = simulate(load_builtin("ship"), horizon=0.5)
+    path = tmp_path / "trace.csv"
+    tr.to_csv(path)
+    asked = []
+
+    def columns(header):
+        asked.append(list(header))
+        return ["x", "t"]
+
+    back = SimTrace.from_csv(path, columns=columns)
+    assert asked == [tr.columns] and back.columns == tr.columns
+    assert back.column("t") == tr.column("t")
+    assert back.column("x") == tr.column("x")
+    assert set(back.column("u")) == {None}
+
+
+def test_csv_with_columns_still_checks_every_line(tmp_path):
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("t,x,u\n0.0,1.0,2.0\n0.1,1.0\n")
+    with pytest.raises(ValueError, match=r"ragged.csv:3: expected 3 fields, "
+                                         r"got 2"):
+        SimTrace.from_csv(ragged, columns=lambda header: ["t"])
 
 
 def test_column_lookup_names_missing(tmp_path):
