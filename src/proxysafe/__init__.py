@@ -10,10 +10,10 @@ from proxysafe.barrier import (
     build_barrier_stack, chi, check_conditions, rho_budget,
 )
 from proxysafe.filter import Infeasible, project_halfspace, solve_cbf_qp_pair
-from proxysafe.dob import DobChainState, DobSpec, dob_derivative, filter_derivative
+from proxysafe.dob import DobSpec, dob_derivative, dob_outputs, filter_derivative
 from proxysafe.controllers import (
     BarrierBreach, FunnelBreach, SingularGain,
-    NominalGains, PpcGains, NussbaumGains, NussbaumState, DobBackstepGains,
+    NominalGains, PpcGains, NussbaumGains, DobBackstepGains,
     build_nominal, ppc_control, nussbaum_control,
     nussbaum_gain, build_dob_backstepping, eval_dob_backstepping,
 )

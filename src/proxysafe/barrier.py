@@ -125,15 +125,8 @@ class RhoSpec:
         if self.decay < 0.0:
             raise ValueError("decay must be nonnegative")
 
-    @property
-    def is_constant(self) -> bool:
-        return self.decay == 0.0 or self.rho0 == self.rho_inf
-
     def value(self, t: float) -> float:
         return (self.rho0 - self.rho_inf) * math.exp(-self.decay * t) + self.rho_inf
-
-    def derivative(self, t: float) -> float:
-        return -self.decay * (self.rho0 - self.rho_inf) * math.exp(-self.decay * t)
 
     def expr(self) -> Expr:
         t = Var("t")

@@ -14,8 +14,9 @@ JSON summary; `plot` renders the standard SVG panels from a trace;
 built-in name or a path to a scenario file (an existing file wins when
 both match).
 
-Exit codes: 0 success, 1 usage or input error, 2 condition check
-failed, 3 run finished UNSAFE, 4 run ABORTED.
+Exit codes: 0 success, 1 usage or input error (a condition check that
+cannot be evaluated included), 2 condition check failed, 3 run finished
+UNSAFE, 4 run ABORTED.
 """
 
 from __future__ import annotations

@@ -8,16 +8,17 @@ them through the expression engine makes every partial exact rather than
 approximated.  Evaluation then compiles the final expressions once and
 runs them per step.  Both builders assume scalar channels (one-dimensional
 proxy state and plant levels); the funnel and Nussbaum laws are plain
-numeric recursions and need no symbolic work.
+numeric recursions and need no symbolic work.  Every numeric law takes
+its states as floats and flat lists and keeps nothing between calls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from proxysafe.barrier import ProxySpec, RhoSpec
-from proxysafe.dob import DobChainState, DobSpec
+from proxysafe.dob import DobSpec
 from proxysafe.expr import (
     Const, Expr, Var, compile_expr, compile_exprs, differentiate, simplify,
 )
@@ -26,7 +27,7 @@ __all__ = [
     "BarrierBreach", "FunnelBreach", "SingularGain", "SymbolicSizeError",
     "NominalGains", "NominalController", "build_nominal",
     "PpcGains", "initialize_funnels", "ppc_control",
-    "NussbaumGains", "NussbaumState", "nussbaum_gain", "nussbaum_control",
+    "NussbaumGains", "nussbaum_gain", "nussbaum_control",
     "DobBackstepGains", "DobBackstepController", "build_dob_backstepping",
     "eval_dob_backstepping",
 ]
@@ -191,9 +192,9 @@ def build_nominal(proxy: ProxySpec, gains: NominalGains) -> NominalController:
 class PpcGains:
     """Per-level gains, intermediate funnels, and auto-init parameters.
 
-    funnels holds rho_2..rho_n; leave it empty and call
-    initialize_funnels at scenario start to size them from the initial
-    state with the given margin and floor.
+    funnels holds the constant widths rho_2..rho_n; leave it empty and
+    call initialize_funnels at scenario start to size them from the
+    initial state with the given margin and floor.
     """
 
     ks: tuple
@@ -207,10 +208,13 @@ class PpcGains:
             raise ValueError("need positive funnel gains")
         if self.margin <= 1.0 or self.floor <= 0.0:
             raise ValueError("margin must exceed 1 and floor must be positive")
-        if self.funnels and len(self.funnels) != len(ks) - 1:
+        funnels = tuple(float(v) for v in self.funnels)
+        if funnels and len(funnels) != len(ks) - 1:
             raise ValueError(f"need {len(ks) - 1} intermediate funnels")
+        if any(not v > 0.0 for v in funnels):
+            raise ValueError("funnel widths must be positive")
         object.__setattr__(self, "ks", ks)
-        object.__setattr__(self, "funnels", tuple(self.funnels))
+        object.__setattr__(self, "funnels", funnels)
 
 
 def _eta(k: float, xi: float, sign: float, level: int, t: float) -> float:
@@ -236,7 +240,7 @@ def ppc_control(gains: PpcGains, signs, z, mu1: float, rho: RhoSpec, t: float):
     xis, etas = [], []
     target = float(mu1)
     for i in range(1, n + 1):
-        width = rho.value(t) if i == 1 else gains.funnels[i - 2].value(t)
+        width = rho.value(t) if i == 1 else gains.funnels[i - 2]
         xi = (z[i - 1] - target) / width
         xis.append(xi)
         target = _eta(gains.ks[i - 1], xi, float(signs[i - 1]), i, t)
@@ -261,7 +265,7 @@ def initialize_funnels(gains: PpcGains, signs, z0, mu1_0: float,
             width = rho.value(0.0)
         else:
             width = gains.margin * abs(z0[i - 1] - target) + gains.floor
-            funnels.append(RhoSpec(width, width))
+            funnels.append(width)
         xi = (z0[i - 1] - target) / width
         target = _eta(gains.ks[i - 1], xi, float(signs[i - 1]), i, 0.0)
     return replace(gains, funnels=tuple(funnels))
@@ -282,22 +286,15 @@ class NussbaumGains:
             raise ValueError("need gamma1, k > 0 and gamma2 >= 0")
 
 
-@dataclass
-class NussbaumState:
-    """Adaptive states: sweep variable zeta and parameter estimate."""
-
-    zeta: float = 0.0
-    theta_hat: list = field(default_factory=list)
-
-
 def nussbaum_gain(zeta: float) -> float:
     """zeta^2 cos(zeta): sign-indefinite with unbounded running averages."""
     return zeta * zeta * math.cos(zeta)
 
 
-def nussbaum_control(gains: NussbaumGains, state: NussbaumState, e: float,
+def nussbaum_control(gains: NussbaumGains, zeta: float, theta_hat, e: float,
                      nu: float, rho_t: float, phi, t: float = 0.0):
-    """u and adaptive-state derivatives at one state.
+    """u and the derivatives of the sweep variable zeta and the parameter
+    estimate theta_hat (one entry per regressor in phi) at one state.
 
     The pre-gain input combines error feedback, the safety filter's
     output, and the current parameter-estimate correction; the Nussbaum
@@ -308,14 +305,14 @@ def nussbaum_control(gains: NussbaumGains, state: NussbaumState, e: float,
     if abs(e) >= rho_t:
         raise BarrierBreach(e, rho_t, t)
     phi = [float(v) for v in phi]
-    if len(phi) != len(state.theta_hat):
+    if len(phi) != len(theta_hat):
         raise ValueError("regressor and estimate lengths differ")
-    alpha = gains.k * e - nu + sum(th * p for th, p in zip(state.theta_hat, phi))
+    alpha = gains.k * e - nu + sum(th * p for th, p in zip(theta_hat, phi))
     weight = e / (rho_t * rho_t - e * e)
-    u = nussbaum_gain(state.zeta) * alpha
+    u = nussbaum_gain(zeta) * alpha
     dzeta = weight * alpha
     dtheta = [weight * p / gains.gamma1 - gains.gamma2 * th
-              for th, p in zip(state.theta_hat, phi)]
+              for th, p in zip(theta_hat, phi)]
     return u, dzeta, dtheta
 
 
@@ -487,8 +484,9 @@ def build_dob_backstepping(fs, gs, proxy: ProxySpec, dob: DobSpec,
 
 
 def eval_dob_backstepping(ctrl: DobBackstepController, x, z, mu, nu: float,
-                          dstate: DobChainState, t: float):
-    """Numeric (u, [eps_1..eps_n]) at one full closed-loop state."""
+                          d_hat, d_f, t: float):
+    """Numeric (u, [eps_1..eps_n]) at one full closed-loop state; d_f
+    holds the filter stages in the order of `filter_derivative`."""
     n = ctrl.n
     z = [float(v) for v in z]
     mu = [float(v) for v in mu]
@@ -498,7 +496,6 @@ def eval_dob_backstepping(ctrl: DobBackstepController, x, z, mu, nu: float,
     rho_t = ctrl.rho.value(t)
     if abs(e) >= rho_t:
         raise BarrierBreach(e, rho_t, t)
-    dfs = [v for row in dstate.d_f for v in row]
     out = ctrl._compiled()(float(x), *z, *mu, float(nu),
-                           *dstate.d_hat, *dfs, float(t))
+                           *d_hat, *d_f, float(t))
     return out[0], list(out[1:])

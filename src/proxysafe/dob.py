@@ -16,16 +16,17 @@ except the last) feed a cascade of first-order low-pass filters
 whose stage derivatives are exactly known; level i carries n-i stages so
 the deepest stage is (n-i)-times differentiable.
 
-The module computes right-hand sides only; integration belongs to the
-simulator, which re-derives every d_hat_i from (s_i, z_i) after each
-step so the output map holds exactly rather than drifting.
+The module computes the output map and right-hand sides only, on floats
+and flat lists; integration belongs to the simulator, which re-derives
+every d_hat_i from (s_i, z_i) where it needs one, so the output map
+holds exactly rather than drifting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["DobSpec", "DobChainState", "dob_derivative", "filter_derivative"]
+__all__ = ["DobSpec", "dob_outputs", "dob_derivative", "filter_derivative"]
 
 
 @dataclass(frozen=True)
@@ -76,60 +77,37 @@ class DobSpec:
         return self.alphas[i - 1] - self.nus[i - 1] / 2.0
 
 
-@dataclass
-class DobChainState:
-    """Mutable observer state: internal s per level, outputs, filter stages.
-
-    d_hat is derived data (s_i + alpha_i z_i), never integrated; call
-    refresh_outputs after any change to s or z.  d_f[i-1][j-1] holds the
-    j-th filter stage of level i.
-    """
-
-    s: list
-    d_hat: list
-    d_f: list
-
-    @classmethod
-    def initial(cls, spec: DobSpec, z0) -> "DobChainState":
-        z0 = [float(v) for v in z0]
-        if len(z0) != spec.n:
-            raise ValueError(f"expected {spec.n} initial plant levels")
-        s = [-a * z for a, z in zip(spec.alphas, z0)]
-        state = cls(s=s, d_hat=[0.0] * spec.n,
-                    d_f=[[0.0] * len(row) for row in spec.time_constants])
-        state.refresh_outputs(spec, z0)
-        return state
-
-    def refresh_outputs(self, spec: DobSpec, z) -> None:
-        for i, (si, a) in enumerate(zip(self.s, spec.alphas)):
-            self.d_hat[i] = si + a * float(z[i])
+def dob_outputs(spec: DobSpec, s, z) -> list:
+    """The estimates d_hat_i = s_i + alpha_i z_i from the internal states
+    s and the plant levels z."""
+    return [si + a * zi for si, a, zi in zip(s, spec.alphas, z)]
 
 
-def dob_derivative(spec: DobSpec, state: DobChainState, f_vals, g_vals,
-                   z, u: float) -> list:
+def dob_derivative(spec: DobSpec, d_hat, f_vals, g_vals, z, u: float) -> list:
     """ds_i/dt for every level, given current plant values.
 
-    f_vals and g_vals are the plant drift and gain evaluated at the
-    current state; z the level values z_1..z_n; u the control.  The
-    caller must have refreshed d_hat first.
+    d_hat holds the estimates (`dob_outputs`); f_vals and g_vals the plant
+    drift and gain at the current state; z the level values; u the control.
     """
     n = spec.n
     out = []
     for i in range(n):
-        inner = f_vals[i] + state.d_hat[i]
-        inner += g_vals[i] * (u if i == n - 1 else float(z[i + 1]))
+        inner = f_vals[i] + d_hat[i]
+        inner += g_vals[i] * (u if i == n - 1 else z[i + 1])
         out.append(-spec.alphas[i] * inner)
     return out
 
 
-def filter_derivative(spec: DobSpec, state: DobChainState) -> list:
-    """d(df_{i,j})/dt for every filter stage, same shape as state.d_f."""
+def filter_derivative(spec: DobSpec, d_hat, d_f) -> list:
+    """d(df_{i,j})/dt for every filter stage; d_f and the result list the
+    stages level by level (df_{1,1}..df_{1,n-1}, df_{2,1}, ..), as the
+    closed-loop state does."""
     out = []
-    for i, row in enumerate(state.d_f):
-        upstream = state.d_hat[i]
-        drow = []
-        for j, stage in enumerate(row):
-            drow.append(-spec.time_constants[i][j] * (stage - upstream))
+    stages = iter(d_f)
+    for i, consts in enumerate(spec.time_constants):
+        upstream = d_hat[i]
+        for tc in consts:
+            stage = next(stages)
+            out.append(-tc * (stage - upstream))
             upstream = stage
-        out.append(drow)
     return out

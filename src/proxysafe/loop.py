@@ -13,7 +13,9 @@ computed once and bound to a local, while one read once is written
 inline where it is read.  The projection, the funnel, Nussbaum and
 observer laws and their breach checks are inline statements, in the
 order the composition runs them; only the two-barrier fallback stays a
-call.
+call.  Gains, observer constants and the constant funnel widths are
+written as literals, and the adaptive, observer and filter states are
+read from the flat state, in its order.
 Every float comes from the same operations in the same order, so the
 two paths agree bit for bit.
 
@@ -148,7 +150,7 @@ class _Writer:
     # -- pieces, in the order the composition evaluates them ---------------
 
     def _dob_outputs(self):
-        """DobChainState.refresh_outputs: d_hat_i = s_i + alpha_i z_i."""
+        """dob.dob_outputs: d_hat_i = s_i + alpha_i z_i."""
         if self.model.kind == "dob_backstepping":
             for i, a in enumerate(self.model.dob.alphas, start=1):
                 self.em.line(f"_dhat{i} = _s{i} + {_lit(a)} * z{i}")
@@ -213,8 +215,7 @@ class _Writer:
         em.line(f"_rho = {em.emit(m.rho.expr())}")
         target = "mu1"
         for i in range(1, m.n + 1):
-            width = "_rho" if i == 1 else \
-                em.emit(m.ppc_gains.funnels[i - 2].expr())
+            width = "_rho" if i == 1 else _lit(m.ppc_gains.funnels[i - 2])
             em.line(f"_xi{i} = (z{i} - {target}) / {width}")
             em.line(f"if _abs(_xi{i}) >= 1.0:")
             em.line(f"    raise _FunnelBreach({i}, _xi{i}, t)")

@@ -25,7 +25,7 @@ from proxysafe.controllers import (
     DobBackstepGains, NominalGains, NussbaumGains, PpcGains,
 )
 from proxysafe.dob import DobSpec
-from proxysafe.expr import Const, Expr, ExprError, evaluate, parse
+from proxysafe.expr import Const, Expr, ExprError, evaluate, parse, simplify
 
 __all__ = [
     "ScenarioError", "PlantSpec", "ScenarioSpec",
@@ -148,6 +148,10 @@ def _parse_plant(data, path) -> PlantSpec:
         allowed = head | {f"z{j}" for j in range(1, i + 1)}
         fs.append(_expr(_get(lvl, "f", lp, required=True), f"{lp}.f", allowed))
         gs.append(_expr(_get(lvl, "g", lp, required=True), f"{lp}.g", allowed))
+        g = simplify(gs[-1])
+        if isinstance(g, Const) and g.value == 0.0:
+            # the strict-feedback premise: each level drives the next
+            _fail(f"{lp}.g", "is identically zero; the chain needs g_i != 0")
     raw_d = _get(data, "disturbances", path, default=[])
     if not isinstance(raw_d, list):
         _fail(f"{path}.disturbances", "expected a list")

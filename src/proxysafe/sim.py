@@ -48,11 +48,11 @@ from dataclasses import dataclass, field
 
 from proxysafe.barrier import build_barrier_stack, check_conditions
 from proxysafe.controllers import (
-    BarrierBreach, FunnelBreach, NussbaumState, SingularGain,
+    BarrierBreach, FunnelBreach, SingularGain,
     build_dob_backstepping, build_nominal, eval_dob_backstepping,
     initialize_funnels, nussbaum_control, ppc_control,
 )
-from proxysafe.dob import DobChainState, dob_derivative, filter_derivative
+from proxysafe.dob import dob_derivative, dob_outputs, filter_derivative
 from proxysafe.expr import DomainError, EvalError, compile_expr, evaluate
 from proxysafe.filter import FEAS_TOL, Infeasible, project_halfspace, \
     solve_cbf_qp_pair
@@ -64,6 +64,7 @@ __all__ = ["CheckFailed", "LoopMismatch", "RunDomainError", "SimTrace",
 
 H_TOL = 1e-6     # verdict slack on the barrier values
 E_TOL = 1e-9     # verdict slack on the funnel bound
+MAX_STEPS = 2_000_000   # step cap of one run: every grid row stays in memory
 
 _ABORTS = (Infeasible, BarrierBreach, FunnelBreach, SingularGain, EvalError)
 _RAW = (ValueError, ArithmeticError)     # what compiled code raises itself
@@ -414,6 +415,13 @@ class RuntimeModel:
         self.hold_dt = hold_dt if hold_dt is not None else spec.hold_dt
         if self.dt <= 0.0 or self.horizon <= 0.0:
             raise ScenarioError("dt and horizon must be positive")
+        if self.dt > self.horizon:
+            raise ScenarioError(f"dt={self.dt:g} exceeds the horizon "
+                                f"{self.horizon:g}")
+        if self.horizon / self.dt > MAX_STEPS:
+            raise ScenarioError(
+                f"horizon/dt = {self.horizon / self.dt:.3g} steps exceeds "
+                f"the cap of {MAX_STEPS:,} (every row stays in memory)")
         if self.hold_dt is not None and self.hold_dt < self.dt:
             raise ScenarioError("hold_dt must be at least dt")
         plant = spec.plant
@@ -489,10 +497,10 @@ class RuntimeModel:
         if self.kind == "nussbaum":
             state.extend(self.nuss_init)
         elif self.kind == "dob_backstepping":
-            init = DobChainState.initial(self.dob, list(spec.initial_z))
-            state.extend(init.s)
-            for row in init.d_f:
-                state.extend(row)
+            # s = -alpha z0 starts every estimate at zero; filters at rest
+            state.extend(-a * z for a, z in
+                         zip(self.dob.alphas, spec.initial_z))
+            state.extend([0.0] * (self.extra_dim - self.n))
         return state
 
     def _split(self, state):
@@ -501,18 +509,11 @@ class RuntimeModel:
         mu = state[self.i_mu:self.i_mu + self.m]
         return x, z, mu
 
-    def _dob_state(self, state, z) -> DobChainState:
-        base = self.i_extra
-        s = state[base:base + self.n]
-        d_f = []
-        pos = base + self.n
-        for i in range(1, self.n):
-            width = self.n - i
-            d_f.append(list(state[pos:pos + width]))
-            pos += width
-        dstate = DobChainState(s=list(s), d_hat=[0.0] * self.n, d_f=d_f)
-        dstate.refresh_outputs(self.dob, list(z))
-        return dstate
+    def _dob_state(self, state, z):
+        """The observer estimates d_hat and the filter stages of state."""
+        mid = self.i_extra + self.n
+        return (dob_outputs(self.dob, state[self.i_extra:mid], z),
+                state[mid:])
 
     # -- control evaluation -------------------------------------------------
 
@@ -542,17 +543,15 @@ class RuntimeModel:
             return _Controls(nu_d=nu_d, nu=nu, u=u, xis=tuple(xis))
         if self.kind == "nussbaum":
             e = z[0] - mu[0]
-            zeta = state[self.i_extra]
-            theta = list(state[self.i_extra + 1:self.i_extra + self.extra_dim])
-            nstate = NussbaumState(zeta=zeta, theta_hat=theta)
             phis = [fn(z[0]) for fn in self.phi_fns]
             u, dzeta, dtheta = nussbaum_control(
-                self.nuss_gains, nstate, e, nu, self.rho.value(t), phis, t)
+                self.nuss_gains, state[self.i_extra],
+                state[self.i_extra + 1:], e, nu, self.rho.value(t),
+                phis, t)
             return _Controls(nu_d=nu_d, nu=nu, u=u, dzeta=dzeta,
                              dtheta=tuple(dtheta))
-        dstate = self._dob_state(state, z)
         u, eps = eval_dob_backstepping(self.dob_ctrl, x, z, mu, nu,
-                                       dstate, t)
+                                       *self._dob_state(state, z), t)
         return _Controls(nu_d=nu_d, nu=nu, u=u, eps=tuple(eps))
 
     # -- dynamics -----------------------------------------------------------
@@ -580,17 +579,10 @@ class RuntimeModel:
             for j, d in enumerate(c.dtheta):
                 out[self.i_extra + 1 + j] = d
         elif self.kind == "dob_backstepping":
-            dstate = self._dob_state(state, z)
-            sdot = dob_derivative(self.dob, dstate, fv, gv, list(z), c.u)
-            fdot = filter_derivative(self.dob, dstate)
-            pos = self.i_extra
-            for v in sdot:
-                out[pos] = v
-                pos += 1
-            for row in fdot:
-                for v in row:
-                    out[pos] = v
-                    pos += 1
+            d_hat, d_f = self._dob_state(state, z)
+            out[self.i_extra:] = [
+                *dob_derivative(self.dob, d_hat, fv, gv, z, c.u),
+                *filter_derivative(self.dob, d_hat, d_f)]
         return out
 
     def step(self, state, t: float, dt: float,
@@ -628,10 +620,20 @@ class RuntimeModel:
     # -- checks and logging -------------------------------------------------
 
     def run_checks(self):
-        spec = self.spec
-        return [check_conditions(stack, spec.initial_x, spec.initial_z[0],
-                                 box=spec.check_box, seed=spec.seed)
-                for stack in self.stacks]
+        """The feasibility report of every barrier stack.  A check that
+        cannot be evaluated is an input error: a ScenarioError naming the
+        stack's proxy and the raw error."""
+        spec, reports = self.spec, []
+        for k, stack in enumerate(self.stacks):
+            try:
+                reports.append(check_conditions(
+                    stack, spec.initial_x, spec.initial_z[0],
+                    box=spec.check_box, seed=spec.seed))
+            except _RAW as exc:
+                raise ScenarioError(
+                    f"proxy[{k}]: feasibility checks cannot be evaluated: "
+                    f"{type(exc).__name__}: {exc}") from None
+        return reports
 
     def trace_columns(self) -> list:
         cols = ["t", "x"]
@@ -675,11 +677,8 @@ class RuntimeModel:
             if self.d_fns:
                 row += [fn(t) for fn in self.d_fns]
         if self.kind == "dob_backstepping":
-            dstate = self._dob_state(state, z)
-            row += dstate.d_hat
-            for frow in dstate.d_f:
-                row += frow
-            row += list(c.eps)
+            d_hat, d_f = self._dob_state(state, z)
+            row += [*d_hat, *d_f, *c.eps]
         elif self.kind == "nussbaum":
             row += state[self.i_extra:self.i_extra + self.extra_dim]
         elif self.kind == "ppc":
@@ -818,8 +817,10 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
 
     The feasibility checks run first and a failing report stops the run
     unless force is set, in which case the override is recorded in the
-    trace monitors.  The loop runs on the generated closed loop, checked
-    against the reference composition over its first step.
+    trace monitors; a check that cannot be evaluated raises the
+    ScenarioError of `RuntimeModel.run_checks` either way.  The loop runs
+    on the generated closed loop, checked against the reference
+    composition over its first step.
 
     With `out`, a path, the trace CSV is written there while the run
     integrates, by a forked child that the rows stream to;
@@ -831,10 +832,7 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
     model = RuntimeModel(spec, controller=controller, dt=dt, horizon=horizon,
                          hold_dt=hold_dt)
     monitors: dict = {}
-    try:
-        reports = model.run_checks()
-    except ValueError as exc:
-        raise CheckFailed([str(exc)]) from None
+    reports = model.run_checks()
     bad = [line for rep in reports if not rep.ok for line in rep.lines()]
     if bad and not force:
         raise CheckFailed(bad)

@@ -33,7 +33,7 @@ from proxysafe.barrier import (
     BarrierStack, ConditionReport, ProxySpec, RhoSpec, build_barrier_stack,
     check_conditions, chi, rho_budget,
 )
-from proxysafe.expr import Const, compile_expr, parse
+from proxysafe.expr import Const, compile_expr, differentiate, parse
 
 SEED = 20260822
 
@@ -129,19 +129,28 @@ def test_rho_spec_validation():
         RhoSpec(0.1, 0.0, 1.0)          # rho_inf must stay positive
     with pytest.raises(ValueError):
         RhoSpec(0.1, 0.05, -1.0)
-    assert RhoSpec(0.02, 0.02).is_constant
-    assert RhoSpec(0.8, 0.8, 3.0).is_constant
-    assert not RhoSpec(0.85, 0.05, 10.0).is_constant
+
+
+def rho_dot(rho, t):
+    """d rho/dt of the exponential funnel, by hand."""
+    return -rho.decay * (rho.rho0 - rho.rho_inf) * math.exp(-rho.decay * t)
 
 
 def test_rho_spec_value_derivative_expr_agree():
-    rho = RhoSpec(0.85, 0.05, 10.0)
-    fn = compile_expr(rho.expr(), ["t"])
-    for i in range(200):
-        t = 3.0 * i / 199
-        assert abs(fn(t) - rho.value(t)) <= 1e-15
-        fd = (rho.value(t + 1e-7) - rho.value(t - 1e-7)) / 2e-7
-        assert abs(fd - rho.derivative(t)) <= 1e-6 * (1.0 + abs(fd))
+    """value, expr and the symbolic derivative of expr, which the
+    builders consume, agree with each other, with finite differences and
+    with rho_dot, for a decaying and two constant funnels."""
+    for rho in (RhoSpec(0.85, 0.05, 10.0), RhoSpec(0.02, 0.02),
+                RhoSpec(0.8, 0.8, 3.0)):
+        fn = compile_expr(rho.expr(), ["t"])
+        dfn = compile_expr(differentiate(rho.expr(), "t"), ["t"])
+        for i in range(200):
+            t = 3.0 * i / 199
+            assert abs(fn(t) - rho.value(t)) <= 1e-15
+            fd = (rho.value(t + 1e-7) - rho.value(t - 1e-7)) / 2e-7
+            assert abs(fd - dfn(t)) <= 1e-6 * (1.0 + abs(fd))
+            assert abs(dfn(t) - rho_dot(rho, t)) <= \
+                1e-15 * (1.0 + abs(dfn(t)))
 
 
 def test_proxy_spec_validation():
@@ -241,7 +250,7 @@ def hand_constraint_ship_m1(x, mu1, t, rho, beta=20.0, lam1=6.0, lam2=1.0):
     lg = -2.0 * x
     tau = (math.pi ** 2 / 81 - x * x) / xi
     y0, y1, y2 = chi(tau), chi(tau, 1), chi(tau, 2)
-    rho_t, drho_t = rho.value(t), rho.derivative(t)
+    rho_t, drho_t = rho.value(t), rho_dot(rho, t)
     b1 = (lg * mu1) * y1 / xi - lg * lg * y1 * y1 / (2 * beta * xi * xi) \
         + lam1 * y0 - (beta / 2) * rho_t ** 2
     db1_dy1 = lg * mu1 / xi - lg * lg * y1 / (beta * xi * xi)

@@ -2,7 +2,9 @@
 
 Coverage:
   1. `scenarios` listing
-  2. `check`: pass/fail output, margins, JSON mode, exit codes
+  2. `check`: pass/fail output, margins, JSON mode, exit codes, and a
+     check that cannot be evaluated, which is an input error for
+     `check`, `run`, `run --force` and `--batch` alike
   3. `run`: summary block, trace file, overrides, default naming,
      forced runs, aborted runs, output errors, exit codes
   4. `plot`: panel files, only the plotted columns parsed, errors for
@@ -134,6 +136,52 @@ def test_check_too_deep_to_build_is_usage_error(tmp_path, monkeypatch,
     assert main(["check", path]) == EXIT_USAGE
     assert capsys.readouterr().err == \
         "error: a scenario expression nests too deeply to build\n"
+
+
+# ship barriers whose feasibility checks raise: a division by zero at
+# x0 = 0, and a sqrt that leaves its domain in the check box
+UNEVALUABLE_H = {
+    "division": ("pi^2/81 - x^2 + 0.001/(x - 0)",
+                 "ZeroDivisionError: float division by zero"),
+    "domain": ("sqrt(x) - 1", "ValueError: math domain error"),
+}
+
+
+@pytest.mark.parametrize("command", [["check"], ["run"], ["run", "--force"]],
+                         ids=["check", "run", "run-force"])
+@pytest.mark.parametrize("kind", sorted(UNEVALUABLE_H))
+def test_check_that_cannot_be_evaluated_is_an_input_error(kind, command,
+                                                          tmp_path, capsys):
+    h, raw = UNEVALUABLE_H[kind]
+    path = _write_variant(tmp_path / f"{kind}.yaml", "ship",
+                          lambda m: m["proxy"][0].update(h=h))
+    out_csv = tmp_path / "trace.csv"
+    argv = [command[0], path, *command[1:]]
+    if command[0] == "run":
+        argv += ["--out", str(out_csv)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: proxy[0]: feasibility checks cannot be evaluated: {raw}\n"
+    assert not out_csv.exists()
+
+
+def test_batch_reports_a_check_that_cannot_be_evaluated(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for kind, (h, _) in UNEVALUABLE_H.items():
+        _write_variant(batch / f"{kind}.yaml", "ship",
+                       lambda m: m["proxy"][0].update(h=h))
+    out_dir = tmp_path / "results"
+    code = main(["run", "--batch", str(batch), "--force",
+                 "--out", str(out_dir)])
+    assert code == EXIT_USAGE
+    doc = json.loads(capsys.readouterr().out)
+    assert [(item["verdict"], item["reason"]) for item in doc] == [
+        ("ERROR", "proxy[0]: feasibility checks cannot be evaluated: "
+                  + UNEVALUABLE_H[kind][1]) for kind in sorted(UNEVALUABLE_H)]
+    assert os.listdir(out_dir) == []
 
 
 # ═══════════════════════════════════════════════════════════════════

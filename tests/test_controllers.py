@@ -14,12 +14,12 @@ import pytest
 from proxysafe.barrier import ProxySpec, RhoSpec
 from proxysafe.controllers import (
     BarrierBreach, DobBackstepGains, FunnelBreach, NominalGains,
-    NussbaumGains, NussbaumState, PpcGains, SingularGain, SymbolicSizeError,
+    NussbaumGains, PpcGains, SingularGain, SymbolicSizeError,
     build_dob_backstepping, build_nominal, eval_dob_backstepping,
     initialize_funnels, nussbaum_control, nussbaum_gain,
     ppc_control,
 )
-from proxysafe.dob import DobChainState, DobSpec
+from proxysafe.dob import DobSpec
 from proxysafe.expr import compile_expr, parse
 
 SEED = 20260822
@@ -104,7 +104,9 @@ def test_ppc_gains_validation():
     with pytest.raises(ValueError):
         PpcGains(ks=(1.0,), floor=0.0)
     with pytest.raises(ValueError):
-        PpcGains(ks=(1.0, 1.0), funnels=(RhoSpec(1.0, 1.0),) * 2)
+        PpcGains(ks=(1.0, 1.0), funnels=(1.0,) * 2)
+    with pytest.raises(ValueError):
+        PpcGains(ks=(1.0, 1.0), funnels=(0.0,))
 
 
 def test_nussbaum_gains_validation():
@@ -276,7 +278,7 @@ def test_ppc_sign_flips_output():
 
 def test_ppc_two_level_chain():
     rho = RhoSpec(0.85, 0.05, 10.0)
-    g = PpcGains(ks=(10.0, 10.0), funnels=(RhoSpec(0.4, 0.4),))
+    g = PpcGains(ks=(10.0, 10.0), funnels=(0.4,))
     u, xis, etas = ppc_control(g, (1.0, 1.0), [0.3, -0.2], 0.3, rho, 0.0)
     assert xis[0] == 0.0 and etas[0] == 0.0
     assert xis[1] == -0.2 / 0.4
@@ -287,7 +289,7 @@ def test_ppc_two_level_chain():
 
 def test_ppc_funnel_breach():
     rho = RhoSpec(0.1, 0.1)
-    g = PpcGains(ks=(1.0, 1.0), funnels=(RhoSpec(0.2, 0.2),))
+    g = PpcGains(ks=(1.0, 1.0), funnels=(0.2,))
     with pytest.raises(FunnelBreach) as info:
         ppc_control(g, (1.0, 1.0), [0.15, 0.0], 0.0, rho, 0.0)
     assert info.value.level == 1 and abs(info.value.xi) >= 1.0
@@ -303,13 +305,12 @@ def test_ppc_funnel_auto_initialization():
     assert len(g.funnels) == 1
     f = g.funnels[0]
     # z1(0) = mu1(0) so the first-level output is zero and the gap is 0.2
-    assert f.value(0.0) == 1.5 * 0.2 + 0.1
-    assert f.is_constant
-    assert f.value(0.0) > abs(-0.2 - 0.0)
+    assert type(f) is float and f == 1.5 * 0.2 + 0.1
+    assert f > abs(-0.2 - 0.0)
     # strict inequality must hold even for a zero initial gap
     g0 = initialize_funnels(PpcGains(ks=(1.0, 1.0)), (1.0, 1.0),
                             [0.0, 0.0], 0.0, rho)
-    assert g0.funnels[0].value(0.0) == 0.1 > 0.0
+    assert g0.funnels[0] == 0.1 > 0.0
 
 
 def test_ppc_rejects_bad_calls():
@@ -327,16 +328,16 @@ def test_ppc_rejects_bad_calls():
 
 def test_nussbaum_zero_sweep_gives_zero_input():
     gains = NussbaumGains(gamma1=10.0, gamma2=2.0, k=2.0)
-    state = NussbaumState(zeta=0.0, theta_hat=[3.0, -1.0])
-    u, dz, dth = nussbaum_control(gains, state, 0.01, 5.0, 0.02, [1.0, 2.0])
+    u, dz, dth = nussbaum_control(gains, 0.0, [3.0, -1.0], 0.01, 5.0, 0.02,
+                                  [1.0, 2.0])
     assert u == 0.0
     assert dz != 0.0  # the sweep still moves
 
 
 def test_nussbaum_pure_leakage_at_zero_error():
     gains = NussbaumGains(gamma1=10.0, gamma2=2.0, k=2.0)
-    state = NussbaumState(zeta=1.3, theta_hat=[0.5, -0.3])
-    u, dz, dth = nussbaum_control(gains, state, 0.0, 1.0, 0.02, [0.7, 0.343])
+    u, dz, dth = nussbaum_control(gains, 1.3, [0.5, -0.3], 0.0, 1.0, 0.02,
+                                  [0.7, 0.343])
     assert dz == 0.0
     assert dth == [-2.0 * 0.5, -2.0 * -0.3]
 
@@ -358,8 +359,7 @@ def test_nussbaum_adaptive_laws_match_hand_form():
         th = [rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)]
         phi = [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)]
         nu = rng.uniform(-5.0, 5.0)
-        state = NussbaumState(zeta=zeta, theta_hat=list(th))
-        u, dz, dth = nussbaum_control(gains, state, e, nu, rho_t, phi)
+        u, dz, dth = nussbaum_control(gains, zeta, list(th), e, nu, rho_t, phi)
         gap = rho_t * rho_t - e * e
         alpha = 2.0 * e - nu + th[0] * phi[0] + th[1] * phi[1]
         assert abs(u - zeta * zeta * math.cos(zeta) * alpha) <= 1e-14 * max(1.0, abs(u))
@@ -371,17 +371,15 @@ def test_nussbaum_adaptive_laws_match_hand_form():
 
 def test_nussbaum_breach_raises():
     gains = NussbaumGains(gamma1=10.0, gamma2=2.0, k=2.0)
-    state = NussbaumState(zeta=0.0, theta_hat=[])
     with pytest.raises(BarrierBreach) as info:
-        nussbaum_control(gains, state, 0.02, 0.0, 0.02, [], t=4.0)
+        nussbaum_control(gains, 0.0, [], 0.02, 0.0, 0.02, [], t=4.0)
     assert info.value.rho == 0.02 and info.value.t == 4.0
 
 
 def test_nussbaum_rejects_mismatched_regressor():
     gains = NussbaumGains(gamma1=10.0, gamma2=2.0, k=2.0)
-    state = NussbaumState(zeta=0.0, theta_hat=[1.0])
     with pytest.raises(ValueError):
-        nussbaum_control(gains, state, 0.0, 0.0, 1.0, [1.0, 2.0])
+        nussbaum_control(gains, 0.0, [1.0], 0.0, 0.0, 1.0, [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +444,9 @@ def test_dob_backstep_matches_hand_transcription():
     rng = random.Random(SEED + 4)
     for _ in range(100):
         s = random_motor_state(rng, rho)
-        dstate = DobChainState(s=[0.0, 0.0], d_hat=[s["dhat1"], s["dhat2"]],
-                               d_f=[[s["df1_1"]]])
         got_u, eps = eval_dob_backstepping(
             ctrl, s["x"], [s["z1"], s["z2"]], [s["mu1"], s["mu2"]],
-            s["nu"], dstate, s["t"])
+            s["nu"], [s["dhat1"], s["dhat2"]], [s["df1_1"]], s["t"])
         want_u, want_e, want_eps2 = hand_motor_u(
             s["x"], s["z1"], s["z2"], s["mu1"], s["mu2"], s["nu"],
             s["dhat1"], s["dhat2"], s["df1_1"], s["t"])
@@ -493,9 +489,8 @@ def test_dob_backstep_partials_match_finite_differences():
 def test_dob_backstep_initial_state_input_is_zero():
     proxy, fs, gs, dob, gains, rho = motor_parts()
     ctrl = build_dob_backstepping(fs, gs, proxy, dob, gains, rho)
-    dstate = DobChainState(s=[0.0, 0.0], d_hat=[0.0, 0.0], d_f=[[0.0]])
     u, eps = eval_dob_backstepping(ctrl, 0.0, [0.0, 0.0], [0.0, 0.0],
-                                   0.0, dstate, 0.0)
+                                   0.0, [0.0, 0.0], [0.0], 0.0)
     assert math.isfinite(u) and abs(u) <= 1e-12
     assert eps == [0.0, 0.0]
 
@@ -510,9 +505,8 @@ def test_dob_backstep_gain_pushes_against_error():
         g = DobBackstepGains(ks=(k1, 10.0), gamma_fs=(50.0,),
                              sigmas=(15.0, 15.0))
         c = build_dob_backstepping(fs, gs, proxy, dob, g, rho)
-        dstate = DobChainState(s=[0.0, 0.0], d_hat=[0.0, 0.0], d_f=[[0.0]])
         u, _ = eval_dob_backstepping(c, 0.0, [e, 0.0], [0.0, 0.0],
-                                     0.0, dstate, 0.0)
+                                     0.0, [0.0, 0.0], [0.0], 0.0)
         return u
 
     for e in (0.1, -0.1):
@@ -524,12 +518,11 @@ def test_dob_backstep_gain_pushes_against_error():
 def test_dob_backstep_breach_raises():
     proxy, fs, gs, dob, gains, rho = motor_parts()
     ctrl = build_dob_backstepping(fs, gs, proxy, dob, gains, rho)
-    dstate = DobChainState(s=[0.0, 0.0], d_hat=[0.0, 0.0], d_f=[[0.0]])
     t = 1.0
     e = rho.value(t) * 1.01
     with pytest.raises(BarrierBreach) as info:
         eval_dob_backstepping(ctrl, 0.0, [e, 0.0], [0.0, 0.0], 0.0,
-                              dstate, t)
+                              [0.0, 0.0], [0.0], t)
     assert info.value.t == t and abs(info.value.e) >= info.value.rho
 
 
@@ -542,8 +535,10 @@ def test_dob_backstep_node_cap():
 def test_dob_backstep_rejects_wrong_call_shapes():
     proxy, fs, gs, dob, gains, rho = motor_parts()
     ctrl = build_dob_backstepping(fs, gs, proxy, dob, gains, rho)
-    dstate = DobChainState(s=[0.0, 0.0], d_hat=[0.0, 0.0], d_f=[[0.0]])
+    d_hat, d_f = [0.0, 0.0], [0.0]
     with pytest.raises(ValueError):
-        eval_dob_backstepping(ctrl, 0.0, [0.0], [0.0, 0.0], 0.0, dstate, 0.0)
+        eval_dob_backstepping(ctrl, 0.0, [0.0], [0.0, 0.0], 0.0, d_hat, d_f,
+                              0.0)
     with pytest.raises(ValueError):
-        eval_dob_backstepping(ctrl, 0.0, [0.0, 0.0], [0.0], 0.0, dstate, 0.0)
+        eval_dob_backstepping(ctrl, 0.0, [0.0, 0.0], [0.0], 0.0, d_hat, d_f,
+                              0.0)

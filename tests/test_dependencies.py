@@ -1,12 +1,17 @@
-"""Declared runtime dependencies against the imports of the package.
+"""Declared runtime dependencies against the imports of the package, and
+the package's exports against its definitions.
 
 Every `[project].dependencies` entry of pyproject.toml must be imported
 somewhere under src/proxysafe, and every third-party module imported
 there must come from a declared distribution.  Import names map to
 distributions through `importlib.metadata.packages_distributions()`.
+Every name in a module's `__all__` and every name the package
+`__init__` imports must resolve, so a stale export fails here rather
+than at a user's `import *`.
 """
 
 import ast
+import importlib
 import importlib.metadata
 import pathlib
 import re
@@ -57,3 +62,30 @@ def test_declared_dependencies_match_imports():
     assert not undeclared, f"imported but not declared: {undeclared}"
     unused = deps - set().union(*imported.values())
     assert not unused, f"declared but never imported under src: {unused}"
+
+
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py")
+                 if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module(f"proxysafe.{name}")
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not missing, f"proxysafe.{name}.__all__ names {missing}"
+    exec(f"from proxysafe.{name} import *", {})
+
+
+def test_every_package_export_resolves():
+    """Each `from proxysafe.X import a, b` of the package __init__ names
+    what proxysafe.X defines, and the package binds it."""
+    package = importlib.import_module("proxysafe")
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+            assert getattr(package, alias.asname or alias.name) is \
+                getattr(module, alias.name)

@@ -3,22 +3,28 @@
 Covers, in order:
 
 1. specification validation and derived constants;
-2. initial-state construction and the output map;
+2. the closed-loop initial state and the output map;
 3. analytic estimation transients: constant disturbance (exponential
    approach), sinusoidal disturbance (frequency-response error band);
 4. filter-chain analytics: first-order step response, two-stage cascade
-   convergence, equilibrium.
+   convergence, equilibrium, and the flat stage layout against a
+   per-level cascade for random shapes.
 
 Transient oracles integrate the module's right-hand sides with a local
 RK4 loop written here, then compare against closed-form solutions of the
 same linear ODEs derived by hand.
 """
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from proxysafe.dob import DobChainState, DobSpec, dob_derivative, filter_derivative
+from proxysafe.dob import DobSpec, dob_derivative, dob_outputs, filter_derivative
+from proxysafe.scenario import load_builtin
+from proxysafe.sim import RuntimeModel
 
 
 def rk4(deriv, y0, t0, t1, dt):
@@ -47,10 +53,9 @@ def observe_scalar(alpha, dist, t_end, dt, record=None):
 
     def deriv(t, y):
         z, s = y
-        st = DobChainState(s=[s], d_hat=[0.0], d_f=[])
-        st.refresh_outputs(spec, [z])
+        d_hat = dob_outputs(spec, [s], [z])
         dz = dist(t)
-        ds = dob_derivative(spec, st, [0.0], [1.0], [z], 0.0)[0]
+        ds = dob_derivative(spec, d_hat, [0.0], [1.0], [z], 0.0)[0]
         return [dz, ds]
 
     y = [0.0, 0.0]
@@ -96,29 +101,42 @@ def test_spec_defaults():
 # ═══════════════════════════════════════════════════════════════════
 
 def test_initial_state_zero_estimates():
-    spec = DobSpec(alphas=(30.0, 30.0), time_constants=((100.0,),))
-    st = DobChainState.initial(spec, [0.7, -1.3])
-    assert st.s == [-21.0, 39.0]
-    assert st.d_hat == [0.0, 0.0]
-    assert st.d_f == [[0.0]]
-    with pytest.raises(ValueError):
-        DobChainState.initial(spec, [0.7])
+    """electromech starts its observer at s = -alpha z0, so every
+    estimate reads 0 at t = 0, with its filter stage at rest; also from
+    a nonzero z0."""
+    builtin = load_builtin("electromech")
+    assert builtin.initial_z == (0.0, 0.0)
+    assert builtin.controllers["dob_backstepping"]["observer"].alphas == \
+        (30.0, 30.0)
+    for spec, want_s in [
+            (builtin, [0.0, 0.0]),
+            (dataclasses.replace(builtin, initial_z=(0.7, -1.3)),
+             [-21.0, 39.0])]:
+        model = RuntimeModel(spec)
+        state = model.initial_state()
+        z = state[model.i_z:model.i_z + 2]
+        s = state[model.i_extra:model.i_extra + 2]
+        assert z == list(spec.initial_z)
+        assert s == want_s
+        assert state[model.i_extra + 2:] == [0.0]
+        assert dob_outputs(model.dob, s, z) == [0.0, 0.0]
+        row = model.trace_row(state, 0.0, model.controls(state, 0.0))
+        cols = model.trace_columns()
+        assert [row[cols.index(c)] for c in ("dhat1", "dhat2", "df1_1")] \
+            == [0.0, 0.0, 0.0]
 
 
-def test_output_map_refresh():
+def test_output_map():
     spec = DobSpec(alphas=(2.0,))
-    st = DobChainState.initial(spec, [1.0])
-    st.s[0] = 0.5
-    st.refresh_outputs(spec, [3.0])
-    assert st.d_hat[0] == 0.5 + 2.0 * 3.0
+    assert dob_outputs(spec, [0.5], [3.0]) == [0.5 + 2.0 * 3.0]
 
 
 def test_zero_plant_zero_estimate_is_stationary():
     spec = DobSpec(alphas=(30.0, 30.0), time_constants=((100.0,),))
-    st = DobChainState.initial(spec, [0.0, 0.0])
-    ds = dob_derivative(spec, st, [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], 0.0)
+    d_hat = dob_outputs(spec, [0.0, 0.0], [0.0, 0.0])
+    ds = dob_derivative(spec, d_hat, [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], 0.0)
     assert ds == [0.0, 0.0]
-    assert filter_derivative(spec, st) == [[0.0]]
+    assert filter_derivative(spec, d_hat, [0.0]) == [0.0]
 
 
 # ═══════════════════════════════════════════════════════════════════
@@ -158,15 +176,15 @@ def test_sine_disturbance_error_band():
 
 def frozen_filter_run(spec, level_input, t_end, dt):
     """Integrate one level's filter stages with the estimate frozen."""
-    rows = [list(r) for r in spec.time_constants]
+    width = len(spec.time_constants[0])
+    rest = [0.0] * (spec.n * (spec.n - 1) // 2 - width)
 
     def deriv(t, y):
-        st = DobChainState(s=[0.0] * spec.n, d_hat=[level_input] * spec.n,
-                           d_f=[list(y[:len(rows[0])])] +
-                               [[0.0] * len(r) for r in rows[1:]])
-        return filter_derivative(spec, st)[0]
+        # level 1's stages come first in the flat layout
+        return filter_derivative(spec, [level_input] * spec.n,
+                                 list(y) + rest)[:width]
 
-    y = [0.0] * len(rows[0])
+    y = [0.0] * width
     t = 0.0
     trace = [(0.0, list(y))]
     while t < t_end - 1e-12:
@@ -205,14 +223,45 @@ def test_filter_cascade_two_stages():
 
 def test_filter_equilibrium():
     spec = DobSpec(alphas=(1.0, 1.0), time_constants=((3.0,),))
-    st = DobChainState(s=[0.0, 0.0], d_hat=[0.4, 0.0], d_f=[[0.4]])
-    assert filter_derivative(spec, st) == [[0.0]]
+    assert filter_derivative(spec, [0.4, 0.0], [0.4]) == [0.0]
 
 
 def test_filter_derivative_shapes():
     spec = DobSpec(alphas=(1.0, 1.0, 1.0), time_constants=((2.0, 3.0), (4.0,)))
-    st = DobChainState.initial(spec, [0.0, 0.0, 0.0])
-    st.d_hat = [1.0, 2.0, 0.0]
-    st.d_f = [[0.5, 0.25], [1.5]]
-    dd = filter_derivative(spec, st)
-    assert dd == [[-2.0 * (0.5 - 1.0), -3.0 * (0.25 - 0.5)], [-4.0 * (1.5 - 2.0)]]
+    dd = filter_derivative(spec, [1.0, 2.0, 0.0], [0.5, 0.25, 1.5])
+    assert dd == [-2.0 * (0.5 - 1.0), -3.0 * (0.25 - 0.5), -4.0 * (1.5 - 2.0)]
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def _filter_cases(draw):
+    """A DobSpec of depth 1..5 with random constants, and estimates and
+    stages for it; level i < n carries n - i stages."""
+    n = draw(st.integers(1, 5))
+    # the default nu_i = 1 needs alpha_i > 1/2
+    alphas = draw(st.lists(st.floats(1.0, 1e3), min_size=n, max_size=n))
+    tcs = [draw(st.lists(st.floats(1e-3, 1e4), min_size=n - i,
+                         max_size=n - i)) for i in range(1, n)]
+    spec = DobSpec(alphas=tuple(alphas), time_constants=tuple(map(tuple, tcs)))
+    d_hat = draw(st.lists(_finite, min_size=n, max_size=n))
+    rows = [draw(st.lists(_finite, min_size=len(r), max_size=len(r)))
+            for r in tcs]
+    return spec, d_hat, rows
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_filter_cases())
+def test_flat_filter_layout_matches_a_per_level_cascade(case):
+    """filter_derivative on the flat stage list equals, bit for bit, the
+    cascade written out level by level: stage j of level i follows
+    stage j - 1 (the estimate d_hat_i for j = 1) at rate T_{i,j}."""
+    spec, d_hat, rows = case
+    want = []
+    for i, row in enumerate(rows):
+        for j, stage in enumerate(row):
+            upstream = d_hat[i] if j == 0 else row[j - 1]
+            want.append(-spec.time_constants[i][j] * (stage - upstream))
+    got = filter_derivative(spec, d_hat, [v for row in rows for v in row])
+    assert [v.hex() for v in got] == [v.hex() for v in want]

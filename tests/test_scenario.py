@@ -315,6 +315,17 @@ def test_electromech_defects_rejected(mutate, fragment):
         loads_scenario(broken("electromech", mutate))
 
 
+@pytest.mark.parametrize("level, g", [(0, "0"), (0, "x - x"), (1, "0 * z2")])
+def test_identically_zero_level_gain_is_rejected(level, g):
+    """The strict-feedback premise needs g_i != 0: a level gain that
+    simplifies to the constant 0 is named at load time."""
+    def mutate(m):
+        m["plant"]["levels"][level]["g"] = g
+    with pytest.raises(ScenarioError, match=rf"^plant\.levels\[{level}\]\.g: "
+                                            "is identically zero"):
+        loads_scenario(broken("electromech", mutate))
+
+
 def test_nussbaum_needs_single_level():
     def mutate(m):
         m["controllers"]["nussbaum"] = {

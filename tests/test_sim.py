@@ -93,6 +93,23 @@ def test_initial_state_layout_electromech():
         assert name in cols
 
 
+def test_step_grid_is_validated_where_the_model_is_built():
+    """A step longer than the horizon, and a grid of more than 2,000,000
+    steps (every row stays in memory), are rejected by RuntimeModel for
+    file values and overrides alike, before any run starts."""
+    ship = load_builtin("ship")
+    with pytest.raises(ScenarioError, match="exceeds the horizon"):
+        RuntimeModel(ship, dt=5.0, horizon=0.2)
+    with pytest.raises(ScenarioError, match="exceeds the horizon"):
+        RuntimeModel(variant("ship", dt=5.0, horizon=0.2))
+    with pytest.raises(ScenarioError, match="exceeds the cap"):
+        RuntimeModel(variant("ship", dt=1e-300))
+    with pytest.raises(ScenarioError, match="exceeds the cap"):
+        RuntimeModel(ship, dt=0.5, horizon=1e6 + 0.5)
+    assert RuntimeModel(ship, dt=0.5, horizon=1e6).horizon == 1e6
+    assert RuntimeModel(ship, dt=0.2, horizon=0.2).dt == 0.2
+
+
 def test_step_matches_bare_rk4():
     # with no held controls the model step is exactly the bare stepper
     # applied to the model derivative (controls recomputed per stage)
