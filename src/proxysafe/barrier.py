@@ -457,11 +457,9 @@ def check_conditions(stack: BarrierStack, x0, z1_0, box=None,
             f"sup budget {bd['value']:.6g} vs bound {bd['bound']:.6g} "
             f"(margin {bd['margin']:.6g})", bd)
 
-    x0 = float(x0)
     mu0 = [float(z1_0)] + [0.0] * (proxy.m - 1)
-    h0 = stack.h_value(x0)
-    y0 = chi(h0 / proxy.xi, 0) if not plain else h0
     bvals = stack.eval_barriers(x0, mu0, 0.0)
+    y0 = bvals[0]       # b_0 = y_0: chi(h/xi), or h in plain mode
     bad = [f"b_{i}(0)={v:.6g}" for i, v in enumerate(bvals) if i >= 1 and v <= 0.0]
     if y0 <= 0.0:
         bad.insert(0, f"y0(0)={y0:.6g}")

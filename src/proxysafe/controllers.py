@@ -451,26 +451,21 @@ def build_dob_backstepping(fs, gs, proxy: ProxySpec, dob: DobSpec,
                     * (df_var(j, n - mm) - df_var(j, n - mm - 1))
         return acc, nterm, eps_i
 
-    for i in range(2, n):
+    # stage n is the control u: its damping margin is the observer's
+    # kappa_n, and df_var(n, 0) is the raw estimate dhat_n
+    for i in range(2, n + 1):
         eps.append(simplify(zs[i - 1] - taus[i - 2]))
         acc, nterm, eps_i = stage_core(i)
         l_i = eps[i - 2] if i >= 3 else e / gap
+        margin = gfs[i - 1] if i < n else dob.kappa(n)
         tau_i = (acc - df_var(i, n - i) - fs[i - 1]
-                 - Const((n - i + 1) / (4.0 * (gfs[i - 1] - sigmas[i - 1]))) * eps_i
+                 - Const((n - i + 1) / (4.0 * (margin - sigmas[i - 1]))) * eps_i
                  - Const(ks[i - 1]) * eps_i - gs[i - 2] * l_i + nterm) / gs[i - 1]
         taus.append(simplify(tau_i))
-        if _node_count(taus) > node_cap:
+        if i < n and _node_count(taus) > node_cap:
             raise SymbolicSizeError(
                 f"stage {i} pushed the controller past {node_cap} nodes")
-
-    eps.append(simplify(zs[n - 1] - taus[n - 2]))
-    acc, nterm, eps_n = stage_core(n)
-    l_n = eps[n - 2] if n >= 3 else e / gap
-    kappa_n = dob.kappa(n)
-    u = (acc - Var(f"dhat{n}") - fs[n - 1]
-         - Const(1.0 / (4.0 * (kappa_n - sigmas[n - 1]))) * eps_n
-         - Const(ks[n - 1]) * eps_n - gs[n - 2] * l_n + nterm) / gs[n - 1]
-    u = simplify(u)
+    u = taus.pop()
 
     params = ["x", *[f"z{i}" for i in range(1, n + 1)],
               *[f"mu{i}" for i in range(1, n + 1)], "nu",

@@ -14,10 +14,11 @@ inline where it is read.  The projection, the funnel, Nussbaum and
 observer laws and their breach checks are inline statements, in the
 order the composition runs them; only the two-barrier fallback stays a
 call.  Gains, observer constants and the constant funnel widths are
-written as literals, and the adaptive, observer and filter states are
-read from the flat state, in its order.
-Every float comes from the same operations in the same order, so the
-two paths agree bit for bit.
+written as literals.  The state unpacks into locals named by the
+model's `state_names`, the one statement of the state layout, and the
+grid row is written as (column name, value) pairs: `ClosedLoop.columns`
+names each value where it is written.  Every float comes from the same
+operations in the same order, so the two paths agree bit for bit.
 
 Three functions are generated:
 
@@ -25,13 +26,14 @@ Three functions are generated:
     stage_held(s, t, held)  -> derivative under given control outputs
     point(s, t, held)       -> (derivative, trace row, control outputs)
 
-Control outputs are the tuple (nu_d, nu, u, dzeta, dtheta).  With `held`
-given, `point` still evaluates the controls, for their checks and the
-logged controller internals, but logs and integrates the held outputs.
-A raw arithmetic error becomes `model.domain_error(exc, s, t)` at the
-evaluation that raised it.  When only the derivative fails at a grid
-point, `point` returns None in its place together with the row: the
-composition logs that row and fails in the next step.
+Control outputs are the tuple (nu_d, nu, u, dzeta, dtheta), which
+`RuntimeModel.controls` returns too.  With `held` given, `point` still
+evaluates the controls, for their checks and the logged controller
+internals, but logs and integrates the held outputs.  A raw arithmetic
+error becomes `model.domain_error(exc, s, t)` at the evaluation that
+raised it.  When only the derivative fails at a grid point, `point`
+returns None in its place together with the row: the composition logs
+that row and fails in the next step.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ def _lit(value: float) -> str:
 
 
 class ClosedLoop:
-    """The generated stage and grid-point functions of one RuntimeModel."""
+    """The generated stage and grid-point functions of one RuntimeModel,
+    and the column names of the rows `point` logs."""
 
     def __init__(self, model):
         namespace = {
@@ -68,8 +71,10 @@ class ClosedLoop:
             "_stage", "s, t", namespace)
         self.stage_held = _Writer(model).stage_held().function(
             "_stage_held", "s, t, held", namespace)
-        self.point = _Writer(model).point().function(
-            "_point", "s, t, held", namespace)
+        writer = _Writer(model)
+        self.point = writer.point().function("_point", "s, t, held",
+                                             namespace)
+        self.columns = writer.columns
 
 
 class _Writer:
@@ -77,26 +82,16 @@ class _Writer:
 
     def __init__(self, model):
         self.model = m = model
-        self.z = [f"z{i}" for i in range(1, m.n + 1)] if m.has_plant else []
-        self.mu = [f"mu{i}" for i in range(1, m.m + 1)]
-        self.extra = []
-        if m.kind == "nussbaum":
-            self.extra = ["_zeta"] + [f"_th{j}"
-                                      for j in range(1, len(m.phis) + 1)]
-        elif m.kind == "dob_backstepping":
-            self.extra = [f"_s{i}" for i in range(1, m.n + 1)]
-            self.extra += [f"_df{i}_{j}" for i in range(1, m.n)
-                           for j in range(1, m.n - i + 1)]
-        names = {v: v for v in ["x", "t", *self.z, *self.mu]}
-        names["nu"] = "_nu"
-        if m.kind == "dob_backstepping":
-            names.update({f"dhat{i}": f"_dhat{i}" for i in range(1, m.n + 1)})
-            names.update({v[1:]: v for v in self.extra if v.startswith("_df")})
+        # the state unpacks into locals named as in `m.state_names`, the
+        # controller's own states with a leading underscore
+        local = [v if i < m.i_extra else f"_{v}"
+                 for i, v in enumerate(m.state_names)]
+        names = dict(zip(m.state_names, local), t="t", nu="_nu")
+        names.update({f"dhat{i}": f"_dhat{i}" for i in range(1, m.n + 1)})
         self.em = Emitter(names, indent="    ")
-        self.em.line(", ".join(["x", *self.z, *self.mu, *self.extra])
-                     + " = s")
+        self.em.line(", ".join(local) + " = s")
         self.psi = []           # (psi0, psi1) atoms per barrier stack
-        self.eps = []           # eps_1..eps_n atoms of the observer law
+        self.internals = []     # (column, atom) the tracking law logs
 
     # -- whole functions ----------------------------------------------------
 
@@ -123,7 +118,9 @@ class _Writer:
         em.line(f"_c = (_nu_d, _nu, _u, _dz, {dtheta or '()'})")
         em.line("if held is not None:")
         em.line(f"    _nu_d, _nu, _u, _dz, {dtheta or '_'} = _c = held")
-        em.line("_row = " + self._row())
+        row = self._row()
+        self.columns = [name for name, _ in row]
+        em.line("_row = [" + ", ".join(value for _, value in row) + "]")
         self._close("raise _fault(_exc, s, t) from None")
         self._open()
         em.line("_k = " + self._derivative())
@@ -219,6 +216,7 @@ class _Writer:
             em.line(f"_xi{i} = (z{i} - {target}) / {width}")
             em.line(f"if _abs(_xi{i}) >= 1.0:")
             em.line(f"    raise _FunnelBreach({i}, _xi{i}, t)")
+            self.internals.append((f"xi{i}", f"_xi{i}"))
             gain = -m.ppc_gains.ks[i - 1] * float(m.ppc_signs[i - 1])
             em.line(f"_eta{i} = {_lit(gain)} * "
                     f"_log((1.0 + _xi{i}) / (1.0 - _xi{i}))")
@@ -234,14 +232,14 @@ class _Writer:
         em.line(f"_rho = {em.emit(m.rho.expr())}")
         em.line("if _abs(_e) >= _rho:")
         em.line("    raise _BarrierBreach(_e, _rho, t)")
-        terms = ", ".join(f"_th{j} * {p}" for j, p in enumerate(phis, 1))
+        terms = ", ".join(f"_theta{j} * {p}" for j, p in enumerate(phis, 1))
         em.line(f"_alpha = {_lit(g.k)} * _e - _nu + _sum(({terms},))")
         em.line("_w = _e / (_rho * _rho - _e * _e)")
         em.line("_u = _zeta * _zeta * _cos(_zeta) * _alpha")
         em.line("_dz = _w * _alpha")
         for j, p in enumerate(phis, 1):
             em.line(f"_dth{j} = _w * {p} / {_lit(g.gamma1)} - "
-                    f"{_lit(g.gamma2)} * _th{j}")
+                    f"{_lit(g.gamma2)} * _theta{j}")
 
     def _law_dob_backstepping(self):
         """controllers.eval_dob_backstepping."""
@@ -252,34 +250,35 @@ class _Writer:
         em.line("    raise _BarrierBreach(_e, _rho, t)")
         ctrl = m.dob_ctrl
         em.line(f"_u = {em.emit(ctrl.u_expr)}")
-        self.eps = [em.emit(e) for e in ctrl.eps_exprs]
+        self.internals = [(f"eps{i}", em.emit(e))
+                          for i, e in enumerate(ctrl.eps_exprs, start=1)]
         em.line("_dz = 0.0")
 
-    def _row(self) -> str:
-        """RuntimeModel.trace_row."""
+    def _row(self) -> list:
+        """RuntimeModel.trace_row, as (column name, value) pairs."""
         m, em = self.model, self.em
-        items = ["t", "x", *self.z, *self.mu]
-        items.append("z1 - mu1" if m.has_plant else "0.0")
+        row = [("t", "t"), *((v, v) for v in m.state_names[:m.i_extra])]
+        row.append(("e", "z1 - mu1" if m.has_plant else "0.0"))
         if m.kind == "nominal":
             em.line(f"_rho = {em.emit(m.rho.expr())}")
-        items += ["_rho", em.emit(m.spec.nominal.x_d)]
+        row += [("rho", "_rho"), ("x_d", em.emit(m.spec.nominal.x_d))]
         for k, (stack, (p0, p1)) in enumerate(zip(m.stacks, self.psi), 1):
             self._bind_ys(k, stack)
-            items += [em.emit(stack.proxy.h), *map(em.emit, stack.b),
-                      p0, p1, f"{p0} + {p1} * _nu"]
-        items += ["_nu_d", "_nu"]
+            row.append((f"h{k}", em.emit(stack.proxy.h)))
+            row += [(f"b{k}_{i}", em.emit(b)) for i, b in enumerate(stack.b)]
+            row += [(f"psi0_{k}", p0), (f"psi1_{k}", p1),
+                    (f"margin{k}", f"{p0} + {p1} * _nu")]
+        row += [("nu_d", "_nu_d"), ("nu", "_nu")]
         if m.has_plant:
-            items.append("_u")
-            items += [em.emit(d) for d in m.spec.plant.disturbances]
+            row.append(("u", "_u"))
+            row += [(f"d{i}", em.emit(d)) for i, d in
+                    enumerate(m.spec.plant.disturbances, start=1)]
         if m.kind == "dob_backstepping":
-            items += [f"_dhat{i}" for i in range(1, m.n + 1)]
-            items += [v for v in self.extra if v.startswith("_df")]
-            items += self.eps
-        elif m.kind == "nussbaum":
-            items += self.extra
-        elif m.kind == "ppc":
-            items += [f"_xi{i}" for i in range(1, m.n + 1)]
-        return "[" + ", ".join(items) + "]"
+            row += [(f"dhat{i}", f"_dhat{i}") for i in range(1, m.n + 1)]
+        # the observer states s_i are logged as their estimates dhat_i
+        row += [(v, f"_{v}") for v in m.state_names[m.i_extra:]
+                if not v.startswith("s")]
+        return row + self.internals
 
     def _derivative(self) -> str:
         """RuntimeModel.deriv, with dob_derivative and filter_derivative."""
@@ -293,10 +292,10 @@ class _Writer:
             fs = [em.emit(f) for f in plant.fs]
             gs = [em.emit(g) for g in plant.gs]
             ds = [em.emit(d) for d in plant.disturbances] or ["0.0"] * m.n
-            nxt = [*self.z[1:], "_u"]
+            nxt = [*m.state_names[m.i_z + 1:m.i_mu], "_u"]
             items += [f"{f} + {g} * {v} + {d}"
                       for f, g, v, d in zip(fs, gs, nxt, ds)]
-        items += [*self.mu[1:], "_nu"]
+        items += [*m.state_names[m.i_mu + 1:m.i_extra], "_nu"]
         if m.kind == "nussbaum":
             items += ["_dz"] + [f"_dth{j}" for j in range(1, len(m.phis) + 1)]
         elif m.kind == "dob_backstepping":

@@ -15,6 +15,7 @@ serializes back to an identical file.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -35,6 +36,10 @@ __all__ = [
 
 CONTROLLER_TYPES = ("nominal", "ppc", "nussbaum", "dob_backstepping")
 DEG = math.pi / 180.0
+# the YAML 1.2 floats that PyYAML, which reads YAML 1.1, leaves strings:
+# an exponent without a dot before it or without a sign (1e-2, 1E3, .5e1)
+_EXPONENT_FORM = re.compile(
+    r"[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+")
 
 
 class ScenarioError(Exception):
@@ -58,6 +63,8 @@ def _get(mapping, key, path, default=None, required=False):
 
 
 def _num(value, path) -> float:
+    if isinstance(value, str) and _EXPONENT_FORM.fullmatch(value):
+        return float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
     return float(value)

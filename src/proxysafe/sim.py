@@ -11,10 +11,12 @@ outputs between updates for robustness studies.
 `RuntimeModel` is the reference composition of the per-module laws:
 `controls`, `safe_input`, `deriv`, `step` and `trace_row` call the
 nominal law, the barrier constraint, the projection, the tracking law
-and the plant and observer derivatives one by one.  `simulate` runs the
-loop on the functions `loop.ClosedLoop` generates from the same
-symbolic pieces for the run's scenario and controller; a grid row comes
-from the same evaluation that supplies the next step's first RK4 stage.
+and the plant and observer derivatives one by one, passing the control
+outputs as the generated loop does; `state_names` is the state layout.
+`simulate` runs the loop, and takes the trace columns, from what
+`loop.ClosedLoop` generates from the same symbolic pieces; a grid row
+comes from the same evaluation that supplies the next step's first
+RK4 stage.
 At the start of every run the first step and the t=0 row are computed
 both ways and must agree bit for bit, or the run raises `LoopMismatch`.
 
@@ -37,6 +39,7 @@ is generated once per state length as straight-line code.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -223,25 +226,27 @@ class SimTrace:
 _BATCH_ROWS = 256     # grid rows per message to the trace writer
 
 
-def _open_for_write(path):
-    """`path` opened for writing as `SimTrace.to_csv` opens it, and
-    whether this call created the file."""
+def _create(path):
+    """A descriptor of `path` created for writing, or None when the file
+    exists or cannot be created: the writer then opens `path` as
+    `SimTrace.to_csv` does, and meets the same error."""
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError:     # it exists, or the open below raises the error
-        return open(path, "w", encoding="utf-8", newline=""), False
-    return open(fd, "w", encoding="utf-8", newline=""), True
+        return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:
+        return None
 
 
-def _write_stream(path, columns, src, err_fd) -> int:
-    """The writer child's work: the CSV of the rows read from `src`.
-    Returns the child's exit status."""
+def _write_stream(path, fd, columns, src, err_fd) -> int:
+    """The writer child's work: the CSV of the rows read from `src`, on
+    `fd` when the stream created the file.  Returns the child's exit
+    status."""
     width = len(columns)
     line = _csv_line(width)
     error = fh = None
-    created = committed = False
+    committed = False
     try:
-        fh, created = _open_for_write(path)
+        fh = open(path if fd is None else fd, "w", encoding="utf-8",
+                  newline="")
         fh.write(",".join(columns) + "\n")
     except OSError as exc:
         error = exc
@@ -268,8 +273,8 @@ def _write_stream(path, columns, src, err_fd) -> int:
             fh.close()
         except OSError as exc:
             error = error or exc
-    if not committed:   # the run raised: leave no file behind
-        if created:
+    if not committed:   # the run raised or was killed: leave no file
+        if fd is not None:
             os.unlink(path)
         return 0
     if error is None:
@@ -304,17 +309,20 @@ class _TraceStream:
     batch headed by its row count; a batch of no rows commits the file.
     The child reads to the end of the stream whatever happens, so it
     exits only after the run closed it.  An OSError on the file comes
-    back pickled over a second pipe and `finish` raises it.  A stream
-    closed without the commit (the run raised) leaves no file: the child
-    removes the file if it created it.  The child runs off the run's CPU,
-    ignores SIGINT (the run ends it), and leaves through os._exit, so it
-    runs no exit handler and flushes none of the stdio buffers it
-    inherited.
+    back pickled over a second pipe and `finish` raises it.  A file that
+    does not exist yet is created before the fork.  A stream closed
+    without the commit (the run raised) leaves no such file: the child
+    removes it, and `abort` removes it too, in case the child died
+    first.  The child runs off the run's CPU, ignores SIGINT (the run
+    ends it), and leaves through os._exit, so it runs no exit handler and
+    flushes none of the stdio buffers it inherited.
     """
 
     def __init__(self, path, columns):
         self.path = os.fspath(path)
         self.sent = 0
+        fd = _create(self.path)
+        self.created = fd is not None
         data_r, data_w = os.pipe()
         err_r, err_w = os.pipe()
         pid = os.fork()
@@ -326,9 +334,12 @@ class _TraceStream:
                 os.close(data_w)    # else the child never sees the end
                 os.close(err_r)
                 with open(data_r, "rb") as src:
-                    status = _write_stream(self.path, columns, src, err_w)
+                    status = _write_stream(self.path, fd, columns, src,
+                                           err_w)
             finally:
                 os._exit(status)
+        if fd is not None:
+            os.close(fd)
         os.close(data_r)
         os.close(err_w)
         self.pid, self.fd, self.err_fd = pid, data_w, err_r
@@ -381,25 +392,16 @@ class _TraceStream:
                           f"status {code}")
 
     def abort(self) -> None:
-        """End the stream without the commit and wait for the child."""
+        """End the stream without the commit, wait for the child and
+        remove the file the stream created, whatever the child did."""
         self._close()
         try:
             self.finish()
         except OSError:     # the run's own exception is the one to raise
             pass
-
-
-@dataclass
-class _Controls:
-    """Controller outputs applied over one step (or stage)."""
-
-    nu_d: float
-    nu: float
-    u: float | None = None
-    dzeta: float = 0.0
-    dtheta: tuple = ()
-    eps: tuple = ()
-    xis: tuple = ()
+        if self.created:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self.path)
 
 
 class RuntimeModel:
@@ -471,18 +473,24 @@ class RuntimeModel:
             self.phi_fns = [compile_expr(p, ["z1"]) for p in self.phis]
             self.nuss_init = (block["zeta0"], *block["theta0"])
 
-        # state layout: x, then plant levels, then the virtual chain,
-        # then controller-owned states
-        self.i_z = 1 if self.has_plant else None
-        self.i_mu = 1 + (self.n if self.has_plant else 0)
-        self.i_extra = self.i_mu + self.m
+        # state layout: x, the plant levels, the virtual chain, then the
+        # controller's own states; the offsets and dim follow from it
+        names = ["x"]
+        if self.has_plant:
+            names += [f"z{i}" for i in range(1, self.n + 1)]
+        names += [f"mu{i}" for i in range(1, self.m + 1)]
         if self.kind == "nussbaum":
-            self.extra_dim = 1 + len(self.phi_fns)
+            names += ["zeta"] + [f"theta{j}"
+                                 for j in range(1, len(self.phis) + 1)]
         elif self.kind == "dob_backstepping":
-            self.extra_dim = self.n + self.n * (self.n - 1) // 2
-        else:
-            self.extra_dim = 0
-        self.dim = self.i_extra + self.extra_dim
+            names += [f"s{i}" for i in range(1, self.n + 1)]
+            names += [f"df{i}_{j}" for i in range(1, self.n)
+                      for j in range(1, self.n - i + 1)]
+        self.state_names = names
+        self.dim = len(names)
+        self.i_z = 1 if self.has_plant else None
+        self.i_mu = names.index("mu1")
+        self.i_extra = self.i_mu + self.m
         self.qp_fallbacks = 0
 
     # -- state helpers ------------------------------------------------------
@@ -500,14 +508,12 @@ class RuntimeModel:
             # s = -alpha z0 starts every estimate at zero; filters at rest
             state.extend(-a * z for a, z in
                          zip(self.dob.alphas, spec.initial_z))
-            state.extend([0.0] * (self.extra_dim - self.n))
+            state.extend([0.0] * (self.dim - len(state)))
         return state
 
     def _split(self, state):
-        x = state[0]
-        z = state[self.i_z:self.i_z + self.n] if self.has_plant else []
-        mu = state[self.i_mu:self.i_mu + self.m]
-        return x, z, mu
+        """x, the plant levels (none without a plant) and the chain."""
+        return state[0], state[1:self.i_mu], state[self.i_mu:self.i_extra]
 
     def _dob_state(self, state, z):
         """The observer estimates d_hat and the filter stages of state."""
@@ -532,15 +538,18 @@ class RuntimeModel:
                 self.qp_fallbacks += 1
         return nu_d, nu, rows
 
-    def controls(self, state, t: float) -> _Controls:
+    def controls(self, state, t: float) -> tuple:
+        """The control outputs (nu_d, nu, u, dzeta, dtheta) at (state, t),
+        as the generated loop passes them, and the logged internals: the
+        funnel law's xi or the observer law's eps."""
         x, z, mu = self._split(state)
         nu_d, nu, _ = self.safe_input(x, mu, t)
         if self.kind == "nominal":
-            return _Controls(nu_d=nu_d, nu=nu)
+            return (nu_d, nu, None, 0.0, ()), ()
         if self.kind == "ppc":
             u, xis, _ = ppc_control(self.ppc_gains, self.ppc_signs, z,
                                     mu[0], self.rho, t)
-            return _Controls(nu_d=nu_d, nu=nu, u=u, xis=tuple(xis))
+            return (nu_d, nu, u, 0.0, ()), xis
         if self.kind == "nussbaum":
             e = z[0] - mu[0]
             phis = [fn(z[0]) for fn in self.phi_fns]
@@ -548,17 +557,19 @@ class RuntimeModel:
                 self.nuss_gains, state[self.i_extra],
                 state[self.i_extra + 1:], e, nu, self.rho.value(t),
                 phis, t)
-            return _Controls(nu_d=nu_d, nu=nu, u=u, dzeta=dzeta,
-                             dtheta=tuple(dtheta))
+            return (nu_d, nu, u, dzeta, tuple(dtheta)), ()
         u, eps = eval_dob_backstepping(self.dob_ctrl, x, z, mu, nu,
                                        *self._dob_state(state, z), t)
-        return _Controls(nu_d=nu_d, nu=nu, u=u, eps=tuple(eps))
+        return (nu_d, nu, u, 0.0, ()), eps
 
     # -- dynamics -----------------------------------------------------------
 
-    def deriv(self, state, t: float, c: _Controls | None = None) -> list:
-        if c is None:
-            c = self.controls(state, t)
+    def deriv(self, state, t: float, outputs=None) -> list:
+        """d(state)/dt under the control outputs, evaluated at (state, t)
+        unless given."""
+        if outputs is None:
+            outputs = self.controls(state, t)[0]
+        _, nu, u, dzeta, dtheta = outputs
         x, z, mu = self._split(state)
         out = [0.0] * self.dim
         if self.has_plant:
@@ -568,26 +579,25 @@ class RuntimeModel:
             dv = [fn(t) for fn in self.d_fns] or [0.0] * self.n
             for i in range(self.n - 1):
                 out[self.i_z + i] = fv[i] + gv[i] * z[i + 1] + dv[i]
-            out[self.i_z + self.n - 1] = fv[-1] + gv[-1] * c.u + dv[-1]
+            out[self.i_z + self.n - 1] = fv[-1] + gv[-1] * u + dv[-1]
         else:
             out[0] = self.f0_fn(x) + self.g0_fn(x) * mu[0]
         for i in range(self.m - 1):
             out[self.i_mu + i] = mu[i + 1]
-        out[self.i_mu + self.m - 1] = c.nu
+        out[self.i_mu + self.m - 1] = nu
         if self.kind == "nussbaum":
-            out[self.i_extra] = c.dzeta
-            for j, d in enumerate(c.dtheta):
-                out[self.i_extra + 1 + j] = d
+            out[self.i_extra:] = [dzeta, *dtheta]
         elif self.kind == "dob_backstepping":
             d_hat, d_f = self._dob_state(state, z)
             out[self.i_extra:] = [
-                *dob_derivative(self.dob, d_hat, fv, gv, z, c.u),
+                *dob_derivative(self.dob, d_hat, fv, gv, z, u),
                 *filter_derivative(self.dob, d_hat, d_f)]
         return out
 
-    def step(self, state, t: float, dt: float,
-             held: _Controls | None = None, c1: _Controls | None = None):
-        """One RK4 step; controls recomputed per stage unless held."""
+    def step(self, state, t: float, dt: float, held=None, c1=None):
+        """One RK4 step; controls recomputed per stage unless `held`
+        outputs are given.  c1, when given, are the outputs at (state, t)
+        already evaluated."""
         k1 = self.deriv(state, t, held if held is not None else c1)
         return rk4_step(lambda s, tt: self.deriv(s, tt, held), state, t, dt,
                         k1)
@@ -635,34 +645,10 @@ class RuntimeModel:
                     f"{type(exc).__name__}: {exc}") from None
         return reports
 
-    def trace_columns(self) -> list:
-        cols = ["t", "x"]
-        if self.has_plant:
-            cols += [f"z{i}" for i in range(1, self.n + 1)]
-        cols += [f"mu{i}" for i in range(1, self.m + 1)]
-        cols += ["e", "rho", "x_d"]
-        for k in range(1, len(self.stacks) + 1):
-            cols += [f"h{k}"]
-            cols += [f"b{k}_{i}" for i in range(self.m + 1)]
-            cols += [f"psi0_{k}", f"psi1_{k}", f"margin{k}"]
-        cols += ["nu_d", "nu"]
-        if self.has_plant:
-            cols.append("u")
-            if self.d_fns:
-                cols += [f"d{i}" for i in range(1, self.n + 1)]
-        if self.kind == "dob_backstepping":
-            cols += [f"dhat{i}" for i in range(1, self.n + 1)]
-            cols += [f"df{i}_{j}" for i in range(1, self.n)
-                     for j in range(1, self.n - i + 1)]
-            cols += [f"eps{i}" for i in range(1, self.n + 1)]
-        elif self.kind == "nussbaum":
-            cols += ["zeta"] + [f"theta{j}"
-                                for j in range(1, len(self.phi_fns) + 1)]
-        elif self.kind == "ppc":
-            cols += [f"xi{i}" for i in range(1, self.n + 1)]
-        return cols
-
-    def trace_row(self, state, t: float, c: _Controls) -> list:
+    def trace_row(self, state, t: float, outputs, internals) -> list:
+        """The grid row at (state, t) under the control outputs and
+        internals of `controls`; `loop.ClosedLoop.columns` names it."""
+        nu_d, nu, u, _, _ = outputs
         x, z, mu = self._split(state)
         e = (z[0] - mu[0]) if self.has_plant else 0.0
         row = [t, x, *z, *mu, e, self.rho.value(t), self.xd_fn(t)]
@@ -670,20 +656,17 @@ class RuntimeModel:
             h = stack.h_value(x)
             bs = stack.eval_barriers(x, mu, t)
             psi0, psi1 = stack.eval_constraint(x, mu, t)
-            row += [h, *bs, psi0, psi1, psi0 + psi1 * c.nu]
-        row += [c.nu_d, c.nu]
+            row += [h, *bs, psi0, psi1, psi0 + psi1 * nu]
+        row += [nu_d, nu]
         if self.has_plant:
-            row.append(c.u)
-            if self.d_fns:
-                row += [fn(t) for fn in self.d_fns]
+            row.append(u)
+            row += [fn(t) for fn in self.d_fns]
         if self.kind == "dob_backstepping":
             d_hat, d_f = self._dob_state(state, z)
-            row += [*d_hat, *d_f, *c.eps]
+            row += [*d_hat, *d_f]
         elif self.kind == "nussbaum":
-            row += state[self.i_extra:self.i_extra + self.extra_dim]
-        elif self.kind == "ppc":
-            row += list(c.xis)
-        return row
+            row += state[self.i_extra:]
+        return row + list(internals)
 
 
 def _first_step(model: RuntimeModel, steps) -> dict:
@@ -710,9 +693,10 @@ def _check_start(model: RuntimeModel, loop: ClosedLoop) -> None:
 
     def reference():
         state = model.initial_state()
-        c = model.controls(state, 0.0)
-        yield model.trace_row(state, 0.0, c)
-        yield model.step(state, 0.0, dt, held=c if hold else None, c1=c)
+        outputs, internals = model.controls(state, 0.0)
+        yield model.trace_row(state, 0.0, outputs, internals)
+        yield model.step(state, 0.0, dt, held=outputs if hold else None,
+                         c1=outputs)
 
     def generated():
         state = model.initial_state()
@@ -842,7 +826,7 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
     loop = ClosedLoop(model)
     _check_start(model, loop)
 
-    columns = model.trace_columns()
+    columns = loop.columns
     stream = None
     if out is not None and hasattr(os, "fork"):
         stream = _TraceStream(out, columns)

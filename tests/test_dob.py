@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxysafe.dob import DobSpec, dob_derivative, dob_outputs, filter_derivative
+from proxysafe.loop import ClosedLoop
 from proxysafe.scenario import load_builtin
 from proxysafe.sim import RuntimeModel
 
@@ -120,8 +121,8 @@ def test_initial_state_zero_estimates():
         assert s == want_s
         assert state[model.i_extra + 2:] == [0.0]
         assert dob_outputs(model.dob, s, z) == [0.0, 0.0]
-        row = model.trace_row(state, 0.0, model.controls(state, 0.0))
-        cols = model.trace_columns()
+        row = model.trace_row(state, 0.0, *model.controls(state, 0.0))
+        cols = ClosedLoop(model).columns
         assert [row[cols.index(c)] for c in ("dhat1", "dhat2", "df1_1")] \
             == [0.0, 0.0, 0.0]
 

@@ -9,7 +9,8 @@ computes call by call.  Covers, in order:
    states where the reference aborts (the same exception with the same
    message);
 2. hold mode: the derivative under held outputs and the grid point that
-   logs them;
+   logs them; every trace column, at sampled states, against its own
+   per-module law;
 3. the two-barrier pair fallback: the same calls and the same count;
    a derivative that fails alone at a grid point, which keeps the row
    and names the failing scenario expression; the number of locals the
@@ -31,13 +32,16 @@ import yaml
 from proxysafe import filter as filter_mod
 from proxysafe import sim as sim_mod
 from proxysafe.barrier import CHI_SATURATE
-from proxysafe.controllers import BarrierBreach, FunnelBreach, SingularGain
-from proxysafe.expr import EvalError
+from proxysafe.controllers import (
+    BarrierBreach, FunnelBreach, SingularGain, eval_dob_backstepping,
+    nussbaum_control, ppc_control,
+)
+from proxysafe.dob import dob_outputs
+from proxysafe.expr import EvalError, evaluate
 from proxysafe.filter import Infeasible
 from proxysafe.loop import ClosedLoop
 from proxysafe.scenario import load_builtin, loads_scenario
-from proxysafe.sim import (LoopMismatch, RunDomainError, RuntimeModel,
-                           _Controls, simulate)
+from proxysafe.sim import LoopMismatch, RunDomainError, RuntimeModel, simulate
 from scenario_variants import variant
 
 ABORTS = (Infeasible, BarrierBreach, FunnelBreach, SingularGain, EvalError,
@@ -89,21 +93,14 @@ def outcome(model, fn):
     return got, model.qp_fallbacks
 
 
-def outputs(c):
-    """A reference _Controls as the generated loop's control outputs."""
-    return (c.nu_d, c.nu, c.u, c.dzeta, tuple(c.dtheta))
-
-
 def reference_point(model, state, t, held=None):
     """Derivative, row and control outputs at a grid point, the way
     simulate composed them before the loop was generated."""
-    c = model.controls(state, t)
+    outputs, internals = model.controls(state, t)
     if held is not None:
-        c = _Controls(nu_d=held.nu_d, nu=held.nu, u=held.u,
-                      dzeta=held.dzeta, dtheta=held.dtheta,
-                      eps=c.eps, xis=c.xis)
-    row = model.trace_row(state, t, c)
-    return model.deriv(state, t, c), row, outputs(c)
+        outputs = held
+    row = model.trace_row(state, t, outputs, internals)
+    return model.deriv(state, t, outputs), row, outputs
 
 
 def sample_state(model, rng):
@@ -124,9 +121,11 @@ def sample_state(model, rng):
     state += mu
     if model.kind == "nussbaum":
         state += [rng.uniform(0.0, 20.0)] + \
-            [rng.uniform(-1.0, 1.0) for _ in range(model.extra_dim - 1)]
+            [rng.uniform(-1.0, 1.0)
+             for _ in range(model.dim - model.i_extra - 1)]
     elif model.kind == "dob_backstepping":
-        state += [rng.uniform(-50.0, 50.0) for _ in range(model.extra_dim)]
+        state += [rng.uniform(-50.0, 50.0)
+                  for _ in range(model.dim - model.i_extra)]
     return state, t
 
 
@@ -166,15 +165,81 @@ def test_held_outputs_match_reference(name):
     while compared < SAMPLES // 4:
         state, t = sample_state(model, rng)
         try:
-            held = model.controls(*sample_state(model, rng))
+            held = model.controls(*sample_state(model, rng))[0]
         except ABORTS:
             continue
         compared += 1
-        assert outcome(model, lambda: loop.stage_held(
-            state, t, outputs(held))) == \
+        assert outcome(model, lambda: loop.stage_held(state, t, held)) == \
             outcome(model, lambda: model.deriv(state, t, held)), (state, t)
-        assert outcome(model, lambda: loop.point(state, t, outputs(held))) \
+        assert outcome(model, lambda: loop.point(state, t, held)) \
             == outcome(model, lambda: reference_point(model, state, t, held))
+
+
+def own_values(model, state, t):
+    """Each trace column's value at (state, t), by column name, from its
+    own per-module law: the state entries as they are (the observer
+    states s_i are logged as the estimates dhat_i), the scenario
+    expressions under `evaluate`, the barrier evaluators, the filter and
+    the tracking laws."""
+    spec = model.spec
+    x, z, mu = state[0], state[1:model.i_mu], state[model.i_mu:model.i_extra]
+    want = dict(zip(model.state_names, state), t=t)
+    for i in range(1, model.n + 1):
+        want.pop(f"s{i}", None)
+    want["e"] = z[0] - mu[0] if model.has_plant else 0.0
+    want["rho"] = spec.rho.value(t)
+    want["x_d"] = evaluate(spec.nominal.x_d, {"t": t})
+    nu_d, nu, _ = model.safe_input(x, mu, t)
+    want.update(nu_d=nu_d, nu=nu)
+    for k, stack in enumerate(model.stacks, start=1):
+        want[f"h{k}"] = stack.h_value(x)
+        want.update((f"b{k}_{i}", b)
+                    for i, b in enumerate(stack.eval_barriers(x, mu, t)))
+        psi0, psi1 = stack.eval_constraint(x, mu, t)
+        want.update({f"psi0_{k}": psi0, f"psi1_{k}": psi1,
+                     f"margin{k}": psi0 + psi1 * nu})
+    want.update((f"d{i}", evaluate(d, {"t": t}))
+                for i, d in enumerate(spec.plant.disturbances, start=1))
+    if model.kind == "ppc":
+        want["u"], xis, _ = ppc_control(model.ppc_gains, model.ppc_signs, z,
+                                        mu[0], spec.rho, t)
+        want.update((f"xi{i}", xi) for i, xi in enumerate(xis, start=1))
+    elif model.kind == "nussbaum":
+        phis = [evaluate(p, {"z1": z[0]}) for p in model.phis]
+        want["u"] = nussbaum_control(
+            model.nuss_gains, state[model.i_extra], state[model.i_extra + 1:],
+            want["e"], nu, spec.rho.value(t), phis, t)[0]
+    elif model.kind == "dob_backstepping":
+        mid = model.i_extra + model.n
+        d_hat = dob_outputs(model.dob, state[model.i_extra:mid], z)
+        want["u"], eps = eval_dob_backstepping(model.dob_ctrl, x, z, mu, nu,
+                                               d_hat, state[mid:], t)
+        want.update((f"dhat{i}", v) for i, v in enumerate(d_hat, start=1))
+        want.update((f"eps{i}", v) for i, v in enumerate(eps, start=1))
+    return want
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_each_column_carries_its_own_value(name):
+    # the generated row names each value where it writes it; a column
+    # named for another quantity, or a quantity left unnamed, fails here
+    model = RuntimeModel(SPECS[name]())
+    loop = ClosedLoop(model)
+    columns = loop.columns
+    assert len(set(columns)) == len(columns)
+    rng = random.Random(f"columns/{name}")
+    compared = 0
+    for _ in range(SAMPLES // 4):
+        state, t = sample_state(model, rng)
+        try:
+            row = loop.point(state, t, None)[1]
+        except ABORTS:
+            continue
+        compared += 1
+        assert len(row) == len(columns)
+        want = {c: bits(v) for c, v in own_values(model, state, t).items()}
+        assert dict(zip(columns, bits(row))) == want, (state, t)
+    assert compared >= SAMPLES // 20
 
 
 def test_generated_functions_bind_few_locals():
@@ -226,12 +291,12 @@ def test_failing_derivative_keeps_the_grid_row():
     loop = ClosedLoop(model)
     state = model.initial_state()
     state[1] = state[3] = -20.0                  # z1 = mu1, no tracking error
-    c = model.controls(state, 0.5)
+    outputs, internals = model.controls(state, 0.5)
     k1, row, ctrl = loop.point(state, 0.5, None)
     assert k1 is None
-    assert bits(row) == bits(model.trace_row(state, 0.5, c))
+    assert bits(row) == bits(model.trace_row(state, 0.5, outputs, internals))
     with pytest.raises(ValueError):
-        model.deriv(state, 0.5, c)
+        model.deriv(state, 0.5, outputs)
     with pytest.raises(RunDomainError, match=r"at t=0\.5 in plant\.levels"
                        r"\[0\]\.f: log of a non-positive value"):
         loop.stage_held(state, 0.5, ctrl)
@@ -252,24 +317,22 @@ def reference_run(model):
     refresh = model.hold_dt is not None
     state = model.initial_state()
     try:
-        c = model.controls(state, 0.0)
-        rows.append(model.trace_row(state, 0.0, c))
+        outputs, internals = model.controls(state, 0.0)
+        rows.append(model.trace_row(state, 0.0, outputs, internals))
         for k in range(1, max(1, int(round(model.horizon / dt))) + 1):
             t_prev = (k - 1) * dt
             if refresh:
-                held = c
+                held = outputs
                 next_hold += model.hold_dt
-            state = model.step(state, t_prev, dt, held=held, c1=c)
+            state = model.step(state, t_prev, dt, held=held, c1=outputs)
             t = k * dt
             if not all(math.isfinite(v) for v in state):
                 return rows, f"non-finite state at t={t:.6g}"
-            c = model.controls(state, t)
+            outputs, internals = model.controls(state, t)
             refresh = model.hold_dt is not None and t >= next_hold - 1e-12
             if held is not None and not refresh:
-                c = _Controls(nu_d=held.nu_d, nu=held.nu, u=held.u,
-                              dzeta=held.dzeta, dtheta=held.dtheta,
-                              eps=c.eps, xis=c.xis)
-            rows.append(model.trace_row(state, t, c))
+                outputs = held
+            rows.append(model.trace_row(state, t, outputs, internals))
     except ABORTS as exc:
         reason = f"{type(exc).__name__}: {exc}"
     return rows, reason
@@ -312,8 +375,8 @@ def test_simulate_matches_reference_run(name):
 def test_run_start_mismatch_raises(monkeypatch):
     trace_row = RuntimeModel.trace_row
 
-    def one_ulp_off(self, state, t, c):
-        row = trace_row(self, state, t, c)
+    def one_ulp_off(self, state, t, outputs, internals):
+        row = trace_row(self, state, t, outputs, internals)
         row[1] = math.nextafter(row[1], math.inf)
         return row
 

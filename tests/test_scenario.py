@@ -6,7 +6,8 @@ Covers, in order:
    wiring invariants the simulator relies on;
 2. serialization round-trips: dump/load at the mapping, string, and
    file level must reproduce an identical normalized scenario;
-3. normalization defaults for optional keys;
+3. normalization defaults for optional keys, and numbers written in
+   YAML 1.2 exponent form;
 4. the degree unit: references written in degrees must evaluate in
    radians after loading;
 5. validation errors: every malformed field is rejected with a
@@ -31,6 +32,7 @@ from proxysafe.scenario import (
     ScenarioError, builtin_names, dumps_scenario, load_builtin,
     load_scenario, loads_scenario, save_scenario,
 )
+from proxysafe.sim import simulate
 
 
 def broken(name, mutate):
@@ -177,6 +179,29 @@ def test_defaults_keep_the_written_types():
     spec = loads_scenario(broken("ship", lambda m: m.update(
         controller="nominal", controllers={"nominal": {}})))
     assert spec.to_mapping()["controllers"] == {"nominal": {}}
+
+
+def test_unquoted_exponent_numbers_are_floats(tmp_path):
+    """PyYAML reads YAML 1.1, where 1e-2, 1E3 and .5e1 are strings; every
+    numeric key reads them as the floats YAML 1.2 makes them, and a run
+    with dt: 1e-2 writes the trace of dt: 0.01.  A quoted decimal such as
+    "0.01" is still rejected."""
+    ship = dumps_scenario(load_builtin("ship"))
+    traces = []
+    for dt in ("0.01", "1e-2"):
+        spec = loads_scenario(ship.replace("dt: 0.01\n", f"dt: {dt}\n"))
+        assert spec.dt == 0.01
+        out = tmp_path / f"dt={dt}.csv"
+        simulate(spec, horizon=0.5, out=out).to_csv(out)
+        traces.append(out.read_bytes())
+    assert traces[0] == traces[1]
+    spec = loads_scenario(MINIMAL.replace("horizon: 1\n", "horizon: .5e1\n")
+                          .replace("lambdas: [1, 1]", "lambdas: [1E3, 2e+0]"))
+    assert spec.horizon == 5.0
+    assert spec.proxies[0].lambdas == (1000.0, 2.0)
+    with pytest.raises(ScenarioError,
+                       match=r"^dt: expected a number, got '0\.01'$"):
+        loads_scenario(ship.replace("dt: 0.01\n", 'dt: "0.01"\n'))
 
 
 def test_observer_defaults():

@@ -22,6 +22,7 @@ import math
 
 import pytest
 
+from proxysafe.loop import ClosedLoop
 from proxysafe.scenario import ScenarioError, load_builtin, loads_scenario
 from proxysafe.sim import CheckFailed, RuntimeModel, SimTrace, rk4_step, simulate
 from scenario_variants import variant
@@ -85,7 +86,9 @@ def test_initial_state_layout_electromech():
     assert state[0] == -0.08
     assert state[3] == state[1]          # mu1(0) = z1(0)
     assert state[4] == 0.0               # deeper chain starts at rest
-    cols = model.trace_columns()
+    assert model.state_names == ["x", "z1", "z2", "mu1", "mu2", "s1", "s2",
+                                 "df1_1"]
+    cols = ClosedLoop(model).columns
     assert cols[0] == "t"
     for name in ("x", "z1", "z2", "mu1", "mu2", "e", "rho", "x_d", "h1",
                  "h2", "psi0_1", "psi1_2", "margin1", "nu_d", "nu", "u",
@@ -127,9 +130,8 @@ def test_virtual_chain_integrates_exactly():
     spec = variant("electromech", plant__disturbances=[],
                    controller="nominal", controllers={"nominal": {}})
     model = RuntimeModel(spec)
-    from proxysafe.sim import _Controls
     state = [0.0, 0.0, 1.0]              # x, mu1, mu2(0)=1
-    pinned = _Controls(nu_d=0.0, nu=0.0)
+    pinned = (0.0, 0.0, None, 0.0, ())  # (nu_d, nu, u, dzeta, dtheta)
     t = 0.0
     for _ in range(100):
         state = model.step(state, t, 0.01, held=pinned)

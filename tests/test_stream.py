@@ -9,8 +9,8 @@ Covers, in order:
    electromech/ppc, hold mode and an ABORTED partial trace; without
    os.fork, `to_csv` writes the same bytes itself;
 2. runs that raise (CheckFailed, LoopMismatch, an exception or an
-   interrupt mid-run) leave no file and no child; a trace never written
-   out still has its child reaped;
+   interrupt mid-run, also after the writer child died) leave no file
+   and no child; a trace never written out still has its child reaped;
 3. output errors come back from the child as the OSError the in-process
    write raises, and a child that dies is reported;
 4. the child never flushes the stdio buffers it inherited: what the run
@@ -137,8 +137,8 @@ def test_check_failure_leaves_no_file(tmp_path):
 def test_loop_mismatch_leaves_no_file(tmp_path, monkeypatch):
     real = RuntimeModel.trace_row
 
-    def one_ulp_off(self, state, t, c):
-        row = real(self, state, t, c)
+    def one_ulp_off(self, state, t, outputs, internals):
+        row = real(self, state, t, outputs, internals)
         row[1] = math.nextafter(row[1], math.inf)
         return row
 
@@ -149,8 +149,9 @@ def test_loop_mismatch_leaves_no_file(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
-def test_exception_mid_run_leaves_no_file(exc_type, tmp_path, monkeypatch):
+def fail_after_three_batches(monkeypatch, exc_type):
+    """Make the generated grid point raise exc_type("injected") once 3
+    batches of rows were computed; returns the count of its calls."""
     calls = [0]
 
     class Failing(sim.ClosedLoop):
@@ -167,10 +168,35 @@ def test_exception_mid_run_leaves_no_file(exc_type, tmp_path, monkeypatch):
             self.point = failing
 
     monkeypatch.setattr(sim, "ClosedLoop", Failing)
+    return calls
+
+
+@pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
+def test_exception_mid_run_leaves_no_file(exc_type, tmp_path, monkeypatch):
+    calls = fail_after_three_batches(monkeypatch, exc_type)
     out = tmp_path / "no.csv"
     with pytest.raises(exc_type, match="injected"):
         simulate(load_builtin("ship"), horizon=10.0, out=out)
     assert calls[0] == 3 * sim._BATCH_ROWS + 1
+    assert not out.exists()
+
+
+def test_exception_after_the_writer_died_leaves_no_file(tmp_path,
+                                                        monkeypatch):
+    # the child writes its first batch and dies; the run then raises
+    # after 3 batches, and the partial file the child left is removed
+    write_rows = sim._write_rows
+
+    def write_then_die(fh, line, rows):
+        write_rows(fh, line, rows)
+        fh.flush()
+        os._exit(9)
+
+    monkeypatch.setattr(sim, "_write_rows", write_then_die)
+    fail_after_three_batches(monkeypatch, RuntimeError)
+    out = tmp_path / "no.csv"
+    with pytest.raises(RuntimeError, match="injected"):
+        simulate(load_builtin("ship"), horizon=10.0, out=out)
     assert not out.exists()
 
 
