@@ -27,22 +27,23 @@ before construction, and the two global conditions below are skipped.
 
 The module also checks the three conditions under which the barrier
 constraint is guaranteed feasible: (i) wherever the g0-gradient of h
-vanishes on the safe set, h must already exceed xi (sample-falsified with
-local refinement, honestly reported as inconclusive when no vanishing
-point is found); (ii) an analytic budget comparing iterated
-(d/dt + lambda) applications on rho^2 against the product of the lambdas;
-(iii) positivity of y_0 and every b_i at the initial state.
+vanishes on the safe set, h must already exceed xi (proved over the
+check box by interval bisection, falsified by a concrete point, or left
+inconclusive on the width the cell budget did not decide); (ii) an
+analytic budget comparing iterated (d/dt + lambda) applications on rho^2
+against the product of the lambdas; (iii) positivity of y_0 and every
+b_i at the initial state, by evaluating the trees there.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from proxysafe.expr import (
     Call, Const, Div, Expr, Sub, Var, compile_expr, compile_exprs,
-    differentiate, simplify,
+    differentiate, evaluate, interval, simplify,
 )
 
 __all__ = [
@@ -53,6 +54,7 @@ __all__ = [
 
 EPS_GRAD = 1e-8       # |L_g0 h| below this counts as vanishing
 H_SLACK = 1e-9        # tolerance on h >= xi at vanishing-gradient points
+CELL_BUDGET = 4000    # cells the condition (i) bisection may visit
 _CHI_MAX_ORDER = 12
 CHI_SATURATE = 1.0 - 1e-12   # chi and its derivatives saturate from here
 
@@ -61,20 +63,8 @@ CHI_SATURATE = 1.0 - 1e-12   # chi and its derivatives saturate from here
 # the switch function chi
 # ---------------------------------------------------------------------------
 
-_chi_fns: list = []
-
-
-def _chi_fn(k: int):
-    while len(_chi_fns) <= k:
-        if not _chi_fns:
-            tau = Var("tau")
-            core = Const(1.0) - Call("exp", Div(tau, Sub(tau, Const(1.0))))
-            _chi_fns.append((core, compile_expr(core, ["tau"])))
-        else:
-            prev_expr, _ = _chi_fns[-1]
-            d = differentiate(prev_expr, "tau")
-            _chi_fns.append((d, compile_expr(d, ["tau"])))
-    return _chi_fns[k][1]
+_chi_exprs: list = []
+_chi_fns: dict = {}
 
 
 def _check_order(k: int) -> None:
@@ -86,8 +76,14 @@ def chi_expr(k: int) -> Expr:
     """The k-th derivative of chi's closed form below the switch point, as
     an expression in tau (what ``chi`` evaluates there)."""
     _check_order(k)
-    _chi_fn(k)
-    return _chi_fns[k][0]
+    while len(_chi_exprs) <= k:
+        if not _chi_exprs:
+            tau = Var("tau")
+            _chi_exprs.append(
+                Const(1.0) - Call("exp", Div(tau, Sub(tau, Const(1.0)))))
+        else:
+            _chi_exprs.append(differentiate(_chi_exprs[-1], "tau"))
+    return _chi_exprs[k]
 
 
 def chi(tau: float, k: int = 0) -> float:
@@ -104,7 +100,10 @@ def chi(tau: float, k: int = 0) -> float:
     _check_order(k)
     if tau >= CHI_SATURATE:
         return 1.0 if k == 0 else 0.0
-    return _chi_fn(k)(float(tau))
+    fn = _chi_fns.get(k)
+    if fn is None:
+        fn = _chi_fns[k] = compile_expr(chi_expr(k), ["tau"])
+    return fn(float(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +180,22 @@ class BarrierStack:
     """Symbolically constructed barrier chain for one proxy subsystem.
 
     Holds the expressions b_0..b_m, the scalars M_1..M_{m+1}, and the
-    constraint pair (psi0, psi1); all immutable after construction.
+    constraint pair (psi0, psi1); all immutable.  The row one past the
+    chain (M_{m+1}, psi0 and psi1, most of the symbolic work) is built
+    on first use, since the feasibility checks read only b and h.
     The evaluation helpers take the scalar state x, the m virtual-state
     values mu and the time t, return floats, and bind the y variables to
     chi derivatives of h(x)/xi automatically ("switched") or skip them
     entirely ("plain").
     """
 
-    def __init__(self, proxy: ProxySpec, rho: RhoSpec, b, M, psi0, psi1):
+    def __init__(self, proxy: ProxySpec, rho: RhoSpec, b, M, constraint):
+        """M holds M_1..M_m; constraint() builds (M_{m+1}, psi0, psi1)."""
         self.proxy = proxy
         self.rho = rho
         self.b = tuple(b)
-        self.M = tuple(M)
-        self.psi0 = psi0
-        self.psi1 = psi1
+        self._chain_M = tuple(M)
+        self._constraint = constraint
         self.mu_vars = [f"mu{i}" for i in range(1, proxy.m + 1)]
         self.y_count = proxy.m + 2 if proxy.mode == "switched" else 0
         self.y_vars = [f"y{j}" for j in range(self.y_count)]
@@ -202,6 +203,22 @@ class BarrierStack:
         self._h_fn = compile_expr(proxy.h, ["x"])
         self._qp_fn = None
         self._b_fn = None
+
+    @cached_property
+    def _row(self) -> tuple:
+        return self._constraint()
+
+    @property
+    def M(self) -> tuple:
+        return (*self._chain_M, self._row[0])
+
+    @property
+    def psi0(self) -> Expr:
+        return self._row[1]
+
+    @property
+    def psi1(self) -> Expr:
+        return self._row[2]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -285,18 +302,18 @@ def build_barrier_stack(proxy: ProxySpec, rho: RhoSpec) -> BarrierStack:
             + differentiate(b_prev, "t")
         b_list.append(simplify(chained(b_i, b_prev, i)))
 
-    # the extra row for the constraint, one past the chain
-    M_i = m_row(b_list[m], m + 1)
-    m_rows.append(M_i)
-    mg = M_i * proxy.g0
-    b_m = b_list[m]
-    psi0 = differentiate(b_m, "t") + M_i * drift \
-        + Const(proxy.lambdas[m]) * b_m \
-        - Call("sqrt", mg * mg) * rho_expr
-    psi0 = simplify(chained(psi0, b_m, m))
-    psi1 = differentiate(b_m, f"mu{m}")
+    def constraint() -> tuple:
+        """The extra row for the constraint, one past the chain."""
+        b_m = b_list[m]
+        M_i = m_row(b_m, m + 1)
+        mg = M_i * proxy.g0
+        psi0 = differentiate(b_m, "t") + M_i * drift \
+            + Const(proxy.lambdas[m]) * b_m \
+            - Call("sqrt", mg * mg) * rho_expr
+        psi0 = simplify(chained(psi0, b_m, m))
+        return M_i, psi0, differentiate(b_m, f"mu{m}")
 
-    return BarrierStack(proxy, rho, b_list, m_rows, psi0, psi1)
+    return BarrierStack(proxy, rho, b_list, m_rows, constraint)
 
 
 # ---------------------------------------------------------------------------
@@ -366,90 +383,84 @@ def rho_budget(proxy: ProxySpec, rho: RhoSpec) -> dict:
     return {"value": sup, "bound": product, "margin": product - sup}
 
 
-def _grad_condition(stack: BarrierStack, box, samples: int, seed: int) -> ConditionCheck:
+def _grad_condition(stack: BarrierStack, box) -> ConditionCheck:
+    """Condition (i) over the box, by bisection.  A cell is discharged
+    when the interval enclosures prove it outside the safe set (h < 0),
+    at or above xi (h >= xi - H_SLACK), or free of a vanishing gradient
+    ((L_g0 h)^2 > EPS_GRAD^2); a flagged enclosure proves nothing.  An
+    undischarged cell's midpoint is a witness when the condition fails
+    there; otherwise the cell is halved, until CELL_BUDGET cells."""
     proxy = stack.proxy
     if box is None:
         raise ValueError("condition check needs one (lo, hi) interval")
     # squared h-gradient pushed through g0
     mg = simplify(differentiate(proxy.h, "x") * proxy.g0)
-    norm2_fn = compile_expr(simplify(mg * mg), ["x"])
-    h_fn = stack._h_fn
+    n2 = simplify(mg * mg)
+    h, floor, eps2 = proxy.h, proxy.xi - H_SLACK, EPS_GRAD * EPS_GRAD
 
-    rng = random.Random(seed)
-    lo, hi = (float(v) for v in box)
-
-    def draw(center=None, width=None):
-        if center is None:
-            return rng.uniform(lo, hi)
-        return min(hi, max(lo, center + width * (rng.random() - 0.5)))
-
-    best_x, best_n2 = None, math.inf
-    in_set = 0
-    for _ in range(samples):
-        x = draw()
-        if h_fn(x) < 0.0:
+    cells = [(*(float(v) for v in box), 0)]
+    visited = depth = 0
+    undecided = 0.0
+    while cells and visited < CELL_BUDGET:
+        lo, hi, level = cells.pop()
+        visited += 1
+        depth = max(depth, level)
+        h_lo, h_hi, h_bad = interval(h, "x", lo, hi)
+        if h_bad is None and (h_hi < 0.0 or h_lo >= floor):
             continue
-        in_set += 1
-        n2 = norm2_fn(x)
-        if n2 <= EPS_GRAD * EPS_GRAD and h_fn(x) < proxy.xi - H_SLACK:
-            return ConditionCheck("falsified",
-                                  f"gradient vanishes at {[x]} but h={h_fn(x):.6g} < xi",
-                                  {"witness": [x], "h": h_fn(x)})
-        if n2 < best_n2:
-            best_x, best_n2 = x, n2
-    if best_x is None:
-        return ConditionCheck("inconclusive-pass",
-                              "no safe-set samples inside the box",
-                              {"samples_in_set": 0})
-
-    # shrink a local window around the incumbent to chase the gradient
-    # toward zero; only a genuinely vanishing point can falsify or
-    # positively confirm the implication
-    width = hi - lo
-    for _ in range(90):
-        width = width * 0.75
-        for _ in range(120):
-            x = draw(best_x, width)
-            if h_fn(x) < 0.0:
-                continue
-            n2 = norm2_fn(x)
-            if n2 < best_n2:
-                best_x, best_n2 = x, n2
-    h_best = h_fn(best_x)
-    data = {"min_grad_norm": math.sqrt(best_n2), "witness": [best_x],
-            "h_at_witness": h_best, "samples_in_set": in_set}
-    if best_n2 <= EPS_GRAD * EPS_GRAD:
-        if h_best >= proxy.xi - H_SLACK:
+        n_lo, _, n_bad = interval(n2, "x", lo, hi)
+        if n_bad is None and n_lo > eps2:
+            continue
+        x = 0.5 * lo + 0.5 * hi
+        h_x = evaluate(h, {"x": x})
+        if 0.0 <= h_x < floor and evaluate(n2, {"x": x}) <= eps2:
             return ConditionCheck(
-                "pass", f"gradient vanishes near {[best_x]} with "
-                f"h={h_best:.6g} >= xi={proxy.xi:.6g}", data)
+                "falsified", f"gradient vanishes at {[x]} but "
+                f"h={h_x:.6g} < xi={proxy.xi:.6g}",
+                {"witness": [x], "h": h_x, "cells": visited, "depth": depth})
+        if lo < x < hi:
+            cells += [(x, hi, level + 1), (lo, x, level + 1)]
+        else:
+            undecided += hi - lo
+    undecided += sum(hi - lo for lo, hi, _ in cells)
+    data = {"cells": visited, "depth": depth, "undecided_width": undecided}
+    if undecided:
         return ConditionCheck(
-            "falsified", f"gradient vanishes at {[best_x]} but "
-            f"h={h_best:.6g} < xi={proxy.xi:.6g}", data)
+            "inconclusive-pass",
+            f"undecided on width {undecided:.3g} of the box after "
+            f"{visited} cells", data)
     return ConditionCheck(
-        "inconclusive-pass",
-        f"no vanishing gradient found (min norm {math.sqrt(best_n2):.3g}); "
-        "implication vacuous on sampled box", data)
+        "pass", f"proven on the box (cells: {visited}, depth: {depth})",
+        data)
 
 
-def check_conditions(stack: BarrierStack, x0, z1_0, box=None,
-                     samples: int = 4000, seed: int = 0) -> ConditionReport:
+def check_conditions(stack: BarrierStack, x0, z1_0, box=None) -> ConditionReport:
     """Check the three feasibility conditions for one barrier stack.
 
     x0 is the initial proxy state; z1_0 the initial first plant block,
     which seeds the first virtual state (remaining virtual states start
-    at zero).  box, one (lo, hi) interval of x, bounds the sampling
-    domain for the vanishing-gradient check; it is required in switched
-    mode.
+    at zero).  box, one finite (lo, hi) interval of x, is where the
+    vanishing-gradient condition is proved; it is required in switched
+    mode.  Its verdict is proven, not sampled: ``pass`` when every cell
+    of the bisection is discharged (``data`` holds the cell count, the
+    depth and an undecided width of 0), ``falsified`` with a witness
+    point, or ``inconclusive-pass`` with the width of the cells the
+    budget left undecided.
+
+    h is evaluated at x0 through the compiled ``h_value`` first, so an h
+    that fails there raises the raw error a run would; every other
+    evaluation walks the trees, whose failures raise DomainError naming
+    the subexpression.  Nothing is compiled.
     """
     proxy = stack.proxy
     plain = proxy.mode == "plain"
+    h0 = stack.h_value(float(x0))
 
     if plain:
         grad = ConditionCheck("skipped", "plain mode assumes a nonvanishing gradient")
         budget = ConditionCheck("skipped", "plain mode has no funnel budget")
     else:
-        grad = _grad_condition(stack, box, samples, seed)
+        grad = _grad_condition(stack, box)
         bd = rho_budget(stack.proxy, stack.rho)
         verdict = "pass" if bd["value"] <= bd["bound"] else "fail"
         budget = ConditionCheck(
@@ -458,7 +469,12 @@ def check_conditions(stack: BarrierStack, x0, z1_0, box=None,
             f"(margin {bd['margin']:.6g})", bd)
 
     mu0 = [float(z1_0)] + [0.0] * (proxy.m - 1)
-    bvals = stack.eval_barriers(x0, mu0, 0.0)
+    binding = {"x": float(x0), "t": 0.0, **dict(zip(stack.mu_vars, mu0))}
+    tau = h0 / proxy.xi
+    for j, y in enumerate(stack.y_vars):
+        binding[y] = float(j == 0) if tau >= CHI_SATURATE \
+            else evaluate(chi_expr(j), {"tau": tau})
+    bvals = [evaluate(b, binding) for b in stack.b]
     y0 = bvals[0]       # b_0 = y_0: chi(h/xi), or h in plain mode
     bad = [f"b_{i}(0)={v:.6g}" for i, v in enumerate(bvals) if i >= 1 and v <= 0.0]
     if y0 <= 0.0:

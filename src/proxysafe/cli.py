@@ -22,7 +22,6 @@ UNSAFE, 4 run ABORTED.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import glob
 import json
 import math
@@ -84,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="evaluate the feasibility conditions of a scenario")
     p_check.add_argument("scenario", help="built-in name or scenario file")
     p_check.add_argument("--seed", type=int, default=None,
-                         help="seed for the randomized condition search")
+                         help="unused: the conditions are proven, not "
+                              "sampled (accepted for old scripts)")
     p_check.add_argument("--json", action="store_true",
                          help="emit the report as JSON instead of text")
     p_check.set_defaults(func=cmd_check)
@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--force", action="store_true",
                        help="run even if the condition checks fail")
     p_run.add_argument("--seed", type=int, default=None,
-                       help="seed for the randomized condition search")
+                       help="unused: the conditions are proven, not "
+                            "sampled (accepted for old scripts)")
     p_run.add_argument("--batch", metavar="DIR", default=None,
                        help="run every scenario file in DIR concurrently")
     p_run.set_defaults(func=cmd_run)
@@ -131,18 +132,12 @@ def _load_spec(target: str):
     raise ScenarioError(f"no scenario file or built-in named '{target}'")
 
 
-def _reseed(spec, seed):
-    if seed is None:
-        return spec
-    return dataclasses.replace(spec, seed=seed)
-
-
 def _num(value: float):
     return value if math.isfinite(value) else repr(value)
 
 
 def cmd_check(args) -> int:
-    spec = _reseed(_load_spec(args.scenario), args.seed)
+    spec = _load_spec(args.scenario)
     reports = sim_mod.RuntimeModel(spec).run_checks()
     all_ok = all(rep.ok for rep in reports)
     if args.json:
@@ -165,8 +160,7 @@ def cmd_check(args) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK
 
 
-def _run_one(spec, controller, dt, horizon, force, seed, out_path, out_dir):
-    spec = _reseed(spec, seed)
+def _run_one(spec, controller, dt, horizon, force, out_path, out_dir):
     if out_path is None:
         kind, _ = spec.controller_block(controller)
         out_path = os.path.join(out_dir or "", f"{spec.name}_{kind}.csv")
@@ -191,11 +185,11 @@ def _run_one(spec, controller, dt, horizon, force, seed, out_path, out_dir):
     return summary, _VERDICT_CODE.get(trace.verdict, EXIT_ABORTED)
 
 
-def _batch_worker(path, controller, dt, horizon, force, seed, out_dir):
+def _batch_worker(path, controller, dt, horizon, force, out_dir):
     """Top-level so the process pool can pickle it; returns (summary, code)."""
     try:
         spec = scenario_mod.load_scenario(path)
-        return _run_one(spec, controller, dt, horizon, force, seed,
+        return _run_one(spec, controller, dt, horizon, force,
                         out_path=None, out_dir=out_dir)
     except CheckFailed as exc:
         return {"scenario": path, "verdict": "CHECK_FAILED",
@@ -217,7 +211,7 @@ def _run_batch(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     workers = min(len(files), os.cpu_count() or 1)
     jobs = [(path, args.controller, args.dt, args.horizon, args.force,
-             args.seed, out_dir) for path in files]
+             out_dir) for path in files]
     # only --batch needs the pool: its import is left out of every other run
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -235,7 +229,7 @@ def cmd_run(args) -> int:
         raise ScenarioError("run needs a scenario (or --batch DIR)")
     spec = _load_spec(args.scenario)
     summary, code = _run_one(spec, args.controller, args.dt, args.horizon,
-                             args.force, args.seed, args.out, out_dir=None)
+                             args.force, args.out, out_dir=None)
     print(json.dumps(summary, indent=2))
     return code
 

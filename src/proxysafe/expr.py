@@ -22,6 +22,9 @@ and symbolic, and walks only the nodes that mention the variable: each
 node keeps its derivative by the variables it does not mention.
 Simplification applies a fixed rewrite list to a fixpoint and marks the
 nodes it leaves in normal form; it is deliberately not a canonicalizer.
+``interval`` encloses an expression of one variable over an interval of
+it, with bounds rounded outward, so a bound it proves holds for the
+real expression, not only for its floating-point evaluation.
 For inner loops, ``compile_exprs`` turns a batch of trees into one
 generated Python function with common subexpressions evaluated once:
 a shared subexpression is bound to a local once, and one read only once
@@ -42,7 +45,7 @@ __all__ = [
     "Expr", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "ParseError", "EvalError", "UnboundVariableError", "DomainError",
     "FUNCTIONS", "parse", "differentiate", "simplify", "evaluate",
-    "compile_expr", "compile_exprs", "Emitter",
+    "interval", "compile_expr", "compile_exprs", "Emitter",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -295,8 +298,8 @@ class Const(Expr):
 
     @property
     def prec(self):
-        # negative literals print like a unary minus application
-        return 100 if self.value >= 0 else 25
+        # negative literals, -0.0 too, print like a unary minus application
+        return 100 if math.copysign(1.0, self.value) > 0 else 25
 
     def _payload(self):
         return self.value
@@ -306,6 +309,9 @@ class Const(Expr):
 
     def _eval(self, ev, binding):
         return self.value
+
+    def _enclose(self, iv, box):
+        return self.value, self.value
 
     def _parts(self):
         return (repr(self.value),)
@@ -335,6 +341,12 @@ class Var(Expr):
         except KeyError:
             raise UnboundVariableError(self.name) from None
 
+    def _enclose(self, iv, box):
+        try:
+            return box[self.name]
+        except KeyError:
+            raise UnboundVariableError(self.name) from None
+
     def _parts(self):
         return (self.name,)
 
@@ -345,7 +357,7 @@ class Neg(Expr):
     prec = 25
 
     def __init__(self, a):
-        self.a = _coerce(a)
+        self.a = a if isinstance(a, Expr) else _coerce(a)
         self._hash = hash(("neg", self.a._hash))
         self._vars = None
         self._simple = False
@@ -363,6 +375,10 @@ class Neg(Expr):
     def _eval(self, ev, binding):
         return -ev(self.a)
 
+    def _enclose(self, iv, box):
+        lo, hi = iv(self.a)
+        return -hi, -lo
+
     def _parts(self):
         a = self.a
         return ("-", a) if a.prec >= self.prec else ("-(", a, ")")
@@ -375,8 +391,8 @@ class _Binary(Expr):
     _domain_msg = "arithmetic error"
 
     def __init__(self, a, b):
-        self.a = _coerce(a)
-        self.b = _coerce(b)
+        self.a = a if isinstance(a, Expr) else _coerce(a)
+        self.b = b if isinstance(b, Expr) else _coerce(b)
         self._hash = hash((self.op, self.a._hash, self.b._hash))
         self._vars = None
         self._simple = False
@@ -417,6 +433,10 @@ class Add(_Binary):
     def _diff(self, d, var):
         return Add(d(self.a), d(self.b))
 
+    def _enclose(self, iv, box):
+        (a, b), (c, d) = iv(self.a), iv(self.b)
+        return _down(a + c), _up(b + d)
+
 
 class Sub(_Binary):
     __slots__ = ()
@@ -430,6 +450,10 @@ class Sub(_Binary):
     def _diff(self, d, var):
         return Sub(d(self.a), d(self.b))
 
+    def _enclose(self, iv, box):
+        (a, b), (c, d) = iv(self.a), iv(self.b)
+        return _down(a - d), _up(b - c)
+
 
 class Mul(_Binary):
     __slots__ = ()
@@ -442,6 +466,14 @@ class Mul(_Binary):
 
     def _diff(self, d, var):
         return Add(Mul(d(self.a), self.b), Mul(self.a, d(self.b)))
+
+    def _enclose(self, iv, box):
+        if self.a is self.b:
+            lo, hi = iv(self.a)
+            return _even_power(lo, hi, lo * lo, hi * hi, 1)
+        (a, b), (c, d) = iv(self.a), iv(self.b)
+        p = (a * c, a * d, b * c, b * d)
+        return _down(min(p)), _up(max(p))
 
 
 class Div(_Binary):
@@ -457,6 +489,13 @@ class Div(_Binary):
     def _diff(self, d, var):
         num = Sub(Mul(d(self.a), self.b), Mul(self.a, d(self.b)))
         return Div(num, Mul(self.b, self.b))
+
+    def _enclose(self, iv, box):
+        (a, b), (c, d) = iv(self.a), iv(self.b)
+        if c <= 0.0 <= d:
+            return None
+        q = (a / c, a / d, b / c, b / d)
+        return _down(min(q)), _up(max(q))
 
 
 class Pow(_Binary):
@@ -482,6 +521,27 @@ class Pow(_Binary):
         return Mul(self, Add(Mul(d(expo), Call("log", base)),
                              Div(Mul(expo, d(base)), base)))
 
+    def _enclose(self, iv, box):
+        (lo, hi), (c, d) = iv(self.a), iv(self.b)
+        try:
+            if c == d and c == int(c):
+                # an integer power: |x|^c for even c, monotone on each
+                # side of 0 otherwise
+                if c < 0.0 and lo <= 0.0 <= hi:
+                    return None
+                ends = (math.pow(lo, c), math.pow(hi, c))
+                if c % 2.0 == 0.0:
+                    return _even_power(lo, hi, *ends, 2)
+                return _down(_down(min(ends))), _up(_up(max(ends)))
+            if lo < 0.0 or lo == 0.0 and c <= 0.0:
+                return None
+            # monotone in the base and in the exponent: the corners bound it
+            p = (math.pow(lo, c), math.pow(lo, d), math.pow(hi, c),
+                 math.pow(hi, d))
+        except (ArithmeticError, ValueError):
+            return None
+        return max(0.0, _down(_down(min(p)))), _up(_up(max(p)))
+
     def _parts(self):
         # right-associative: x^y^z prints without parens on the right
         a, b = self.a, self.b
@@ -497,7 +557,7 @@ class Call(Expr):
         if fn not in _FUNC_IMPL:
             raise ValueError(f"unknown function {fn!r}; supported: {', '.join(FUNCTIONS)}")
         self.fn = fn
-        self.arg = _coerce(arg)
+        self.arg = arg if isinstance(arg, Expr) else _coerce(arg)
         self._hash = hash(("call", fn, self.arg._hash))
         self._vars = None
         self._simple = False
@@ -536,6 +596,21 @@ class Call(Expr):
             return _FUNC_IMPL[self.fn](v)
         except (ArithmeticError, ValueError):
             raise DomainError(f"domain error in {self.fn}", self) from None
+
+    def _enclose(self, iv, box):
+        lo, hi = iv(self.arg)
+        fn = self.fn
+        if fn == "sin":
+            return _trig(math.sin, lo, hi, 0.5 * math.pi)
+        if fn == "cos":
+            return _trig(math.cos, lo, hi, 0.0)
+        # exp, log and sqrt increase; an end outside the domain raises
+        try:
+            low, high = _FUNC_IMPL[fn](lo), _FUNC_IMPL[fn](hi)
+        except (ArithmeticError, ValueError):
+            return None
+        low = _down(_down(low))
+        return (low if fn == "log" else max(0.0, low)), _up(_up(high))
 
     def _parts(self):
         return (f"{self.fn}(", self.arg, ")")
@@ -719,15 +794,104 @@ def evaluate(e: Expr, binding: Mapping[str, float]) -> float:
 
 
 # ---------------------------------------------------------------------------
+# interval enclosure
+# ---------------------------------------------------------------------------
+
+def _down(v: float) -> float:
+    return math.nextafter(v, -math.inf)
+
+
+def _up(v: float) -> float:
+    return math.nextafter(v, math.inf)
+
+
+def _even_power(lo: float, hi: float, at_lo: float, at_hi: float,
+                steps: int) -> tuple:
+    """Enclosure of an even power of [lo, hi] from its values at the ends,
+    each within ``steps`` ulps: 0 is its least value when lo <= 0 <= hi."""
+    low = 0.0 if lo <= 0.0 <= hi else min(at_lo, at_hi)
+    high = max(at_lo, at_hi)
+    for _ in range(steps):
+        low, high = _down(low), _up(high)
+    return max(0.0, low), high
+
+
+def _trig(fn, lo: float, hi: float, peak: float) -> tuple:
+    """sin or cos over [lo, hi]: ``fn`` is 1 at peak + 2k pi, -1 at
+    peak + (2k+1) pi, and monotone between.  An extremum near an end
+    counts as inside, so rounding in locating it only widens the result."""
+    if hi - lo >= 2.0 * math.pi or max(-lo, hi) > 1e6:
+        return -1.0, 1.0
+    ends = (fn(lo), fn(hi))
+    low = max(-1.0, _down(_down(min(ends))))
+    high = min(1.0, _up(_up(max(ends))))
+    first = math.ceil((lo - peak) / math.pi - 1e-9)
+    last = math.floor((hi - peak) / math.pi + 1e-9)
+    for k in range(first, last + 1):
+        if k % 2:
+            low = -1.0
+        else:
+            high = 1.0
+    return low, high
+
+
+class _Flagged(Exception):
+    def __init__(self, node: Expr):
+        self.node = node
+
+
+def interval(e: Expr, var: str, lo: float, hi: float) -> tuple:
+    """Enclose ``e`` for ``var`` anywhere in [lo, hi]: (low, high, bad).
+
+    The value of the real expression at each point of the interval, and
+    the value ``evaluate`` gives there, lie in [low, high].  Each bound
+    is rounded outward with ``math.nextafter``: one step after an
+    arithmetic operation, two after a library function (which is within
+    one ulp).  A square, ``x^2`` or ``a*a`` with both factors one node,
+    encloses to [0, w^2] over an interval around 0; any other node is
+    enclosed from its children's enclosures alone, so an expression
+    that repeats its variable may enclose wider than its range.
+
+    ``bad`` is None, or the first subexpression whose enclosure may
+    leave its real domain or the finite range: a division by an
+    interval holding 0, log of one reaching 0, sqrt of one reaching
+    below 0, a power that may raise or overflow, a bound that is not
+    finite.  Then low
+    and high are -inf and inf.  Wherever ``evaluate`` raises DomainError
+    at a point of the interval the enclosure is flagged; it may also be
+    flagged where no point fails.  Nothing is raised for a domain;
+    another variable raises UnboundVariableError.
+    """
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"interval needs finite bounds lo <= hi, "
+                         f"got [{lo!r}, {hi!r}]")
+    box = {var: (lo, hi)}
+    memo: dict[int, tuple] = {}
+    finite = math.isfinite
+
+    def iv(node: Expr) -> tuple:
+        out = memo.get(id(node))
+        if out is None:
+            out = node._enclose(iv, box)
+            if out is None or not (finite(out[0]) and finite(out[1])):
+                raise _Flagged(node)
+            memo[id(node)] = out
+        return out
+
+    try:
+        low, high = iv(e)
+    except _Flagged as flag:
+        return -math.inf, math.inf, flag.node
+    return low, high, None
+
+
+# ---------------------------------------------------------------------------
 # simplification
 # ---------------------------------------------------------------------------
 
 _MAX_PASSES = 10
 _MAX_LOCAL = 50
-
-
-def _is_const(node, value=None) -> bool:
-    return isinstance(node, Const) and (value is None or node.value == value)
 
 
 def _fold_to_const(value) -> Expr | None:
@@ -741,82 +905,117 @@ def _rewrite(node: Expr) -> Expr | None:
     the real domain or the finite range), the unit and absorbing elements
     of each operator, double negation, and folding of constants through
     nested products.  Every rule shrinks the tree, so iteration
-    terminates.
+    terminates.  The rules of each node kind are one function, found by
+    the node's type.
     """
-    if isinstance(node, Neg):
-        a = node.a
-        if isinstance(a, Const):
-            return Const(-a.value)
-        if isinstance(a, Neg):
-            return a.a
+    return _RULES[type(node)](node)
+
+
+def _fold(node: _Binary, a: Const, b: Const) -> Expr | None:
+    try:
+        return _fold_to_const(node._apply(a.value, b.value))
+    except (ArithmeticError, ValueError):
         return None
 
-    if isinstance(node, Call):
-        a = node.arg
-        if isinstance(a, Const):
-            try:
-                return _fold_to_const(_FUNC_IMPL[node.fn](a.value))
-            except (ArithmeticError, ValueError):
-                return None
-        return None
 
-    if not isinstance(node, _Binary):
-        return None
+def _rewrite_neg(node: Neg) -> Expr | None:
+    a = node.a
+    if type(a) is Const:
+        return Const(-a.value)
+    if type(a) is Neg:
+        return a.a
+    return None
 
-    a, b = node.a, node.b
-    if isinstance(a, Const) and isinstance(b, Const):
+
+def _rewrite_call(node: Call) -> Expr | None:
+    a = node.arg
+    if type(a) is Const:
         try:
-            return _fold_to_const(node._apply(a.value, b.value))
+            return _fold_to_const(_FUNC_IMPL[node.fn](a.value))
         except (ArithmeticError, ValueError):
             return None
-
-    if isinstance(node, Add):
-        if _is_const(a, 0.0):
-            return b
-        if _is_const(b, 0.0):
-            return a
-    elif isinstance(node, Sub):
-        if _is_const(b, 0.0):
-            return a
-        if _is_const(a, 0.0):
-            return Neg(b)
-        if a == b:
-            return Const(0.0)
-    elif isinstance(node, Mul):
-        if _is_const(a, 0.0) or _is_const(b, 0.0):
-            return Const(0.0)
-        if _is_const(a, 1.0):
-            return b
-        if _is_const(b, 1.0):
-            return a
-        if _is_const(a, -1.0):
-            return Neg(b)
-        if _is_const(b, -1.0):
-            return Neg(a)
-        # pull constants together through nested products
-        if isinstance(a, Const) and isinstance(b, Mul):
-            if isinstance(b.a, Const):
-                return _combine_product(a.value, b.a.value, b.b)
-            if isinstance(b.b, Const):
-                return _combine_product(a.value, b.b.value, b.a)
-        if isinstance(b, Const) and isinstance(a, Mul):
-            if isinstance(a.a, Const):
-                return _combine_product(a.a.value, b.value, a.b)
-            if isinstance(a.b, Const):
-                return _combine_product(a.b.value, b.value, a.a)
-    elif isinstance(node, Div):
-        if _is_const(a, 0.0):
-            return Const(0.0)
-        if _is_const(b, 1.0):
-            return a
-    elif isinstance(node, Pow):
-        if _is_const(b, 1.0):
-            return a
-        if _is_const(b, 0.0):
-            return Const(1.0)
-        if _is_const(a, 1.0):
-            return Const(1.0)
     return None
+
+
+def _rewrite_add(node: Add) -> Expr | None:
+    a, b = node.a, node.b
+    if type(a) is Const:
+        if type(b) is Const:
+            return _fold(node, a, b)
+        return b if a.value == 0.0 else None
+    if type(b) is Const and b.value == 0.0:
+        return a
+    return None
+
+
+def _rewrite_sub(node: Sub) -> Expr | None:
+    a, b = node.a, node.b
+    if type(b) is Const:
+        if type(a) is Const:
+            return _fold(node, a, b)
+        if b.value == 0.0:
+            return a
+    elif type(a) is Const and a.value == 0.0:
+        return Neg(b)
+    return Const(0.0) if a == b else None
+
+
+def _rewrite_mul(node: Mul) -> Expr | None:
+    a, b = node.a, node.b
+    if type(a) is Const:
+        if type(b) is Const:
+            return _fold(node, a, b)
+        c, rest = a.value, b
+    elif type(b) is Const:
+        c, rest = b.value, a
+    else:
+        return None
+    if c == 0.0:
+        return Const(0.0)
+    if c == 1.0:
+        return rest
+    if c == -1.0:
+        return Neg(rest)
+    # pull constants together through nested products
+    if type(rest) is Mul:
+        if type(rest.a) is Const:
+            return _combine_product(c, rest.a.value, rest.b)
+        if type(rest.b) is Const:
+            return _combine_product(c, rest.b.value, rest.a)
+    return None
+
+
+def _rewrite_div(node: Div) -> Expr | None:
+    a, b = node.a, node.b
+    if type(a) is Const:
+        if type(b) is Const:
+            return _fold(node, a, b)
+        return Const(0.0) if a.value == 0.0 else None
+    if type(b) is Const and b.value == 1.0:
+        return a
+    return None
+
+
+def _rewrite_pow(node: Pow) -> Expr | None:
+    a, b = node.a, node.b
+    if type(b) is Const:
+        if type(a) is Const:
+            return _fold(node, a, b)
+        if b.value == 1.0:
+            return a
+        return Const(1.0) if b.value == 0.0 else None
+    if type(a) is Const and a.value == 1.0:
+        return Const(1.0)
+    return None
+
+
+def _no_rule(node: Expr) -> None:
+    return None
+
+
+_RULES = {Const: _no_rule, Var: _no_rule, Neg: _rewrite_neg,
+          Call: _rewrite_call, Add: _rewrite_add, Sub: _rewrite_sub,
+          Mul: _rewrite_mul, Div: _rewrite_div, Pow: _rewrite_pow}
 
 
 def _combine_product(c1: float, c2: float, rest: Expr) -> Expr | None:
@@ -833,8 +1032,10 @@ def _local_fixpoint(node: Expr) -> Expr:
     for _ in range(_MAX_LOCAL):
         new = _rewrite(node)
         if new is None:
-            if all(k._simple for k in node.children()):
-                node._simple = True
+            for k in node.children():
+                if not k._simple:
+                    return node
+            node._simple = True
             return node
         node = new
     return node
@@ -851,10 +1052,12 @@ def _simplify_pass(e: Expr) -> Expr:
         if out is not None:
             return out
         kids = node.children()
-        new_kids = tuple(walk(k) for k in kids)
+        new_kids = [k if k._simple else walk(k) for k in kids]
         rebuilt = node
-        if any(nk is not k for nk, k in zip(new_kids, kids)):
-            rebuilt = node._with_children(new_kids)
+        for nk, k in zip(new_kids, kids):
+            if nk is not k:
+                rebuilt = node._with_children(new_kids)
+                break
         out = _local_fixpoint(rebuilt)
         memo[id(node)] = out
         return out

@@ -62,11 +62,24 @@ def _get(mapping, key, path, default=None, required=False):
     return mapping[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an int past the float range
+        return False
+
+
 def _num(value, path) -> float:
     if isinstance(value, str) and _EXPONENT_FORM.fullmatch(value):
-        return float(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        value = float(value)
+    if not _is_number(value):
         _fail(path, f"expected a number, got {value!r}")
+    if not _finite(value):
+        _fail(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -84,6 +97,10 @@ def _const(value, path) -> float:
 
 
 def _expr(value, path, allowed: set) -> Expr:
+    """An expression string; a finite number, which YAML reads unquoted,
+    is the expression its repr parses to."""
+    if _is_number(value) and _finite(value):
+        value = repr(value)
     if not isinstance(value, str):
         _fail(path, f"expected an expression string, got {value!r}")
     try:
@@ -325,7 +342,6 @@ class ScenarioSpec:
     dt: float
     hold_dt: float | None
     check_box: tuple | None
-    seed: int
     raw: dict
 
     @property
@@ -435,8 +451,10 @@ def loads_scenario(text: str) -> ScenarioSpec:
             _fail("check_box[0]", "low bound must be below high bound")
         box = (lo, hi)
     elif any(p.mode == "switched" for p in proxies):
-        # the vanishing-gradient condition samples the box
+        # the vanishing-gradient condition is proved over the box
         _fail("check_box", "required when a barrier is in switched mode")
+    # the seed of the sampled condition search the proof replaced:
+    # validated and kept in the file, read by nothing
     seed = _get(raw, "seed", "scenario", default=0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         _fail("seed", "expected an integer")
@@ -446,7 +464,7 @@ def loads_scenario(text: str) -> ScenarioSpec:
                         controllers=controllers, nominal=nominal,
                         x_d_source=x_d_source, initial_x=initial_x,
                         initial_z=initial_z, horizon=horizon, dt=dt,
-                        hold_dt=hold_dt, check_box=box, seed=seed, raw=raw)
+                        hold_dt=hold_dt, check_box=box, raw=raw)
 
 
 def load_scenario(path) -> ScenarioSpec:

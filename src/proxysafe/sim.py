@@ -632,14 +632,14 @@ class RuntimeModel:
     def run_checks(self):
         """The feasibility report of every barrier stack.  A check that
         cannot be evaluated is an input error: a ScenarioError naming the
-        stack's proxy and the raw error."""
+        stack's proxy and the raw error or the DomainError."""
         spec, reports = self.spec, []
         for k, stack in enumerate(self.stacks):
             try:
                 reports.append(check_conditions(
                     stack, spec.initial_x, spec.initial_z[0],
-                    box=spec.check_box, seed=spec.seed))
-            except _RAW as exc:
+                    box=spec.check_box))
+            except _RAW + (DomainError,) as exc:
                 raise ScenarioError(
                     f"proxy[{k}]: feasibility checks cannot be evaluated: "
                     f"{type(exc).__name__}: {exc}") from None

@@ -14,8 +14,9 @@ Covers, in order:
    (d/dt + lambda) application computed analytically in the test, and
    the y0-coefficient equals the product of the lambdas;
 5. the three feasibility condition checks, including the exact budget
-   margin, a falsifiable vanishing-gradient case, and initial-state
-   failures;
+   margin, the vanishing-gradient condition proven by bisection (at the
+   root cell and near a vanishing point), falsified at a witness, and
+   left inconclusive past the cell budget, and initial-state failures;
 6. evaluation plumbing: y binding, saturation deep inside the safe
    set, argument validation.
 
@@ -29,11 +30,12 @@ import random
 
 import pytest
 
+from proxysafe import barrier as barrier_mod
 from proxysafe.barrier import (
     BarrierStack, ConditionReport, ProxySpec, RhoSpec, build_barrier_stack,
     check_conditions, chi, rho_budget,
 )
-from proxysafe.expr import Const, compile_expr, differentiate, parse
+from proxysafe.expr import Const, DomainError, compile_expr, differentiate, parse
 
 SEED = 20260822
 
@@ -384,7 +386,7 @@ def test_budget_margin_exact():
 
 def test_budget_rejects_wide_constant_funnel():
     stack = build_barrier_stack(ship_proxy(), RhoSpec(10.0, 10.0))
-    rep = check_conditions(stack, 0.0, 0.0, box=SHIP_BOX, samples=500)
+    rep = check_conditions(stack, 0.0, 0.0, box=SHIP_BOX)
     assert rep.budget_check.verdict == "fail"
     assert abs(rep.budget_check.data["value"] - 1000.0) <= 1e-9
     assert not rep.ok
@@ -399,13 +401,16 @@ def test_budget_decaying_funnel():
     assert abs(bd["bound"] - 1500.0) <= 1e-12
 
 
-def test_gradient_condition_pass_with_witness():
+def test_gradient_condition_proven_near_the_vanishing_point():
+    # the gradient of pi^2/81 - x^2 vanishes at 0, where h = xi exactly:
+    # only cells narrow enough for h >= xi - H_SLACK discharge there
     stack = build_barrier_stack(ship_proxy(), RhoSpec(0.02, 0.02))
-    rep = check_conditions(stack, 0.0, 0.0, box=SHIP_BOX, samples=4000,
-                           seed=SEED)
+    rep = check_conditions(stack, 0.0, 0.0, box=SHIP_BOX)
+    data = rep.grad_check.data
     assert rep.grad_check.verdict == "pass"
-    assert abs(rep.grad_check.data["witness"][0]) <= 1e-6
-    assert rep.grad_check.data["h_at_witness"] >= XI_SHIP - 1e-9
+    assert data["undecided_width"] == 0.0
+    # halving 0.349 to below sqrt(H_SLACK) takes 14 levels
+    assert data["depth"] >= 14 and 1 < data["cells"] <= 100
     assert rep.ok
 
 
@@ -414,38 +419,72 @@ def test_gradient_condition_falsified():
     proxy = chain_proxy(m=1, h="0.5 + sin(x)", xi=2.0, lambdas=(1.0, 1.0),
                         betas=(1.0,))
     stack = build_barrier_stack(proxy, RhoSpec(0.1, 0.1))
-    rep = check_conditions(stack, 0.0, 0.0, box=(0.0, 3.0), samples=4000,
-                           seed=SEED)
+    rep = check_conditions(stack, 0.0, 0.0, box=(0.0, 3.0))
     assert rep.grad_check.verdict == "falsified"
     assert abs(rep.grad_check.data["witness"][0] - math.pi / 2) <= 1e-3
     assert not rep.ok
 
 
-def test_gradient_condition_inconclusive_when_nonvanishing():
+def test_gradient_condition_proven_at_the_root_when_nonvanishing():
+    # L_g0 h = 1 everywhere: the whole box discharges in one cell
     stack = build_barrier_stack(chain_proxy(), RhoSpec(0.85, 0.05, 10.0))
-    rep = check_conditions(stack, 0.0, 0.0, box=(-0.49, 1.0),
-                           samples=3000, seed=SEED)
-    assert rep.grad_check.verdict == "inconclusive-pass"
+    rep = check_conditions(stack, 0.0, 0.0, box=(-0.49, 1.0))
+    assert rep.grad_check.verdict == "pass"
+    assert rep.grad_check.data == {"cells": 1, "depth": 0,
+                                   "undecided_width": 0.0}
     assert rep.grad_check.ok and rep.ok
+
+
+def test_gradient_condition_inconclusive_past_the_cell_budget(monkeypatch):
+    monkeypatch.setattr(barrier_mod, "CELL_BUDGET", 5)
+    stack = build_barrier_stack(ship_proxy(), RhoSpec(0.02, 0.02))
+    rep = check_conditions(stack, 0.0, 0.0, box=SHIP_BOX)
+    data = rep.grad_check.data
+    assert rep.grad_check.verdict == "inconclusive-pass"
+    assert data["cells"] == 5
+    # what is left undecided lies around the vanishing point at 0
+    assert 0.0 < data["undecided_width"] < 2 * SHIP_BOX[1]
+    assert rep.grad_check.ok
+
+
+def test_gradient_condition_finds_a_witness_on_a_vanishing_g0():
+    # g0 = x: L_g0 h vanishes at 0, where h = 0.5 < xi = 1
+    proxy = ProxySpec(m=1, f0=Const(0.0), g0=parse("x"), h=parse("x + 0.5"),
+                      xi=1.0, lambdas=(1.0, 1.0), betas=(1.0,))
+    stack = build_barrier_stack(proxy, RhoSpec(0.1, 0.1))
+    rep = check_conditions(stack, 0.0, 0.0, box=(-0.25, 0.25))
+    assert rep.grad_check.verdict == "falsified"
+    assert rep.grad_check.data["witness"] == [0.0]
+    assert rep.grad_check.data["h"] == 0.5
+
+
+def test_gradient_condition_names_a_failing_subexpression():
+    # sqrt(x) - 1 is undefined on the negative half of the box: the
+    # enclosure is flagged, and a midpoint there fails to evaluate
+    proxy = chain_proxy(m=1, h="sqrt(x) - 1", xi=0.5, lambdas=(1.0, 1.0),
+                        betas=(1.0,))
+    stack = build_barrier_stack(proxy, RhoSpec(0.1, 0.1))
+    with pytest.raises(DomainError, match=r"sqrt of a negative value in "
+                                          r"'sqrt\(x\)'"):
+        check_conditions(stack, 1.0, 0.0, box=(-1.0, 1.0))
 
 
 def test_initial_positivity_cases():
     stack = build_barrier_stack(ship_proxy(), RhoSpec(0.02, 0.02))
-    good = check_conditions(stack, 0.0, 0.0, box=SHIP_BOX, samples=500)
+    good = check_conditions(stack, 0.0, 0.0, box=SHIP_BOX)
     assert good.init_check.verdict == "pass"
     assert good.init_check.data["y0"] == 1.0
     assert abs(good.init_check.data["b"][1] - 5.996) <= 1e-12
 
     # inside the safe set but so close to its edge that the chain dips
-    near_edge = check_conditions(stack, 0.34, 0.0, box=SHIP_BOX,
-                                 samples=500)
+    near_edge = check_conditions(stack, 0.34, 0.0, box=SHIP_BOX)
     assert near_edge.init_check.verdict == "fail"
     assert near_edge.init_check.data["y0"] > 0.0
     assert near_edge.init_check.data["b"][1] < 0.0
     assert not near_edge.ok
 
     # outside the safe set entirely: the switched margin itself goes bad
-    outside = check_conditions(stack, 0.36, 0.0, box=SHIP_BOX, samples=500)
+    outside = check_conditions(stack, 0.36, 0.0, box=SHIP_BOX)
     assert outside.init_check.verdict == "fail"
     assert outside.init_check.data["y0"] < 0.0
 
@@ -469,7 +508,7 @@ def test_switched_mode_requires_box():
 
 def test_report_lines_are_printable():
     stack = build_barrier_stack(ship_proxy(), RhoSpec(0.02, 0.02))
-    rep = check_conditions(stack, 0.0, 0.0, box=SHIP_BOX, samples=500)
+    rep = check_conditions(stack, 0.0, 0.0, box=SHIP_BOX)
     lines = rep.lines()
     assert len(lines) == 3
     assert all(isinstance(ln, str) and ln for ln in lines)

@@ -27,6 +27,13 @@ Covers, in order:
     clipped text of `repr` and `DomainError`, which renders only the
     clipped prefix, so that it stays cheap on a shared DAG whose full
     text is astronomically long.
+ 7. Interval enclosure, as properties over random trees and boxes: the
+    float value at any point of the box lies inside the enclosure, a
+    point where evaluation fails is flagged, the exact rational value
+    lies inside it too (which needs the outward rounding), and a
+    square encloses to a nonnegative interval, [0, w^2] around 0.
+    Alongside, as properties over the same trees: `simplify` keeps
+    values, and `str` -> `parse` keeps the text and the value.
 """
 
 import ast
@@ -36,6 +43,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -733,12 +741,12 @@ _TEMP_NAME = re.compile(r"_t\d+")
 
 
 @st.composite
-def oracle_trees(draw):
+def oracle_trees(draw, leaf=_oracle_leaf):
     """A random tree of up to 16 nodes, none shared: every interior node
     is read once, so whole trees are written inline."""
     def tree(size):
         if size <= 1:
-            return draw(_oracle_leaf)
+            return draw(leaf)
         kind = draw(st.sampled_from(_UNARY_KINDS + _BINARY_KINDS))
         if kind is Neg:
             return Neg(tree(size - 1))
@@ -1030,3 +1038,177 @@ def test_clipped_text_of_a_deep_shared_dag_is_cheap():
                           text=True, timeout=10)
     assert done.returncode == 0, done.stderr[-2000:]
     assert float(done.stdout) < 0.5
+
+
+# ═══════════════════════════════════════════════════════════════════════════
+# 7. interval enclosure, and properties of simplify and printing
+# ═══════════════════════════════════════════════════════════════════════════
+
+# one-variable leaves; 0.1 and 3.0 make sums and products round
+_x_leaf = st.one_of(
+    st.sampled_from((0.0, -0.0, -1.0, 1.0, 0.5, 2.0, 3.0, 0.1)).map(Const),
+    st.just(Var("x")))
+
+
+@st.composite
+def boxes(draw):
+    """An interval [lo, hi] of x, often around 0, and points in it: both
+    ends, the midpoint and three more."""
+    lo = draw(st.one_of(st.sampled_from((-1.0, -0.5, -0.1, 0.0, 0.3)),
+                        st.floats(-4.0, 4.0, allow_nan=False)))
+    width = draw(st.sampled_from((0.0, 1e-9, 0.01, 0.3, 1.0, 2.5, 7.0)))
+    hi = lo + width
+    inner = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+    return lo, hi, [lo, hi, 0.5 * lo + 0.5 * hi,
+                    *(min(hi, lo + f * width) for f in inner)]
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(oracle_trees(_x_leaf), boxes())
+@example(Pow(Var("x"), Const(2.0)), (-1.0, 2.0, [-1.0, 0.0, 2.0]))
+@example(Call("sqrt", Var("x")), (-1.0, 1.0, [-1.0, 0.0, 1.0]))
+def test_interval_encloses_evaluate(e, box):
+    """Wherever evaluate returns a value it lies in the enclosure, and
+    wherever it raises DomainError the enclosure is flagged."""
+    lo, hi, points = box
+    low, high, bad = E.interval(e, "x", lo, hi)
+    if bad is not None:
+        assert (low, high) == (-math.inf, math.inf)
+    for p in points:
+        try:
+            v = E.evaluate(e, {"x": p})
+        except DomainError:
+            assert bad is not None, (e, lo, hi, p)
+            continue
+        if bad is None:
+            assert low <= v <= high, (e, lo, hi, p, v, low, high)
+
+
+_RATIONAL_KINDS = (Neg, Pow, Add, Sub, Mul, Div)
+
+
+@st.composite
+def rational_trees(draw):
+    """A random tree whose exact value is rational wherever it is
+    defined: + - * /, negation and integer powers over x."""
+    def tree(size):
+        if size <= 1:
+            return draw(_x_leaf)
+        kind = draw(st.sampled_from(_RATIONAL_KINDS))
+        if kind is Neg:
+            return Neg(tree(size - 1))
+        if kind is Pow:
+            n = draw(st.sampled_from((2.0, 3.0, -1.0, -2.0)))
+            return Pow(tree(size - 1), Const(n))
+        left = draw(st.integers(1, size - 2)) if size > 2 else 1
+        return kind(tree(left), tree(max(1, size - 1 - left)))
+
+    return tree(draw(st.integers(1, 14)))
+
+
+def exact_value(e, x: Fraction) -> Fraction:
+    """The value of a rational tree in exact arithmetic; ZeroDivisionError
+    where it is undefined."""
+    if isinstance(e, Const):
+        return Fraction(e.value)
+    if isinstance(e, Var):
+        return x
+    if isinstance(e, Neg):
+        return -exact_value(e.a, x)
+    a = exact_value(e.a, x)
+    if isinstance(e, Pow):
+        return a ** int(e.b.value)
+    b = exact_value(e.b, x)
+    return {Add: a + b, Sub: a - b, Mul: a * b}[type(e)] \
+        if not isinstance(e, Div) else a / b
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(rational_trees(), boxes())
+@example(Mul(Var("x"), Const(0.1)), (0.3, 0.3, [0.3]))
+def test_interval_encloses_the_exact_value(e, box):
+    """The bounds hold for the real expression, not only for its float
+    evaluation: an enclosure not rounded outward fails here, where the
+    float value at an end of the box is the bound itself."""
+    lo, hi, points = box
+    low, high, bad = E.interval(e, "x", lo, hi)
+    if bad is not None:
+        return
+    for p in points:
+        v = exact_value(e, Fraction(p))     # defined: the box is not flagged
+        assert Fraction(low) <= v <= Fraction(high), (e, lo, hi, p)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(oracle_trees(_x_leaf), boxes())
+def test_interval_of_a_square_is_nonnegative(e, box):
+    """x^2 and a*a (both factors one node) enclose to [0, w^2] over an
+    interval around 0, where a product of two independent enclosures of
+    a would reach below 0."""
+    lo, hi, _ = box
+    base_lo, base_hi, _ = E.interval(e, "x", lo, hi)
+    for square in (Pow(e, Const(2.0)), Mul(e, e)):
+        low, _, bad = E.interval(square, "x", lo, hi)
+        if bad is None:
+            assert low >= 0.0, (square, lo, hi)
+            if base_lo <= 0.0 <= base_hi:
+                assert low == 0.0, (square, lo, hi)
+
+
+def test_interval_examples():
+    x = Var("x")
+    low, high, bad = E.interval(Pow(x, Const(2.0)), "x", -1.0, 2.0)
+    assert bad is None and low == 0.0 and 4.0 < high <= 4.0 + 1e-14
+    low, high, bad = E.interval(x * x - x, "x", -1.0, 2.0)
+    assert bad is None and low < -2.0 and high > 5.0   # x repeats: wide
+    assert E.interval(Call("sin", x), "x", 0.0, 3.0)[1] == 1.0
+    assert E.interval(Call("cos", x), "x", 3.0, 4.0)[0] == -1.0
+    assert E.interval(Const(1.0) / x, "x", -1.0, 1.0)[2] == Const(1.0) / x
+    sqrt = Call("sqrt", x - Const(1.0))
+    assert E.interval(sqrt + x, "x", 0.0, 2.0)[2] is not None
+    assert E.interval(sqrt + x, "x", 1.5, 2.0)[2] is None
+    assert E.interval(Call("exp", x), "x", 0.0, 800.0)[2] is not None
+    with pytest.raises(UnboundVariableError):
+        E.interval(Var("y"), "x", 0.0, 1.0)
+    with pytest.raises(ValueError):
+        E.interval(x, "x", 0.0, math.inf)
+    with pytest.raises(ValueError):
+        E.interval(x, "x", 1.0, 0.0)
+
+
+def value_or_error(e, binding):
+    try:
+        return E.evaluate(e, binding).hex()
+    except DomainError:
+        return "DomainError"
+
+
+_oracle_point = st.tuples(_point_value, _point_value, _point_value)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(oracle_trees(), _oracle_point)
+def test_simplify_preserves_values_property(e, point):
+    """Where the tree evaluates to a finite value the simplified tree
+    evaluates too, to the same value up to the rounding of constants
+    folded together."""
+    binding = dict(zip(ORACLE_NAMES, point))
+    try:
+        v = E.evaluate(e, binding)
+    except DomainError:
+        return
+    if not math.isfinite(v):
+        return
+    w = E.evaluate(E.simplify(e), binding)
+    assert abs(w - v) <= 1e-12 * (1.0 + abs(v)), (e, binding, v, w)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(oracle_trees(), _oracle_point)
+def test_str_parse_round_trip_property(e, point):
+    """Printing and parsing back keeps the text and the value, bit for
+    bit, or the failure."""
+    back = E.parse(str(e))
+    assert str(back) == str(e)
+    binding = dict(zip(ORACLE_NAMES, point))
+    assert value_or_error(back, binding) == value_or_error(e, binding), e

@@ -6,8 +6,9 @@ Covers, in order:
    wiring invariants the simulator relies on;
 2. serialization round-trips: dump/load at the mapping, string, and
    file level must reproduce an identical normalized scenario;
-3. normalization defaults for optional keys, and numbers written in
-   YAML 1.2 exponent form;
+3. normalization defaults for optional keys, numbers written in YAML
+   1.2 exponent form, plain numbers in expression keys, and non-finite
+   numbers, which every numeric key rejects;
 4. the degree unit: references written in degrees must evaluate in
    radians after loading;
 5. validation errors: every malformed field is rejected with a
@@ -202,6 +203,66 @@ def test_unquoted_exponent_numbers_are_floats(tmp_path):
     with pytest.raises(ScenarioError,
                        match=r"^dt: expected a number, got '0\.01'$"):
         loads_scenario(ship.replace("dt: 0.01\n", 'dt: "0.01"\n'))
+
+
+# one key of each family `_expr` reads, and where the loaded expression
+# lands in the spec
+EXPRESSION_KEYS = {
+    "plant.f0": ("ship", ("plant", "f0"), lambda s: s.plant.f0),
+    "plant.g0": ("ship", ("plant", "g0"), lambda s: s.plant.g0),
+    "level f": ("ship", ("plant", "levels", 0, "f"), lambda s: s.plant.fs[0]),
+    "level g": ("ship", ("plant", "levels", 0, "g"), lambda s: s.plant.gs[0]),
+    "disturbance": ("electromech", ("plant", "disturbances", 0),
+                    lambda s: s.plant.disturbances[0]),
+    "h": ("ship", ("proxy", 0, "h"), lambda s: s.proxies[0].h),
+    "phi": ("ship", ("controllers", "nussbaum", "phi", 0),
+            lambda s: s.controllers["nussbaum"]["phi"][0]),
+    "x_d": ("electromech", ("nominal", "x_d"), lambda s: s.nominal.x_d),
+}
+
+
+def _set(mapping, path, value):
+    for key in path[:-1]:
+        mapping = mapping[key]
+    mapping[path[-1]] = value
+
+
+@pytest.mark.parametrize("key", sorted(EXPRESSION_KEYS))
+def test_unquoted_numbers_are_constant_expressions(key):
+    """A plain YAML number in an expression key loads as the expression
+    its repr parses to, as the quoted and the exponent spellings do;
+    a bool or a non-finite number is still rejected."""
+    name, path, get = EXPRESSION_KEYS[key]
+    for number, spellings in [(1, ["1", "1.0"]), (0.5, ["0.5", "5e-1"]),
+                              (-2, ["-2"])]:
+        got = get(loads_scenario(broken(name, lambda m: _set(m, path,
+                                                              number))))
+        for text in spellings:
+            want = get(loads_scenario(broken(name, lambda m: _set(m, path,
+                                                                   text))))
+            assert repr(got) == repr(want), (number, text)
+    for bad in (True, math.nan, math.inf):
+        with pytest.raises(ScenarioError,
+                           match="expected an expression string"):
+            loads_scenario(broken(name, lambda m: _set(m, path, bad)))
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda m: m.update(check_box=[[-math.inf, math.inf]]),
+     r"^check_box\[0\]\[0\]: expected a finite number, got -inf$"),
+    (lambda m: m.update(check_box=[[-0.3, math.nan]]),
+     r"^check_box\[0\]\[1\]: expected a finite number, got nan$"),
+    (lambda m: m.update(dt=math.nan), r"^dt: expected a finite number, got nan$"),
+    (lambda m: m.update(horizon=math.nan),
+     r"^horizon: expected a finite number, got nan$"),
+    (lambda m: m.update(dt="1e999"), r"^dt: expected a finite number, got inf$"),
+], ids=["box-inf", "box-nan", "dt-nan", "horizon-nan", "dt-overflow"])
+def test_non_finite_numbers_are_rejected(mutate, message):
+    """NaN passes `lo < hi` and `dt > 0` style tests by failing them
+    quietly, and infinity makes a box no bisection can cover: every
+    numeric key is finite."""
+    with pytest.raises(ScenarioError, match=message):
+        loads_scenario(broken("ship", mutate))
 
 
 def test_observer_defaults():

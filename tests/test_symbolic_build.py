@@ -15,16 +15,26 @@
     this one; rebuilding the derivative of every variable-free subtree
     once per variable shows up above half of the 56 552 rewrites that
     cost.  The count went 890 105 -> 56 552 -> 15 356 over those two
-    changes.
+    changes.  A second guard counts every Python call the same build
+    makes, so that the per-node overhead of the simplifier's kernel
+    cannot creep back unnoticed.
+ 3. Guards on the feasibility checks, as counts rather than timings:
+    the bisection proof of condition (i) takes one cell per stack where
+    the g0-gradient of h is constant (electromech, the m = 4 chain) and
+    a stated number of cells on ship, whose gradient vanishes at x = 0;
+    and the checks compile nothing.
 """
 
 import hashlib
+import sys
 from importlib import resources
 
 import pytest
 import yaml
 
+from proxysafe import barrier as barrier_mod
 from proxysafe import expr as E
+from proxysafe import sim as sim_mod
 from proxysafe.barrier import build_barrier_stack
 from proxysafe.controllers import build_dob_backstepping, build_nominal
 from proxysafe.scenario import load_builtin, loads_scenario
@@ -148,3 +158,58 @@ def test_chain_build_rewrite_count(monkeypatch):
         build_barrier_stack(proxy, spec.rho)
     assert calls[0] <= PER_PATH_CHAIN_REWRITES // 4
     assert calls[0] <= 28_000        # about half of 56 552
+
+
+# Python call events (sys.setprofile) while both stacks of the chain
+# build, the constraint row one past the chain included: 277 209 when the simplifier built children through a generator,
+# tested them with any()/all(), walked into children already simplified
+# and dispatched its rewrite rules through an isinstance chain, and every
+# node constructor coerced Expr children; 137 724 with a list, plain
+# loops, no call for a simplified child, rules found by node type and no
+# coercion of an Expr.  The ceiling leaves about 12 % for unrelated change.
+CHAIN_BUILD_CALLS = 155_000
+
+
+def test_chain_build_call_count():
+    spec = chain_scenario()
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    sys.setprofile(count)
+    try:
+        for proxy in spec.proxies:
+            build_barrier_stack(proxy, spec.rho).psi0    # builds the row
+    finally:
+        sys.setprofile(None)
+    assert 0 < calls[0] <= CHAIN_BUILD_CALLS
+
+
+# cells the condition (i) proof visits per stack: the vanishing gradient
+# of ship's h at x = 0 takes 59 (15 levels deep), with room for 20 more
+PROOF_CELLS = {"ship": (1, 80), "electromech": (1, 1), "chain": (1, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(PROOF_CELLS))
+def test_condition_i_proof_cell_count(specs, name):
+    least, most = PROOF_CELLS[name]
+    for report in sim_mod.RuntimeModel(specs[name]).run_checks():
+        data = report.grad_check.data
+        assert report.grad_check.verdict == "pass"
+        assert data["undecided_width"] == 0.0
+        assert least <= data["cells"] <= most, data
+
+
+def test_chain_checks_compile_nothing(specs, monkeypatch):
+    model = sim_mod.RuntimeModel(specs["chain"])
+    calls = []
+    for module in (E, barrier_mod, sim_mod):
+        for name in ("compile_expr", "compile_exprs"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    lambda *a, name=name: calls.append(name))
+    reports = model.run_checks()
+    assert all(report.ok for report in reports)
+    assert calls == []
