@@ -186,7 +186,7 @@ class BarrierStack:
     The evaluation helpers take the scalar state x, the m virtual-state
     values mu and the time t, return floats, and bind the y variables to
     chi derivatives of h(x)/xi automatically ("switched") or skip them
-    entirely ("plain").
+    entirely ("plain"); `h_value(x)` is h compiled.
     """
 
     def __init__(self, proxy: ProxySpec, rho: RhoSpec, b, M, constraint):
@@ -200,7 +200,7 @@ class BarrierStack:
         self.y_count = proxy.m + 2 if proxy.mode == "switched" else 0
         self.y_vars = [f"y{j}" for j in range(self.y_count)]
         self._params = ["x", *self.mu_vars, *self.y_vars, "t"]
-        self._h_fn = compile_expr(proxy.h, ["x"])
+        self.h_value = compile_expr(proxy.h, ["x"])
         self._qp_fn = None
         self._b_fn = None
 
@@ -222,9 +222,6 @@ class BarrierStack:
 
     # -- evaluation ---------------------------------------------------------
 
-    def h_value(self, x: float) -> float:
-        return self._h_fn(x)
-
     def y_values(self, h_val: float) -> list:
         """Values bound to y0..y_{m+1} at a given h(x)."""
         if self.proxy.mode != "switched":
@@ -238,7 +235,7 @@ class BarrierStack:
             raise ValueError(f"expected {self.proxy.m} virtual-state values, "
                              f"got {len(mu)}")
         x = float(x)
-        ys = self.y_values(self._h_fn(x))
+        ys = self.y_values(self.h_value(x))
         return [x, *(float(v) for v in mu), *ys, float(t)]
 
     def eval_constraint(self, x, mu, t) -> tuple:

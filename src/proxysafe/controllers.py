@@ -9,13 +9,17 @@ approximated.  Evaluation then compiles the final expressions once and
 runs them per step.  Both builders assume scalar channels (one-dimensional
 proxy state and plant levels); the funnel and Nussbaum laws are plain
 numeric recursions and need no symbolic work.  Every numeric law takes
-its states as floats and flat lists and keeps nothing between calls.
+its states as floats and flat lists and keeps nothing between calls;
+the funnel law's intermediate widths are such run state too, sized from
+the initial state by `initialize_funnels`.  A built law of more than
+NODE_CAP expression nodes raises `SymbolicSizeError`, a ValueError: an
+input the toolkit cannot build, reported like any other bad input.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from proxysafe.barrier import ProxySpec, RhoSpec
 from proxysafe.dob import DobSpec
@@ -56,8 +60,9 @@ class SingularGain(Exception):
     """A control gain to invert is numerically zero."""
 
 
-class SymbolicSizeError(Exception):
-    """A built controller exceeded the expression node cap."""
+class SymbolicSizeError(ValueError):
+    """A built controller exceeded the expression node cap NODE_CAP; an
+    input error, as a scenario whose expressions nest too deeply is."""
 
 
 def _node_count(exprs) -> int:
@@ -180,7 +185,7 @@ def build_nominal(proxy: ProxySpec, gains: NominalGains) -> NominalController:
     ctrl = NominalController(proxy, gains, alphas, partials,
                              ["x", *[f"mu{i}" for i in range(1, m + 1)], "t"])
     if _node_count(ctrl.alphas) > NODE_CAP:
-        raise SymbolicSizeError("nominal controller exceeded the node cap")
+        raise SymbolicSizeError(f"nominal law exceeded {NODE_CAP} nodes")
     return ctrl
 
 
@@ -190,15 +195,10 @@ def build_nominal(proxy: ProxySpec, gains: NominalGains) -> NominalController:
 
 @dataclass(frozen=True)
 class PpcGains:
-    """Per-level gains, intermediate funnels, and auto-init parameters.
-
-    funnels holds the constant widths rho_2..rho_n; leave it empty and
-    call initialize_funnels at scenario start to size them from the
-    initial state with the given margin and floor.
-    """
+    """Per-level gains and the parameters that size the intermediate
+    funnels from the initial state (see initialize_funnels)."""
 
     ks: tuple
-    funnels: tuple = ()
     margin: float = 1.5
     floor: float = 0.1
 
@@ -208,13 +208,7 @@ class PpcGains:
             raise ValueError("need positive funnel gains")
         if self.margin <= 1.0 or self.floor <= 0.0:
             raise ValueError("margin must exceed 1 and floor must be positive")
-        funnels = tuple(float(v) for v in self.funnels)
-        if funnels and len(funnels) != len(ks) - 1:
-            raise ValueError(f"need {len(ks) - 1} intermediate funnels")
-        if any(not v > 0.0 for v in funnels):
-            raise ValueError("funnel widths must be positive")
         object.__setattr__(self, "ks", ks)
-        object.__setattr__(self, "funnels", funnels)
 
 
 def _eta(k: float, xi: float, sign: float, level: int, t: float) -> float:
@@ -223,24 +217,24 @@ def _eta(k: float, xi: float, sign: float, level: int, t: float) -> float:
     return -k * sign * math.log((1.0 + xi) / (1.0 - xi))
 
 
-def ppc_control(gains: PpcGains, signs, z, mu1: float, rho: RhoSpec, t: float):
+def ppc_control(gains: PpcGains, funnels, signs, z, mu1: float,
+                rho: RhoSpec, t: float):
     """u, normalized coordinates, and per-level outputs at one state.
 
     The first coordinate normalizes the tracking error by the main
     funnel; each later level chases the previous level's output inside
-    its own funnel.  The declared control-direction signs multiply the
-    log-ratio outputs.
+    its own funnel, of the width `funnels` holds.  The declared
+    control-direction signs multiply the log-ratio outputs.
     """
     n = len(gains.ks)
     z = [float(v) for v in z]
-    if len(z) != n or len(signs) != n:
-        raise ValueError(f"need {n} plant levels and signs")
-    if len(gains.funnels) != n - 1:
-        raise ValueError("intermediate funnels not initialized")
+    if len(z) != n or len(signs) != n or len(funnels) != n - 1:
+        raise ValueError(f"need {n} plant levels and signs and "
+                         f"{n - 1} intermediate funnels")
     xis, etas = [], []
     target = float(mu1)
     for i in range(1, n + 1):
-        width = rho.value(t) if i == 1 else gains.funnels[i - 2]
+        width = rho.value(t) if i == 1 else funnels[i - 2]
         xi = (z[i - 1] - target) / width
         xis.append(xi)
         target = _eta(gains.ks[i - 1], xi, float(signs[i - 1]), i, t)
@@ -249,13 +243,11 @@ def ppc_control(gains: PpcGains, signs, z, mu1: float, rho: RhoSpec, t: float):
 
 
 def initialize_funnels(gains: PpcGains, signs, z0, mu1_0: float,
-                       rho: RhoSpec) -> PpcGains:
-    """Size the intermediate funnels from the initial state.
-
-    Each rho_i starts at margin times the initial gap |z_i - eta_{i-1}|
-    plus the floor, which strictly satisfies the required initialization
-    inequality; the funnels are constant in time.
-    """
+                       rho: RhoSpec) -> tuple:
+    """The constant widths rho_2..rho_n of the intermediate funnels,
+    sized from the initial state: each is margin times the initial gap
+    |z_i - eta_{i-1}| plus the floor, which strictly satisfies the
+    required initialization inequality."""
     n = len(gains.ks)
     z0 = [float(v) for v in z0]
     funnels = []
@@ -268,7 +260,7 @@ def initialize_funnels(gains: PpcGains, signs, z0, mu1_0: float,
             funnels.append(width)
         xi = (z0[i - 1] - target) / width
         target = _eta(gains.ks[i - 1], xi, float(signs[i - 1]), i, 0.0)
-    return replace(gains, funnels=tuple(funnels))
+    return tuple(funnels)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +365,8 @@ class DobBackstepController:
 
 
 def build_dob_backstepping(fs, gs, proxy: ProxySpec, dob: DobSpec,
-                           gains: DobBackstepGains, rho: RhoSpec,
-                           node_cap: int = NODE_CAP) -> DobBackstepController:
+                           gains: DobBackstepGains,
+                           rho: RhoSpec) -> DobBackstepController:
     """Run the observer-backstepping recursion symbolically.
 
     fs and gs are the plant level dynamics f_1..f_n, g_1..g_n over the
@@ -383,6 +375,7 @@ def build_dob_backstepping(fs, gs, proxy: ProxySpec, dob: DobSpec,
     later stage differentiates its predecessor along everything it
     depends on (state, chain, filter stages, time), compensating the
     filter-stage motion exactly and the estimation error by damping.
+    A law past NODE_CAP expression nodes raises SymbolicSizeError.
     """
     n = dob.n
     if proxy.m != n:
@@ -462,9 +455,9 @@ def build_dob_backstepping(fs, gs, proxy: ProxySpec, dob: DobSpec,
                  - Const((n - i + 1) / (4.0 * (margin - sigmas[i - 1]))) * eps_i
                  - Const(ks[i - 1]) * eps_i - gs[i - 2] * l_i + nterm) / gs[i - 1]
         taus.append(simplify(tau_i))
-        if i < n and _node_count(taus) > node_cap:
-            raise SymbolicSizeError(
-                f"stage {i} pushed the controller past {node_cap} nodes")
+        if i < n and _node_count(taus) > NODE_CAP:
+            raise SymbolicSizeError(f"observer-backstepping stage {i} "
+                                    f"exceeded {NODE_CAP} nodes")
     u = taus.pop()
 
     params = ["x", *[f"z{i}" for i in range(1, n + 1)],
@@ -473,8 +466,9 @@ def build_dob_backstepping(fs, gs, proxy: ProxySpec, dob: DobSpec,
               *[f"df{i}_{j}" for i in range(1, n) for j in range(1, n - i + 1)],
               "t"]
     ctrl = DobBackstepController(n, taus, u, eps, partials, params, rho)
-    if _node_count([u, *taus]) > node_cap:
-        raise SymbolicSizeError(f"controller exceeded {node_cap} nodes")
+    if _node_count([u, *taus]) > NODE_CAP:
+        raise SymbolicSizeError(
+            f"observer-backstepping law exceeded {NODE_CAP} nodes")
     return ctrl
 
 

@@ -20,11 +20,13 @@ once, and structural equality compares a pair of nodes once; only ``str``
 writes a shared subtree out once per occurrence.  Differentiation is exact
 and symbolic, and walks only the nodes that mention the variable: each
 node keeps its derivative by the variables it does not mention.
-Simplification applies a fixed rewrite list to a fixpoint and marks the
-nodes it leaves in normal form; it is deliberately not a canonicalizer.
+Simplification applies a fixed rewrite list to a fixpoint in one
+bottom-up pass and marks the nodes it leaves in normal form; it is
+deliberately not a canonicalizer.
 ``interval`` encloses an expression of one variable over an interval of
-it, with bounds rounded outward, so a bound it proves holds for the
-real expression, not only for its floating-point evaluation.
+it, with each bound rounded outward unless its operation was exact, so
+a bound it proves holds for the real expression, not only for its
+floating-point evaluation.
 For inner loops, ``compile_exprs`` turns a batch of trees into one
 generated Python function with common subexpressions evaluated once:
 a shared subexpression is bound to a local once, and one read only once
@@ -179,9 +181,6 @@ class Expr:
             v = frozenset().union(*[k.variables() for k in self.children()])
             self._vars = v
         return v
-
-    def evaluate(self, binding: Mapping[str, float]) -> float:
-        return evaluate(self, binding)
 
     # -- structural identity ------------------------------------------------
 
@@ -430,12 +429,16 @@ class Add(_Binary):
     def _apply(x, y):
         return x + y
 
+    @staticmethod
+    def _ratio(a, b, c, d):
+        return a * d + c * b, b * d
+
     def _diff(self, d, var):
         return Add(d(self.a), d(self.b))
 
     def _enclose(self, iv, box):
         (a, b), (c, d) = iv(self.a), iv(self.b)
-        return _down(a + c), _up(b + d)
+        return _hull(Add, ((a, c), (b, d)))
 
 
 class Sub(_Binary):
@@ -447,12 +450,16 @@ class Sub(_Binary):
     def _apply(x, y):
         return x - y
 
+    @staticmethod
+    def _ratio(a, b, c, d):
+        return a * d - c * b, b * d
+
     def _diff(self, d, var):
         return Sub(d(self.a), d(self.b))
 
     def _enclose(self, iv, box):
         (a, b), (c, d) = iv(self.a), iv(self.b)
-        return _down(a - d), _up(b - c)
+        return _hull(Sub, ((a, d), (b, c)))
 
 
 class Mul(_Binary):
@@ -464,16 +471,20 @@ class Mul(_Binary):
     def _apply(x, y):
         return x * y
 
+    @staticmethod
+    def _ratio(a, b, c, d):
+        return a * c, b * d
+
     def _diff(self, d, var):
         return Add(Mul(d(self.a), self.b), Mul(self.a, d(self.b)))
 
     def _enclose(self, iv, box):
         if self.a is self.b:
             lo, hi = iv(self.a)
-            return _even_power(lo, hi, lo * lo, hi * hi, 1)
+            low, high = _hull(Mul, ((lo, lo), (hi, hi)))
+            return (0.0 if lo <= 0.0 <= hi else max(0.0, low)), high
         (a, b), (c, d) = iv(self.a), iv(self.b)
-        p = (a * c, a * d, b * c, b * d)
-        return _down(min(p)), _up(max(p))
+        return _hull(Mul, ((a, c), (a, d), (b, c), (b, d)))
 
 
 class Div(_Binary):
@@ -486,6 +497,10 @@ class Div(_Binary):
     def _apply(x, y):
         return x / y
 
+    @staticmethod
+    def _ratio(a, b, c, d):
+        return a * d, b * c
+
     def _diff(self, d, var):
         num = Sub(Mul(d(self.a), self.b), Mul(self.a, d(self.b)))
         return Div(num, Mul(self.b, self.b))
@@ -494,8 +509,7 @@ class Div(_Binary):
         (a, b), (c, d) = iv(self.a), iv(self.b)
         if c <= 0.0 <= d:
             return None
-        q = (a / c, a / d, b / c, b / d)
-        return _down(min(q)), _up(max(q))
+        return _hull(Div, ((a, c), (a, d), (b, c), (b, d)))
 
 
 class Pow(_Binary):
@@ -531,7 +545,7 @@ class Pow(_Binary):
                     return None
                 ends = (math.pow(lo, c), math.pow(hi, c))
                 if c % 2.0 == 0.0:
-                    return _even_power(lo, hi, *ends, 2)
+                    return _even_power(lo, hi, *ends)
                 return _down(_down(min(ends))), _up(_up(max(ends)))
             if lo < 0.0 or lo == 0.0 and c <= 0.0:
                 return None
@@ -805,15 +819,35 @@ def _up(v: float) -> float:
     return math.nextafter(v, math.inf)
 
 
-def _even_power(lo: float, hi: float, at_lo: float, at_hi: float,
-                steps: int) -> tuple:
+def _hull(kind, pairs) -> tuple:
+    """The least and the greatest of ``kind._apply(x, y)`` over the (x, y)
+    pairs, each rounded outward one step unless every pair that gives
+    that float gives it exactly: ``kind._ratio`` is the operation on the
+    numerators and denominators of x and y, exact in integers."""
+    values = [kind._apply(x, y) for x, y in pairs]
+    low, high = min(values), max(values)
+
+    def exact(v):
+        if not math.isfinite(v):
+            return False
+        p, q = v.as_integer_ratio()
+        for (x, y), w in zip(pairs, values):
+            if w == v:
+                n, d = kind._ratio(*x.as_integer_ratio(),
+                                   *y.as_integer_ratio())
+                if n * q != p * d:
+                    return False
+        return True
+
+    return (low if exact(low) else _down(low)), \
+        (high if exact(high) else _up(high))
+
+
+def _even_power(lo: float, hi: float, at_lo: float, at_hi: float) -> tuple:
     """Enclosure of an even power of [lo, hi] from its values at the ends,
-    each within ``steps`` ulps: 0 is its least value when lo <= 0 <= hi."""
-    low = 0.0 if lo <= 0.0 <= hi else min(at_lo, at_hi)
-    high = max(at_lo, at_hi)
-    for _ in range(steps):
-        low, high = _down(low), _up(high)
-    return max(0.0, low), high
+    each within one ulp: 0 is its least value when lo <= 0 <= hi."""
+    low = 0.0 if lo <= 0.0 <= hi else _down(_down(min(at_lo, at_hi)))
+    return max(0.0, low), _up(_up(max(at_lo, at_hi)))
 
 
 def _trig(fn, lo: float, hi: float, peak: float) -> tuple:
@@ -845,12 +879,15 @@ def interval(e: Expr, var: str, lo: float, hi: float) -> tuple:
 
     The value of the real expression at each point of the interval, and
     the value ``evaluate`` gives there, lie in [low, high].  Each bound
-    is rounded outward with ``math.nextafter``: one step after an
-    arithmetic operation, two after a library function (which is within
-    one ulp).  A square, ``x^2`` or ``a*a`` with both factors one node,
-    encloses to [0, w^2] over an interval around 0; any other node is
-    enclosed from its children's enclosures alone, so an expression
-    that repeats its variable may enclose wider than its range.
+    is rounded outward with ``math.nextafter``: one step after ``+ - *
+    /`` unless integer arithmetic shows the float result is exact, two
+    after a power or a library function (which is within one ulp).  So
+    a bound an exact operation reaches, such as 0 at the domain edge of
+    ``sqrt(x - 1)`` at x = 1, stays where it is.  A square, ``x^2`` or
+    ``a*a`` with both factors one node, encloses to [0, w^2] over an
+    interval around 0; any other node is enclosed from its children's
+    enclosures alone, so an expression that repeats its variable may
+    enclose wider than its range.
 
     ``bad`` is None, or the first subexpression whose enclosure may
     leave its real domain or the finite range: a division by an
@@ -889,10 +926,6 @@ def interval(e: Expr, var: str, lo: float, hi: float) -> tuple:
 # ---------------------------------------------------------------------------
 # simplification
 # ---------------------------------------------------------------------------
-
-_MAX_PASSES = 10
-_MAX_LOCAL = 50
-
 
 def _fold_to_const(value) -> Expr | None:
     return Const(value) if math.isfinite(value) else None
@@ -1024,24 +1057,28 @@ def _combine_product(c1: float, c2: float, rest: Expr) -> Expr | None:
 
 
 def _local_fixpoint(node: Expr) -> Expr:
-    """Rewrite ``node`` until no rule fires, at most _MAX_LOCAL times.
-
-    A result no rule rewrites, over children already in normal form, is
-    marked as in normal form itself; a result left by the cap is not.
-    """
-    for _ in range(_MAX_LOCAL):
-        new = _rewrite(node)
-        if new is None:
-            for k in node.children():
-                if not k._simple:
-                    return node
-            node._simple = True
-            return node
+    """Rewrite ``node``, whose children are in normal form, until no rule
+    fires, and mark the result as in normal form.  Every rule shrinks the
+    tree and builds only over those children and constants, so the loop
+    ends and every child of the result is in normal form too."""
+    while (new := _rewrite(node)) is not None:
         node = new
+    node._simple = True
     return node
 
 
-def _simplify_pass(e: Expr) -> Expr:
+def simplify(e: Expr) -> Expr:
+    """Rewrite ``e`` bottom-up until no rule fires, in one pass.
+
+    Evaluation of the result agrees with evaluation of the input on every
+    binding where the input is defined; dropped subtrees (x*0 and friends)
+    may widen the domain, never narrow it.
+
+    The pass visits a shared subtree once, and marks every node it leaves
+    as in normal form, so that no later call walks it again: simplifying
+    a tree built from simplified pieces costs only the nodes added on top
+    of them, and a simplified tree comes back unchanged at once.
+    """
     # keyed by the input node, so each shared subtree is walked once
     memo: dict[int, Expr] = {}
 
@@ -1063,26 +1100,6 @@ def _simplify_pass(e: Expr) -> Expr:
         return out
 
     return walk(e)
-
-
-def simplify(e: Expr) -> Expr:
-    """Rewrite ``e`` bottom-up until no rule fires (bounded pass count).
-
-    Evaluation of the result agrees with evaluation of the input on every
-    binding where the input is defined; dropped subtrees (x*0 and friends)
-    may widen the domain, never narrow it.
-
-    Each pass visits a shared subtree once, and nodes reached in normal
-    form (no rule fires on them or below them) are marked so that no
-    later pass or call walks them again: simplifying a tree built from
-    simplified pieces costs only the nodes added on top of them.
-    """
-    for _ in range(_MAX_PASSES):
-        out = _simplify_pass(e)
-        if out is e:
-            return out
-        e = out
-    return e
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ class _Writer:
         em.line(f"_rho = {em.emit(m.rho.expr())}")
         target = "mu1"
         for i in range(1, m.n + 1):
-            width = "_rho" if i == 1 else _lit(m.ppc_gains.funnels[i - 2])
+            width = "_rho" if i == 1 else _lit(m.ppc_funnels[i - 2])
             em.line(f"_xi{i} = (z{i} - {target}) / {width}")
             em.line(f"if _abs(_xi{i}) >= 1.0:")
             em.line(f"    raise _FunnelBreach({i}, _xi{i}, t)")

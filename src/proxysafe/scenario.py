@@ -335,7 +335,6 @@ class ScenarioSpec:
     controller: str
     controllers: dict
     nominal: NominalGains
-    x_d_source: str
     initial_x: float
     initial_z: tuple
     horizon: float
@@ -347,10 +346,6 @@ class ScenarioSpec:
     @property
     def m(self) -> int:
         return self.proxies[0].m
-
-    @property
-    def n(self) -> int:
-        return self.plant.n
 
     def controller_block(self, name=None):
         name = name or self.controller
@@ -412,8 +407,8 @@ def loads_scenario(text: str) -> ScenarioSpec:
 
     nom = raw["nominal"]
     m = proxies[0].m
-    x_d_source = _get(nom, "x_d", "nominal", required=True)
-    x_d = _expr(x_d_source, "nominal.x_d", {"t"})
+    x_d = _expr(_get(nom, "x_d", "nominal", required=True), "nominal.x_d",
+                {"t"})
     if angle_unit == "degree":
         x_d = Const(DEG) * x_d
     try:
@@ -462,9 +457,9 @@ def loads_scenario(text: str) -> ScenarioSpec:
     return ScenarioSpec(name=name, angle_unit=angle_unit, plant=plant,
                         proxies=proxies, rho=rho, controller=controller,
                         controllers=controllers, nominal=nominal,
-                        x_d_source=x_d_source, initial_x=initial_x,
-                        initial_z=initial_z, horizon=horizon, dt=dt,
-                        hold_dt=hold_dt, check_box=box, raw=raw)
+                        initial_x=initial_x, initial_z=initial_z,
+                        horizon=horizon, dt=dt, hold_dt=hold_dt,
+                        check_box=box, raw=raw)
 
 
 def load_scenario(path) -> ScenarioSpec:

@@ -5,8 +5,9 @@ proxy chain that the safety filter steers, and whatever extra states the
 selected tracking controller carries (adaptive estimates, observer and
 filter-chain states).  The integrator is classical fixed-step RK4 with
 every control signal recomputed at every stage, matching a
-continuous-time analysis; an optional hold interval freezes the control
-outputs between updates for robustness studies.
+continuous-time analysis; an optional hold interval, the scenario's
+`hold_dt:`, freezes the control outputs between updates for robustness
+studies.
 
 `RuntimeModel` is the reference composition of the per-module laws:
 `controls`, `safe_input`, `deriv`, `step` and `trace_row` call the
@@ -190,8 +191,7 @@ class SimTrace:
             _write_rows(fh, line, self.rows)
 
     @classmethod
-    def from_csv(cls, path, scenario: str = "", controller: str = "",
-                 columns=None):
+    def from_csv(cls, path, columns=None):
         """Read a trace CSV; every line must have a field per column.
 
         `columns`, when given, maps the file's column names to the ones
@@ -219,26 +219,30 @@ class SimTrace:
                 for i in keep:
                     row[i] = float(parts[i])
                 rows.append(row)
-        return cls(scenario=scenario, controller=controller, columns=names,
-                   rows=rows, verdict="LOADED")
+        return cls(scenario="", controller="", columns=names, rows=rows,
+                   verdict="LOADED")
 
 
 _BATCH_ROWS = 256     # grid rows per message to the trace writer
 
 
-def _create(path):
-    """A descriptor of `path` created for writing, or None when the file
-    exists or cannot be created: the writer then opens `path` as
-    `SimTrace.to_csv` does, and meets the same error."""
+def _open_file(path):
+    """A descriptor of `path` opened for writing, truncated, when `path` is
+    a regular file or does not exist yet; None for any other path (a
+    device, a FIFO, a directory) and when it cannot be opened: the writer
+    then opens `path` as `SimTrace.to_csv` does, and meets the same
+    error.  Only a file opened here is removed when the run raises."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        return None
     try:
-        return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     except OSError:
         return None
 
 
 def _write_stream(path, fd, columns, src, err_fd) -> int:
     """The writer child's work: the CSV of the rows read from `src`, on
-    `fd` when the stream created the file.  Returns the child's exit
+    `fd` when the stream opened the file.  Returns the child's exit
     status."""
     width = len(columns)
     line = _csv_line(width)
@@ -273,7 +277,7 @@ def _write_stream(path, fd, columns, src, err_fd) -> int:
             fh.close()
         except OSError as exc:
             error = error or exc
-    if not committed:   # the run raised or was killed: leave no file
+    if not committed:   # the run raised or was killed: leave no partial file
         if fd is not None:
             os.unlink(path)
         return 0
@@ -309,10 +313,12 @@ class _TraceStream:
     batch headed by its row count; a batch of no rows commits the file.
     The child reads to the end of the stream whatever happens, so it
     exits only after the run closed it.  An OSError on the file comes
-    back pickled over a second pipe and `finish` raises it.  A file that
-    does not exist yet is created before the fork.  A stream closed
-    without the commit (the run raised) leaves no such file: the child
-    removes it, and `abort` removes it too, in case the child died
+    back pickled over a second pipe and `finish` raises it.  A regular
+    file, or one that does not exist yet, is opened and truncated before
+    the fork; the child opens any other path (a device, a FIFO) itself.
+    A stream closed without the commit (the run raised) leaves no file
+    it opened, neither a partial trace nor the file it replaced: the
+    child removes it, and `abort` removes it too, in case the child died
     first.  The child runs off the run's CPU, ignores SIGINT (the run
     ends it), and leaves through os._exit, so it runs no exit handler and
     flushes none of the stdio buffers it inherited.
@@ -321,8 +327,8 @@ class _TraceStream:
     def __init__(self, path, columns):
         self.path = os.fspath(path)
         self.sent = 0
-        fd = _create(self.path)
-        self.created = fd is not None
+        fd = _open_file(self.path)
+        self.opened = fd is not None
         data_r, data_w = os.pipe()
         err_r, err_w = os.pipe()
         pid = os.fork()
@@ -393,13 +399,13 @@ class _TraceStream:
 
     def abort(self) -> None:
         """End the stream without the commit, wait for the child and
-        remove the file the stream created, whatever the child did."""
+        remove the file the stream opened, whatever the child did."""
         self._close()
         try:
             self.finish()
         except OSError:     # the run's own exception is the one to raise
             pass
-        if self.created:
+        if self.opened:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(self.path)
 
@@ -408,13 +414,12 @@ class RuntimeModel:
     """A scenario compiled into callables, ready to integrate."""
 
     def __init__(self, spec: ScenarioSpec, controller: str | None = None,
-                 dt: float | None = None, horizon: float | None = None,
-                 hold_dt: float | None = None):
+                 dt: float | None = None, horizon: float | None = None):
         self.spec = spec
         self.kind, block = spec.controller_block(controller)
         self.dt = float(dt) if dt is not None else spec.dt
         self.horizon = float(horizon) if horizon is not None else spec.horizon
-        self.hold_dt = hold_dt if hold_dt is not None else spec.hold_dt
+        self.hold_dt = spec.hold_dt
         if self.dt <= 0.0 or self.horizon <= 0.0:
             raise ScenarioError("dt and horizon must be positive")
         if self.dt > self.horizon:
@@ -453,6 +458,7 @@ class RuntimeModel:
         self.dob = None
         self.dob_ctrl = None
         self.ppc_gains = None
+        self.ppc_funnels = None
         self.ppc_signs = None
         self.nuss_gains = None
         self.phis = ()
@@ -463,9 +469,9 @@ class RuntimeModel:
                 list(plant.fs), list(plant.gs), spec.proxies[0], self.dob,
                 block["gains"], spec.rho)
         elif self.kind == "ppc":
-            self.ppc_signs = block["signs"]
-            self.ppc_gains = initialize_funnels(
-                block["gains"], self.ppc_signs, list(spec.initial_z),
+            self.ppc_gains, self.ppc_signs = block["gains"], block["signs"]
+            self.ppc_funnels = initialize_funnels(
+                self.ppc_gains, self.ppc_signs, list(spec.initial_z),
                 spec.initial_z[0], spec.rho)
         elif self.kind == "nussbaum":
             self.nuss_gains = block["gains"]
@@ -547,8 +553,8 @@ class RuntimeModel:
         if self.kind == "nominal":
             return (nu_d, nu, None, 0.0, ()), ()
         if self.kind == "ppc":
-            u, xis, _ = ppc_control(self.ppc_gains, self.ppc_signs, z,
-                                    mu[0], self.rho, t)
+            u, xis, _ = ppc_control(self.ppc_gains, self.ppc_funnels,
+                                    self.ppc_signs, z, mu[0], self.rho, t)
             return (nu_d, nu, u, 0.0, ()), xis
         if self.kind == "nussbaum":
             e = z[0] - mu[0]
@@ -795,8 +801,7 @@ def _finish_trace(model: RuntimeModel, columns, rows, reason,
 
 def simulate(spec: ScenarioSpec, controller: str | None = None,
              dt: float | None = None, horizon: float | None = None,
-             hold_dt: float | None = None, force: bool = False,
-             out=None) -> SimTrace:
+             force: bool = False, out=None) -> SimTrace:
     """Run one scenario to its horizon (or to breakdown).
 
     The feasibility checks run first and a failing report stops the run
@@ -810,11 +815,13 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
     integrates, by a forked child that the rows stream to;
     `trace.to_csv(out)` then waits for it and raises its OSError, if
     any.  Where `os.fork` does not exist, `to_csv(out)` writes the file
-    itself.  A run that raises (a failed check, `LoopMismatch`, an
-    interrupt) leaves no file it created and no child behind.
+    itself.  A run that raises leaves no child behind.  A failed check
+    or `LoopMismatch` raises before the file is opened; an exception or
+    an interrupt mid-run leaves no regular file at `out`, neither the
+    partial trace nor the file that was there before, which the stream
+    had truncated.
     """
-    model = RuntimeModel(spec, controller=controller, dt=dt, horizon=horizon,
-                         hold_dt=hold_dt)
+    model = RuntimeModel(spec, controller=controller, dt=dt, horizon=horizon)
     monitors: dict = {}
     reports = model.run_checks()
     bad = [line for rep in reports if not rep.ok for line in rep.lines()]

@@ -414,6 +414,18 @@ def test_gradient_condition_proven_near_the_vanishing_point():
     assert rep.ok
 
 
+def test_gradient_condition_proven_up_to_a_domain_edge():
+    # x + 0.5 is exactly 0 at the left end of the box: that bound is not
+    # rounded below 0, so sqrt is not flagged and the cells at the edge,
+    # outside the safe set, discharge
+    proxy = chain_proxy(m=1, h="sqrt(x + 0.5) - 0.1", xi=0.3,
+                        lambdas=(1.0, 1.0), betas=(1.0,))
+    stack = build_barrier_stack(proxy, RhoSpec(0.1, 0.1))
+    rep = check_conditions(stack, 0.0, 0.0, box=(-0.5, 0.3))
+    assert rep.grad_check.verdict == "pass"
+    assert rep.grad_check.data["undecided_width"] == 0.0
+
+
 def test_gradient_condition_falsified():
     # h = 0.5 + sin(x): gradient vanishes at pi/2 where h = 1.5 < xi = 2
     proxy = chain_proxy(m=1, h="0.5 + sin(x)", xi=2.0, lambdas=(1.0, 1.0),

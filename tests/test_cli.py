@@ -3,8 +3,9 @@
 Coverage:
   1. `scenarios` listing
   2. `check`: pass/fail output, margins, JSON mode, exit codes, and a
-     check that cannot be evaluated, which is an input error for
-     `check`, `run`, `run --force` and `--batch` alike
+     check that cannot be evaluated or a controller past the node cap,
+     each an input error for `check`, `run`, `run --force` and
+     `--batch` alike
   3. `run`: summary block, trace file, overrides, default naming,
      forced runs, aborted runs, output errors, exit codes
   4. `plot`: panel files, only the plotted columns parsed, errors for
@@ -27,6 +28,7 @@ import pytest
 import yaml
 
 from proxysafe import cli as cli_mod
+from proxysafe import controllers as controllers_mod
 from proxysafe import scenario as scenario_mod
 from proxysafe.cli import (EXIT_ABORTED, EXIT_CHECK, EXIT_OK, EXIT_UNSAFE,
                            EXIT_USAGE, main)
@@ -183,6 +185,40 @@ def test_batch_reports_a_check_that_cannot_be_evaluated(tmp_path, capsys):
         ("ERROR", "proxy[0]: feasibility checks cannot be evaluated: "
                   + UNEVALUABLE_H[kind][1]) for kind in sorted(UNEVALUABLE_H)]
     assert os.listdir(out_dir) == []
+
+
+# electromech's nominal law has 83 nodes, its observer-backstepping law 165
+SMALL_NODE_CAP = 100
+TOO_LARGE = "observer-backstepping law exceeded 100 nodes"
+
+
+@pytest.mark.parametrize("command", [["check"], ["run"], ["run", "--force"]],
+                         ids=["check", "run", "run-force"])
+def test_a_controller_past_the_node_cap_is_an_input_error(command, tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    monkeypatch.setattr(controllers_mod, "NODE_CAP", SMALL_NODE_CAP)
+    out_csv = tmp_path / "trace.csv"
+    argv = [command[0], "electromech", *command[1:]]
+    if command[0] == "run":
+        argv += ["--out", str(out_csv)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {TOO_LARGE}\n")
+    assert not out_csv.exists()
+
+
+def test_batch_reports_a_controller_past_the_node_cap(tmp_path, monkeypatch,
+                                                      capsys):
+    # the pool's workers fork from this process, the lowered cap included
+    monkeypatch.setattr(controllers_mod, "NODE_CAP", SMALL_NODE_CAP)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    _write_variant(batch / "em.yaml", "electromech", lambda m: None)
+    code = main(["run", "--batch", str(batch), "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    doc = json.loads(capsys.readouterr().out)
+    assert [(item["verdict"], item["reason"]) for item in doc] == [
+        ("ERROR", TOO_LARGE)]
 
 
 # ═══════════════════════════════════════════════════════════════════

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from proxysafe import controllers as controllers_mod
 from proxysafe.barrier import ProxySpec, RhoSpec
 from proxysafe.controllers import (
     BarrierBreach, DobBackstepGains, FunnelBreach, NominalGains,
@@ -103,10 +104,6 @@ def test_ppc_gains_validation():
         PpcGains(ks=(1.0,), margin=1.0)
     with pytest.raises(ValueError):
         PpcGains(ks=(1.0,), floor=0.0)
-    with pytest.raises(ValueError):
-        PpcGains(ks=(1.0, 1.0), funnels=(1.0,) * 2)
-    with pytest.raises(ValueError):
-        PpcGains(ks=(1.0, 1.0), funnels=(0.0,))
 
 
 def test_nussbaum_gains_validation():
@@ -258,12 +255,12 @@ def test_nominal_singular_gain_raises():
 def test_ppc_log_ratio_values():
     rho = RhoSpec(1.0, 1.0)
     g = PpcGains(ks=(1.0,))
-    u, xis, etas = ppc_control(g, (1.0,), [0.0], 0.0, rho, 0.0)
+    u, xis, etas = ppc_control(g, (), (1.0,), [0.0], 0.0, rho, 0.0)
     assert u == 0.0 and xis == [0.0] and etas == [0.0]
-    u, xis, _ = ppc_control(g, (1.0,), [0.5], 0.0, rho, 0.0)
+    u, xis, _ = ppc_control(g, (), (1.0,), [0.5], 0.0, rho, 0.0)
     assert xis == [0.5]
     assert abs(u - (-math.log(3.0))) <= 1e-12
-    u, _, _ = ppc_control(g, (1.0,), [0.99], 0.0, rho, 0.0)
+    u, _, _ = ppc_control(g, (), (1.0,), [0.99], 0.0, rho, 0.0)
     assert abs(u - (-math.log(199.0))) <= 1e-12
     assert abs(u - (-5.2933)) <= 1e-4
 
@@ -271,15 +268,16 @@ def test_ppc_log_ratio_values():
 def test_ppc_sign_flips_output():
     rho = RhoSpec(1.0, 1.0)
     g = PpcGains(ks=(1.0,))
-    u_pos, _, _ = ppc_control(g, (1.0,), [0.5], 0.0, rho, 0.0)
-    u_neg, _, _ = ppc_control(g, (-1.0,), [0.5], 0.0, rho, 0.0)
+    u_pos, _, _ = ppc_control(g, (), (1.0,), [0.5], 0.0, rho, 0.0)
+    u_neg, _, _ = ppc_control(g, (), (-1.0,), [0.5], 0.0, rho, 0.0)
     assert u_neg == -u_pos
 
 
 def test_ppc_two_level_chain():
     rho = RhoSpec(0.85, 0.05, 10.0)
-    g = PpcGains(ks=(10.0, 10.0), funnels=(0.4,))
-    u, xis, etas = ppc_control(g, (1.0, 1.0), [0.3, -0.2], 0.3, rho, 0.0)
+    g = PpcGains(ks=(10.0, 10.0))
+    u, xis, etas = ppc_control(g, (0.4,), (1.0, 1.0), [0.3, -0.2], 0.3,
+                               rho, 0.0)
     assert xis[0] == 0.0 and etas[0] == 0.0
     assert xis[1] == -0.2 / 0.4
     want = -10.0 * math.log((1.0 - 0.5) / (1.0 + 0.5))
@@ -289,37 +287,41 @@ def test_ppc_two_level_chain():
 
 def test_ppc_funnel_breach():
     rho = RhoSpec(0.1, 0.1)
-    g = PpcGains(ks=(1.0, 1.0), funnels=(0.2,))
+    g = PpcGains(ks=(1.0, 1.0))
     with pytest.raises(FunnelBreach) as info:
-        ppc_control(g, (1.0, 1.0), [0.15, 0.0], 0.0, rho, 0.0)
+        ppc_control(g, (0.2,), (1.0, 1.0), [0.15, 0.0], 0.0, rho, 0.0)
     assert info.value.level == 1 and abs(info.value.xi) >= 1.0
     with pytest.raises(FunnelBreach) as info:
-        ppc_control(g, (1.0, 1.0), [0.0, 0.5], 0.0, rho, 0.0)
+        ppc_control(g, (0.2,), (1.0, 1.0), [0.0, 0.5], 0.0, rho, 0.0)
     assert info.value.level == 2
 
 
 def test_ppc_funnel_auto_initialization():
     rho = RhoSpec(0.85, 0.05, 10.0)
-    g = initialize_funnels(PpcGains(ks=(10.0, 10.0)), (1.0, 1.0),
-                           [0.3, -0.2], 0.3, rho)
-    assert len(g.funnels) == 1
-    f = g.funnels[0]
+    funnels = initialize_funnels(PpcGains(ks=(10.0, 10.0)), (1.0, 1.0),
+                                 [0.3, -0.2], 0.3, rho)
+    assert len(funnels) == 1
+    f = funnels[0]
     # z1(0) = mu1(0) so the first-level output is zero and the gap is 0.2
     assert type(f) is float and f == 1.5 * 0.2 + 0.1
     assert f > abs(-0.2 - 0.0)
     # strict inequality must hold even for a zero initial gap
-    g0 = initialize_funnels(PpcGains(ks=(1.0, 1.0)), (1.0, 1.0),
-                            [0.0, 0.0], 0.0, rho)
-    assert g0.funnels[0] == 0.1 > 0.0
+    funnels = initialize_funnels(PpcGains(ks=(1.0, 1.0)), (1.0, 1.0),
+                                 [0.0, 0.0], 0.0, rho)
+    assert funnels == (0.1,)
 
 
 def test_ppc_rejects_bad_calls():
     rho = RhoSpec(1.0, 1.0)
+    two = PpcGains(ks=(1.0, 1.0))
+    assert ppc_control(two, (0.5,), (1.0, 1.0), [0.1, 0.2], 0.1, rho,
+                       0.0)[1] == [0.0, 0.4]
+    for funnels in [(), (0.5, 0.5)]:    # one width per level past the first
+        with pytest.raises(ValueError, match="1 intermediate funnels"):
+            ppc_control(two, funnels, (1.0, 1.0), [0.1, 0.2], 0.1, rho, 0.0)
     with pytest.raises(ValueError):
-        ppc_control(PpcGains(ks=(1.0, 1.0)), (1.0, 1.0), [0.1, 0.2], 0.0,
-                    rho, 0.0)  # funnels never initialized
-    with pytest.raises(ValueError):
-        ppc_control(PpcGains(ks=(1.0,)), (1.0,), [0.1, 0.2], 0.0, rho, 0.0)
+        ppc_control(PpcGains(ks=(1.0,)), (), (1.0,), [0.1, 0.2], 0.0, rho,
+                    0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +528,11 @@ def test_dob_backstep_breach_raises():
     assert info.value.t == t and abs(info.value.e) >= info.value.rho
 
 
-def test_dob_backstep_node_cap():
+def test_dob_backstep_node_cap(monkeypatch):
     proxy, fs, gs, dob, gains, rho = motor_parts()
-    with pytest.raises(SymbolicSizeError):
-        build_dob_backstepping(fs, gs, proxy, dob, gains, rho, node_cap=10)
+    monkeypatch.setattr(controllers_mod, "NODE_CAP", 10)
+    with pytest.raises(SymbolicSizeError, match="exceeded 10 nodes"):
+        build_dob_backstepping(fs, gs, proxy, dob, gains, rho)
 
 
 def test_dob_backstep_rejects_wrong_call_shapes():

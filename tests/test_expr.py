@@ -11,9 +11,10 @@ Covers, in order:
     a property against the uncached algorithm as oracle: the same tree,
     signed zeros included, by every variable and by an absent one.
  4. Simplification: the required identities, semantic preservation on
-    random bindings, idempotence, and refusal to fold outside the
-    finite real domain; on shared DAGs, work linear in the distinct
-    nodes, and none at all on an already simplified tree.  Structural
+    random bindings, idempotence (one call reaches normal form), and
+    refusal to fold outside the finite real domain; on shared DAGs,
+    work linear in the distinct nodes, and none at all on an already
+    simplified tree.  Structural
     equality of shared DAGs, likewise linear.
  5. Compilation: generated functions agree with the tree walker bit for
     bit and raise exactly where it raises, and deduplicate common
@@ -649,19 +650,6 @@ def test_simplify_returns_a_simplified_tree_untouched(monkeypatch):
     assert calls[0] == 0
 
 
-def test_simplify_marks_only_converged_nodes(monkeypatch):
-    """A node the rewrite caps leave unconverged is not marked, and
-    neither is anything above it, so a later call carries on."""
-    monkeypatch.setattr(E, "_MAX_PASSES", 1)
-    monkeypatch.setattr(E, "_MAX_LOCAL", 1)
-    # 0 - (-x) -> -(-x) takes the one local step; -(-x) -> x would be next
-    first = E.simplify(Add(Sub(Const(0.0), Neg(Var("x"))), Var("y")))
-    assert first == Add(Neg(Neg(Var("x"))), Var("y"))
-    assert not first._simple and not first.a._simple
-    monkeypatch.undo()
-    assert E.simplify(first) == Add(Var("x"), Var("y"))
-
-
 def test_equality_compares_shared_dags_once(monkeypatch):
     """Two separately built equal DAGs of depth 40 (2^40 paths) compare
     equal after one visit per node pair; a difference at the leaf is
@@ -1160,13 +1148,19 @@ def test_interval_examples():
     low, high, bad = E.interval(Pow(x, Const(2.0)), "x", -1.0, 2.0)
     assert bad is None and low == 0.0 and 4.0 < high <= 4.0 + 1e-14
     low, high, bad = E.interval(x * x - x, "x", -1.0, 2.0)
-    assert bad is None and low < -2.0 and high > 5.0   # x repeats: wide
+    # x repeats: wider than the range [-0.25, 2], and exact
+    assert bad is None and (low, high) == (-2.0, 5.0)
+    # 2 - 1 and 1 - 1 are exact: nothing rounds outward
+    assert E.interval(x - Const(1.0), "x", 1.0, 2.0) == (0.0, 1.0, None)
+    # 3 * 0.1 is not: one step each way
+    assert E.interval(x * Const(0.1), "x", 3.0, 3.0)[:2] == (
+        math.nextafter(3.0 * 0.1, 0.0), math.nextafter(3.0 * 0.1, 1.0))
     assert E.interval(Call("sin", x), "x", 0.0, 3.0)[1] == 1.0
     assert E.interval(Call("cos", x), "x", 3.0, 4.0)[0] == -1.0
     assert E.interval(Const(1.0) / x, "x", -1.0, 1.0)[2] == Const(1.0) / x
     sqrt = Call("sqrt", x - Const(1.0))
     assert E.interval(sqrt + x, "x", 0.0, 2.0)[2] is not None
-    assert E.interval(sqrt + x, "x", 1.5, 2.0)[2] is None
+    assert E.interval(sqrt + x, "x", 1.0, 2.0)[2] is None
     assert E.interval(Call("exp", x), "x", 0.0, 800.0)[2] is not None
     with pytest.raises(UnboundVariableError):
         E.interval(Var("y"), "x", 0.0, 1.0)
@@ -1201,6 +1195,16 @@ def test_simplify_preserves_values_property(e, point):
         return
     w = E.evaluate(E.simplify(e), binding)
     assert abs(w - v) <= 1e-12 * (1.0 + abs(v)), (e, binding, v, w)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(oracle_trees())
+def test_one_simplify_call_reaches_normal_form(e):
+    """One call leaves the root marked as in normal form, so a second
+    call returns the very same tree."""
+    once = E.simplify(e)
+    assert once._simple
+    assert E.simplify(once) is once
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)

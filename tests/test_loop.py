@@ -201,8 +201,9 @@ def own_values(model, state, t):
     want.update((f"d{i}", evaluate(d, {"t": t}))
                 for i, d in enumerate(spec.plant.disturbances, start=1))
     if model.kind == "ppc":
-        want["u"], xis, _ = ppc_control(model.ppc_gains, model.ppc_signs, z,
-                                        mu[0], spec.rho, t)
+        want["u"], xis, _ = ppc_control(model.ppc_gains, model.ppc_funnels,
+                                        model.ppc_signs, z, mu[0], spec.rho,
+                                        t)
         want.update((f"xi{i}", xi) for i, xi in enumerate(xis, start=1))
     elif model.kind == "nussbaum":
         phis = [evaluate(p, {"z1": z[0]}) for p in model.phis]
@@ -340,16 +341,15 @@ def reference_run(model):
 
 RUNS = {
     "ship": (lambda: load_builtin("ship"), {"horizon": 2.0}),
-    "ship hold": (lambda: load_builtin("ship"),
-                  {"horizon": 2.0, "hold_dt": 0.05}),
+    "ship hold": (lambda: variant("ship", hold_dt=0.05), {"horizon": 2.0}),
     "ship stall": (lambda: variant(
         "ship", controllers__nussbaum__initial={"zeta": 0.0}),
         {"horizon": 2.0}),
     "ship nominal": (SPECS["ship/nominal"], {"horizon": 2.0}),
     "electromech dob": (lambda: load_builtin("electromech"),
                         {"horizon": 0.2}),
-    "electromech dob hold": (lambda: load_builtin("electromech"),
-                             {"horizon": 0.2, "hold_dt": 0.005}),
+    "electromech dob hold": (lambda: variant("electromech", hold_dt=0.005),
+                             {"horizon": 0.2}),
     "electromech ppc": (lambda: load_builtin("electromech"),
                         {"horizon": 0.2, "controller": "ppc"}),
     "electromech ppc breach": (lambda: variant(

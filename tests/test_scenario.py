@@ -55,7 +55,7 @@ def test_builtin_discovery():
 
 def test_ship_fields():
     spec = load_builtin("ship")
-    assert (spec.name, spec.n, spec.m) == ("ship", 1, 1)
+    assert (spec.name, spec.plant.n, spec.m) == ("ship", 1, 1)
     assert spec.angle_unit == "degree"
     assert spec.controller == "nussbaum"
     assert len(spec.proxies) == 1
@@ -71,7 +71,7 @@ def test_ship_fields():
 
 def test_electromech_fields():
     spec = load_builtin("electromech")
-    assert (spec.name, spec.n, spec.m) == ("electromech", 2, 2)
+    assert (spec.name, spec.plant.n, spec.m) == ("electromech", 2, 2)
     assert spec.controller == "dob_backstepping"
     assert len(spec.proxies) == 2
     assert [p.xi for p in spec.proxies] == [0.4, 0.4]
@@ -294,7 +294,7 @@ def test_degree_reference_evaluates_in_radians():
     got = evaluate(spec.nominal.x_d, {"t": t})
     assert got == pytest.approx(want, abs=1e-15)
     # the raw mapping keeps the degree-valued source text
-    assert spec.x_d_source == "30 * sin(0.02 * t)"
+    assert spec.raw["nominal"]["x_d"] == "30 * sin(0.02 * t)"
 
 
 def test_radian_reference_untouched():

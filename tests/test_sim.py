@@ -176,8 +176,9 @@ def test_equilibrium_is_stationary():
 
 
 def test_hold_dt_below_dt_rejected():
-    with pytest.raises(ScenarioError):
-        RuntimeModel(load_builtin("ship"), hold_dt=0.001)
+    # the scenario's hold_dt: loads at dt and is rejected under a longer --dt
+    with pytest.raises(ScenarioError, match="hold_dt must be at least dt"):
+        RuntimeModel(variant("ship", hold_dt=0.01), dt=0.02)
 
 
 # ═══════════════════════════════════════════════════════════════════
@@ -276,7 +277,7 @@ def test_hold_mode_runs_and_degrades_honestly():
     # scheme is not claimed to survive it, and on this scenario it does
     # not at this hold interval -- the run must end in a clean abort, not
     # a crash
-    tr = simulate(load_builtin("ship"), hold_dt=0.5, horizon=120.0)
+    tr = simulate(variant("ship", hold_dt=0.5), horizon=120.0)
     assert tr.verdict == "ABORTED"
     assert "BarrierBreach" in tr.reason
     assert len(tr.rows) > 100
@@ -287,7 +288,7 @@ def test_hold_mode_refreshes_held_outputs():
     # logged input is constant inside each hold interval and moves from
     # one interval to the next
     hold = 0.05
-    tr = simulate(load_builtin("ship"), hold_dt=hold, horizon=5.0)
+    tr = simulate(variant("ship", hold_dt=hold), horizon=5.0)
     assert tr.verdict == "SAFE"
     per_interval = {}
     for t, u in zip(tr.column("t"), tr.column("u")):

@@ -10,7 +10,8 @@ Covers, in order:
    os.fork, `to_csv` writes the same bytes itself;
 2. runs that raise (CheckFailed, LoopMismatch, an exception or an
    interrupt mid-run, also after the writer child died) leave no file
-   and no child; a trace never written out still has its child reaped;
+   and no child, also where a file they truncated was before, but
+   remove no device; a trace never written out still has its child reaped;
 3. output errors come back from the child as the OSError the in-process
    write raises, and a child that dies is reported;
 4. the child never flushes the stdio buffers it inherited: what the run
@@ -70,8 +71,8 @@ RUNS = {
                                      "dob_backstepping", dict(horizon=1.5)),
     "electromech/ppc": (lambda: load_builtin("electromech"), "ppc",
                         dict(horizon=1.5)),
-    "ship hold": (lambda: load_builtin("ship"), None,
-                  dict(horizon=10.0, hold_dt=0.05)),
+    "ship hold": (lambda: variant("ship", hold_dt=0.05), None,
+                  dict(horizon=10.0)),
     # log(1.5 - t) leaves its domain at t = 1.5: ABORTED after 1499 steps
     "electromech aborted": (lambda: variant(
         "electromech", plant__disturbances=["log(1.5 - t)"] * 2), "ppc",
@@ -179,6 +180,34 @@ def test_exception_mid_run_leaves_no_file(exc_type, tmp_path, monkeypatch):
         simulate(load_builtin("ship"), horizon=10.0, out=out)
     assert calls[0] == 3 * sim._BATCH_ROWS + 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("target", ["existing file", "device"])
+def test_exception_mid_run_removes_only_a_regular_file(exc_type, target,
+                                                      tmp_path, monkeypatch):
+    """A file there before was truncated when the stream opened it, so a
+    run that raises removes it too: a shorter trace that parses as
+    complete is worse than none.  A device is never removed; os.unlink
+    only records its path here, in this process and in the writer."""
+    log = tmp_path / "unlinked"
+    log.touch()
+
+    def record(path):
+        with open(log, "a") as fh:
+            fh.write(os.fspath(path) + "\n")
+
+    monkeypatch.setattr(os, "unlink", record)
+    fail_after_three_batches(monkeypatch, exc_type)
+    out = str(tmp_path / "old.csv") if target == "existing file" \
+        else os.devnull
+    if target == "existing file":
+        with open(out, "w") as fh:
+            fh.write("t,x\n0,0\n")
+    with pytest.raises(exc_type, match="injected"):
+        simulate(load_builtin("ship"), horizon=10.0, out=out)
+    unlinked = set(log.read_text().splitlines())
+    assert unlinked == ({out} if target == "existing file" else set())
 
 
 def test_exception_after_the_writer_died_leaves_no_file(tmp_path,

@@ -18,7 +18,9 @@
     changes.  A second guard counts every Python call the same build
     makes, so that the per-node overhead of the simplifier's kernel
     cannot creep back unnoticed.
- 3. Guards on the feasibility checks, as counts rather than timings:
+ 3. One simplify call reaches normal form on every stack expression,
+    rebuilt without its marks.
+ 4. Guards on the feasibility checks, as counts rather than timings:
     the bisection proof of condition (i) takes one cell per stack where
     the g0-gradient of h is constant (electromech, the m = 4 chain) and
     a stated number of cells on ship, whose gradient vanishes at x = 0;
@@ -185,6 +187,38 @@ def test_chain_build_call_count():
     finally:
         sys.setprofile(None)
     assert 0 < calls[0] <= CHAIN_BUILD_CALLS
+
+
+def unmarked_copy(e):
+    """The same DAG, sharing kept, with every interior node rebuilt, so
+    that none carries the normal-form mark."""
+    memo = {}
+
+    def copy(node):
+        out = memo.get(id(node))
+        if out is None:
+            out = memo[id(node)] = node._with_children(
+                tuple(copy(k) for k in node.children()))
+        return out
+
+    return copy(e)
+
+
+@pytest.mark.parametrize("scenario", ["ship", "electromech", "chain",
+                                      "chain_plain", "chain_unequal"])
+def test_one_simplify_call_reaches_normal_form_on_stacks(specs, scenario):
+    """Every expression of every stack, rebuilt unmarked, reaches normal
+    form in one simplify call: the root is marked, a second call returns
+    it unchanged, and it is the expression the build made."""
+    spec = specs[scenario]
+    for proxy in spec.proxies:
+        stack = build_barrier_stack(proxy, spec.rho)
+        for e in [*stack.b, *stack.M, stack.psi0, stack.psi1]:
+            copy = unmarked_copy(e)
+            assert not copy.children() or not copy._simple
+            once = E.simplify(copy)
+            assert once._simple and E.simplify(once) is once
+            assert once == e
 
 
 # cells the condition (i) proof visits per stack: the vanishing gradient
