@@ -444,14 +444,12 @@ def check_conditions(stack: BarrierStack, x0, z1_0, box=None) -> ConditionReport
     point, or ``inconclusive-pass`` with the width of the cells the
     budget left undecided.
 
-    h is evaluated at x0 through the compiled ``h_value`` first, so an h
-    that fails there raises the raw error a run would; every other
-    evaluation walks the trees, whose failures raise DomainError naming
-    the subexpression.  Nothing is compiled.
+    Every evaluation, h at x0 first, walks the trees, so a failure raises
+    a DomainError naming the subexpression.  Nothing is compiled.
     """
     proxy = stack.proxy
     plain = proxy.mode == "plain"
-    h0 = stack.h_value(float(x0))
+    h0 = evaluate(proxy.h, {"x": float(x0)})
 
     if plain:
         grad = ConditionCheck("skipped", "plain mode assumes a nonvanishing gradient")

@@ -712,6 +712,8 @@ class _Parser:
     def _parse_prefix(self) -> Expr:
         kind, text, off = self._next()
         if kind == "num":
+            if math.isinf(float(text)):
+                raise ParseError("number out of range", off)
             return Const(float(text))
         if kind == "name":
             if self._peek()[0] == "(":

@@ -51,15 +51,18 @@ def _fail(path: str, message: str):
 
 
 def _get(mapping, key, path, default=None, required=False):
-    """mapping[key]; a missing optional key takes `default`, which is also
-    stored in `mapping`, so the loaded mapping serializes normalized."""
+    """mapping[key] and its key path: `path.key`, or the bare key at the
+    top level, where `path` is empty.  The converters and checks take
+    both, so a key is named once.  A missing optional key takes
+    `default`, which is also stored in `mapping`, so the loaded mapping
+    serializes normalized."""
     if not isinstance(mapping, dict):
         _fail(path, "expected a mapping")
     if key not in mapping:
         if required:
             _fail(path, f"missing required key '{key}'")
         mapping[key] = default
-    return mapping[key]
+    return mapping[key], f"{path}.{key}" if path else key
 
 
 def _is_number(value) -> bool:
@@ -157,49 +160,48 @@ class PlantSpec:
 
 
 def _parse_plant(data, path) -> PlantSpec:
-    n = _get(data, "n", path, required=True)
+    n, n_path = _get(data, "n", path, required=True)
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        _fail(f"{path}.n", f"expected a positive integer, got {n!r}")
+        _fail(n_path, f"expected a positive integer, got {n!r}")
     head = {"x"}
-    f0 = _expr(_get(data, "f0", path, default="0"), f"{path}.f0", head)
-    g0 = _expr(_get(data, "g0", path, default="1"), f"{path}.g0", head)
-    levels = _get(data, "levels", path, required=True)
+    f0 = _expr(*_get(data, "f0", path, default="0"), head)
+    g0 = _expr(*_get(data, "g0", path, default="1"), head)
+    levels, levels_path = _get(data, "levels", path, required=True)
     if not isinstance(levels, list) or len(levels) != n:
-        _fail(f"{path}.levels", f"expected a list of {n} mappings")
+        _fail(levels_path, f"expected a list of {n} mappings")
     fs, gs = [], []
     for i, lvl in enumerate(levels, start=1):
-        lp = f"{path}.levels[{i - 1}]"
+        lp = f"{levels_path}[{i - 1}]"
         allowed = head | {f"z{j}" for j in range(1, i + 1)}
-        fs.append(_expr(_get(lvl, "f", lp, required=True), f"{lp}.f", allowed))
-        gs.append(_expr(_get(lvl, "g", lp, required=True), f"{lp}.g", allowed))
+        fs.append(_expr(*_get(lvl, "f", lp, required=True), allowed))
+        g, g_path = _get(lvl, "g", lp, required=True)
+        gs.append(_expr(g, g_path, allowed))
         g = simplify(gs[-1])
         if isinstance(g, Const) and g.value == 0.0:
             # the strict-feedback premise: each level drives the next
-            _fail(f"{lp}.g", "is identically zero; the chain needs g_i != 0")
-    raw_d = _get(data, "disturbances", path, default=[])
+            _fail(g_path, "is identically zero; the chain needs g_i != 0")
+    raw_d, d_path = _get(data, "disturbances", path, default=[])
     if not isinstance(raw_d, list):
-        _fail(f"{path}.disturbances", "expected a list")
-    ds = [_expr(v, f"{path}.disturbances[{i}]", {"t"})
-          for i, v in enumerate(raw_d)]
+        _fail(d_path, "expected a list")
+    ds = [_expr(v, f"{d_path}[{i}]", {"t"}) for i, v in enumerate(raw_d)]
     # declared disturbance-slope bounds: validated and kept in the file,
     # read by nothing
-    bounds = _num_list(_get(data, "bounds", path, default=[]),
-                       f"{path}.bounds")
-    known = _get(data, "known", path, default=[True] * n)
+    bounds, bounds_path = _get(data, "bounds", path, default=[])
+    bounds = _num_list(bounds, bounds_path)
+    known, known_path = _get(data, "known", path, default=[True] * n)
     if not isinstance(known, list) or not all(isinstance(v, bool) for v in known):
-        _fail(f"{path}.known", "expected a list of booleans")
+        _fail(known_path, "expected a list of booleans")
     if bounds and len(bounds) != n:
-        raise ScenarioError("plant.bounds: need one per level or none")
+        _fail(bounds_path, "need one per level or none")
     return PlantSpec(n=n, f0=f0, g0=g0, fs=fs, gs=gs, disturbances=ds,
                      known=known)
 
 
 def _parse_rho(data, path) -> RhoSpec:
-    initial = _num(_get(data, "initial", path, required=True), f"{path}.initial")
+    initial = _num(*_get(data, "initial", path, required=True))
     # the default is the initial value as written, so an int stays an int
-    final = _num(_get(data, "final", path, default=data["initial"]),
-                 f"{path}.final")
-    decay = _num(_get(data, "decay", path, default=0.0), f"{path}.decay")
+    final = _num(*_get(data, "final", path, default=data["initial"]))
+    decay = _num(*_get(data, "decay", path, default=0.0))
     try:
         return RhoSpec(initial, final, decay)
     except ValueError as exc:
@@ -213,20 +215,18 @@ def _parse_proxies(data, path, plant: PlantSpec):
     m_seen = None
     for k, entry in enumerate(data):
         ep = f"{path}[{k}]"
-        m = _get(entry, "m", ep, required=True)
+        m, m_path = _get(entry, "m", ep, required=True)
         if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-            _fail(f"{ep}.m", f"expected a positive integer, got {m!r}")
+            _fail(m_path, f"expected a positive integer, got {m!r}")
         if m_seen is None:
             m_seen = m
         elif m != m_seen:
-            _fail(f"{ep}.m", "all barriers must share one chain length")
-        h = _expr(_get(entry, "h", ep, required=True), f"{ep}.h", {"x"})
-        xi = _const(_get(entry, "xi", ep, required=True), f"{ep}.xi")
-        lambdas = _num_list(_get(entry, "lambdas", ep, required=True),
-                            f"{ep}.lambdas", m + 1)
-        betas = _num_list(_get(entry, "betas", ep, required=True),
-                          f"{ep}.betas", m)
-        mode = _get(entry, "mode", ep, default="switched")
+            _fail(m_path, "all barriers must share one chain length")
+        h = _expr(*_get(entry, "h", ep, required=True), {"x"})
+        xi = _const(*_get(entry, "xi", ep, required=True))
+        lambdas = _num_list(*_get(entry, "lambdas", ep, required=True), m + 1)
+        betas = _num_list(*_get(entry, "betas", ep, required=True), m)
+        mode, _ = _get(entry, "mode", ep, default="switched")
         try:
             proxies.append(ProxySpec(m=m, f0=plant.f0, g0=plant.g0, h=h,
                                      xi=xi, lambdas=lambdas, betas=betas,
@@ -250,20 +250,16 @@ def _parse_controllers(data, path, plant: PlantSpec):
         if name == "nominal":
             out[name] = {}
             continue
-        gains = _get(block, "gains", bp, default={})
-        gp = f"{bp}.gains"
+        gains, gp = _get(block, "gains", bp, default={})
         try:
             if name == "ppc":
-                ks = _num_list(_get(gains, "ks", gp, required=True),
-                               f"{gp}.ks", plant.n)
-                margin = _num(_get(gains, "margin", gp, default=1.5),
-                              f"{gp}.margin")
-                floor = _num(_get(gains, "floor", gp, default=0.1),
-                             f"{gp}.floor")
-                signs = _num_list(_get(block, "signs", bp, required=True),
-                                  f"{bp}.signs", plant.n)
+                ks = _num_list(*_get(gains, "ks", gp, required=True), plant.n)
+                margin = _num(*_get(gains, "margin", gp, default=1.5))
+                floor = _num(*_get(gains, "floor", gp, default=0.1))
+                signs, signs_path = _get(block, "signs", bp, required=True)
+                signs = _num_list(signs, signs_path, plant.n)
                 if any(v not in (-1.0, 1.0) for v in signs):
-                    _fail(f"{bp}.signs", "entries must be +1 or -1")
+                    _fail(signs_path, "entries must be +1 or -1")
                 out[name] = {"gains": PpcGains(ks=ks, margin=margin,
                                                floor=floor),
                              "signs": tuple(signs)}
@@ -271,22 +267,18 @@ def _parse_controllers(data, path, plant: PlantSpec):
                 if plant.n != 1:
                     _fail(bp, "the adaptive law drives a single plant level")
                 g = NussbaumGains(
-                    gamma1=_num(_get(gains, "gamma1", gp, required=True),
-                                f"{gp}.gamma1"),
-                    gamma2=_num(_get(gains, "gamma2", gp, required=True),
-                                f"{gp}.gamma2"),
-                    k=_num(_get(gains, "k", gp, required=True), f"{gp}.k"))
-                raw_phi = _get(block, "phi", bp, required=True)
+                    gamma1=_num(*_get(gains, "gamma1", gp, required=True)),
+                    gamma2=_num(*_get(gains, "gamma2", gp, required=True)),
+                    k=_num(*_get(gains, "k", gp, required=True)))
+                raw_phi, phi_path = _get(block, "phi", bp, required=True)
                 if not isinstance(raw_phi, list) or not raw_phi:
-                    _fail(f"{bp}.phi", "expected a nonempty list of expressions")
-                phi = tuple(_expr(v, f"{bp}.phi[{i}]", {"z1"})
+                    _fail(phi_path, "expected a nonempty list of expressions")
+                phi = tuple(_expr(v, f"{phi_path}[{i}]", {"z1"})
                             for i, v in enumerate(raw_phi))
-                init = _get(block, "initial", bp, default={})
-                ip = f"{bp}.initial"
-                zeta0 = _num(_get(init, "zeta", ip, default=0.0), f"{ip}.zeta")
-                theta0 = _num_list(
-                    _get(init, "theta", ip, default=[0.0] * len(phi)),
-                    f"{ip}.theta", len(phi))
+                init, ip = _get(block, "initial", bp, default={})
+                zeta0 = _num(*_get(init, "zeta", ip, default=0.0))
+                theta0 = _num_list(*_get(init, "theta", ip,
+                                         default=[0.0] * len(phi)), len(phi))
                 out[name] = {"gains": g, "phi": phi, "zeta0": zeta0,
                              "theta0": tuple(theta0)}
             elif name == "dob_backstepping":
@@ -294,26 +286,24 @@ def _parse_controllers(data, path, plant: PlantSpec):
                     _fail(bp, "observer backstepping consumes every level "
                               "model; mark all levels known")
                 g = DobBackstepGains(
-                    ks=_num_list(_get(gains, "ks", gp, required=True),
-                                 f"{gp}.ks", plant.n),
-                    gamma_fs=_num_list(_get(gains, "gamma_fs", gp,
-                                            required=True),
-                                       f"{gp}.gamma_fs", plant.n - 1),
-                    sigmas=_num_list(_get(gains, "sigmas", gp, required=True),
-                                     f"{gp}.sigmas", plant.n))
-                obs = _get(block, "observer", bp, required=True)
-                op = f"{bp}.observer"
-                alphas = _num_list(_get(obs, "alphas", op, required=True),
-                                   f"{op}.alphas", plant.n)
-                nus = _num_list(_get(obs, "nus", op,
-                                     default=[1.0] * len(alphas)),
-                                f"{op}.nus")
-                raw_t = _get(obs, "time_constants", op,
-                             default=[[1.0] * (len(alphas) - i)
-                                      for i in range(1, len(alphas))])
+                    ks=_num_list(*_get(gains, "ks", gp, required=True),
+                                 plant.n),
+                    gamma_fs=_num_list(
+                        *_get(gains, "gamma_fs", gp, required=True),
+                        plant.n - 1),
+                    sigmas=_num_list(*_get(gains, "sigmas", gp, required=True),
+                                     plant.n))
+                obs, op = _get(block, "observer", bp, required=True)
+                alphas = _num_list(*_get(obs, "alphas", op, required=True),
+                                   plant.n)
+                nus = _num_list(*_get(obs, "nus", op,
+                                      default=[1.0] * len(alphas)))
+                raw_t, t_path = _get(obs, "time_constants", op,
+                                     default=[[1.0] * (len(alphas) - i)
+                                              for i in range(1, len(alphas))])
                 if not isinstance(raw_t, list):
-                    _fail(f"{op}.time_constants", "expected a list of lists")
-                tcs = [_num_list(row, f"{op}.time_constants[{i}]")
+                    _fail(t_path, "expected a list of lists")
+                tcs = [_num_list(row, f"{t_path}[{i}]")
                        for i, row in enumerate(raw_t)]
                 out[name] = {"gains": g,
                              "observer": DobSpec(alphas=alphas, nus=nus,
@@ -380,23 +370,23 @@ def loads_scenario(text: str) -> ScenarioSpec:
             raise ScenarioError(f"scenario: missing required key '{key}'")
     raw = _deep_copy(data)
 
-    name = raw["name"]
+    name, name_path = _get(raw, "name", "")
     if not isinstance(name, str) or not name:
-        _fail("name", "expected a nonempty string")
-    angle_unit = _get(raw, "angle_unit", "scenario", default="radian")
+        _fail(name_path, "expected a nonempty string")
+    angle_unit, unit_path = _get(raw, "angle_unit", "", default="radian")
     if angle_unit not in ("radian", "degree"):
-        _fail("angle_unit", "expected 'radian' or 'degree'")
+        _fail(unit_path, "expected 'radian' or 'degree'")
 
-    plant = _parse_plant(raw["plant"], "plant")
-    rho = _parse_rho(raw["rho"], "rho")
-    proxies = _parse_proxies(raw["proxy"], "proxy", plant)
-    controllers = _parse_controllers(raw["controllers"], "controllers", plant)
+    plant = _parse_plant(*_get(raw, "plant", ""))
+    rho = _parse_rho(*_get(raw, "rho", ""))
+    proxies = _parse_proxies(*_get(raw, "proxy", ""), plant)
+    controllers = _parse_controllers(*_get(raw, "controllers", ""), plant)
 
-    controller = raw["controller"]
+    controller, ctrl_path = _get(raw, "controller", "")
     if controller not in CONTROLLER_TYPES:
-        _fail("controller", f"unknown type {controller!r}")
+        _fail(ctrl_path, f"unknown type {controller!r}")
     if controller not in controllers:
-        _fail("controller", f"'{controller}' has no configured block")
+        _fail(ctrl_path, f"'{controller}' has no configured block")
     if plant.disturbances and controller in ("nominal", "nussbaum"):
         _fail("plant.disturbances",
               "additive disturbances need a disturbance-aware controller "
@@ -405,54 +395,51 @@ def loads_scenario(text: str) -> ScenarioSpec:
         _fail("proxy", f"observer backstepping needs chain length m equal to "
                        f"plant depth n={plant.n}, got m={proxies[0].m}")
 
-    nom = raw["nominal"]
+    nom, nom_path = _get(raw, "nominal", "")
     m = proxies[0].m
-    x_d = _expr(_get(nom, "x_d", "nominal", required=True), "nominal.x_d",
-                {"t"})
+    x_d = _expr(*_get(nom, "x_d", nom_path, required=True), {"t"})
     if angle_unit == "degree":
         x_d = Const(DEG) * x_d
     try:
         nominal = NominalGains(
-            ks=_num_list(_get(nom, "ks", "nominal", required=True),
-                         "nominal.ks", m + 1),
-            cs=_num_list(_get(nom, "cs", "nominal", required=True),
-                         "nominal.cs", m + 1),
+            ks=_num_list(*_get(nom, "ks", nom_path, required=True), m + 1),
+            cs=_num_list(*_get(nom, "cs", nom_path, required=True), m + 1),
             x_d=x_d)
     except ValueError as exc:
-        _fail("nominal", str(exc))
+        _fail(nom_path, str(exc))
 
-    init = raw["initial"]
-    (initial_x,) = _num_list(_get(init, "x", "initial", required=True),
-                             "initial.x", 1)
-    initial_z = tuple(_num_list(_get(init, "z", "initial", required=True),
-                                "initial.z", plant.n))
+    init, init_path = _get(raw, "initial", "")
+    (initial_x,) = _num_list(*_get(init, "x", init_path, required=True), 1)
+    initial_z = tuple(_num_list(*_get(init, "z", init_path, required=True),
+                                plant.n))
 
-    horizon = _num(raw["horizon"], "horizon")
-    dt = _num(raw["dt"], "dt")
+    horizon, horizon_path = _get(raw, "horizon", "")
+    horizon = _num(horizon, horizon_path)
+    dt = _num(*_get(raw, "dt", ""))
     if horizon <= 0.0 or dt <= 0.0:
-        _fail("horizon", "horizon and dt must be positive")
-    hold_dt = _get(raw, "hold_dt", "scenario")
+        _fail(horizon_path, "horizon and dt must be positive")
+    hold_dt, hold_path = _get(raw, "hold_dt", "")
     if hold_dt is not None:
-        hold_dt = _num(hold_dt, "hold_dt")
+        hold_dt = _num(hold_dt, hold_path)
         if hold_dt < dt:
-            _fail("hold_dt", "must be at least dt")
-    box = _get(raw, "check_box", "scenario")
+            _fail(hold_path, "must be at least dt")
+    box, box_path = _get(raw, "check_box", "")
     if box is not None:
         # the proxy is scalar, so the condition box is one interval
         if not isinstance(box, list) or len(box) != 1:
-            _fail("check_box", "expected one [low, high] pair")
-        lo, hi = _num_list(box[0], "check_box[0]", 2)
+            _fail(box_path, "expected one [low, high] pair")
+        lo, hi = _num_list(box[0], f"{box_path}[0]", 2)
         if lo >= hi:
-            _fail("check_box[0]", "low bound must be below high bound")
+            _fail(f"{box_path}[0]", "low bound must be below high bound")
         box = (lo, hi)
     elif any(p.mode == "switched" for p in proxies):
         # the vanishing-gradient condition is proved over the box
-        _fail("check_box", "required when a barrier is in switched mode")
+        _fail(box_path, "required when a barrier is in switched mode")
     # the seed of the sampled condition search the proof replaced:
     # validated and kept in the file, read by nothing
-    seed = _get(raw, "seed", "scenario", default=0)
+    seed, seed_path = _get(raw, "seed", "", default=0)
     if isinstance(seed, bool) or not isinstance(seed, int):
-        _fail("seed", "expected an integer")
+        _fail(seed_path, "expected an integer")
 
     return ScenarioSpec(name=name, angle_unit=angle_unit, plant=plant,
                         proxies=proxies, rho=rho, controller=controller,

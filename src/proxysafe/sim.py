@@ -33,9 +33,11 @@ scenario expression that fails at that stage.
 The trace CSV is written while the run integrates: given an output
 path, `simulate` forks a writer child once the run's start checks have
 passed and sends it the grid rows in batches of raw doubles; the child
-formats them with `SimTrace.to_csv`'s own line format, so the file is
-the same byte for byte, and `to_csv` waits for it.  The RK4 step itself
-is generated once per state length as straight-line code.
+writes them through `_write_csv`, the one writer `SimTrace.to_csv` uses
+too, so the file is the same byte for byte, and `to_csv` waits for it.
+A write that fails or does not finish removes its file when the path
+is regular (`_regular`).  The RK4 step itself is generated once per
+state length as straight-line code.
 """
 
 from __future__ import annotations
@@ -172,12 +174,15 @@ class SimTrace:
         return [row[idx] for row in self.rows]
 
     def to_csv(self, path) -> None:
-        """Write the trace as CSV, every value as `%.17g`.
+        """Write the trace as CSV, every value as `%.17g`, through
+        `_write_csv`: a write that fails or is interrupted leaves no
+        regular file at `path`.
 
         When `simulate(..., out=...)` streamed this trace, the file was
         written while the run integrated: this first waits for that
-        writer and raises the OSError it met, if any.  The rows are then
-        written here unless `path` is the file the writer wrote.
+        writer and raises the OSError it met, if any (the writer left no
+        file then).  The rows are then written here unless `path` is the
+        file the writer wrote.
         """
         if self._stream is not None:
             streamed, finish = self._stream
@@ -185,10 +190,7 @@ class SimTrace:
             finish()
             if streamed == os.fspath(path):
                 return
-        line = _csv_line(len(self.columns))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            _write_rows(fh, line, self.rows)
+        _write_csv(path, self.columns, [self.rows])
 
     @classmethod
     def from_csv(cls, path, columns=None):
@@ -226,67 +228,60 @@ class SimTrace:
 _BATCH_ROWS = 256     # grid rows per message to the trace writer
 
 
-def _open_file(path):
-    """A descriptor of `path` opened for writing, truncated, when `path` is
-    a regular file or does not exist yet; None for any other path (a
-    device, a FIFO, a directory) and when it cannot be opened: the writer
-    then opens `path` as `SimTrace.to_csv` does, and meets the same
-    error.  Only a file opened here is removed when the run raises."""
-    if os.path.exists(path) and not os.path.isfile(path):
-        return None
-    try:
-        return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    except OSError:
-        return None
+def _regular(path) -> bool:
+    """Whether `path` is a regular file or no file yet: the only kind of
+    path a trace write removes again."""
+    return not os.path.exists(path) or os.path.isfile(path)
 
 
-def _write_stream(path, fd, columns, src, err_fd) -> int:
-    """The writer child's work: the CSV of the rows read from `src`, on
-    `fd` when the stream opened the file.  Returns the child's exit
-    status."""
-    width = len(columns)
-    line = _csv_line(width)
-    error = fh = None
-    committed = False
+def _write_csv(path, columns, batches) -> None:
+    """Write a trace CSV: the header, then each batch of rows, every value
+    as `%.17g`.  An exception once `path` is open (an OSError, a stream
+    that ends without the commit, an interrupt) removes a regular `path`
+    before it propagates, so no partial file is left."""
+    regular = _regular(path)
+    line = _csv_line(len(columns))
+    fh = open(path, "w", encoding="utf-8", newline="")
     try:
-        fh = open(path if fd is None else fd, "w", encoding="utf-8",
-                  newline="")
-        fh.write(",".join(columns) + "\n")
+        with fh:
+            fh.write(",".join(columns) + "\n")
+            for rows in batches:
+                _write_rows(fh, line, rows)
+    except BaseException:
+        if regular:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
+
+
+def _batches(src, width: int):
+    """The row batches read from the stream `src` up to the commit; raises
+    EOFError where the stream ends without it."""
+    def read(size):
+        data = src.read(size)
+        if len(data) < size:
+            raise EOFError("trace stream ended without the commit")
+        return array("d", data)
+
+    while n := int(read(8)[0]):
+        yield zip(*[iter(read(8 * width * n))] * width)
+
+
+def _write_stream(path, columns, src, err_fd) -> int:
+    """The writer child's work: `_write_csv` of the batches read from
+    `src`.  Returns the child's exit status: 0 when the file is complete
+    or the run raised (the file is then removed), 1 after an OSError,
+    which goes back pickled on `err_fd`."""
+    try:
+        _write_csv(path, columns, _batches(src, len(columns)))
+    except EOFError:
+        return 0
     except OSError as exc:
-        error = exc
-    # read to the end even after an error: only the end of the stream
-    # tells whether the run committed the file or raised
-    while True:
-        head = src.read(8)
-        if len(head) < 8:
-            break
-        n = int(array("d", head)[0])
-        if n == 0:
-            committed = True
-            break
-        values = array("d", src.read(8 * width * n))
-        if len(values) != width * n:
-            break
-        if error is None:
-            try:
-                _write_rows(fh, line, zip(*[iter(values)] * width))
-            except OSError as exc:
-                error = exc
-    if fh is not None:
-        try:
-            fh.close()
-        except OSError as exc:
-            error = error or exc
-    if not committed:   # the run raised or was killed: leave no partial file
-        if fd is not None:
-            os.unlink(path)
-        return 0
-    if error is None:
-        return 0
-    import pickle
-    with open(err_fd, "wb", closefd=False) as fh:
-        pickle.dump(error, fh)
-    return 1
+        import pickle
+        with open(err_fd, "wb", closefd=False) as fh:
+            pickle.dump(exc, fh)
+        return 1
+    return 0
 
 
 def _leave_parent_cpu() -> None:
@@ -311,27 +306,32 @@ class _TraceStream:
 
     The run sends grid rows in batches over a pipe as raw doubles, each
     batch headed by its row count; a batch of no rows commits the file.
-    The child reads to the end of the stream whatever happens, so it
-    exits only after the run closed it.  An OSError on the file comes
-    back pickled over a second pipe and `finish` raises it.  A regular
-    file, or one that does not exist yet, is opened and truncated before
-    the fork; the child opens any other path (a device, a FIFO) itself.
-    A stream closed without the commit (the run raised) leaves no file
-    it opened, neither a partial trace nor the file it replaced: the
-    child removes it, and `abort` removes it too, in case the child died
-    first.  The child runs off the run's CPU, ignores SIGINT (the run
-    ends it), and leaves through os._exit, so it runs no exit handler and
-    flushes none of the stdio buffers it inherited.
+    The child writes through `_write_csv`, as `SimTrace.to_csv` does, so
+    it removes its file itself when the stream ends without the commit
+    (the run raised) or a write fails.  It stops at the first OSError and
+    sends it back pickled over a second pipe, and `finish` raises it.  A
+    child that dies without reporting may leave part of the file:
+    `finish` removes it, where it is regular.  Nothing is opened before
+    the fork, and a device or a FIFO is never removed.  The child runs
+    off the run's CPU, ignores SIGINT (the run ends it), and leaves
+    through os._exit, so it runs no exit handler and flushes none of the
+    stdio buffers it inherited.
     """
 
     def __init__(self, path, columns):
         self.path = os.fspath(path)
+        self.regular = _regular(self.path)
         self.sent = 0
-        fd = _open_file(self.path)
-        self.opened = fd is not None
-        data_r, data_w = os.pipe()
-        err_r, err_w = os.pipe()
-        pid = os.fork()
+        fds: list = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        data_r, data_w, err_r, err_w = fds
         if pid == 0:
             status = 1
             try:
@@ -340,12 +340,9 @@ class _TraceStream:
                 os.close(data_w)    # else the child never sees the end
                 os.close(err_r)
                 with open(data_r, "rb") as src:
-                    status = _write_stream(self.path, fd, columns, src,
-                                           err_w)
+                    status = _write_stream(self.path, columns, src, err_w)
             finally:
                 os._exit(status)
-        if fd is not None:
-            os.close(fd)
         os.close(data_r)
         os.close(err_w)
         self.pid, self.fd, self.err_fd = pid, data_w, err_r
@@ -355,7 +352,7 @@ class _TraceStream:
         try:
             while view and self.fd is not None:
                 view = view[os.write(self.fd, view):]
-        except BrokenPipeError:     # the child died; finish reports it
+        except BrokenPipeError:     # the child ended; finish reports why
             self._close()
 
     def _close(self) -> None:
@@ -380,7 +377,9 @@ class _TraceStream:
         self._close()
 
     def finish(self) -> None:
-        """Wait for the child; raise the OSError it reported, if any."""
+        """Wait for the child; raise the OSError it reported, if any.  A
+        child that died without reporting is raised as an OSError, after
+        its file is removed where it is regular."""
         if self.pid is None:
             return
         chunks = []
@@ -394,20 +393,19 @@ class _TraceStream:
             raise pickle.loads(b"".join(chunks))
         code = os.waitstatus_to_exitcode(status)
         if code:
+            if self.regular:
+                with contextlib.suppress(OSError):
+                    os.unlink(self.path)
             raise OSError(f"trace writer for {self.path} ended with "
                           f"status {code}")
 
     def abort(self) -> None:
-        """End the stream without the commit, wait for the child and
-        remove the file the stream opened, whatever the child did."""
+        """End the stream without the commit and wait for the child,
+        which then removes its file; `finish` removes it if the child
+        died first."""
         self._close()
-        try:
+        with contextlib.suppress(OSError):  # the run's exception wins
             self.finish()
-        except OSError:     # the run's own exception is the one to raise
-            pass
-        if self.opened:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(self.path)
 
 
 class RuntimeModel:
@@ -815,11 +813,12 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
     integrates, by a forked child that the rows stream to;
     `trace.to_csv(out)` then waits for it and raises its OSError, if
     any.  Where `os.fork` does not exist, `to_csv(out)` writes the file
-    itself.  A run that raises leaves no child behind.  A failed check
-    or `LoopMismatch` raises before the file is opened; an exception or
-    an interrupt mid-run leaves no regular file at `out`, neither the
-    partial trace nor the file that was there before, which the stream
-    had truncated.
+    itself.  A run that raises leaves no child behind.  A failed check,
+    `LoopMismatch` or a failed fork raises before the file is opened, so
+    a file already at `out` is untouched.  Once it is open, an exception
+    or an interrupt mid-run, an output error and a writer that dies each
+    leave no regular file at `out`: neither the partial trace nor the
+    file that was there before.  A device or a FIFO is never removed.
     """
     model = RuntimeModel(spec, controller=controller, dt=dt, horizon=horizon)
     monitors: dict = {}

@@ -144,7 +144,7 @@ def test_check_too_deep_to_build_is_usage_error(tmp_path, monkeypatch,
 # x0 = 0, and a sqrt that leaves its domain in the check box
 UNEVALUABLE_H = {
     "division": ("pi^2/81 - x^2 + 0.001/(x - 0)",
-                 "ZeroDivisionError: float division by zero"),
+                 "DomainError: division by zero in '0.001 / (x - 0.0)'"),
     "domain": ("sqrt(x) - 1",
                "DomainError: sqrt of a negative value in 'sqrt(x)'"),
 }

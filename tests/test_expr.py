@@ -180,6 +180,16 @@ def test_parse_error_offsets():
         assert info.value.offset == offset, f"{src!r}: offset {info.value.offset}"
 
 
+@pytest.mark.parametrize("src, offset", [
+    ("1e400", 0), ("x + 1e999", 4), ("2 * (1e309 - x)", 5)])
+def test_parse_rejects_a_number_out_of_range(src, offset):
+    """A literal past the float range is a parse error at its offset, not
+    the ValueError of a non-finite constant."""
+    with pytest.raises(ParseError,
+                       match=f"^number out of range at offset {offset}$"):
+        E.parse(src)
+
+
 def test_parse_error_expected_sets():
     """The expected-token set names what could have appeared."""
     with pytest.raises(ParseError) as info:

@@ -390,6 +390,19 @@ def test_too_deeply_nested_expression_is_named(key):
         loads_scenario(broken("ship", mutate))
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("h", "1e400 * x",
+     "proxy[0].h: parse error: number out of range at offset 0"),
+    ("xi", "1e400", "proxy[0].xi: not a constant expression: "
+                    "number out of range at offset 0"),
+], ids=["h", "xi"])
+def test_a_number_out_of_range_is_named(key, value, message):
+    with pytest.raises(ScenarioError) as info:
+        loads_scenario(broken("ship",
+                              lambda m: m["proxy"][0].update({key: value})))
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("mutate, fragment", [
     (lambda m: m["controllers"]["dob_backstepping"].update(observer=[1, 2]),
      "controllers.dob_backstepping.observer: expected a mapping"),

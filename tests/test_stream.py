@@ -11,9 +11,11 @@ Covers, in order:
 2. runs that raise (CheckFailed, LoopMismatch, an exception or an
    interrupt mid-run, also after the writer child died) leave no file
    and no child, also where a file they truncated was before, but
-   remove no device; a trace never written out still has its child reaped;
+   remove no device; a failed fork leaves the file that was there and
+   no descriptor; a trace never written out still has its child reaped;
 3. output errors come back from the child as the OSError the in-process
-   write raises, and a child that dies is reported;
+   write raises, and a child that dies is reported; an output error, a
+   writer that dies and an interrupted in-process write leave no file;
 4. the child never flushes the stdio buffers it inherited: what the run
    printed before it forked appears once;
 5. the generated RK4 step equals the textbook list-comprehension step
@@ -25,6 +27,7 @@ Every test ends with no child process of this one left (`no_children`).
 import gc
 import math
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -229,6 +232,25 @@ def test_exception_after_the_writer_died_leaves_no_file(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+def test_a_failed_fork_leaves_the_file_and_no_descriptor(tmp_path,
+                                                         monkeypatch):
+    out = tmp_path / "old.csv"
+    out.write_bytes(b"x" * 1000)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    spec = load_builtin("ship")
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        simulate(spec, horizon=0.1, out=out)
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert out.read_bytes() == b"x" * 1000
+
+
 def test_a_trace_never_written_out_has_its_child_reaped(tmp_path):
     out = tmp_path / "dropped.csv"
     trace = simulate(load_builtin("ship"), horizon=3.0, out=out)
@@ -270,6 +292,63 @@ def test_a_writer_that_dies_is_reported(tmp_path, monkeypatch):
     assert trace.verdict == "SAFE" and len(trace.rows) == 1001
     with pytest.raises(OSError, match="ended with status 7"):
         trace.to_csv(out)
+
+
+def test_a_writer_that_dies_in_a_committed_run_leaves_no_file(
+        tmp_path, monkeypatch):
+    # the child writes its first batch and dies; the run raises nothing
+    write_rows = sim._write_rows
+
+    def write_then_die(fh, line, rows):
+        write_rows(fh, line, rows)
+        fh.flush()
+        os._exit(9)
+
+    monkeypatch.setattr(sim, "_write_rows", write_then_die)
+    out = tmp_path / "x.csv"
+    trace = simulate(load_builtin("ship"), horizon=10.0, out=out)
+    assert trace.verdict == "SAFE"
+    with pytest.raises(OSError, match="ended with status 9"):
+        trace.to_csv(out)
+    assert not out.exists()
+
+
+def test_an_interrupted_in_process_write_leaves_no_file(tmp_path,
+                                                        monkeypatch):
+    trace = simulate(load_builtin("ship"), horizon=3.0)
+
+    def write_one_then_interrupt(fh, line, rows):
+        fh.write(line % tuple(rows[0]))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sim, "_write_rows", write_one_then_interrupt)
+    out = tmp_path / "x.csv"
+    with pytest.raises(KeyboardInterrupt):
+        trace.to_csv(out)
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"),
+                    reason="needs RLIMIT_FSIZE and SIGXFSZ")
+@pytest.mark.parametrize("streamed", [True, False],
+                         ids=["streamed", "in-process"])
+def test_an_output_error_leaves_no_file(streamed, tmp_path):
+    # the file size limit and the ignored SIGXFSZ hold for the child
+    # interpreter (and its writer) only: writes past 200,000 bytes fail
+    done = run_python(f"""
+        import os, resource, signal, sys
+        from proxysafe.cli import main
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (200_000, 200_000))
+        if not {streamed}:
+            del os.fork
+        sys.exit(main(["run", "ship", "--horizon", "20", "--out", "t.csv"]))
+    """, tmp_path)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: ") and line.endswith("File too large")
+    assert not (tmp_path / "t.csv").exists()
 
 
 # ═══════════════════════════════════════════════════════════════════
