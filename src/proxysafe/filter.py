@@ -29,12 +29,12 @@ class Infeasible(Exception):
     constant part is negative.  Under the theory this cannot happen when
     the barrier conditions hold, so reaching it means the conditions were
     not actually satisfied or tolerances were exhausted; the simulator
-    aborts the run and reports the offending values.  psi1 is kept as a
-    one-element list, the form the abort reason prints."""
+    aborts the run and reports the offending values, psi0 and psi1, as
+    floats."""
 
     def __init__(self, psi0: float, psi1: float):
         self.psi0 = float(psi0)
-        self.psi1 = [float(psi1)]
+        self.psi1 = float(psi1)
         super().__init__(
             f"barrier constraint infeasible: psi0={self.psi0!r}, psi1={self.psi1!r}")
 

@@ -95,14 +95,15 @@ def render_panel(path, title: str, xlabel: str, ylabel: str, series) -> str:
     series = list(series)
     if not series or not any(s.xs for s in series):
         raise PlotError(f"panel '{title}': nothing to draw")
-    xs_all = [v for s in series for v in s.xs]
-    ys_all = [v for s in series for v in s.ys]
-    if not all(map(math.isfinite, xs_all + ys_all)):
+    if not all(all(map(math.isfinite, s.xs)) and all(map(math.isfinite, s.ys))
+               for s in series):
         raise PlotError(f"panel '{title}': series contain non-finite values")
-    x_lo, x_hi = min(xs_all), max(xs_all)
+    drawn = [s for s in series if s.xs]
+    x_lo, x_hi = min(min(s.xs) for s in drawn), max(max(s.xs) for s in drawn)
     if x_lo == x_hi:
         x_lo, x_hi = _pad(x_lo, x_hi)
-    y_lo, y_hi = _pad(min(ys_all), max(ys_all))
+    y_lo, y_hi = _pad(min(min(s.ys) for s in drawn),
+                      max(max(s.ys) for s in drawn))
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
@@ -246,7 +247,7 @@ def plot_trace(trace, out_base, spec=None) -> list:
     dashed lines and, for degree-unit scenarios, shows the angles in
     degrees.  Returns the written paths.
     """
-    if not trace.rows:
+    if not trace.n_rows:
         raise PlotError("trace has no rows")
     ts = _column(trace, "t")
     scale = 1.0

@@ -30,14 +30,17 @@ loop broke down before the horizon.  A compiled expression that leaves
 its real domain aborts the run as a `RunDomainError` naming the
 scenario expression that fails at that stage.
 
-The trace CSV is written while the run integrates: given an output
-path, `simulate` forks a writer child once the run's start checks have
-passed and sends it the grid rows in batches of raw doubles; the child
-writes them through `_write_csv`, the one writer `SimTrace.to_csv` uses
-too, so the file is the same byte for byte, and `to_csv` waits for it.
-A write that fails or does not finish removes its file when the path
-is regular (`_regular`).  The RK4 step itself is generated once per
-state length as straight-line code.
+A run keeps its grid rows as raw doubles, row after row in one
+`array('d')` (`SimTrace.data`, 8 bytes a value), and reads a column as
+a strided slice of it.  The trace CSV is written while the run
+integrates: given an output path, `simulate` forks a writer child once
+the run's start checks have passed and sends it slices of that array,
+one batch of grid rows at a time; the child writes them through
+`_write_csv`, the one writer `SimTrace.to_csv` uses too, so the file is
+the same byte for byte, and `to_csv` waits for it.  A write that fails
+or does not finish removes its file when the path is regular
+(`_regular`).  The RK4 step itself is generated once per state length
+as straight-line code.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import contextlib
 import functools
 import itertools
 import math
+import operator
 import os
 import signal
 import weakref
@@ -70,7 +74,9 @@ __all__ = ["CheckFailed", "LoopMismatch", "RunDomainError", "SimTrace",
 
 H_TOL = 1e-6     # verdict slack on the barrier values
 E_TOL = 1e-9     # verdict slack on the funnel bound
-MAX_STEPS = 2_000_000   # step cap of one run: every grid row stays in memory
+# step cap of one run: every grid row stays in memory, 8 bytes a value
+# (about 300 MB at the cap for ship's 19 columns)
+MAX_STEPS = 2_000_000
 
 _ABORTS = (Infeasible, BarrierBreach, FunnelBreach, SingularGain, EvalError)
 _RAW = (ValueError, ArithmeticError)     # what compiled code raises itself
@@ -147,31 +153,60 @@ def _csv_line(width: int) -> str:
 
 def _write_rows(fh, line: str, rows) -> None:
     for row in rows:
-        fh.write(line % tuple(row))
+        fh.write(line % row)
+
+
+def _row_tuples(values, width: int):
+    """The rows of the row-major `values`, `width` values each, as tuples."""
+    return zip(*[iter(values)] * width)
 
 
 @dataclass
 class SimTrace:
-    """Uniform-grid run log plus the verdict and summary monitors."""
+    """Uniform-grid run log plus the verdict and summary monitors.
+
+    `data` holds every value of the grid rows in one `array('d')`, row
+    after row, `len(columns)` values a row: 8 bytes a value, 152 bytes a
+    ship row, where a list of floats per row took about 630.
+    `column(name)` returns one column as an `array('d')`, a strided copy
+    out of `data`, and `n_rows` counts the rows.  A trace read by
+    `from_csv` keeps only the columns it parsed, one `array('d')` each,
+    and `data` is empty.
+    """
 
     scenario: str
     controller: str
     columns: list
-    rows: list
+    data: array
     verdict: str
     reason: str | None = None
     monitors: dict = field(default_factory=dict)
+    # (row count, column name -> values) of a trace read by from_csv
+    _parsed: tuple | None = field(default=None, init=False, repr=False)
     # (path, finalizer waiting for the writer) of a trace simulate streams
     _stream: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
-    def column(self, name: str) -> list:
+    @property
+    def n_rows(self) -> int:
+        """The number of grid rows."""
+        if self._parsed is not None:
+            return self._parsed[0]
+        return len(self.data) // len(self.columns)
+
+    def column(self, name: str):
+        """The values of column `name`, one per grid row, as an
+        `array('d')`; a column that `from_csv` did not parse reads as a
+        list of None."""
         try:
             idx = self.columns.index(name)
         except ValueError:
             raise KeyError(f"trace has no column {name!r} "
                            f"(columns: {', '.join(self.columns)})") from None
-        return [row[idx] for row in self.rows]
+        if self._parsed is None:
+            return self.data[idx::len(self.columns)]
+        n_rows, parsed = self._parsed
+        return parsed[name] if name in parsed else [None] * n_rows
 
     def to_csv(self, path) -> None:
         """Write the trace as CSV, every value as `%.17g`, through
@@ -190,7 +225,11 @@ class SimTrace:
             finish()
             if streamed == os.fspath(path):
                 return
-        _write_csv(path, self.columns, [self.rows])
+        if self._parsed is None:
+            rows = _row_tuples(self.data, len(self.columns))
+        else:
+            rows = zip(*map(self.column, self.columns))
+        _write_csv(path, self.columns, [rows])
 
     @classmethod
     def from_csv(cls, path, columns=None):
@@ -206,9 +245,12 @@ class SimTrace:
                 raise ValueError(f"{path}: empty trace file")
             names = header.split(",")
             width = len(names)
-            parsed = set(names if columns is None else columns(names))
-            keep = [i for i, name in enumerate(names) if name in parsed]
-            rows = []
+            wanted = set(names if columns is None else columns(names))
+            parsed = {name: array("d") for name in names if name in wanted}
+            # a name the header repeats reads from its first field
+            keep = [(names.index(name), values.append)
+                    for name, values in parsed.items()]
+            n_rows = 0
             for line_no, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line:
@@ -217,12 +259,13 @@ class SimTrace:
                 if len(parts) != width:
                     raise ValueError(f"{path}:{line_no}: expected "
                                      f"{width} fields, got {len(parts)}")
-                row = [None] * width
-                for i in keep:
-                    row[i] = float(parts[i])
-                rows.append(row)
-        return cls(scenario="", controller="", columns=names, rows=rows,
-                   verdict="LOADED")
+                for i, append in keep:
+                    append(float(parts[i]))
+                n_rows += 1
+        trace = cls(scenario="", controller="", columns=names,
+                    data=array("d"), verdict="LOADED")
+        trace._parsed = (n_rows, parsed)
+        return trace
 
 
 _BATCH_ROWS = 256     # grid rows per message to the trace writer
@@ -264,7 +307,7 @@ def _batches(src, width: int):
         return array("d", data)
 
     while n := int(read(8)[0]):
-        yield zip(*[iter(read(8 * width * n))] * width)
+        yield _row_tuples(read(8 * width * n), width)
 
 
 def _write_stream(path, columns, src, err_fd) -> int:
@@ -321,6 +364,7 @@ class _TraceStream:
     def __init__(self, path, columns):
         self.path = os.fspath(path)
         self.regular = _regular(self.path)
+        self.width = len(columns)
         self.sent = 0
         fds: list = []
         try:
@@ -360,19 +404,16 @@ class _TraceStream:
             os.close(self.fd)
             self.fd = None
 
-    def send(self, rows: list) -> None:
-        """Send the rows not sent yet."""
-        n = len(rows) - self.sent
+    def send(self, data: array) -> None:
+        """Send the rows of the row-major `data` not sent yet."""
+        n = len(data) // self.width - self.sent
         if n:
-            values = array("d", [n])
-            for row in rows[self.sent:]:
-                values.fromlist(row)
-            self._put(values)
-            self.sent = len(rows)
+            self._put(array("d", [n]) + data[self.sent * self.width:])
+            self.sent += n
 
-    def commit(self, rows: list) -> None:
+    def commit(self, data: array) -> None:
         """Send the last rows and end the stream with the file complete."""
-        self.send(rows)
+        self.send(data)
         self._put(array("d", [0.0]))
         self._close()
 
@@ -723,10 +764,11 @@ def _check_start(model: RuntimeModel, loop: ClosedLoop) -> None:
 
 
 def _integrate(model: RuntimeModel, loop: ClosedLoop, stream) -> tuple:
-    """The grid rows of one run and its abort reason (None when it
-    reached the horizon); every full batch of rows goes to `stream`."""
+    """The grid rows of one run, row after row in one `array('d')`, and
+    its abort reason (None when it reached the horizon); every full batch
+    of rows goes to `stream`."""
     model.qp_fallbacks = 0
-    rows: list = []
+    data = array("d")
     state = model.initial_state()
     n_steps = max(1, int(round(model.horizon / model.dt)))
     step = _rk4_body(model.dim)
@@ -738,7 +780,7 @@ def _integrate(model: RuntimeModel, loop: ClosedLoop, stream) -> tuple:
     refresh = model.hold_dt is not None     # t=0 is the first hold time
     try:
         k1, row, ctrl = loop.point(state, 0.0, None)
-        rows.append(row)
+        data.fromlist(row)
         for k in range(1, n_steps + 1):
             t_prev = (k - 1) * model.dt
             if refresh:     # ctrl holds fresh outputs of the hold time t_prev
@@ -754,47 +796,45 @@ def _integrate(model: RuntimeModel, loop: ClosedLoop, stream) -> tuple:
                 break
             refresh = model.hold_dt is not None and t >= next_hold - 1e-12
             k1, row, ctrl = loop.point(state, t, None if refresh else held)
-            rows.append(row)
-            if len(rows) == flush_at:
-                stream.send(rows)
+            data.fromlist(row)
+            if k + 1 == flush_at:       # k + 1 rows so far
+                stream.send(data)
                 flush_at += _BATCH_ROWS
     except _ABORTS as exc:
         reason = f"{type(exc).__name__}: {exc}"
-    return rows, reason
+    return data, reason
 
 
-def _finish_trace(model: RuntimeModel, columns, rows, reason,
+def _finish_trace(model: RuntimeModel, columns, data, reason,
                   monitors: dict) -> SimTrace:
     """The trace of a run with its summary monitors and verdict."""
+    trace = SimTrace(scenario=model.spec.name, controller=model.kind,
+                     columns=columns, data=data, verdict="ABORTED",
+                     reason=reason, monitors=monitors)
     stacks = range(1, len(model.stacks) + 1)
 
     def lowest(names):
         # a running minimum from +inf over the rows in order, NaN included
-        idx = [columns.index(name) for name in names]
-        return min(itertools.chain([math.inf],
-                                   (row[i] for row in rows for i in idx)))
+        return min(itertools.chain([math.inf], itertools.chain.from_iterable(
+            zip(*map(trace.column, names)))))
 
-    i_e, i_rho = columns.index("e"), columns.index("rho")
+    e, rho = trace.column("e"), trace.column("rho")
     monitors.update(
         min_h=lowest(f"h{k}" for k in stacks),
         max_e_excess=max(itertools.chain(
-            [-math.inf], (abs(row[i_e]) - row[i_rho] for row in rows))),
-        max_e_over_rho=max((abs(row[i_e]) / row[i_rho] for row in rows),
+            [-math.inf], map(operator.sub, map(abs, e), rho))),
+        max_e_over_rho=max(map(operator.truediv, map(abs, e), rho),
                            default=0.0),
         min_qp_margin=lowest(f"margin{k}" for k in stacks),
         min_b=lowest(f"b{k}_{i}" for k in stacks for i in range(model.m + 1)),
         qp_fallbacks=float(model.qp_fallbacks),
-        steps=float(len(rows) - 1),
+        steps=float(trace.n_rows - 1),
     )
-    if reason is not None:
-        verdict = "ABORTED"
-    elif monitors["min_h"] >= -H_TOL and monitors["max_e_excess"] <= E_TOL:
-        verdict = "SAFE"
-    else:
-        verdict = "UNSAFE"
-    return SimTrace(scenario=model.spec.name, controller=model.kind,
-                    columns=columns, rows=rows, verdict=verdict,
-                    reason=reason, monitors=monitors)
+    if reason is None:
+        safe = monitors["min_h"] >= -H_TOL and \
+            monitors["max_e_excess"] <= E_TOL
+        trace.verdict = "SAFE" if safe else "UNSAFE"
+    return trace
 
 
 def simulate(spec: ScenarioSpec, controller: str | None = None,
@@ -837,10 +877,10 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
     if out is not None and hasattr(os, "fork"):
         stream = _TraceStream(out, columns)
     try:
-        rows, reason = _integrate(model, loop, stream)
+        data, reason = _integrate(model, loop, stream)
         if stream is not None:
-            stream.commit(rows)
-        trace = _finish_trace(model, columns, rows, reason, monitors)
+            stream.commit(data)
+        trace = _finish_trace(model, columns, data, reason, monitors)
     except BaseException:
         if stream is not None:
             stream.abort()

@@ -397,7 +397,7 @@ def test_plot_parses_only_the_plotted_columns(ship_csv, tmp_path, capsys,
         assert (tmp_path / f"part_{suffix}.svg").read_bytes() == \
             (tmp_path / f"full_{suffix}.svg").read_bytes()
     (trace,) = parsed
-    kept = {c for c, v in zip(trace.columns, trace.rows[0]) if v is not None}
+    kept = {c for c in trace.columns if trace.column(c)[0] is not None}
     assert kept == {"t", "x", "x_d", "e", "rho", "u", "h1"}
 
 

@@ -217,7 +217,7 @@ def test_zero_row_with_violation_raises():
     with pytest.raises(Infeasible) as info:
         project_halfspace(1.0, -1.0, 0.0)
     assert info.value.psi0 == -1.0
-    assert info.value.psi1 == [0.0]
+    assert info.value.psi1 == 0.0
 
 
 def test_tiny_row_below_threshold_raises():

@@ -367,7 +367,7 @@ def test_simulate_matches_reference_run(name):
     tr = simulate(spec, **kwargs)
     model = RuntimeModel(spec, **kwargs)
     rows, reason = reference_run(model)
-    assert bits(tr.rows) == bits(rows)
+    assert bits(list(tr.data)) == bits([v for row in rows for v in row])
     assert tr.reason == reason
     assert tr.monitors["qp_fallbacks"] == model.qp_fallbacks
 

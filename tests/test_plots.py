@@ -11,6 +11,7 @@ Coverage:
 """
 
 import math
+from array import array
 import os
 import xml.etree.ElementTree as ET
 
@@ -182,14 +183,14 @@ def test_plot_trace_without_scenario_has_no_bounds(tmp_path, ship_trace):
 
 
 def test_plot_trace_empty_trace_writes_nothing(tmp_path):
-    trace = sim_mod.SimTrace("s", "c", ["t", "x"], [], "SAFE")
+    trace = sim_mod.SimTrace("s", "c", ["t", "x"], array("d"), "SAFE")
     with pytest.raises(PlotError, match="no rows"):
         plot_trace(trace, tmp_path / "void")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_plot_trace_missing_column_named(tmp_path):
-    trace = sim_mod.SimTrace("s", "c", ["t", "x"], [[0.0, 0.0], [0.1, 0.0]],
-                             "SAFE")
+    trace = sim_mod.SimTrace("s", "c", ["t", "x"],
+                             array("d", [0.0, 0.0, 0.1, 0.0]), "SAFE")
     with pytest.raises(PlotError, match="missing column 'x_d'"):
         plot_trace(trace, tmp_path / "short")

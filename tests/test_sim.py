@@ -8,7 +8,9 @@ Covers, in order:
    full-pipeline equilibrium that must hold bit-exactly;
 3. whole-scenario runs of both built-ins: verdicts, monitor/trace
    agreement, first-step properties, determinism, step-halving
-   stability, and the documented abort paths with partial traces;
+   stability, and the documented abort paths with partial traces; the
+   monitors' running extremes over hand-built non-finite rows, and the
+   8 bytes a trace keeps per value;
 4. feasibility gating: failing condition reports block a run unless
    forced, and the override is recorded;
 5. CSV export and re-import, which must round-trip bit-exactly, and
@@ -18,10 +20,14 @@ Scenario variants are built by editing the mapping of a built-in and
 reloading it, so every variant passes schema validation first.
 """
 
+import gc
 import math
+import tracemalloc
+from array import array
 
 import pytest
 
+from proxysafe import sim
 from proxysafe.loop import ClosedLoop
 from proxysafe.scenario import ScenarioError, load_builtin, loads_scenario
 from proxysafe.sim import CheckFailed, RuntimeModel, SimTrace, rk4_step, simulate
@@ -172,7 +178,7 @@ def test_equilibrium_is_stationary():
     assert tr.verdict == "SAFE"
     for name in ("x", "z1", "mu1", "nu", "u", "zeta", "theta1"):
         vals = tr.column(name)
-        assert vals == [0.0] * len(vals), name
+        assert list(vals) == [0.0] * len(vals), name
 
 
 def test_hold_dt_below_dt_rejected():
@@ -204,12 +210,12 @@ def test_ship_run_is_safe():
     assert tr.monitors["max_e_excess"] == max(excess)
     assert tr.monitors["max_e_over_rho"] == max(
         abs(e) / r for e, r in zip(tr.column("e"), tr.column("rho")))
-    assert tr.monitors["steps"] == len(tr.rows) - 1
+    assert tr.monitors["steps"] == tr.n_rows - 1
     # funnel invariance: the error never reaches the rim
     assert tr.monitors["max_e_excess"] < 0.0
     ts = tr.column("t")
     assert all(b > a for a, b in zip(ts, ts[1:]))
-    assert all(math.isfinite(v) for row in tr.rows for v in row)
+    assert all(math.isfinite(v) for v in tr.data)
 
 
 def test_electromech_both_controllers_safe():
@@ -225,7 +231,7 @@ def test_electromech_both_controllers_safe():
 def test_determinism_bit_identical():
     a = simulate(load_builtin("ship"), horizon=5.0)
     b = simulate(load_builtin("ship"), horizon=5.0)
-    assert a.rows == b.rows
+    assert a.data == b.data
     assert a.monitors == b.monitors
 
 
@@ -256,8 +262,8 @@ def test_adaptive_race_aborts_with_partial_trace():
     tr = simulate(spec)
     assert tr.verdict == "ABORTED"
     assert "BarrierBreach" in tr.reason
-    assert len(tr.rows) > 100
-    assert tr.rows[-1][0] < 1.2
+    assert tr.n_rows > 100
+    assert tr.column("t")[-1] < 1.2
     assert tr.monitors["max_e_excess"] < 0.0     # grid points stayed inside
 
 
@@ -269,7 +275,7 @@ def test_funnel_breach_aborts_ppc():
     tr = simulate(spec, controller="ppc", horizon=5.0)
     assert tr.verdict == "ABORTED"
     assert "FunnelBreach" in tr.reason
-    assert len(tr.rows) == 1                      # only the initial point
+    assert tr.n_rows == 1                         # only the initial point
 
 
 def test_hold_mode_runs_and_degrades_honestly():
@@ -280,7 +286,7 @@ def test_hold_mode_runs_and_degrades_honestly():
     tr = simulate(variant("ship", hold_dt=0.5), horizon=120.0)
     assert tr.verdict == "ABORTED"
     assert "BarrierBreach" in tr.reason
-    assert len(tr.rows) > 100
+    assert tr.n_rows > 100
 
 
 def test_hold_mode_refreshes_held_outputs():
@@ -297,6 +303,116 @@ def test_hold_mode_refreshes_held_outputs():
     assert all(len(us) == 1 for us in per_interval.values())
     held = [us.pop() for _, us in sorted(per_interval.items())]
     assert all(a != b for a, b in zip(held, held[1:]))
+
+
+def hand_built_run(monkeypatch, edits):
+    """simulate() on ship with a loop that logs hand-built rows: every
+    value 1.0, t on the grid and e = 0.1, then `edits`, a list of
+    {column: value} per row, applied in order.  Returns the monitors."""
+    spec = load_builtin("ship")
+    columns = ClosedLoop(RuntimeModel(spec)).columns
+    rows = []
+    for k, edit in enumerate(edits):
+        row = dict.fromkeys(columns, 1.0)
+        row.update(t=k * spec.dt, e=0.1)
+        row.update(edit)
+        rows.append([row[name] for name in columns])
+
+    class HandBuilt:
+        def __init__(self, model):
+            self.columns, self.rows = columns, iter(rows)
+
+        def stage(self, s, t):
+            return [0.0] * len(s)
+
+        def point(self, s, t, held):
+            return [0.0] * len(s), next(self.rows), None
+
+    monkeypatch.setattr(sim, "ClosedLoop", HandBuilt)
+    monkeypatch.setattr(sim, "_check_start", lambda model, loop: None)
+    tr = simulate(spec, horizon=(len(rows) - 1) * spec.dt)
+    assert tr.reason is None and tr.monitors["steps"] == len(rows) - 1
+    return columns, rows, tr.monitors
+
+
+def running(better, start, values):
+    """A running extreme in the order given: `start`, or the first value
+    when `start` is None, replaced by each value `better` than it."""
+    values = iter(values)
+    best = next(values) if start is None else start
+    for v in values:
+        if better(v, best):
+            best = v
+    return best
+
+
+NAN, INF = math.nan, math.inf
+NONFINITE_ROWS = {
+    "nan first": [
+        {"h1": NAN, "margin1": NAN, "b1_0": NAN, "b1_1": INF, "e": NAN},
+        {"h1": 0.3, "margin1": INF, "b1_1": -0.2, "e": -0.4},
+        {"h1": NAN, "margin1": -INF, "b1_0": NAN, "rho": NAN},
+        {"h1": INF, "margin1": 0.7, "b1_0": -INF, "e": 0.5},
+        {"h1": -0.1, "margin1": NAN, "b1_1": NAN, "rho": INF},
+    ],
+    "nan later": [
+        {"h1": INF, "margin1": -INF, "b1_1": INF},
+        {"h1": NAN, "margin1": NAN, "b1_0": NAN, "e": NAN},
+        {"h1": -INF, "margin1": 0.2, "b1_1": -0.3, "e": -0.8},
+        {"h1": 0.4, "margin1": NAN, "b1_0": NAN, "rho": NAN},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(NONFINITE_ROWS))
+def test_monitors_keep_the_row_wise_nan_rule(monkeypatch, name):
+    # every monitor is the running min/max over the rows in order; a
+    # NaN never replaces a running extreme, so only a NaN in the first
+    # row reaches max_e_over_rho, which starts from that row
+    columns, rows, monitors = hand_built_run(monkeypatch,
+                                             NONFINITE_ROWS[name])
+
+    def values(*names):
+        idx = [columns.index(n) for n in names]
+        return [row[i] for row in rows for i in idx]
+
+    lt, gt = (lambda a, b: a < b), (lambda a, b: a > b)
+    e_rho = list(zip(values("e"), values("rho")))
+    want = {
+        "min_h": running(lt, INF, values("h1")),
+        "min_qp_margin": running(lt, INF, values("margin1")),
+        "min_b": running(lt, INF, values("b1_0", "b1_1")),
+        "max_e_excess": running(gt, -INF, [abs(e) - r for e, r in e_rho]),
+        "max_e_over_rho": running(gt, None, [abs(e) / r for e, r in e_rho]),
+    }
+    assert {k: monitors[k].hex() for k in want} == \
+        {k: v.hex() for k, v in want.items()}
+    if name == "nan first":
+        assert math.isnan(monitors["max_e_over_rho"])
+        assert monitors["min_h"] == -0.1 and monitors["min_b"] == -INF
+    else:
+        assert monitors["max_e_over_rho"] == 0.8
+        assert monitors["min_h"] == -INF and monitors["min_qp_margin"] == -INF
+        assert monitors["min_b"] == -0.3
+
+
+def test_trace_keeps_eight_bytes_a_value():
+    # the values of a run are raw doubles: what a trace holds past the
+    # run is 8 bytes per column and grid row, plus a small fixed slack
+    spec = load_builtin("ship")
+    simulate(spec, horizon=0.1)     # compiled and cached pieces built
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tr = simulate(spec, horizon=5.0)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n_rows = int(tr.monitors["steps"]) + 1
+    assert n_rows == 501
+    assert kept <= 8 * len(tr.columns) * n_rows + 32 * 1024
 
 
 # ═══════════════════════════════════════════════════════════════════
@@ -334,7 +450,8 @@ def test_csv_round_trip_exact(tmp_path):
     tr.to_csv(path)
     back = SimTrace.from_csv(path)
     assert back.columns == tr.columns
-    assert back.rows == tr.rows                   # 17 digits round-trip
+    for name in tr.columns:                       # 17 digits round-trip
+        assert back.column(name) == tr.column(name)
 
 
 def test_csv_keeps_seventeen_digit_format(tmp_path):
@@ -342,7 +459,8 @@ def test_csv_keeps_seventeen_digit_format(tmp_path):
     # non-finite values included
     rows = [[0.1, -0.0, 1e300], [math.pi, math.inf, math.nan]]
     tr = SimTrace(scenario="s", controller="c", columns=["a", "b", "c"],
-                  rows=rows, verdict="SAFE")
+                  data=array("d", [v for row in rows for v in row]),
+                  verdict="SAFE")
     path = tmp_path / "trace.csv"
     tr.to_csv(path)
     assert path.read_text() == "a,b,c\n" + "".join(

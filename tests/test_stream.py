@@ -56,7 +56,7 @@ def no_children():
 def in_process_bytes(trace, path):
     """What SimTrace.to_csv writes for these rows without a stream."""
     plain = SimTrace(scenario=trace.scenario, controller=trace.controller,
-                     columns=trace.columns, rows=trace.rows,
+                     columns=trace.columns, data=trace.data,
                      verdict=trace.verdict)
     plain.to_csv(path)
     return path.read_bytes()
@@ -89,8 +89,8 @@ def test_streamed_file_is_the_in_process_file(name, tmp_path):
     out = tmp_path / "streamed.csv"
     trace = simulate(make(), controller=controller, out=out, **kw)
     trace.to_csv(out)
-    assert len(trace.rows) > 3 * sim._BATCH_ROWS
-    assert len(trace.rows) % sim._BATCH_ROWS
+    assert trace.n_rows > 3 * sim._BATCH_ROWS
+    assert trace.n_rows % sim._BATCH_ROWS
     if name == "electromech aborted":
         assert trace.verdict == "ABORTED"
         assert "RunDomainError" in trace.reason
@@ -254,11 +254,11 @@ def test_a_failed_fork_leaves_the_file_and_no_descriptor(tmp_path,
 def test_a_trace_never_written_out_has_its_child_reaped(tmp_path):
     out = tmp_path / "dropped.csv"
     trace = simulate(load_builtin("ship"), horizon=3.0, out=out)
-    rows = trace.rows
+    n_rows = trace.n_rows
     del trace       # its finalizer waits for the writer
     gc.collect()
     # the committed file is complete without to_csv
-    assert len(out.read_text().splitlines()) == len(rows) + 1
+    assert len(out.read_text().splitlines()) == n_rows + 1
 
 
 # ═══════════════════════════════════════════════════════════════════
@@ -289,7 +289,7 @@ def test_a_writer_that_dies_is_reported(tmp_path, monkeypatch):
     monkeypatch.setattr(sim, "_write_stream", lambda *args: 7)
     out = tmp_path / "x.csv"
     trace = simulate(load_builtin("ship"), horizon=10.0, out=out)
-    assert trace.verdict == "SAFE" and len(trace.rows) == 1001
+    assert trace.verdict == "SAFE" and trace.n_rows == 1001
     with pytest.raises(OSError, match="ended with status 7"):
         trace.to_csv(out)
 
@@ -318,7 +318,7 @@ def test_an_interrupted_in_process_write_leaves_no_file(tmp_path,
     trace = simulate(load_builtin("ship"), horizon=3.0)
 
     def write_one_then_interrupt(fh, line, rows):
-        fh.write(line % tuple(rows[0]))
+        fh.write(line % next(iter(rows)))
         raise KeyboardInterrupt
 
     monkeypatch.setattr(sim, "_write_rows", write_one_then_interrupt)
