@@ -10,11 +10,18 @@ needs no dependency beyond the file system.
 Long traces are thinned to a fixed point budget per series before
 rendering; the thinning always keeps the first and last samples, so
 boundary-touching extremes stay visible at the resolution of the plot.
+A series is a list or an `array('d')`: `plot_trace` draws the trace's
+columns as they are and builds each derived series (the head state and
+its reference in degrees, and -rho) as an `array('d')`, 8 bytes a
+value.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from array import array
 from dataclasses import dataclass
 
 from .expr import compile_expr
@@ -35,11 +42,12 @@ class PlotError(Exception):
 
 @dataclass
 class Series:
-    """One labeled line: x/y samples plus its drawing style."""
+    """One labeled line: x/y samples, each a list or an `array('d')`,
+    plus its drawing style."""
 
     label: str
-    xs: list
-    ys: list
+    xs: list | array
+    ys: list | array
     dashed: bool = False
     color: str | None = None
 
@@ -50,13 +58,25 @@ class Series:
 
 
 def _thin(values):
+    """`values` strided down to at most POINT_BUDGET + 1 samples, the last
+    one always kept; slices of `values`, not a list copy of them."""
     if len(values) <= POINT_BUDGET:
-        return list(values)
+        return values
     stride = -(-len(values) // POINT_BUDGET)
-    out = list(values[::stride])
     if (len(values) - 1) % stride:
-        out.append(values[-1])
-    return out
+        return itertools.chain(values[::stride], values[-1:])
+    return values[::stride]
+
+
+def _points(xs, ys):
+    """The points text of a polyline through the pixel positions `xs`,
+    `ys`, a few hundred points a piece, so no whole-series text is
+    built."""
+    pairs = map("{:.2f},{:.2f}".format, xs, ys)
+    sep = ""
+    while piece := " ".join(itertools.islice(pairs, 512)):
+        yield sep + piece
+        sep = " "
 
 
 def _fmt(value: float) -> str:
@@ -145,14 +165,7 @@ def render_panel(path, title: str, xlabel: str, ylabel: str, series) -> str:
                  f'font-size="13" text-anchor="middle" transform="rotate(-90 '
                  f'18 {MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>')
 
-    for idx, s in enumerate(series):
-        color = s.color or PALETTE[idx % len(PALETTE)]
-        xs, ys = _thin(s.xs), _thin(s.ys)
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-        dash = f' stroke-dasharray="{DASH}"' if s.dashed else ""
-        parts.append(f'<polyline points="{points}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.4"{dash} '
-                     f'clip-path="url(#plot)"/>')
+    legend = []
     seen = set()
     for idx, s in enumerate(series):
         if s.label in seen:
@@ -162,14 +175,23 @@ def render_panel(path, title: str, xlabel: str, ylabel: str, series) -> str:
         y = MARGIN_T + 14 + 16 * (len(seen) - 1)
         x = MARGIN_L + plot_w - 130
         dash = f' stroke-dasharray="{DASH}"' if s.dashed else ""
-        parts.append(f'<line x1="{x}" y1="{y - 4}" x2="{x + 26}" '
-                     f'y2="{y - 4}" stroke="{color}" stroke-width="1.4"'
-                     f'{dash}/>')
-        parts.append(f'<text x="{x + 32}" y="{y}" font-size="11">'
-                     f'{s.label}</text>')
-    parts.append("</svg>")
+        legend.append(f'<line x1="{x}" y1="{y - 4}" x2="{x + 26}" '
+                      f'y2="{y - 4}" stroke="{color}" stroke-width="1.4"'
+                      f'{dash}/>')
+        legend.append(f'<text x="{x + 32}" y="{y}" font-size="11">'
+                      f'{s.label}</text>')
+    legend.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
+        for idx, s in enumerate(series):
+            color = s.color or PALETTE[idx % len(PALETTE)]
+            dash = f' stroke-dasharray="{DASH}"' if s.dashed else ""
+            fh.write('<polyline points="')
+            fh.writelines(_points(map(px, _thin(s.xs)),
+                                  map(py, _thin(s.ys))))
+            fh.write(f'" fill="none" stroke="{color}" stroke-width="1.4"'
+                     f'{dash} clip-path="url(#plot)"/>\n')
+        fh.write("\n".join(legend) + "\n")
     return str(path)
 
 
@@ -256,9 +278,12 @@ def plot_trace(trace, out_base, spec=None) -> list:
         scale = 180.0 / math.pi
         state_label = "x [deg]"
 
+    def scaled(values):
+        return array("d", map(operator.mul, values, itertools.repeat(scale)))
+
     raw_x = _column(trace, "x")
-    xs = [v * scale for v in raw_x]
-    xd = [v * scale for v in _column(trace, "x_d")]
+    xs = scaled(raw_x)
+    xd = scaled(_column(trace, "x_d"))
     state = [Series("x", ts, xs), Series("reference", ts, xd, dashed=True)]
     if spec is not None:
         for root in _safe_bounds(spec, min(raw_x), max(raw_x)):
@@ -270,8 +295,8 @@ def plot_trace(trace, out_base, spec=None) -> list:
     rho = _column(trace, "rho")
     funnel = [Series("e", ts, es),
               Series("+rho", ts, rho, dashed=True, color="#d62728"),
-              Series("-rho", ts, [-v for v in rho], dashed=True,
-                     color="#d62728")]
+              Series("-rho", ts, array("d", map(operator.neg, rho)),
+                     dashed=True, color="#d62728")]
 
     inputs = [Series("u", ts, _column(trace, "u"))]
 

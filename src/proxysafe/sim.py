@@ -25,22 +25,24 @@ Each grid point is logged with the barrier values, the filter constraint
 row and its margin, the funnel, and the controller internals, and the
 run ends with a verdict: SAFE when every barrier stayed above -1e-6 and
 the tracking error stayed inside the funnel (within 1e-9), UNSAFE when
-either failed, ABORTED (with the reason and the partial trace) when the
-loop broke down before the horizon.  A compiled expression that leaves
-its real domain aborts the run as a `RunDomainError` naming the
-scenario expression that fails at that stage.
+either failed or either was NaN on a grid row, ABORTED (with the
+reason and the partial trace) when the loop broke down before the
+horizon.  A compiled expression that leaves its real domain aborts the
+run as a `RunDomainError` naming the scenario expression that fails at
+that stage.
 
 A run keeps its grid rows as raw doubles, row after row in one
-`array('d')` (`SimTrace.data`, 8 bytes a value), and reads a column as
-a strided slice of it.  The trace CSV is written while the run
-integrates: given an output path, `simulate` forks a writer child once
-the run's start checks have passed and sends it slices of that array,
-one batch of grid rows at a time; the child writes them through
-`_write_csv`, the one writer `SimTrace.to_csv` uses too, so the file is
-the same byte for byte, and `to_csv` waits for it.  A write that fails
-or does not finish removes its file when the path is regular
-(`_regular`).  The RK4 step itself is generated once per state length
-as straight-line code.
+`array('d')` (`SimTrace.data`, 8 bytes a value).  `SimTrace.column`
+copies a column out as a strided slice of it; the summary monitors and
+the verdict read strided memoryviews of it instead, with no copy.  The
+trace CSV is written while the run integrates: given an output path,
+`simulate` forks a writer child once the run's start checks have passed
+and sends it slices of that array, one batch of grid rows at a time;
+the child writes them through `_write_csv`, the one writer
+`SimTrace.to_csv` uses too, so the file is the same byte for byte, and
+`to_csv` waits for it.  A write that fails or does not finish removes
+its file when the path is regular (`_regular`).  The RK4 step itself is
+generated once per state length as straight-line code.
 """
 
 from __future__ import annotations
@@ -169,9 +171,10 @@ class SimTrace:
     after row, `len(columns)` values a row: 8 bytes a value, 152 bytes a
     ship row, where a list of floats per row took about 630.
     `column(name)` returns one column as an `array('d')`, a strided copy
-    out of `data`, and `n_rows` counts the rows.  A trace read by
-    `from_csv` keeps only the columns it parsed, one `array('d')` each,
-    and `data` is empty.
+    out of `data`, and `n_rows` counts the rows; the run's monitors read
+    strided memoryviews of `data` instead, copying no column.  A trace
+    read by `from_csv` keeps only the columns it parsed, one `array('d')`
+    each, and `data` is empty.
     """
 
     scenario: str
@@ -807,33 +810,53 @@ def _integrate(model: RuntimeModel, loop: ClosedLoop, stream) -> tuple:
 
 def _finish_trace(model: RuntimeModel, columns, data, reason,
                   monitors: dict) -> SimTrace:
-    """The trace of a run with its summary monitors and verdict."""
+    """The trace of a run with its summary monitors and verdict.
+
+    The monitors read each column as a strided memoryview of `data`, with
+    no copy; every view is released before this returns, since an array
+    that exports its buffer cannot grow.  A NaN never replaces a running
+    extreme, so the verdict also fails on a NaN barrier value or funnel
+    excess, which the monitors skip.
+    """
     trace = SimTrace(scenario=model.spec.name, controller=model.kind,
                      columns=columns, data=data, verdict="ABORTED",
                      reason=reason, monitors=monitors)
     stacks = range(1, len(model.stacks) + 1)
+    barriers = [f"h{k}" for k in stacks]
+    with contextlib.ExitStack() as views:
+        rows = views.enter_context(memoryview(data))
 
-    def lowest(names):
-        # a running minimum from +inf over the rows in order, NaN included
-        return min(itertools.chain([math.inf], itertools.chain.from_iterable(
-            zip(*map(trace.column, names)))))
+        def column(name):
+            return views.enter_context(
+                rows[columns.index(name)::len(columns)])
 
-    e, rho = trace.column("e"), trace.column("rho")
-    monitors.update(
-        min_h=lowest(f"h{k}" for k in stacks),
-        max_e_excess=max(itertools.chain(
-            [-math.inf], map(operator.sub, map(abs, e), rho))),
-        max_e_over_rho=max(map(operator.truediv, map(abs, e), rho),
-                           default=0.0),
-        min_qp_margin=lowest(f"margin{k}" for k in stacks),
-        min_b=lowest(f"b{k}_{i}" for k in stacks for i in range(model.m + 1)),
-        qp_fallbacks=float(model.qp_fallbacks),
-        steps=float(trace.n_rows - 1),
-    )
-    if reason is None:
-        safe = monitors["min_h"] >= -H_TOL and \
-            monitors["max_e_excess"] <= E_TOL
-        trace.verdict = "SAFE" if safe else "UNSAFE"
+        def lowest(names):
+            # a running minimum from +inf over the rows in order
+            values = itertools.chain.from_iterable(zip(*map(column, names)))
+            return min(itertools.chain([math.inf], values))
+
+        e, rho = column("e"), column("rho")
+
+        def excess():
+            return map(operator.sub, map(abs, e), rho)
+
+        monitors.update(
+            min_h=lowest(barriers),
+            max_e_excess=max(itertools.chain([-math.inf], excess())),
+            max_e_over_rho=max(map(operator.truediv, map(abs, e), rho),
+                               default=0.0),
+            min_qp_margin=lowest(f"margin{k}" for k in stacks),
+            min_b=lowest(f"b{k}_{i}" for k in stacks
+                         for i in range(model.m + 1)),
+            qp_fallbacks=float(model.qp_fallbacks),
+            steps=float(trace.n_rows - 1),
+        )
+        if reason is None:
+            safe = monitors["min_h"] >= -H_TOL and \
+                monitors["max_e_excess"] <= E_TOL and \
+                not any(map(math.isnan, itertools.chain(
+                    *map(column, barriers), excess())))
+            trace.verdict = "SAFE" if safe else "UNSAFE"
     return trace
 
 

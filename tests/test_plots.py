@@ -6,21 +6,26 @@ Coverage:
   3. render_panel output: well-formed XML, titles, dash patterns,
      legend dedup, point thinning
   4. safe-set boundary root finding on the built-in scenarios
-  5. plot_trace end to end: four panels, degree conversion, empty
-     trace and missing column errors
+  5. plot_trace end to end: four panels, degree conversion, derived
+     series at 8 bytes a value, empty trace and missing column errors
 """
 
+import gc
+import itertools
 import math
-from array import array
+import operator
 import os
+import tracemalloc
 import xml.etree.ElementTree as ET
+from array import array
 
 import pytest
 
 from proxysafe import scenario as scenario_mod
 from proxysafe import sim as sim_mod
 from proxysafe.plots import (POINT_BUDGET, PlotError, Series, _safe_bounds,
-                             _ticks, plot_trace, render_panel)
+                             _ticks, plot_trace, plotted_columns,
+                             render_panel)
 
 
 def _svg(path):
@@ -180,6 +185,37 @@ def test_plot_trace_without_scenario_has_no_bounds(tmp_path, ship_trace):
     _, polys, texts = _svg(tmp_path / "plain_state.svg")
     assert len(polys) == 2
     assert "x" in texts and "x [deg]" not in texts
+
+
+def test_plot_trace_derives_series_at_eight_bytes_a_value(tmp_path):
+    # what `proxysafe plot` draws: a 60,001-row trace read back by
+    # from_csv, in degrees; the three series plot_trace derives (x and
+    # x_d scaled, and -rho) hold 8 bytes a value each, and rendering
+    # adds a bounded slack on top of the parsed columns
+    spec = scenario_mod.load_builtin("ship")
+    n_rows = 60_001
+    ts = [k * spec.dt for k in range(n_rows)]
+    xs = [0.3 * math.sin(t) for t in ts]
+    xd = [0.3 * math.sin(t + 0.1) for t in ts]
+    values = zip(ts, xs, xd, map(operator.sub, xs, xd),
+                 [0.05 + math.exp(-t) for t in ts],
+                 [math.cos(t) for t in ts], [0.35 - abs(x) for x in xs])
+    columns = ["t", "x", "x_d", "e", "rho", "u", "h1"]
+    sim_mod.SimTrace("ship", "nussbaum", columns,
+                     array("d", itertools.chain.from_iterable(values)),
+                     "SAFE").to_csv(tmp_path / "ship.csv")
+    trace = sim_mod.SimTrace.from_csv(tmp_path / "ship.csv",
+                                      columns=plotted_columns)
+    del ts, xs, xd
+    gc.collect()
+    tracemalloc.start()
+    try:
+        plot_trace(trace, tmp_path / "ship", spec=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"\n  plot_trace peak over {n_rows} rows: {peak} B")
+    assert peak <= 3 * 8 * n_rows + 512 * 1024
 
 
 def test_plot_trace_empty_trace_writes_nothing(tmp_path):

@@ -9,8 +9,9 @@ Covers, in order:
 3. whole-scenario runs of both built-ins: verdicts, monitor/trace
    agreement, first-step properties, determinism, step-halving
    stability, and the documented abort paths with partial traces; the
-   monitors' running extremes over hand-built non-finite rows, and the
-   8 bytes a trace keeps per value;
+   monitors' running extremes over hand-built non-finite rows, the
+   verdict on a NaN barrier value or funnel excess, the 8 bytes a trace
+   keeps per value, and monitors that copy no column;
 4. feasibility gating: failing condition reports block a run unless
    forced, and the override is recorded;
 5. CSV export and re-import, which must round-trip bit-exactly, and
@@ -305,10 +306,11 @@ def test_hold_mode_refreshes_held_outputs():
     assert all(a != b for a, b in zip(held, held[1:]))
 
 
-def hand_built_run(monkeypatch, edits):
+def hand_built_trace(monkeypatch, edits):
     """simulate() on ship with a loop that logs hand-built rows: every
     value 1.0, t on the grid and e = 0.1, then `edits`, a list of
-    {column: value} per row, applied in order.  Returns the monitors."""
+    {column: value} per row, applied in order.  Returns the columns, the
+    rows and the trace."""
     spec = load_builtin("ship")
     columns = ClosedLoop(RuntimeModel(spec)).columns
     rows = []
@@ -332,6 +334,12 @@ def hand_built_run(monkeypatch, edits):
     monkeypatch.setattr(sim, "_check_start", lambda model, loop: None)
     tr = simulate(spec, horizon=(len(rows) - 1) * spec.dt)
     assert tr.reason is None and tr.monitors["steps"] == len(rows) - 1
+    return columns, rows, tr
+
+
+def hand_built_run(monkeypatch, edits):
+    """`hand_built_trace`, returning its columns, rows and monitors."""
+    columns, rows, tr = hand_built_trace(monkeypatch, edits)
     return columns, rows, tr.monitors
 
 
@@ -396,6 +404,22 @@ def test_monitors_keep_the_row_wise_nan_rule(monkeypatch, name):
         assert monitors["min_b"] == -0.3
 
 
+@pytest.mark.parametrize("edit, verdict", [
+    ({}, "SAFE"),
+    ({"h1": NAN}, "UNSAFE"),
+    ({"e": NAN}, "UNSAFE"),
+    ({"rho": NAN}, "UNSAFE"),
+], ids=["no nan", "nan h1", "nan e", "nan rho"])
+def test_a_nan_barrier_value_or_funnel_excess_fails_the_verdict(
+        monkeypatch, edit, verdict):
+    # every value is safe but the one NaN in the middle row; the
+    # monitors still skip it, and the verdict does not
+    _, _, tr = hand_built_trace(monkeypatch, [{}, edit, {}])
+    assert tr.verdict == verdict
+    assert tr.monitors["min_h"] == 1.0
+    assert tr.monitors["max_e_excess"] == 0.1 - 1.0
+
+
 def test_trace_keeps_eight_bytes_a_value():
     # the values of a run are raw doubles: what a trace holds past the
     # run is 8 bytes per column and grid row, plus a small fixed slack
@@ -413,6 +437,31 @@ def test_trace_keeps_eight_bytes_a_value():
     n_rows = int(tr.monitors["steps"]) + 1
     assert n_rows == 501
     assert kept <= 8 * len(tr.columns) * n_rows + 32 * 1024
+
+
+def test_monitors_copy_no_column():
+    # the monitors and the verdict read strided views of the row-major
+    # values: over a 60,001-row ship-wide trace they allocate a small
+    # fixed amount, where one copied column alone takes 480 KB; and no
+    # view outlives the call, so the values can still grow
+    model = RuntimeModel(load_builtin("ship"))
+    columns = ClosedLoop(model).columns
+    width, n_rows = len(columns), 60_001
+    assert width == 19
+    data = array("d", [1.0]) * (width * n_rows)
+    data[columns.index("e")::width] = array("d", [0.1]) * n_rows
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tr = sim._finish_trace(model, columns, data, None, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.verdict == "SAFE" and tr.monitors["steps"] == n_rows - 1
+    assert tr.monitors["max_e_excess"] == 0.1 - 1.0
+    print(f"\n  _finish_trace peak over {n_rows} rows: {peak} B")
+    assert peak <= 64 * 1024
+    data.append(0.0)    # BufferError while any view of it is alive
 
 
 # ═══════════════════════════════════════════════════════════════════

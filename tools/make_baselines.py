@@ -1,4 +1,4 @@
-"""Regenerate the frozen regression baselines under tests/data/.
+"""Regenerate the frozen regression baselines, by default under tests/data/.
 
 Runs the built-in scenarios at their default horizons and freezes:
 
@@ -15,9 +15,14 @@ Runs the built-in scenarios at their default horizons and freezes:
                            parameters the tests should reuse.
 
 Rerun after any change that is supposed to move the dynamics, and
-commit the refreshed files together with that change.
+commit the refreshed files together with that change.  To check that a
+change leaves them as they are, write them elsewhere and compare:
+
+    python3 tools/make_baselines.py /tmp/baselines
+    diff -r /tmp/baselines tests/data
 """
 
+import argparse
 import json
 import math
 import os
@@ -53,8 +58,13 @@ def write_samples(path, header, samples):
     print(f"  wrote {path} ({len(samples)} rows)")
 
 
-def main():
-    os.makedirs(DATA_DIR, exist_ok=True)
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("out_dir", nargs="?", default=DATA_DIR,
+                        help="directory to write the baselines to "
+                             "(default: tests/data)")
+    out_dir = parser.parse_args(argv).out_dir
+    os.makedirs(out_dir, exist_ok=True)
     summary = {
         "ship_tracking": {"stride": SHIP_STRIDE, "mask_deg": MASK_DEG},
         "delta1": {"stride": DELTA_STRIDE},
@@ -75,7 +85,7 @@ def main():
     samples = [(i, ts[i], abs(xs[i] - xd[i]))
                for i in range(0, len(ts), SHIP_STRIDE)
                if abs(xd[i]) <= mask]
-    write_samples(os.path.join(DATA_DIR, "ship_tracking.csv"),
+    write_samples(os.path.join(out_dir, "ship_tracking.csv"),
                   "index,t,abs_err", samples)
     errs = [v for _, _, v in samples]
     print(f"  tracking error inside the band: max={max(errs):.6e} "
@@ -124,7 +134,7 @@ def main():
             dh1 = tr.column("dhat1")
             deltas = [(i, ts_e[i], abs(d1[i] - dh1[i]))
                       for i in range(0, len(ts_e), DELTA_STRIDE)]
-            write_samples(os.path.join(DATA_DIR, "delta1_envelope.csv"),
+            write_samples(os.path.join(out_dir, "delta1_envelope.csv"),
                           "index,t,abs_delta", deltas)
             half = [v for _, tt, v in deltas if tt >= ts_e[-1] / 2]
             first = [v for _, tt, v in deltas if tt < ts_e[-1] / 2]
@@ -139,7 +149,7 @@ def main():
     summary["tv"]["factor"] = tvs["ppc"] / tvs["dob_backstepping"]
     print(f"  tv factor ppc/dob = {summary['tv']['factor']:.3f}")
 
-    path = os.path.join(DATA_DIR, "baselines.json")
+    path = os.path.join(out_dir, "baselines.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
