@@ -31,18 +31,22 @@ horizon.  A compiled expression that leaves its real domain aborts the
 run as a `RunDomainError` naming the scenario expression that fails at
 that stage.
 
-A run keeps its grid rows as raw doubles, row after row in one
-`array('d')` (`SimTrace.data`, 8 bytes a value).  `SimTrace.column`
-copies a column out as a strided slice of it; the summary monitors and
-the verdict read strided memoryviews of it instead, with no copy.  The
-trace CSV is written while the run integrates: given an output path,
-`simulate` forks a writer child once the run's start checks have passed
-and sends it slices of that array, one batch of grid rows at a time;
-the child writes them through `_write_csv`, the one writer
-`SimTrace.to_csv` uses too, so the file is the same byte for byte, and
-`to_csv` waits for it.  A write that fails or does not finish removes
-its file when the path is regular (`_regular`).  The RK4 step itself is
-generated once per state length as straight-line code.
+The run collects its grid rows as raw doubles, row after row in one
+`array('d')`, a batch of `_BATCH_ROWS` rows at a time.  The summary
+monitors and the verdict's NaN scan are folded over each batch as it
+completes (`_Fold`), reading strided memoryviews of it with no copy.
+Without an output path the batches are kept, joined in `SimTrace.data`
+(8 bytes a value), and `SimTrace.column` copies a column out as a
+strided slice of it.  Given an output path, `simulate` forks a writer
+child once the run's start checks have passed, sends it each batch and
+then drops the batch, so the run holds one batch of rows, not all of
+them; the child writes them through `_write_csv`, the one writer
+`SimTrace.to_csv` uses too, so the file is the same byte for byte.  The
+trace of such a run keeps no rows: `to_csv` waits for the writer, and
+reading a column reads the finished file back.  A write that fails or
+does not finish removes its file when the path is regular (`_regular`).
+The RK4 step itself is generated once per state length as
+straight-line code.
 """
 
 from __future__ import annotations
@@ -76,8 +80,9 @@ __all__ = ["CheckFailed", "LoopMismatch", "RunDomainError", "SimTrace",
 
 H_TOL = 1e-6     # verdict slack on the barrier values
 E_TOL = 1e-9     # verdict slack on the funnel bound
-# step cap of one run: every grid row stays in memory, 8 bytes a value
-# (about 300 MB at the cap for ship's 19 columns)
+# step cap of one run: without an output file every grid row stays in
+# memory, 8 bytes a value (about 300 MB at the cap for ship's 19 columns);
+# a run that streams its rows to a file holds one batch of them
 MAX_STEPS = 2_000_000
 
 _ABORTS = (Infeasible, BarrierBreach, FunnelBreach, SingularGain, EvalError)
@@ -163,6 +168,13 @@ def _row_tuples(values, width: int):
     return zip(*[iter(values)] * width)
 
 
+def _identity(path) -> tuple:
+    """What tells the file at `path` apart and shows that it changed: its
+    device, inode, size and modification time."""
+    st = os.stat(path)
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
 @dataclass
 class SimTrace:
     """Uniform-grid run log plus the verdict and summary monitors.
@@ -171,10 +183,16 @@ class SimTrace:
     after row, `len(columns)` values a row: 8 bytes a value, 152 bytes a
     ship row, where a list of floats per row took about 630.
     `column(name)` returns one column as an `array('d')`, a strided copy
-    out of `data`, and `n_rows` counts the rows; the run's monitors read
-    strided memoryviews of `data` instead, copying no column.  A trace
-    read by `from_csv` keeps only the columns it parsed, one `array('d')`
-    each, and `data` is empty.
+    out of `data`, and `n_rows` counts the rows.  A trace read by
+    `from_csv` keeps only the columns it parsed, one `array('d')` each,
+    and `data` is empty.
+
+    A trace that `simulate(..., out=path)` streamed keeps no rows: `data`
+    is empty, and the verdict, the reason, the monitors, the columns and
+    `n_rows` are all it holds.  Its first `column` call, and a `to_csv`
+    to another file, wait for the writer and read the finished file back
+    whole through `from_csv`, after checking that it is unchanged since
+    the writer finished; from then on the trace is a parsed one.
     """
 
     scenario: str
@@ -184,11 +202,16 @@ class SimTrace:
     verdict: str
     reason: str | None = None
     monitors: dict = field(default_factory=dict)
-    # (row count, column name -> values) of a trace read by from_csv
+    # (row count, column name -> values) of a trace whose rows are not in
+    # `data`: read by from_csv, or streamed by simulate (None until read)
     _parsed: tuple | None = field(default=None, init=False, repr=False)
-    # (path, finalizer waiting for the writer) of a trace simulate streams
+    # (path, finalizer waiting for the writer) of a trace simulate
+    # streams, until `_wait` has waited for it
     _stream: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
+    # (path, `_identity`) of the file that writer finished
+    _file: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @property
     def n_rows(self) -> int:
@@ -208,29 +231,52 @@ class SimTrace:
                            f"(columns: {', '.join(self.columns)})") from None
         if self._parsed is None:
             return self.data[idx::len(self.columns)]
+        if self._parsed[1] is None:
+            self._read_back()
         n_rows, parsed = self._parsed
         return parsed[name] if name in parsed else [None] * n_rows
+
+    def _wait(self) -> None:
+        """Wait for the writer of a streamed trace, once, and note the file
+        it finished; raise the OSError it met (it left no file then)."""
+        if self._stream is not None:
+            path, finish = self._stream
+            self._stream = None
+            finish()
+            self._file = (path, _identity(path))
+
+    def _read_back(self) -> None:
+        """Read the rows of a streamed trace from the file its writer
+        finished, unless that file changed since."""
+        self._wait()
+        if self._file is None:
+            raise OSError("the rows of this trace are lost: its writer "
+                          "failed")
+        path, written = self._file
+        if _identity(path) != written:
+            raise OSError(f"{path}: changed since the run wrote its trace")
+        self._parsed = type(self).from_csv(path)._parsed
 
     def to_csv(self, path) -> None:
         """Write the trace as CSV, every value as `%.17g`, through
         `_write_csv`: a write that fails or is interrupted leaves no
         regular file at `path`.
 
-        When `simulate(..., out=...)` streamed this trace, the file was
-        written while the run integrated: this first waits for that
-        writer and raises the OSError it met, if any (the writer left no
-        file then).  The rows are then written here unless `path` is the
-        file the writer wrote.
+        When `simulate(..., out=...)` streamed this trace, this first
+        waits for the writer and raises the OSError it met, if any (the
+        writer left no file then).  Nothing is written when `path` is the
+        file the writer finished, unchanged since; for any other path the
+        rows are read back from that file before `path` is opened.
         """
-        if self._stream is not None:
-            streamed, finish = self._stream
-            self._stream = None
-            finish()
-            if streamed == os.fspath(path):
-                return
+        self._wait()
+        if self._file is not None:
+            with contextlib.suppress(OSError):
+                if _identity(path) == self._file[1]:
+                    return
         if self._parsed is None:
             rows = _row_tuples(self.data, len(self.columns))
         else:
+            # every column is read before _write_csv opens the file
             rows = zip(*map(self.column, self.columns))
         _write_csv(path, self.columns, [rows])
 
@@ -262,8 +308,11 @@ class SimTrace:
                 if len(parts) != width:
                     raise ValueError(f"{path}:{line_no}: expected "
                                      f"{width} fields, got {len(parts)}")
-                for i, append in keep:
-                    append(float(parts[i]))
+                try:
+                    for i, append in keep:
+                        append(float(parts[i]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from None
                 n_rows += 1
         trace = cls(scenario="", controller="", columns=names,
                     data=array("d"), verdict="LOADED")
@@ -368,7 +417,6 @@ class _TraceStream:
         self.path = os.fspath(path)
         self.regular = _regular(self.path)
         self.width = len(columns)
-        self.sent = 0
         fds: list = []
         try:
             fds += os.pipe()
@@ -407,16 +455,14 @@ class _TraceStream:
             os.close(self.fd)
             self.fd = None
 
-    def send(self, data: array) -> None:
-        """Send the rows of the row-major `data` not sent yet."""
-        n = len(data) // self.width - self.sent
-        if n:
-            self._put(array("d", [n]) + data[self.sent * self.width:])
-            self.sent += n
+    def send(self, batch: array) -> None:
+        """Send the rows of the row-major `batch`, headed by their count."""
+        if batch:
+            self._put(array("d", [len(batch) // self.width]))
+            self._put(batch)
 
-    def commit(self, data: array) -> None:
-        """Send the last rows and end the stream with the file complete."""
-        self.send(data)
+    def commit(self) -> None:
+        """End the stream with the file complete."""
         self._put(array("d", [0.0]))
         self._close()
 
@@ -766,16 +812,97 @@ def _check_start(model: RuntimeModel, loop: ClosedLoop) -> None:
                 f"reference {want[key]!r}, generated {got[key]!r}")
 
 
-def _integrate(model: RuntimeModel, loop: ClosedLoop, stream) -> tuple:
-    """The grid rows of one run, row after row in one `array('d')`, and
-    its abort reason (None when it reached the horizon); every full batch
-    of rows goes to `stream`."""
+class _Fold:
+    """The summary monitors of a run and its verdict's NaN scan, folded
+    over the grid rows one batch at a time.
+
+    `add` reads each monitored column of a batch as a strided memoryview
+    of it, with no copy, and releases every view before it returns, since
+    an array that exports its buffer cannot grow or shrink.  Each monitor
+    is a running extreme over the rows in order, carried from one batch
+    to the next, so any split of the rows into batches gives the floats
+    of one pass over all of them.  A NaN never replaces a running
+    extreme, so the verdict also fails on a NaN barrier value or funnel
+    excess, which the monitors skip.
+    """
+
+    def __init__(self, model: RuntimeModel, columns):
+        at, stacks = columns.index, range(1, len(model.stacks) + 1)
+        self.width = len(columns)
+        self.h = [at(f"h{k}") for k in stacks]
+        self.margins = [at(f"margin{k}") for k in stacks]
+        self.bs = [at(f"b{k}_{i}") for k in stacks
+                   for i in range(model.m + 1)]
+        self.e, self.rho = at("e"), at("rho")
+        self.rows = 0
+        self.min_h = self.min_qp_margin = self.min_b = math.inf
+        self.max_e_excess = -math.inf
+        self.max_e_over_rho = None      # started by the first row's value
+        self.nan = False
+
+    def add(self, batch: array) -> None:
+        """Fold the rows of the row-major `batch`."""
+        width = self.width
+        with contextlib.ExitStack() as views:
+            rows = views.enter_context(memoryview(batch))
+
+            def column(i):
+                return views.enter_context(rows[i::width])
+
+            def lowest(start, idx):
+                # a running minimum over the rows in order
+                values = itertools.chain.from_iterable(zip(*map(column, idx)))
+                return min(itertools.chain([start], values))
+
+            e, rho = column(self.e), column(self.rho)
+
+            def excess():
+                return map(operator.sub, map(abs, e), rho)
+
+            self.min_h = lowest(self.min_h, self.h)
+            self.max_e_excess = max(itertools.chain([self.max_e_excess],
+                                                    excess()))
+            over = map(operator.truediv, map(abs, e), rho)
+            first = self.max_e_over_rho
+            if first is None:
+                first = next(over, None)
+            if first is not None:
+                self.max_e_over_rho = max(itertools.chain([first], over))
+            self.min_qp_margin = lowest(self.min_qp_margin, self.margins)
+            self.min_b = lowest(self.min_b, self.bs)
+            self.nan = self.nan or any(map(math.isnan, itertools.chain(
+                *map(column, self.h), excess())))
+        self.rows += len(batch) // width
+
+    def monitors(self) -> dict:
+        """The summary monitors of the rows folded so far."""
+        over = self.max_e_over_rho
+        return dict(min_h=self.min_h, max_e_excess=self.max_e_excess,
+                    max_e_over_rho=0.0 if over is None else over,
+                    min_qp_margin=self.min_qp_margin, min_b=self.min_b)
+
+    def verdict(self, reason) -> str:
+        """ABORTED with an abort reason, else SAFE or UNSAFE."""
+        if reason is not None:
+            return "ABORTED"
+        safe = self.min_h >= -H_TOL and self.max_e_excess <= E_TOL and \
+            not self.nan
+        return "SAFE" if safe else "UNSAFE"
+
+
+def _integrate(model: RuntimeModel, loop: ClosedLoop, fold: _Fold,
+               send) -> str | None:
+    """Run the grid loop; return its abort reason (None when it reached
+    the horizon).  The grid rows are collected row after row in one
+    `array('d')`, `_BATCH_ROWS` rows at a time: each batch is folded into
+    `fold`, passed to `send`, which sends or copies it, and then cleared,
+    so the loop itself holds one batch of rows at most."""
     model.qp_fallbacks = 0
-    data = array("d")
+    batch = array("d")
     state = model.initial_state()
     n_steps = max(1, int(round(model.horizon / model.dt)))
     step = _rk4_body(model.dim)
-    flush_at = _BATCH_ROWS if stream is not None else -1
+    flush_at = _BATCH_ROWS
     reason = None
     stage = loop.stage
     held = None
@@ -783,7 +910,7 @@ def _integrate(model: RuntimeModel, loop: ClosedLoop, stream) -> tuple:
     refresh = model.hold_dt is not None     # t=0 is the first hold time
     try:
         k1, row, ctrl = loop.point(state, 0.0, None)
-        data.fromlist(row)
+        batch.fromlist(row)
         for k in range(1, n_steps + 1):
             t_prev = (k - 1) * model.dt
             if refresh:     # ctrl holds fresh outputs of the hold time t_prev
@@ -799,65 +926,17 @@ def _integrate(model: RuntimeModel, loop: ClosedLoop, stream) -> tuple:
                 break
             refresh = model.hold_dt is not None and t >= next_hold - 1e-12
             k1, row, ctrl = loop.point(state, t, None if refresh else held)
-            data.fromlist(row)
+            batch.fromlist(row)
             if k + 1 == flush_at:       # k + 1 rows so far
-                stream.send(data)
+                fold.add(batch)
+                send(batch)
+                del batch[:]
                 flush_at += _BATCH_ROWS
     except _ABORTS as exc:
         reason = f"{type(exc).__name__}: {exc}"
-    return data, reason
-
-
-def _finish_trace(model: RuntimeModel, columns, data, reason,
-                  monitors: dict) -> SimTrace:
-    """The trace of a run with its summary monitors and verdict.
-
-    The monitors read each column as a strided memoryview of `data`, with
-    no copy; every view is released before this returns, since an array
-    that exports its buffer cannot grow.  A NaN never replaces a running
-    extreme, so the verdict also fails on a NaN barrier value or funnel
-    excess, which the monitors skip.
-    """
-    trace = SimTrace(scenario=model.spec.name, controller=model.kind,
-                     columns=columns, data=data, verdict="ABORTED",
-                     reason=reason, monitors=monitors)
-    stacks = range(1, len(model.stacks) + 1)
-    barriers = [f"h{k}" for k in stacks]
-    with contextlib.ExitStack() as views:
-        rows = views.enter_context(memoryview(data))
-
-        def column(name):
-            return views.enter_context(
-                rows[columns.index(name)::len(columns)])
-
-        def lowest(names):
-            # a running minimum from +inf over the rows in order
-            values = itertools.chain.from_iterable(zip(*map(column, names)))
-            return min(itertools.chain([math.inf], values))
-
-        e, rho = column("e"), column("rho")
-
-        def excess():
-            return map(operator.sub, map(abs, e), rho)
-
-        monitors.update(
-            min_h=lowest(barriers),
-            max_e_excess=max(itertools.chain([-math.inf], excess())),
-            max_e_over_rho=max(map(operator.truediv, map(abs, e), rho),
-                               default=0.0),
-            min_qp_margin=lowest(f"margin{k}" for k in stacks),
-            min_b=lowest(f"b{k}_{i}" for k in stacks
-                         for i in range(model.m + 1)),
-            qp_fallbacks=float(model.qp_fallbacks),
-            steps=float(trace.n_rows - 1),
-        )
-        if reason is None:
-            safe = monitors["min_h"] >= -H_TOL and \
-                monitors["max_e_excess"] <= E_TOL and \
-                not any(map(math.isnan, itertools.chain(
-                    *map(column, barriers), excess())))
-            trace.verdict = "SAFE" if safe else "UNSAFE"
-    return trace
+    fold.add(batch)
+    send(batch)
+    return reason
 
 
 def simulate(spec: ScenarioSpec, controller: str | None = None,
@@ -873,10 +952,11 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
     composition over its first step.
 
     With `out`, a path, the trace CSV is written there while the run
-    integrates, by a forked child that the rows stream to;
-    `trace.to_csv(out)` then waits for it and raises its OSError, if
-    any.  Where `os.fork` does not exist, `to_csv(out)` writes the file
-    itself.  A run that raises leaves no child behind.  A failed check,
+    integrates, by a forked child that the rows stream to, and the
+    returned trace keeps no rows (`SimTrace`); `trace.to_csv(out)` then
+    waits for the child and raises its OSError, if any.  Where `os.fork`
+    does not exist, the trace keeps its rows and `to_csv(out)` writes the
+    file itself.  A run that raises leaves no child behind.  A failed check,
     `LoopMismatch` or a failed fork raises before the file is opened, so
     a file already at `out` is untouched.  Once it is open, an exception
     or an interrupt mid-run, an output error and a writer that dies each
@@ -896,19 +976,29 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
     _check_start(model, loop)
 
     columns = loop.columns
+    fold = _Fold(model, columns)
+    data = array("d")
     stream = None
     if out is not None and hasattr(os, "fork"):
         stream = _TraceStream(out, columns)
     try:
-        data, reason = _integrate(model, loop, stream)
+        reason = _integrate(model, loop, fold,
+                            data.extend if stream is None else stream.send)
         if stream is not None:
-            stream.commit(data)
-        trace = _finish_trace(model, columns, data, reason, monitors)
+            stream.commit()
+        monitors.update(fold.monitors(),
+                        qp_fallbacks=float(model.qp_fallbacks),
+                        steps=float(fold.rows - 1))
+        trace = SimTrace(scenario=spec.name, controller=model.kind,
+                         columns=columns, data=data,
+                         verdict=fold.verdict(reason), reason=reason,
+                         monitors=monitors)
     except BaseException:
         if stream is not None:
             stream.abort()
         raise
     if stream is not None:
+        trace._parsed = (fold.rows, None)
         # reaps the child also when to_csv is never called
         trace._stream = (stream.path, weakref.finalize(trace, stream.finish))
     return trace

@@ -418,6 +418,23 @@ def test_plot_missing_column_lists_the_header(ship_csv, tmp_path, capsys):
         + ", ".join(kept) + ")\n")
 
 
+def test_plot_bad_number_names_its_line(ship_csv, tmp_path, capsys):
+    # a plotted field that is no number is named by file and line, as a
+    # line with the wrong field count is
+    with open(ship_csv) as fh:
+        lines = fh.read().splitlines()
+    fields = lines[2].split(",")
+    fields[lines[0].split(",").index("x")] = "abc"
+    lines[2] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["plot", str(bad), "--out", str(tmp_path / "p")]) == \
+        EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", f"error: {bad}:3: could not convert string to float: 'abc'\n")
+    assert not list(tmp_path.glob("p*.svg"))
+
+
 def test_plot_missing_file_is_usage_error(capsys):
     assert main(["plot", "/no/such/trace.csv"]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err

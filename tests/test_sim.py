@@ -10,8 +10,10 @@ Covers, in order:
    agreement, first-step properties, determinism, step-halving
    stability, and the documented abort paths with partial traces; the
    monitors' running extremes over hand-built non-finite rows, the
-   verdict on a NaN barrier value or funnel excess, the 8 bytes a trace
-   keeps per value, and monitors that copy no column;
+   verdict on a NaN barrier value or funnel excess, both also across a
+   batch edge, in memory and streamed; the 8 bytes a trace keeps per
+   value, a monitor fold that copies no column, and a fold over any
+   split of the rows into batches that equals one fold over all;
 4. feasibility gating: failing condition reports block a run unless
    forced, and the override is recorded;
 5. CSV export and re-import, which must round-trip bit-exactly, and
@@ -21,12 +23,16 @@ Scenario variants are built by editing the mapping of a built-in and
 reloading it, so every variant passes schema validation first.
 """
 
+import functools
 import gc
+import itertools
 import math
 import tracemalloc
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxysafe import sim
 from proxysafe.loop import ClosedLoop
@@ -306,11 +312,11 @@ def test_hold_mode_refreshes_held_outputs():
     assert all(a != b for a, b in zip(held, held[1:]))
 
 
-def hand_built_trace(monkeypatch, edits):
+def hand_built_trace(monkeypatch, edits, out=None):
     """simulate() on ship with a loop that logs hand-built rows: every
     value 1.0, t on the grid and e = 0.1, then `edits`, a list of
-    {column: value} per row, applied in order.  Returns the columns, the
-    rows and the trace."""
+    {column: value} per row, applied in order; with `out`, the rows
+    stream to that file.  Returns the columns, the rows and the trace."""
     spec = load_builtin("ship")
     columns = ClosedLoop(RuntimeModel(spec)).columns
     rows = []
@@ -332,15 +338,27 @@ def hand_built_trace(monkeypatch, edits):
 
     monkeypatch.setattr(sim, "ClosedLoop", HandBuilt)
     monkeypatch.setattr(sim, "_check_start", lambda model, loop: None)
-    tr = simulate(spec, horizon=(len(rows) - 1) * spec.dt)
+    tr = simulate(spec, horizon=(len(rows) - 1) * spec.dt, out=out)
     assert tr.reason is None and tr.monitors["steps"] == len(rows) - 1
+    if out is not None:
+        tr.to_csv(out)
     return columns, rows, tr
 
 
-def hand_built_run(monkeypatch, edits):
-    """`hand_built_trace`, returning its columns, rows and monitors."""
-    columns, rows, tr = hand_built_trace(monkeypatch, edits)
-    return columns, rows, tr.monitors
+# a batch edge at rows 255 | 256 and more than two batches of rows, for
+# the tests that run the hand-built rows in memory and streamed
+EDGE = sim._BATCH_ROWS - 1
+N_PADDED = 2 * sim._BATCH_ROWS + 88
+STREAMED = pytest.mark.parametrize("streamed", [False, True],
+                                   ids=["in memory", "streamed"])
+
+
+def across_batches(monkeypatch, tmp_path, edits, streamed):
+    """`hand_built_trace` of `edits` placed from row 255 on, among plain
+    rows, in memory or streamed."""
+    padding = N_PADDED - EDGE - len(edits)
+    return hand_built_trace(monkeypatch, [{}] * EDGE + edits + [{}] * padding,
+                            out=tmp_path / "t.csv" if streamed else None)
 
 
 def running(better, start, values):
@@ -372,14 +390,8 @@ NONFINITE_ROWS = {
 }
 
 
-@pytest.mark.parametrize("name", list(NONFINITE_ROWS))
-def test_monitors_keep_the_row_wise_nan_rule(monkeypatch, name):
-    # every monitor is the running min/max over the rows in order; a
-    # NaN never replaces a running extreme, so only a NaN in the first
-    # row reaches max_e_over_rho, which starts from that row
-    columns, rows, monitors = hand_built_run(monkeypatch,
-                                             NONFINITE_ROWS[name])
-
+def assert_row_wise_nan_rule(columns, rows, monitors):
+    """Every monitor is the running min/max over `rows` in order."""
     def values(*names):
         idx = [columns.index(n) for n in names]
         return [row[i] for row in rows for i in idx]
@@ -395,6 +407,16 @@ def test_monitors_keep_the_row_wise_nan_rule(monkeypatch, name):
     }
     assert {k: monitors[k].hex() for k in want} == \
         {k: v.hex() for k, v in want.items()}
+
+
+@pytest.mark.parametrize("name", list(NONFINITE_ROWS))
+def test_monitors_keep_the_row_wise_nan_rule(monkeypatch, name):
+    # every monitor is the running min/max over the rows in order; a
+    # NaN never replaces a running extreme, so only a NaN in the first
+    # row reaches max_e_over_rho, which starts from that row
+    columns, rows, tr = hand_built_trace(monkeypatch, NONFINITE_ROWS[name])
+    monitors = tr.monitors
+    assert_row_wise_nan_rule(columns, rows, monitors)
     if name == "nan first":
         assert math.isnan(monitors["max_e_over_rho"])
         assert monitors["min_h"] == -0.1 and monitors["min_b"] == -INF
@@ -404,17 +426,46 @@ def test_monitors_keep_the_row_wise_nan_rule(monkeypatch, name):
         assert monitors["min_b"] == -0.3
 
 
-@pytest.mark.parametrize("edit, verdict", [
+@STREAMED
+@pytest.mark.parametrize("name", list(NONFINITE_ROWS))
+def test_the_row_wise_nan_rule_holds_across_batches(monkeypatch, tmp_path,
+                                                   name, streamed):
+    # the non-finite rows from row 255 on straddle the first batch edge;
+    # folded batch by batch, in memory or streamed, the monitors are
+    # still the running extremes over all rows in order
+    columns, rows, tr = across_batches(monkeypatch, tmp_path,
+                                       NONFINITE_ROWS[name], streamed)
+    assert tr.n_rows == N_PADDED
+    assert_row_wise_nan_rule(columns, rows, tr.monitors)
+    assert tr.verdict == "UNSAFE"
+
+
+NAN_ROWS = pytest.mark.parametrize("edit, verdict", [
     ({}, "SAFE"),
     ({"h1": NAN}, "UNSAFE"),
     ({"e": NAN}, "UNSAFE"),
     ({"rho": NAN}, "UNSAFE"),
 ], ids=["no nan", "nan h1", "nan e", "nan rho"])
+
+
+@NAN_ROWS
 def test_a_nan_barrier_value_or_funnel_excess_fails_the_verdict(
         monkeypatch, edit, verdict):
     # every value is safe but the one NaN in the middle row; the
     # monitors still skip it, and the verdict does not
     _, _, tr = hand_built_trace(monkeypatch, [{}, edit, {}])
+    assert tr.verdict == verdict
+    assert tr.monitors["min_h"] == 1.0
+    assert tr.monitors["max_e_excess"] == 0.1 - 1.0
+
+
+@STREAMED
+@NAN_ROWS
+def test_a_nan_in_a_later_batch_fails_the_verdict(monkeypatch, tmp_path,
+                                                  edit, verdict, streamed):
+    # the one NaN is in row 256, the first row of the second batch
+    _, _, tr = across_batches(monkeypatch, tmp_path, [{}, edit, {}],
+                              streamed)
     assert tr.verdict == verdict
     assert tr.monitors["min_h"] == 1.0
     assert tr.monitors["max_e_excess"] == 0.1 - 1.0
@@ -439,29 +490,63 @@ def test_trace_keeps_eight_bytes_a_value():
     assert kept <= 8 * len(tr.columns) * n_rows + 32 * 1024
 
 
+@functools.cache
+def ship_fold_layout():
+    model = RuntimeModel(load_builtin("ship"))
+    return model, ClosedLoop(model).columns
+
+
 def test_monitors_copy_no_column():
-    # the monitors and the verdict read strided views of the row-major
-    # values: over a 60,001-row ship-wide trace they allocate a small
+    # the fold of the monitors and the verdict reads strided views of the
+    # row-major values: over 60,001 ship-wide rows it allocates a small
     # fixed amount, where one copied column alone takes 480 KB; and no
     # view outlives the call, so the values can still grow
-    model = RuntimeModel(load_builtin("ship"))
-    columns = ClosedLoop(model).columns
+    model, columns = ship_fold_layout()
     width, n_rows = len(columns), 60_001
     assert width == 19
     data = array("d", [1.0]) * (width * n_rows)
     data[columns.index("e")::width] = array("d", [0.1]) * n_rows
+    fold = sim._Fold(model, columns)
     gc.collect()
     tracemalloc.start()
     try:
-        tr = sim._finish_trace(model, columns, data, None, {})
+        fold.add(data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tr.verdict == "SAFE" and tr.monitors["steps"] == n_rows - 1
-    assert tr.monitors["max_e_excess"] == 0.1 - 1.0
-    print(f"\n  _finish_trace peak over {n_rows} rows: {peak} B")
+    assert fold.verdict(None) == "SAFE" and fold.rows == n_rows
+    assert fold.monitors()["max_e_excess"] == 0.1 - 1.0
+    print(f"\n  fold peak over {n_rows} rows: {peak} B")
     assert peak <= 64 * 1024
     data.append(0.0)    # BufferError while any view of it is alive
+
+
+_VALUE = st.one_of(st.sampled_from([NAN, INF, -INF, 0.0, -0.0]),
+                   st.floats(-10.0, 10.0))
+# rho is never zero, which would end abs(e) / rho in ZeroDivisionError
+_RHO = st.one_of(st.sampled_from([NAN, INF, -INF]), st.floats(0.01, 10.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fold_over_any_batches_is_one_fold(data):
+    # the monitors and the NaN scan folded batch by batch, over any split
+    # of the rows, are those of one fold over all rows, bit for bit
+    model, columns = ship_fold_layout()
+    rows = data.draw(st.lists(st.tuples(*[
+        _RHO if name == "rho" else _VALUE for name in columns]),
+        max_size=20))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)),
+                                     max_size=6)))
+    whole, split = sim._Fold(model, columns), sim._Fold(model, columns)
+    whole.add(array("d", itertools.chain.from_iterable(rows)))
+    for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+        split.add(array("d", itertools.chain.from_iterable(rows[lo:hi])))
+    assert split.rows == whole.rows == len(rows)
+    assert {k: v.hex() for k, v in split.monitors().items()} == \
+        {k: v.hex() for k, v in whole.monitors().items()}
+    assert split.nan == whole.nan
+    assert split.verdict(None) == whole.verdict(None)
 
 
 # ═══════════════════════════════════════════════════════════════════

@@ -5,9 +5,14 @@ waits for it.
 Covers, in order:
 
 1. the streamed file is byte for byte what `SimTrace.to_csv` writes in
-   process, for ship/nussbaum, electromech/dob_backstepping,
-   electromech/ppc, hold mode and an ABORTED partial trace; without
-   os.fork, `to_csv` writes the same bytes itself;
+   process for an unstreamed run of the same scenario, for
+   ship/nussbaum, electromech/dob_backstepping, electromech/ppc, hold
+   mode and an ABORTED partial trace, and the streamed trace has that
+   run's monitors bit for bit and reads its rows back from the file;
+   without os.fork, `to_csv` writes the same bytes itself; `to_csv` of
+   the streamed file by any name writes nothing, and a streamed file
+   changed since is not read back; a streamed run's peak memory does not
+   grow with its horizon;
 2. runs that raise (CheckFailed, LoopMismatch, an exception or an
    interrupt mid-run, also after the writer child died) leave no file
    and no child, also where a file they truncated was before, but
@@ -31,6 +36,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -38,8 +44,8 @@ from hypothesis import strategies as st
 
 from proxysafe import sim
 from proxysafe.scenario import load_builtin
-from proxysafe.sim import (CheckFailed, LoopMismatch, RuntimeModel, SimTrace,
-                           rk4_step, simulate)
+from proxysafe.sim import (CheckFailed, LoopMismatch, RuntimeModel, rk4_step,
+                           simulate)
 from scenario_variants import variant
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -53,13 +59,16 @@ def no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def in_process_bytes(trace, path):
-    """What SimTrace.to_csv writes for these rows without a stream."""
-    plain = SimTrace(scenario=trace.scenario, controller=trace.controller,
-                     columns=trace.columns, data=trace.data,
-                     verdict=trace.verdict)
+def unstreamed(path, spec, **kw):
+    """The same run without a stream (runs are deterministic), and what
+    SimTrace.to_csv writes for it in process."""
+    plain = simulate(spec, **kw)
     plain.to_csv(path)
-    return path.read_bytes()
+    return plain, path.read_bytes()
+
+
+def bits(values) -> list:
+    return [v.hex() for v in values]
 
 
 # ═══════════════════════════════════════════════════════════════════
@@ -94,7 +103,18 @@ def test_streamed_file_is_the_in_process_file(name, tmp_path):
     if name == "electromech aborted":
         assert trace.verdict == "ABORTED"
         assert "RunDomainError" in trace.reason
-    assert out.read_bytes() == in_process_bytes(trace, tmp_path / "ref.csv")
+    plain, want = unstreamed(tmp_path / "ref.csv", make(),
+                             controller=controller, **kw)
+    assert out.read_bytes() == want
+    # the streamed trace keeps no rows but the summary of the same run,
+    # its monitors bit for bit; its columns read back from the file
+    assert len(trace.data) == 0 and trace.n_rows == plain.n_rows
+    assert (trace.verdict, trace.reason, trace.columns) == \
+        (plain.verdict, plain.reason, plain.columns)
+    assert {k: v.hex() for k, v in trace.monitors.items()} == \
+        {k: v.hex() for k, v in plain.monitors.items()}
+    for column in trace.columns:
+        assert bits(trace.column(column)) == bits(plain.column(column))
 
 
 def test_stream_overwrites_an_existing_file(tmp_path):
@@ -102,7 +122,9 @@ def test_stream_overwrites_an_existing_file(tmp_path):
     out.write_text("x\n" * 100000)
     trace = simulate(load_builtin("ship"), horizon=1.0, out=out)
     trace.to_csv(out)
-    assert out.read_bytes() == in_process_bytes(trace, tmp_path / "ref.csv")
+    assert out.read_bytes() == \
+        unstreamed(tmp_path / "ref.csv", load_builtin("ship"),
+                   horizon=1.0)[1]
 
 
 def test_without_fork_to_csv_writes_the_same_bytes(tmp_path, monkeypatch):
@@ -123,8 +145,63 @@ def test_to_csv_elsewhere_waits_for_the_stream_first(tmp_path):
     trace.to_csv(other)     # reaps the writer of out.csv, then writes
     assert trace._stream is None
     assert out.read_bytes() == other.read_bytes()
-    trace.to_csv(out)       # no stream left: written in process
+    trace.to_csv(out)       # the file the writer finished: not rewritten
     assert out.read_bytes() == other.read_bytes()
+
+
+def test_to_csv_of_the_streamed_file_writes_nothing(tmp_path, monkeypatch):
+    # the streamed file under another spelling, or a hard link to it, is
+    # the file the writer finished; no second write happens
+    monkeypatch.chdir(tmp_path)
+    trace = simulate(load_builtin("ship"), horizon=3.0, out="t.csv")
+    trace.to_csv("t.csv")
+    os.link("t.csv", "link.csv")
+    written = os.stat("t.csv").st_mtime_ns, (tmp_path / "t.csv").read_bytes()
+    writes = []
+    monkeypatch.setattr(sim, "_write_csv", lambda *args: writes.append(args))
+    for path in ("./t.csv", tmp_path / "t.csv", "link.csv"):
+        trace.to_csv(path)
+    assert writes == []
+    assert (os.stat("t.csv").st_mtime_ns,
+            (tmp_path / "t.csv").read_bytes()) == written
+
+
+def test_a_streamed_file_changed_since_is_not_read_back(tmp_path):
+    # the rows of a streamed trace are in its file only: once another run
+    # rewrote that file, reading them back raises instead of returning
+    # another run's rows, and to_csv of that file does not skip
+    out = tmp_path / "t.csv"
+    trace = simulate(load_builtin("ship"), horizon=3.0, out=out)
+    trace.to_csv(out)
+    simulate(load_builtin("ship"), horizon=2.0, out=out).to_csv(out)
+    with pytest.raises(OSError, match="changed since the run wrote"):
+        trace.column("x")
+    with pytest.raises(OSError, match="changed since the run wrote"):
+        trace.to_csv(out)
+    assert len(out.read_text().splitlines()) == 202
+
+
+def test_a_streamed_run_holds_one_batch_of_rows(tmp_path):
+    # each batch of rows is dropped once it is sent to the writer, so a
+    # streamed run's peak memory does not grow with its horizon: 2,001
+    # and 20,001 ship rows peak alike, where keeping the rows took 8
+    # bytes a value, 2.7 MB more at 20,001 rows
+    spec = load_builtin("ship")
+    simulate(spec, horizon=0.1)     # compiled and cached pieces built
+    peaks = []
+    for horizon in (20.0, 200.0):
+        out = tmp_path / f"{horizon:g}.csv"
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trace = simulate(spec, horizon=horizon, out=out)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        trace.to_csv(out)
+        assert trace.n_rows == round(horizon / spec.dt) + 1
+    print(f"\n  streamed run peaks at 2,001 / 20,001 rows: {peaks} B")
+    assert abs(peaks[1] - peaks[0]) <= 64 * 1024
 
 
 # ═══════════════════════════════════════════════════════════════════
@@ -271,7 +348,7 @@ def test_missing_directory_raises_the_in_process_error(tmp_path):
     with pytest.raises(FileNotFoundError) as streamed:
         trace.to_csv(out)
     with pytest.raises(FileNotFoundError) as plain:
-        in_process_bytes(trace, out)
+        unstreamed(out, load_builtin("ship"), horizon=3.0)
     assert str(streamed.value) == str(plain.value)
     assert not out.parent.exists()
 
