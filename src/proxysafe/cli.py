@@ -160,14 +160,21 @@ def cmd_check(args) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK
 
 
+def _default_trace(spec, controller, out_dir) -> str:
+    """The trace path of a run given no --out path: `{name}_{kind}.csv`."""
+    kind, _ = spec.controller_block(controller)
+    return os.path.join(out_dir or "", f"{spec.name}_{kind}.csv")
+
+
 def _run_one(spec, controller, dt, horizon, force, out_path, out_dir):
     if out_path is None:
-        kind, _ = spec.controller_block(controller)
-        out_path = os.path.join(out_dir or "", f"{spec.name}_{kind}.csv")
+        out_path = _default_trace(spec, controller, out_dir)
     start = time.perf_counter()
     trace = sim_mod.simulate(spec, controller=controller, dt=dt,
                              horizon=horizon, force=force, out=out_path)
     wall = time.perf_counter() - start
+    # simulate finished the file, so this writes nothing; it stays for
+    # perfbench, whose `sim.to_csv_s` metric reads the span of this call
     trace.to_csv(out_path)
     summary = {
         "scenario": spec.name,
@@ -208,6 +215,17 @@ def _run_batch(args) -> int:
     if not files:
         raise ScenarioError(f"no scenario files in '{args.batch}'")
     out_dir = args.out or "."
+    writers: dict = {}      # trace path -> the file whose run writes it
+    for path in files:
+        try:
+            out_path = _default_trace(scenario_mod.load_scenario(path),
+                                      args.controller, out_dir)
+        except (ScenarioError, ValueError, OSError, RecursionError):
+            continue    # its worker reports it in an ERROR entry
+        if out_path in writers:
+            raise ScenarioError(f"{writers[out_path]} and {path} would both "
+                                f"write the trace {out_path}")
+        writers[out_path] = path
     os.makedirs(out_dir, exist_ok=True)
     workers = min(len(files), os.cpu_count() or 1)
     jobs = [(path, args.controller, args.dt, args.horizon, args.force,

@@ -37,14 +37,16 @@ monitors and the verdict's NaN scan are folded over each batch as it
 completes (`_Fold`), reading strided memoryviews of it with no copy.
 Without an output path the batches are kept, joined in `SimTrace.data`
 (8 bytes a value), and `SimTrace.column` copies a column out as a
-strided slice of it.  Given an output path, `simulate` forks a writer
-child once the run's start checks have passed, sends it each batch and
-then drops the batch, so the run holds one batch of rows, not all of
-them; the child writes them through `_write_csv`, the one writer
-`SimTrace.to_csv` uses too, so the file is the same byte for byte.  The
-trace of such a run keeps no rows: `to_csv` waits for the writer, and
-reading a column reads the finished file back.  A write that fails or
-does not finish removes its file when the path is regular (`_regular`).
+strided slice of it.  Given an output path, `simulate` returns once the
+trace CSV there is complete, and the trace it returns keeps no rows:
+reading a column reads the file back.  Where `os.fork` exists, a writer
+child forked once the run's start checks have passed is sent each batch,
+which the run then drops, so the run holds one batch of rows, not all
+of them; `simulate` waits for that child before it returns.  Elsewhere
+the run keeps its rows and writes them after the loop.  Either way the
+file goes through `_write_csv`, the one writer `SimTrace.to_csv` uses
+too, so it is the same byte for byte, and a write that fails or does
+not finish removes its file when the path is regular (`_regular`).
 The RK4 step itself is generated once per state length as
 straight-line code.
 """
@@ -58,7 +60,6 @@ import math
 import operator
 import os
 import signal
-import weakref
 from array import array
 from dataclasses import dataclass, field
 
@@ -187,12 +188,12 @@ class SimTrace:
     `from_csv` keeps only the columns it parsed, one `array('d')` each,
     and `data` is empty.
 
-    A trace that `simulate(..., out=path)` streamed keeps no rows: `data`
-    is empty, and the verdict, the reason, the monitors, the columns and
-    `n_rows` are all it holds.  Its first `column` call, and a `to_csv`
-    to another file, wait for the writer and read the finished file back
-    whole through `from_csv`, after checking that it is unchanged since
-    the writer finished; from then on the trace is a parsed one.
+    A trace that `simulate(..., out=path)` wrote out keeps no rows:
+    `data` is empty, and the verdict, the reason, the monitors, the
+    columns and `n_rows` are all it holds.  Its first `column` call, and
+    a `to_csv` to another file, read the file back whole through
+    `from_csv`, after checking that it is unchanged since the run wrote
+    it; from then on the trace is a parsed one.
     """
 
     scenario: str
@@ -203,13 +204,10 @@ class SimTrace:
     reason: str | None = None
     monitors: dict = field(default_factory=dict)
     # (row count, column name -> values) of a trace whose rows are not in
-    # `data`: read by from_csv, or streamed by simulate (None until read)
+    # `data`: read by from_csv, or written out by simulate (None until
+    # read back)
     _parsed: tuple | None = field(default=None, init=False, repr=False)
-    # (path, finalizer waiting for the writer) of a trace simulate
-    # streams, until `_wait` has waited for it
-    _stream: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
-    # (path, `_identity`) of the file that writer finished
+    # (path, `_identity`) of the file simulate wrote the rows to
     _file: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
 
@@ -231,44 +229,31 @@ class SimTrace:
                            f"(columns: {', '.join(self.columns)})") from None
         if self._parsed is None:
             return self.data[idx::len(self.columns)]
-        if self._parsed[1] is None:
-            self._read_back()
-        n_rows, parsed = self._parsed
+        n_rows, parsed = self._parsed_columns()
         return parsed[name] if name in parsed else [None] * n_rows
 
-    def _wait(self) -> None:
-        """Wait for the writer of a streamed trace, once, and note the file
-        it finished; raise the OSError it met (it left no file then)."""
-        if self._stream is not None:
-            path, finish = self._stream
-            self._stream = None
-            finish()
-            self._file = (path, _identity(path))
-
-    def _read_back(self) -> None:
-        """Read the rows of a streamed trace from the file its writer
-        finished, unless that file changed since."""
-        self._wait()
-        if self._file is None:
-            raise OSError("the rows of this trace are lost: its writer "
-                          "failed")
-        path, written = self._file
-        if _identity(path) != written:
-            raise OSError(f"{path}: changed since the run wrote its trace")
-        self._parsed = type(self).from_csv(path)._parsed
+    def _parsed_columns(self) -> tuple:
+        """`_parsed`, after reading the rows of a written-out trace back
+        from its file, unless that file changed since the run wrote it."""
+        if self._parsed[1] is None:
+            path, written = self._file
+            if _identity(path) != written:
+                raise OSError(f"{path}: changed since the run wrote its "
+                              "trace")
+            self._parsed = type(self).from_csv(path)._parsed
+        return self._parsed
 
     def to_csv(self, path) -> None:
         """Write the trace as CSV, every value as `%.17g`, through
         `_write_csv`: a write that fails or is interrupted leaves no
         regular file at `path`.
 
-        When `simulate(..., out=...)` streamed this trace, this first
-        waits for the writer and raises the OSError it met, if any (the
-        writer left no file then).  Nothing is written when `path` is the
-        file the writer finished, unchanged since; for any other path the
-        rows are read back from that file before `path` is opened.
+        Nothing is written when `path` is the file `simulate(...,
+        out=...)` wrote this trace to, unchanged since; for any other
+        path the rows are read back from that file before `path` is
+        opened.  A trace that `from_csv` read only some columns of raises
+        ValueError naming the others, before `path` is opened.
         """
-        self._wait()
         if self._file is not None:
             with contextlib.suppress(OSError):
                 if _identity(path) == self._file[1]:
@@ -276,8 +261,12 @@ class SimTrace:
         if self._parsed is None:
             rows = _row_tuples(self.data, len(self.columns))
         else:
-            # every column is read before _write_csv opens the file
-            rows = zip(*map(self.column, self.columns))
+            parsed = self._parsed_columns()[1]
+            missing = [name for name in self.columns if name not in parsed]
+            if missing:
+                raise ValueError("cannot write a trace without the columns "
+                                 f"it did not parse: {', '.join(missing)}")
+            rows = zip(*(parsed[name] for name in self.columns))
         _write_csv(path, self.columns, [rows])
 
     @classmethod
@@ -397,20 +386,25 @@ def _leave_parent_cpu() -> None:
 
 class _TraceStream:
     """A forked child that writes a run's trace CSV while the run
-    integrates.
+    integrates; a context manager around the run, which `send`s it the
+    rows.
 
     The run sends grid rows in batches over a pipe as raw doubles, each
     batch headed by its row count; a batch of no rows commits the file.
     The child writes through `_write_csv`, as `SimTrace.to_csv` does, so
     it removes its file itself when the stream ends without the commit
-    (the run raised) or a write fails.  It stops at the first OSError and
-    sends it back pickled over a second pipe, and `finish` raises it.  A
-    child that dies without reporting may leave part of the file:
-    `finish` removes it, where it is regular.  Nothing is opened before
-    the fork, and a device or a FIFO is never removed.  The child runs
-    off the run's CPU, ignores SIGINT (the run ends it), and leaves
-    through os._exit, so it runs no exit handler and flushes none of the
-    stdio buffers it inherited.
+    or a write fails.  It stops at the first OSError and sends it back
+    pickled over a second pipe.  Leaving the context commits the stream
+    when the run returned, or ends it without the commit when the run
+    raised, and then waits for the child.  A child that dies without
+    reporting may leave part of the file, which is then removed, where it
+    is regular.  After a run that returned, the OSError the child
+    reported, or one for a child that died, is raised; after a run that
+    raised, the run's exception wins.  Nothing is opened before the
+    fork, and a device or a FIFO is never removed.  The child runs off
+    the run's CPU, ignores SIGINT (the run ends it), and leaves through
+    os._exit, so it runs no exit handler and flushes none of the stdio
+    buffers it inherited.
     """
 
     def __init__(self, path, columns):
@@ -447,7 +441,7 @@ class _TraceStream:
         try:
             while view and self.fd is not None:
                 view = view[os.write(self.fd, view):]
-        except BrokenPipeError:     # the child ended; finish reports why
+        except BrokenPipeError:     # the child ended; __exit__ reports why
             self._close()
 
     def _close(self) -> None:
@@ -461,41 +455,27 @@ class _TraceStream:
             self._put(array("d", [len(batch) // self.width]))
             self._put(batch)
 
-    def commit(self) -> None:
-        """End the stream with the file complete."""
-        self._put(array("d", [0.0]))
-        self._close()
+    def __enter__(self):
+        return self.send
 
-    def finish(self) -> None:
-        """Wait for the child; raise the OSError it reported, if any.  A
-        child that died without reporting is raised as an OSError, after
-        its file is removed where it is regular."""
-        if self.pid is None:
-            return
-        chunks = []
-        while chunk := os.read(self.err_fd, 65536):
-            chunks.append(chunk)
-        os.close(self.err_fd)
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if chunks:
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self._put(array("d", [0.0]))    # the commit
+        self._close()
+        with open(self.err_fd, "rb") as fh:
+            report = fh.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        if code and not report and self.regular:
+            with contextlib.suppress(OSError):
+                os.unlink(self.path)
+        if exc_type is not None:
+            return      # the run's exception wins
+        if report:
             import pickle
-            raise pickle.loads(b"".join(chunks))
-        code = os.waitstatus_to_exitcode(status)
+            raise pickle.loads(report)
         if code:
-            if self.regular:
-                with contextlib.suppress(OSError):
-                    os.unlink(self.path)
             raise OSError(f"trace writer for {self.path} ended with "
                           f"status {code}")
-
-    def abort(self) -> None:
-        """End the stream without the commit and wait for the child,
-        which then removes its file; `finish` removes it if the child
-        died first."""
-        self._close()
-        with contextlib.suppress(OSError):  # the run's exception wins
-            self.finish()
 
 
 class RuntimeModel:
@@ -951,17 +931,18 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
     on the generated closed loop, checked against the reference
     composition over its first step.
 
-    With `out`, a path, the trace CSV is written there while the run
-    integrates, by a forked child that the rows stream to, and the
-    returned trace keeps no rows (`SimTrace`); `trace.to_csv(out)` then
-    waits for the child and raises its OSError, if any.  Where `os.fork`
-    does not exist, the trace keeps its rows and `to_csv(out)` writes the
-    file itself.  A run that raises leaves no child behind.  A failed check,
-    `LoopMismatch` or a failed fork raises before the file is opened, so
-    a file already at `out` is untouched.  Once it is open, an exception
-    or an interrupt mid-run, an output error and a writer that dies each
-    leave no regular file at `out`: neither the partial trace nor the
-    file that was there before.  A device or a FIFO is never removed.
+    With `out`, a path, `simulate` returns once the trace CSV there is
+    complete, and the returned trace keeps no rows (`SimTrace`);
+    `trace.to_csv(out)` then writes nothing.  The file is written while
+    the run integrates, by a forked child that the rows stream to, and
+    where `os.fork` does not exist, after the loop.  An output error, or
+    a writer that dies, raises its OSError from `simulate`.  A run that
+    raises leaves no child behind.  A failed check, `LoopMismatch` or a
+    failed fork raises before the file is opened, so a file already at
+    `out` is untouched.  Once it is open, an exception or an interrupt
+    mid-run, an output error and a writer that dies each leave no regular
+    file at `out`: neither the partial trace nor the file that was there
+    before.  A device or a FIFO is never removed.
     """
     model = RuntimeModel(spec, controller=controller, dt=dt, horizon=horizon)
     monitors: dict = {}
@@ -978,27 +959,20 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
     columns = loop.columns
     fold = _Fold(model, columns)
     data = array("d")
-    stream = None
-    if out is not None and hasattr(os, "fork"):
-        stream = _TraceStream(out, columns)
-    try:
-        reason = _integrate(model, loop, fold,
-                            data.extend if stream is None else stream.send)
-        if stream is not None:
-            stream.commit()
-        monitors.update(fold.monitors(),
-                        qp_fallbacks=float(model.qp_fallbacks),
-                        steps=float(fold.rows - 1))
-        trace = SimTrace(scenario=spec.name, controller=model.kind,
-                         columns=columns, data=data,
-                         verdict=fold.verdict(reason), reason=reason,
-                         monitors=monitors)
-    except BaseException:
-        if stream is not None:
-            stream.abort()
-        raise
-    if stream is not None:
+    streamed = out is not None and hasattr(os, "fork")
+    with _TraceStream(out, columns) if streamed else \
+            contextlib.nullcontext(data.extend) as send:
+        reason = _integrate(model, loop, fold, send)
+    if out is not None and not streamed:
+        _write_csv(out, columns, [_row_tuples(data, len(columns))])
+        data = array("d")
+    monitors.update(fold.monitors(), qp_fallbacks=float(model.qp_fallbacks),
+                    steps=float(fold.rows - 1))
+    trace = SimTrace(scenario=spec.name, controller=model.kind,
+                     columns=columns, data=data,
+                     verdict=fold.verdict(reason), reason=reason,
+                     monitors=monitors)
+    if out is not None:
         trace._parsed = (fold.rows, None)
-        # reaps the child also when to_csv is never called
-        trace._stream = (stream.path, weakref.finalize(trace, stream.finish))
+        trace._file = (out, _identity(out))
     return trace

@@ -11,7 +11,8 @@ Coverage:
   4. `plot`: panel files, only the plotted columns parsed, errors for
      bad inputs
   5. `--batch`: concurrent directory runs with isolated outputs, a
-     broken or too deeply nested file reported in its own entry
+     broken or too deeply nested file reported in its own entry, two
+     files that would write one trace path refused before any run
   6. usage errors exit with code 1; importing the CLI leaves the
      process pool of `--batch` out
   7. `check` output pinned byte for byte: ship, electromech and the m=4
@@ -174,8 +175,10 @@ def test_batch_reports_a_check_that_cannot_be_evaluated(tmp_path, capsys):
     batch = tmp_path / "batch"
     batch.mkdir()
     for kind, (h, _) in UNEVALUABLE_H.items():
+        # a name each, as two files that write one trace path are refused
         _write_variant(batch / f"{kind}.yaml", "ship",
-                       lambda m: m["proxy"][0].update(h=h))
+                       lambda m: (m.update(name=f"ship_{kind}"),
+                                  m["proxy"][0].update(h=h)))
     out_dir = tmp_path / "results"
     code = main(["run", "--batch", str(batch), "--force",
                  "--out", str(out_dir)])
@@ -525,6 +528,26 @@ def test_batch_reports_a_file_too_deep_to_build(tmp_path):
     assert [item["verdict"] for item in doc] == ["SAFE", "ERROR"]
     assert doc[1]["reason"] == \
         "a scenario expression nests too deeply to build"
+
+
+def test_batch_refuses_two_files_that_write_one_trace(tmp_path, capsys):
+    # one name and controller give both runs one trace path: the batch is
+    # an input error before any run, and no file is written; a file that
+    # does not load, read first, is left to its worker
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for stem, horizon in (("a", 3.0), ("b", 2.0)):
+        _write_variant(batch / f"{stem}.yaml", "ship",
+                       lambda m: m.update(horizon=horizon))
+    (batch / "0broken.yaml").write_text("not: [a, scenario\n")
+    out_dir = tmp_path / "results"
+    code = main(["run", "--batch", str(batch), "--out", str(out_dir)])
+    assert code == EXIT_USAGE
+    trace = os.path.join(str(out_dir), "ship_nussbaum.csv")
+    assert capsys.readouterr() == ("", f"error: {batch / 'a.yaml'} and "
+                                   f"{batch / 'b.yaml'} would both write "
+                                   f"the trace {trace}\n")
+    assert not out_dir.exists()
 
 
 def test_batch_empty_directory_is_usage_error(tmp_path, capsys):

@@ -16,8 +16,9 @@ Covers, in order:
    split of the rows into batches that equals one fold over all;
 4. feasibility gating: failing condition reports block a run unless
    forced, and the override is recorded;
-5. CSV export and re-import, which must round-trip bit-exactly, and
-   an import that parses only the columns asked for.
+5. CSV export and re-import, which must round-trip bit-exactly, an
+   import that parses only the columns asked for, and the export of
+   such a trace refused before any file is opened.
 
 Scenario variants are built by editing the mapping of a built-in and
 reloading it, so every variant passes schema validation first.
@@ -627,6 +628,22 @@ def test_csv_parses_only_the_columns_asked_for(tmp_path):
     assert back.column("t") == tr.column("t")
     assert back.column("x") == tr.column("x")
     assert set(back.column("u")) == {None}
+
+
+def test_csv_of_a_partly_parsed_trace_is_refused(tmp_path):
+    # the columns from_csv did not parse are not there to write: to_csv
+    # raises before it opens anything, the source file included
+    tr = simulate(load_builtin("ship"), horizon=0.5)
+    path, other = tmp_path / "trace.csv", tmp_path / "other.csv"
+    tr.to_csv(path)
+    other.write_text("t,x\n0,0\n")
+    before = path.read_bytes(), other.read_bytes()
+    back = SimTrace.from_csv(path, columns=lambda header: ["t", "x"])
+    unparsed = ", ".join(tr.columns[2:])
+    for target in (path, other):
+        with pytest.raises(ValueError, match=f"did not parse: {unparsed}$"):
+            back.to_csv(target)
+    assert (path.read_bytes(), other.read_bytes()) == before
 
 
 def test_csv_with_columns_still_checks_every_line(tmp_path):

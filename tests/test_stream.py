@@ -1,6 +1,6 @@
 """Trace CSV streaming: `simulate(..., out=path)` writes the trace in a
-forked child while the run integrates, and `SimTrace.to_csv(path)`
-waits for it.
+forked child while the run integrates, and returns once that child has
+finished the file and been reaped.
 
 Covers, in order:
 
@@ -9,18 +9,20 @@ Covers, in order:
    ship/nussbaum, electromech/dob_backstepping, electromech/ppc, hold
    mode and an ABORTED partial trace, and the streamed trace has that
    run's monitors bit for bit and reads its rows back from the file;
-   without os.fork, `to_csv` writes the same bytes itself; `to_csv` of
-   the streamed file by any name writes nothing, and a streamed file
-   changed since is not read back; a streamed run's peak memory does not
-   grow with its horizon;
+   without os.fork, `simulate` writes the same bytes itself after the
+   loop and keeps no rows either; `to_csv` of the written file by any
+   name writes nothing, and a written file changed since is not read
+   back; a streamed run's peak memory does not grow with its horizon;
+   when `simulate` returns, the file is complete and no child is left;
 2. runs that raise (CheckFailed, LoopMismatch, an exception or an
    interrupt mid-run, also after the writer child died) leave no file
    and no child, also where a file they truncated was before, but
    remove no device; a failed fork leaves the file that was there and
-   no descriptor; a trace never written out still has its child reaped;
-3. output errors come back from the child as the OSError the in-process
-   write raises, and a child that dies is reported; an output error, a
-   writer that dies and an interrupted in-process write leave no file;
+   no descriptor;
+3. output errors come back from the child and `simulate` raises them
+   as the OSError the in-process write raises, and a child that dies is
+   reported; an output error, a writer that dies and an interrupted
+   in-process write leave no file;
 4. the child never flushes the stdio buffers it inherited: what the run
    printed before it forked appears once;
 5. the generated RK4 step equals the textbook list-comprehension step
@@ -128,24 +130,25 @@ def test_stream_overwrites_an_existing_file(tmp_path):
 
 
 def test_without_fork_to_csv_writes_the_same_bytes(tmp_path, monkeypatch):
+    # without os.fork, simulate writes the file after the loop: when it
+    # returns, the file holds the streamed bytes and the trace no rows
     streamed = tmp_path / "streamed.csv"
-    trace = simulate(load_builtin("ship"), horizon=3.0, out=streamed)
-    trace.to_csv(streamed)
+    simulate(load_builtin("ship"), horizon=3.0, out=streamed)
     monkeypatch.delattr(os, "fork")
     plain = tmp_path / "plain.csv"
     trace = simulate(load_builtin("ship"), horizon=3.0, out=plain)
-    assert trace._stream is None and not plain.exists()
-    trace.to_csv(plain)
+    assert plain.read_bytes() == streamed.read_bytes()
+    assert len(trace.data) == 0 and trace.n_rows == 301
+    trace.to_csv(plain)     # the file simulate wrote: not rewritten
     assert plain.read_bytes() == streamed.read_bytes()
 
 
 def test_to_csv_elsewhere_waits_for_the_stream_first(tmp_path):
     out, other = tmp_path / "out.csv", tmp_path / "other.csv"
     trace = simulate(load_builtin("ship"), horizon=3.0, out=out)
-    trace.to_csv(other)     # reaps the writer of out.csv, then writes
-    assert trace._stream is None
+    trace.to_csv(other)     # reads out.csv back, then writes
     assert out.read_bytes() == other.read_bytes()
-    trace.to_csv(out)       # the file the writer finished: not rewritten
+    trace.to_csv(out)       # the file simulate wrote: not rewritten
     assert out.read_bytes() == other.read_bytes()
 
 
@@ -202,6 +205,16 @@ def test_a_streamed_run_holds_one_batch_of_rows(tmp_path):
         assert trace.n_rows == round(horizon / spec.dt) + 1
     print(f"\n  streamed run peaks at 2,001 / 20,001 rows: {peaks} B")
     assert abs(peaks[1] - peaks[0]) <= 64 * 1024
+
+
+def test_simulate_returns_with_the_file_complete_and_no_child(tmp_path):
+    # the writer child has committed the file and been reaped before
+    # simulate returns, so a trace never written out leaves it complete
+    out = tmp_path / "t.csv"
+    trace = simulate(load_builtin("ship"), horizon=3.0, out=out)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(out.read_text().splitlines()) == trace.n_rows + 1
 
 
 # ═══════════════════════════════════════════════════════════════════
@@ -328,25 +341,14 @@ def test_a_failed_fork_leaves_the_file_and_no_descriptor(tmp_path,
     assert out.read_bytes() == b"x" * 1000
 
 
-def test_a_trace_never_written_out_has_its_child_reaped(tmp_path):
-    out = tmp_path / "dropped.csv"
-    trace = simulate(load_builtin("ship"), horizon=3.0, out=out)
-    n_rows = trace.n_rows
-    del trace       # its finalizer waits for the writer
-    gc.collect()
-    # the committed file is complete without to_csv
-    assert len(out.read_text().splitlines()) == n_rows + 1
-
-
 # ═══════════════════════════════════════════════════════════════════
 # 3. output errors
 # ═══════════════════════════════════════════════════════════════════
 
 def test_missing_directory_raises_the_in_process_error(tmp_path):
     out = tmp_path / "missing" / "x.csv"
-    trace = simulate(load_builtin("ship"), horizon=3.0, out=out)
     with pytest.raises(FileNotFoundError) as streamed:
-        trace.to_csv(out)
+        simulate(load_builtin("ship"), horizon=3.0, out=out)
     with pytest.raises(FileNotFoundError) as plain:
         unstreamed(out, load_builtin("ship"), horizon=3.0)
     assert str(streamed.value) == str(plain.value)
@@ -356,19 +358,34 @@ def test_missing_directory_raises_the_in_process_error(tmp_path):
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs /dev/full")
 def test_full_device_raises_no_space_left():
-    trace = simulate(load_builtin("ship"), horizon=3.0, out="/dev/full")
     with pytest.raises(OSError, match="No space left on device"):
-        trace.to_csv("/dev/full")
+        simulate(load_builtin("ship"), horizon=3.0, out="/dev/full")
+
+
+def record_runs(monkeypatch):
+    """Record the abort reason and the folded rows of each grid loop,
+    which `simulate` does not return when its writer fails."""
+    runs = []
+    integrate = sim._integrate
+
+    def recorded(model, loop, fold, send):
+        reason = integrate(model, loop, fold, send)
+        runs.append((fold.verdict(reason), fold.rows))
+        return reason
+
+    monkeypatch.setattr(sim, "_integrate", recorded)
+    return runs
 
 
 def test_a_writer_that_dies_is_reported(tmp_path, monkeypatch):
-    # the child exits at once with status 7, before it reads any row
+    # the child exits at once with status 7, before it reads any row; the
+    # run still integrates to its horizon, then simulate raises
     monkeypatch.setattr(sim, "_write_stream", lambda *args: 7)
+    runs = record_runs(monkeypatch)
     out = tmp_path / "x.csv"
-    trace = simulate(load_builtin("ship"), horizon=10.0, out=out)
-    assert trace.verdict == "SAFE" and trace.n_rows == 1001
     with pytest.raises(OSError, match="ended with status 7"):
-        trace.to_csv(out)
+        simulate(load_builtin("ship"), horizon=10.0, out=out)
+    assert runs == [("SAFE", 1001)]
 
 
 def test_a_writer_that_dies_in_a_committed_run_leaves_no_file(
@@ -382,11 +399,11 @@ def test_a_writer_that_dies_in_a_committed_run_leaves_no_file(
         os._exit(9)
 
     monkeypatch.setattr(sim, "_write_rows", write_then_die)
+    runs = record_runs(monkeypatch)
     out = tmp_path / "x.csv"
-    trace = simulate(load_builtin("ship"), horizon=10.0, out=out)
-    assert trace.verdict == "SAFE"
     with pytest.raises(OSError, match="ended with status 9"):
-        trace.to_csv(out)
+        simulate(load_builtin("ship"), horizon=10.0, out=out)
+    assert runs == [("SAFE", 1001)]
     assert not out.exists()
 
 
