@@ -457,11 +457,17 @@ def check_conditions(stack: BarrierStack, x0, z1_0, box=None) -> ConditionReport
     else:
         grad = _grad_condition(stack, box)
         bd = rho_budget(stack.proxy, stack.rho)
-        verdict = "pass" if bd["value"] <= bd["bound"] else "fail"
-        budget = ConditionCheck(
-            verdict,
-            f"sup budget {bd['value']:.6g} vs bound {bd['bound']:.6g} "
-            f"(margin {bd['margin']:.6g})", bd)
+        value, bound = bd["value"], bd["bound"]
+        detail = (f"sup budget {value:.6g} vs bound {bound:.6g} "
+                  f"(margin {bd['margin']:.6g})")
+        # a value that overflowed, or a bound that underflowed, decides
+        # nothing: inf <= inf and 0 <= 0 hold where the reals may not
+        verdict = "pass" if value <= bound else "fail"
+        if not math.isfinite(value):
+            verdict, detail = "fail", f"{detail}: the budget overflows"
+        elif bound == 0.0:
+            verdict, detail = "fail", f"{detail}: the bound underflows to 0"
+        budget = ConditionCheck(verdict, detail, bd)
 
     mu0 = [float(z1_0)] + [0.0] * (proxy.m - 1)
     binding = {"x": float(x0), "t": 0.0, **dict(zip(stack.mu_vars, mu0))}

@@ -132,8 +132,16 @@ def _load_spec(target: str):
     raise ScenarioError(f"no scenario file or built-in named '{target}'")
 
 
-def _num(value: float):
-    return value if math.isfinite(value) else repr(value)
+def _num(value):
+    """`value` with every non-finite float in it, also inside lists and
+    dicts, written as its repr string: strict JSON has no inf or nan."""
+    if isinstance(value, dict):
+        return {key: _num(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_num(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    return value
 
 
 def cmd_check(args) -> int:
@@ -149,7 +157,7 @@ def cmd_check(args) -> int:
                 doc.append({"barrier": k, "condition": label,
                             "verdict": check.verdict, "detail": check.detail,
                             "data": check.data})
-        print(json.dumps(doc, indent=2, default=repr))
+        print(json.dumps(_num(doc), indent=2, default=repr))
     else:
         for k, rep in enumerate(reports, start=1):
             if len(reports) > 1:

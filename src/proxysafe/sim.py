@@ -35,18 +35,19 @@ The run collects its grid rows as raw doubles, row after row in one
 `array('d')`, a batch of `_BATCH_ROWS` rows at a time.  The summary
 monitors and the verdict's NaN scan are folded over each batch as it
 completes (`_Fold`), reading strided memoryviews of it with no copy.
+`_integrate` yields each batch to the one consumer `simulate` picks.
 Without an output path the batches are kept, joined in `SimTrace.data`
 (8 bytes a value), and `SimTrace.column` copies a column out as a
-strided slice of it.  Given an output path, `simulate` returns once the
-trace CSV there is complete, and the trace it returns keeps no rows:
-reading a column reads the file back.  Where `os.fork` exists, a writer
-child forked once the run's start checks have passed is sent each batch,
-which the run then drops, so the run holds one batch of rows, not all
-of them; `simulate` waits for that child before it returns.  Elsewhere
-the run keeps its rows and writes them after the loop.  Either way the
-file goes through `_write_csv`, the one writer `SimTrace.to_csv` uses
-too, so it is the same byte for byte, and a write that fails or does
-not finish removes its file when the path is regular (`_regular`).
+strided slice of it.  Given an output path, each batch is written to
+the trace CSV there while the run integrates, by a writer child forked
+once the run's start checks have passed (`_write_forked`), or in process
+where `os.fork` does not exist, and then dropped: the run holds one
+batch of rows, not all of them.  `simulate` returns once the file is
+complete, and the trace it returns keeps no rows: reading a column
+reads the file back.  Either way the file goes through `_write_csv`,
+the one writer `SimTrace.to_csv` uses too, so it is the same byte for
+byte, and a run or a write that fails or does not finish removes its
+file when the path is regular (`_regular`).
 The RK4 step itself is generated once per state length as
 straight-line code.
 """
@@ -83,7 +84,7 @@ H_TOL = 1e-6     # verdict slack on the barrier values
 E_TOL = 1e-9     # verdict slack on the funnel bound
 # step cap of one run: without an output file every grid row stays in
 # memory, 8 bytes a value (about 300 MB at the cap for ship's 19 columns);
-# a run that streams its rows to a file holds one batch of them
+# a run written to a file holds one batch of them
 MAX_STEPS = 2_000_000
 
 _ABORTS = (Infeasible, BarrierBreach, FunnelBreach, SingularGain, EvalError)
@@ -384,21 +385,29 @@ def _leave_parent_cpu() -> None:
         os.sched_setaffinity(0, others)
 
 
-class _TraceStream:
-    """A forked child that writes a run's trace CSV while the run
-    integrates; a context manager around the run, which `send`s it the
-    rows.
+def _put(fd, rows: array, width: int) -> None:
+    """Send the row-major `rows` down the pipe `fd`, headed by their
+    count, unless the reader has ended (its exit status tells why)."""
+    view = memoryview(array("d", [len(rows) // width]) + rows).cast("B")
+    with contextlib.suppress(BrokenPipeError):
+        while view:
+            view = view[os.write(fd, view):]
 
-    The run sends grid rows in batches over a pipe as raw doubles, each
-    batch headed by its row count; a batch of no rows commits the file.
+
+def _write_forked(path, columns, batches) -> None:
+    """`_write_csv` of the row-major `batches` in a forked child, which
+    writes the trace CSV while the run yielding them integrates.
+
+    Each batch goes over a pipe as raw doubles, headed by its row count;
+    a batch of no rows commits the file once `batches` is exhausted.
     The child writes through `_write_csv`, as `SimTrace.to_csv` does, so
     it removes its file itself when the stream ends without the commit
     or a write fails.  It stops at the first OSError and sends it back
-    pickled over a second pipe.  Leaving the context commits the stream
-    when the run returned, or ends it without the commit when the run
-    raised, and then waits for the child.  A child that dies without
-    reporting may leave part of the file, which is then removed, where it
-    is regular.  After a run that returned, the OSError the child
+    pickled over a second pipe; the run still goes on to its end, its
+    later batches unsent.  When the batches end, or the run raises, the
+    pipe is closed and the child waited for.  A child that dies without
+    reporting may leave part of the file, which is then removed, where
+    it is regular.  After a run that returned, the OSError the child
     reported, or one for a child that died, is raised; after a run that
     raised, the run's exception wins.  Nothing is opened before the
     fork, and a device or a FIFO is never removed.  The child runs off
@@ -406,76 +415,48 @@ class _TraceStream:
     os._exit, so it runs no exit handler and flushes none of the stdio
     buffers it inherited.
     """
-
-    def __init__(self, path, columns):
-        self.path = os.fspath(path)
-        self.regular = _regular(self.path)
-        self.width = len(columns)
-        fds: list = []
+    regular = _regular(path)
+    fds: list = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except BaseException:
+        for fd in fds:
+            os.close(fd)
+        raise
+    data_r, data_w, err_r, err_w = fds
+    if pid == 0:
+        status = 1
         try:
-            fds += os.pipe()
-            fds += os.pipe()
-            pid = os.fork()
-        except BaseException:
-            for fd in fds:
-                os.close(fd)
-            raise
-        data_r, data_w, err_r, err_w = fds
-        if pid == 0:
-            status = 1
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                _leave_parent_cpu()
-                os.close(data_w)    # else the child never sees the end
-                os.close(err_r)
-                with open(data_r, "rb") as src:
-                    status = _write_stream(self.path, columns, src, err_w)
-            finally:
-                os._exit(status)
-        os.close(data_r)
-        os.close(err_w)
-        self.pid, self.fd, self.err_fd = pid, data_w, err_r
-
-    def _put(self, values: array) -> None:
-        view = memoryview(values).cast("B")
-        try:
-            while view and self.fd is not None:
-                view = view[os.write(self.fd, view):]
-        except BrokenPipeError:     # the child ended; __exit__ reports why
-            self._close()
-
-    def _close(self) -> None:
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
-
-    def send(self, batch: array) -> None:
-        """Send the rows of the row-major `batch`, headed by their count."""
-        if batch:
-            self._put(array("d", [len(batch) // self.width]))
-            self._put(batch)
-
-    def __enter__(self):
-        return self.send
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self._put(array("d", [0.0]))    # the commit
-        self._close()
-        with open(self.err_fd, "rb") as fh:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            _leave_parent_cpu()
+            os.close(data_w)    # else the child never sees the end
+            os.close(err_r)
+            with open(data_r, "rb") as src:
+                status = _write_stream(path, columns, src, err_w)
+        finally:
+            os._exit(status)
+    os.close(data_r)
+    os.close(err_w)
+    try:
+        for batch in batches:
+            if batch:
+                _put(data_w, batch, len(columns))
+        _put(data_w, array("d"), len(columns))      # no rows: the commit
+    finally:
+        os.close(data_w)
+        with open(err_r, "rb") as fh:
             report = fh.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        if code and not report and self.regular:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code and not report and regular:
             with contextlib.suppress(OSError):
-                os.unlink(self.path)
-        if exc_type is not None:
-            return      # the run's exception wins
-        if report:
-            import pickle
-            raise pickle.loads(report)
-        if code:
-            raise OSError(f"trace writer for {self.path} ended with "
-                          f"status {code}")
+                os.unlink(path)
+    if report:
+        import pickle
+        raise pickle.loads(report)
+    if code:
+        raise OSError(f"trace writer for {path} ended with status {code}")
 
 
 class RuntimeModel:
@@ -496,7 +477,7 @@ class RuntimeModel:
         if self.horizon / self.dt > MAX_STEPS:
             raise ScenarioError(
                 f"horizon/dt = {self.horizon / self.dt:.3g} steps exceeds "
-                f"the cap of {MAX_STEPS:,} (every row stays in memory)")
+                f"the cap of {MAX_STEPS:,} steps per run")
         if self.hold_dt is not None and self.hold_dt < self.dt:
             raise ScenarioError("hold_dt must be at least dt")
         plant = spec.plant
@@ -819,6 +800,7 @@ class _Fold:
         self.max_e_excess = -math.inf
         self.max_e_over_rho = None      # started by the first row's value
         self.nan = False
+        self.reason = None      # the run's abort reason
 
     def add(self, batch: array) -> None:
         """Fold the rows of the row-major `batch`."""
@@ -870,20 +852,18 @@ class _Fold:
         return "SAFE" if safe else "UNSAFE"
 
 
-def _integrate(model: RuntimeModel, loop: ClosedLoop, fold: _Fold,
-               send) -> str | None:
-    """Run the grid loop; return its abort reason (None when it reached
-    the horizon).  The grid rows are collected row after row in one
+def _integrate(model: RuntimeModel, loop: ClosedLoop, fold: _Fold):
+    """Run the grid loop, yielding its rows row after row in one
     `array('d')`, `_BATCH_ROWS` rows at a time: each batch is folded into
-    `fold`, passed to `send`, which sends or copies it, and then cleared,
-    so the loop itself holds one batch of rows at most."""
+    `fold`, yielded, and cleared once the consumer asks for the next, so
+    the loop itself holds one batch of rows at most.  The abort reason is
+    left in `fold.reason` (None when the loop reached the horizon)."""
     model.qp_fallbacks = 0
     batch = array("d")
     state = model.initial_state()
     n_steps = max(1, int(round(model.horizon / model.dt)))
     step = _rk4_body(model.dim)
     flush_at = _BATCH_ROWS
-    reason = None
     stage = loop.stage
     held = None
     next_hold = 0.0
@@ -902,21 +882,20 @@ def _integrate(model: RuntimeModel, loop: ClosedLoop, fold: _Fold,
             state = step(stage, state, t_prev, model.dt, k1)
             t = k * model.dt
             if not all(map(math.isfinite, state)):
-                reason = f"non-finite state at t={t:.6g}"
+                fold.reason = f"non-finite state at t={t:.6g}"
                 break
             refresh = model.hold_dt is not None and t >= next_hold - 1e-12
             k1, row, ctrl = loop.point(state, t, None if refresh else held)
             batch.fromlist(row)
             if k + 1 == flush_at:       # k + 1 rows so far
                 fold.add(batch)
-                send(batch)
+                yield batch
                 del batch[:]
                 flush_at += _BATCH_ROWS
     except _ABORTS as exc:
-        reason = f"{type(exc).__name__}: {exc}"
+        fold.reason = f"{type(exc).__name__}: {exc}"
     fold.add(batch)
-    send(batch)
-    return reason
+    yield batch
 
 
 def simulate(spec: ScenarioSpec, controller: str | None = None,
@@ -931,18 +910,19 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
     on the generated closed loop, checked against the reference
     composition over its first step.
 
-    With `out`, a path, `simulate` returns once the trace CSV there is
-    complete, and the returned trace keeps no rows (`SimTrace`);
-    `trace.to_csv(out)` then writes nothing.  The file is written while
-    the run integrates, by a forked child that the rows stream to, and
-    where `os.fork` does not exist, after the loop.  An output error, or
-    a writer that dies, raises its OSError from `simulate`.  A run that
-    raises leaves no child behind.  A failed check, `LoopMismatch` or a
-    failed fork raises before the file is opened, so a file already at
-    `out` is untouched.  Once it is open, an exception or an interrupt
-    mid-run, an output error and a writer that dies each leave no regular
-    file at `out`: neither the partial trace nor the file that was there
-    before.  A device or a FIFO is never removed.
+    With `out`, a path, the trace CSV there is written while the run
+    integrates, by a forked child that the rows stream to, and in process
+    where `os.fork` does not exist; either way the run holds one batch of
+    rows.  `simulate` returns once the file is complete, and the returned
+    trace keeps no rows (`SimTrace`); `trace.to_csv(out)` then writes
+    nothing.  An output error, or a writer that dies, raises its OSError
+    from `simulate`.  A run that raises leaves no child behind.  A failed
+    check, `LoopMismatch` or a failed fork raises before the file is
+    opened, so a file already at `out` is untouched.  Once it is open, an
+    exception or an interrupt mid-run, an output error and a writer that
+    dies each leave no regular file at `out`: neither the partial trace
+    nor the file that was there before.  A device or a FIFO is never
+    removed.
     """
     model = RuntimeModel(spec, controller=controller, dt=dt, horizon=horizon)
     monitors: dict = {}
@@ -958,19 +938,21 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
 
     columns = loop.columns
     fold = _Fold(model, columns)
+    batches = _integrate(model, loop, fold)
     data = array("d")
-    streamed = out is not None and hasattr(os, "fork")
-    with _TraceStream(out, columns) if streamed else \
-            contextlib.nullcontext(data.extend) as send:
-        reason = _integrate(model, loop, fold, send)
-    if out is not None and not streamed:
-        _write_csv(out, columns, [_row_tuples(data, len(columns))])
-        data = array("d")
+    if out is None:
+        for batch in batches:
+            data.extend(batch)
+    elif hasattr(os, "fork"):
+        _write_forked(out, columns, batches)
+    else:
+        _write_csv(out, columns, (_row_tuples(batch, len(columns))
+                                  for batch in batches))
     monitors.update(fold.monitors(), qp_fallbacks=float(model.qp_fallbacks),
                     steps=float(fold.rows - 1))
     trace = SimTrace(scenario=spec.name, controller=model.kind,
                      columns=columns, data=data,
-                     verdict=fold.verdict(reason), reason=reason,
+                     verdict=fold.verdict(fold.reason), reason=fold.reason,
                      monitors=monitors)
     if out is not None:
         trace._parsed = (fold.rows, None)

@@ -14,9 +14,11 @@ Covers, in order:
    (d/dt + lambda) application computed analytically in the test, and
    the y0-coefficient equals the product of the lambdas;
 5. the three feasibility condition checks, including the exact budget
-   margin, the vanishing-gradient condition proven by bisection (at the
-   root cell and near a vanishing point), falsified at a witness, and
-   left inconclusive past the cell budget, and initial-state failures;
+   margin, a budget that never passes on an overflowed value or an
+   underflowed bound, the vanishing-gradient condition proven by
+   bisection (at the root cell and near a vanishing point), falsified at
+   a witness, and left inconclusive past the cell budget, and
+   initial-state failures;
 6. evaluation plumbing: y binding, saturation deep inside the safe
    set, argument validation.
 
@@ -399,6 +401,27 @@ def test_budget_decaying_funnel():
     bd = rho_budget(chain_proxy(), RhoSpec(0.85, 0.05, 10.0))
     assert abs(bd["value"] - 0.7403125) <= 1e-12
     assert abs(bd["bound"] - 1500.0) <= 1e-12
+
+
+@pytest.mark.parametrize("lambdas, betas, verdict, cause", [
+    # about 1e320 against 1e310 in exact arithmetic: both overflow to inf
+    ((1e10, 1e300), (5e23,), "fail", ": the budget overflows"),
+    # 4e-203 against 1e-400, which underflows to 0
+    ((1e-200, 1e-200), (20.0,), "fail", ": the bound underflows to 0"),
+    # 4e197 stays finite under a bound of 1e400, which overflows
+    ((1e200, 1e200), (20.0,), "pass", ""),
+], ids=["value overflow", "bound underflow", "bound overflow"])
+def test_budget_never_passes_on_an_overflow(lambdas, betas, verdict, cause):
+    proxy = ProxySpec(m=1, f0=Const(0.0), g0=Const(1.0),
+                      h=parse("pi^2/81 - x^2"), xi=XI_SHIP,
+                      lambdas=lambdas, betas=betas)
+    stack = build_barrier_stack(proxy, RhoSpec(0.02, 0.02))
+    check = check_conditions(stack, 0.0, 0.0, box=SHIP_BOX).budget_check
+    bd = check.data
+    assert check.verdict == verdict
+    assert check.detail == (f"sup budget {bd['value']:.6g} vs bound "
+                            f"{bd['bound']:.6g} (margin {bd['margin']:.6g})"
+                            + cause)
 
 
 def test_gradient_condition_proven_near_the_vanishing_point():

@@ -2,12 +2,13 @@
 
 Coverage:
   1. `scenarios` listing
-  2. `check`: pass/fail output, margins, JSON mode, exit codes, and a
-     check that cannot be evaluated or a controller past the node cap,
-     each an input error for `check`, `run`, `run --force` and
-     `--batch` alike
+  2. `check`: pass/fail output, margins, JSON mode (strict JSON also
+     past an overflow), exit codes, and a check that cannot be evaluated
+     or a controller past the node cap, each an input error for `check`,
+     `run`, `run --force` and `--batch` alike
   3. `run`: summary block, trace file, overrides, default naming,
-     forced runs, aborted runs, output errors, exit codes
+     forced runs, aborted runs, output errors, a grid past the step
+     cap, exit codes
   4. `plot`: panel files, only the plotted columns parsed, errors for
      bad inputs
   5. `--batch`: concurrent directory runs with isolated outputs, a
@@ -115,6 +116,28 @@ def test_check_json_mode(capsys):
     assert all(item["barrier"] == 1 for item in doc)
     budget = next(i for i in doc if i["condition"] == "budget")
     assert budget["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("lambdas, betas, verdict", [
+    ([1e10, 1e300], [5e23], "fail"),    # budget inf, bound inf, margin nan
+    ([1e200, 1e200], [20], "pass"),     # bound inf, margin inf
+], ids=["value overflow", "bound overflow"])
+def test_check_json_is_strict_json_past_overflow(lambdas, betas, verdict,
+                                                 tmp_path, capsys):
+    def mutate(m):
+        m["proxy"][0].update(lambdas=lambdas, betas=betas)
+
+    path = _write_variant(tmp_path / "big.yaml", "ship", mutate)
+    code = main(["check", path, "--json"])
+    assert code == (EXIT_OK if verdict == "pass" else EXIT_CHECK)
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    budget = next(i for i in doc if i["condition"] == "budget")
+    assert budget["verdict"] == verdict
+    assert budget["data"]["bound"] == "inf"
 
 
 def test_check_unknown_name_is_usage_error(capsys):
@@ -334,6 +357,17 @@ def test_run_into_a_missing_directory_is_an_error(tmp_path, capsys):
     assert "No such file or directory" in captured.err
     assert captured.out == ""
     assert not out_csv.exists() and not out_csv.parent.exists()
+
+
+def test_run_past_the_step_cap_is_an_error(tmp_path, capsys):
+    out_csv = tmp_path / "x.csv"
+    code = main(["run", "ship", "--horizon", "30000", "--out", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err == ("error: horizon/dt = 3e+06 steps exceeds the cap "
+                            "of 2,000,000 steps per run\n")
+    assert captured.out == ""
+    assert not out_csv.exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),

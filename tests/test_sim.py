@@ -111,8 +111,8 @@ def test_initial_state_layout_electromech():
 
 
 def test_step_grid_is_validated_where_the_model_is_built():
-    """A step longer than the horizon, and a grid of more than 2,000,000
-    steps (every row stays in memory), are rejected by RuntimeModel for
+    """A step longer than the horizon, and a grid of more than the
+    2,000,000 steps one run may take, are rejected by RuntimeModel for
     file values and overrides alike, before any run starts."""
     ship = load_builtin("ship")
     with pytest.raises(ScenarioError, match="exceeds the horizon"):

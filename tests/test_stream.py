@@ -1,6 +1,6 @@
-"""Trace CSV streaming: `simulate(..., out=path)` writes the trace in a
-forked child while the run integrates, and returns once that child has
-finished the file and been reaped.
+"""Trace CSV streaming: `simulate(..., out=path)` writes the trace while
+the run integrates, in a forked child or, without os.fork, in process,
+and returns once the file is finished and any child reaped.
 
 Covers, in order:
 
@@ -9,16 +9,17 @@ Covers, in order:
    ship/nussbaum, electromech/dob_backstepping, electromech/ppc, hold
    mode and an ABORTED partial trace, and the streamed trace has that
    run's monitors bit for bit and reads its rows back from the file;
-   without os.fork, `simulate` writes the same bytes itself after the
+   without os.fork, `simulate` writes the same bytes itself during the
    loop and keeps no rows either; `to_csv` of the written file by any
    name writes nothing, and a written file changed since is not read
-   back; a streamed run's peak memory does not grow with its horizon;
-   when `simulate` returns, the file is complete and no child is left;
+   back; a streamed run's peak memory does not grow with its horizon,
+   with os.fork or without; when `simulate` returns, the file is
+   complete and no child is left;
 2. runs that raise (CheckFailed, LoopMismatch, an exception or an
    interrupt mid-run, also after the writer child died) leave no file
-   and no child, also where a file they truncated was before, but
-   remove no device; a failed fork leaves the file that was there and
-   no descriptor;
+   and no child, also where a file they truncated was before, with
+   os.fork or without, but remove no device; a failed fork leaves the
+   file that was there and no descriptor;
 3. output errors come back from the child and `simulate` raises them
    as the OSError the in-process write raises, and a child that dies is
    reported; an output error, a writer that dies and an interrupted
@@ -28,7 +29,8 @@ Covers, in order:
 5. the generated RK4 step equals the textbook list-comprehension step
    bit for bit.
 
-Every test ends with no child process of this one left (`no_children`).
+Every test ends with no child process of this one left (`no_children`,
+in conftest.py).
 """
 
 import gc
@@ -52,13 +54,6 @@ from scenario_variants import variant
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
-
-
-@pytest.fixture(autouse=True)
-def no_children():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def unstreamed(path, spec, **kw):
@@ -130,8 +125,9 @@ def test_stream_overwrites_an_existing_file(tmp_path):
 
 
 def test_without_fork_to_csv_writes_the_same_bytes(tmp_path, monkeypatch):
-    # without os.fork, simulate writes the file after the loop: when it
-    # returns, the file holds the streamed bytes and the trace no rows
+    # without os.fork, simulate writes the file in process during the
+    # loop: when it returns, the file holds the streamed bytes and the
+    # trace no rows
     streamed = tmp_path / "streamed.csv"
     simulate(load_builtin("ship"), horizon=3.0, out=streamed)
     monkeypatch.delattr(os, "fork")
@@ -205,6 +201,12 @@ def test_a_streamed_run_holds_one_batch_of_rows(tmp_path):
         assert trace.n_rows == round(horizon / spec.dt) + 1
     print(f"\n  streamed run peaks at 2,001 / 20,001 rows: {peaks} B")
     assert abs(peaks[1] - peaks[0]) <= 64 * 1024
+
+
+def test_without_fork_a_run_holds_one_batch_of_rows(tmp_path, monkeypatch):
+    # written in process, each batch is dropped once it is written
+    monkeypatch.delattr(os, "fork")
+    test_a_streamed_run_holds_one_batch_of_rows(tmp_path)
 
 
 def test_simulate_returns_with_the_file_complete_and_no_child(tmp_path):
@@ -303,6 +305,16 @@ def test_exception_mid_run_removes_only_a_regular_file(exc_type, target,
     assert unlinked == ({out} if target == "existing file" else set())
 
 
+@pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("target", ["existing file", "device"])
+def test_without_fork_an_exception_mid_run_removes_only_a_regular_file(
+        exc_type, target, tmp_path, monkeypatch):
+    # the same holds where the file is written in process
+    monkeypatch.delattr(os, "fork")
+    test_exception_mid_run_removes_only_a_regular_file(
+        exc_type, target, tmp_path, monkeypatch)
+
+
 def test_exception_after_the_writer_died_leaves_no_file(tmp_path,
                                                         monkeypatch):
     # the child writes its first batch and dies; the run then raises
@@ -368,10 +380,9 @@ def record_runs(monkeypatch):
     runs = []
     integrate = sim._integrate
 
-    def recorded(model, loop, fold, send):
-        reason = integrate(model, loop, fold, send)
-        runs.append((fold.verdict(reason), fold.rows))
-        return reason
+    def recorded(model, loop, fold):
+        yield from integrate(model, loop, fold)
+        runs.append((fold.verdict(fold.reason), fold.rows))
 
     monkeypatch.setattr(sim, "_integrate", recorded)
     return runs
