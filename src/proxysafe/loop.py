@@ -26,6 +26,10 @@ Three functions are generated:
     stage_held(s, t, held)  -> derivative under given control outputs
     point(s, t, held)       -> (derivative, trace row, control outputs)
 
+`stage` and `point` are generated with the `ClosedLoop`; `stage_held`
+on its first use, since only a run in hold mode and a grid point whose
+derivative failed call it.
+
 Control outputs are the tuple (nu_d, nu, u, dzeta, dtheta), which
 `RuntimeModel.controls` returns too.  With `held` given, `point` still
 evaluates the controls, for their checks and the logged controller
@@ -37,6 +41,8 @@ that row and fails in the next step.
 """
 
 from __future__ import annotations
+
+import functools
 
 from proxysafe import filter as filter_mod
 from proxysafe.barrier import CHI_SATURATE, chi_expr
@@ -60,7 +66,8 @@ class ClosedLoop:
     and the column names of the rows `point` logs."""
 
     def __init__(self, model):
-        namespace = {
+        self._model = model
+        self._namespace = {
             "_abs": abs, "_sum": sum, "_RAW": (ValueError, ArithmeticError),
             "_fault": model.domain_error, "_model": model,
             "_pair": filter_mod.solve_cbf_qp_pair,
@@ -68,13 +75,18 @@ class ClosedLoop:
             "_BarrierBreach": BarrierBreach, "_FunnelBreach": FunnelBreach,
         }
         self.stage = _Writer(model).stage().function(
-            "_stage", "s, t", namespace)
-        self.stage_held = _Writer(model).stage_held().function(
-            "_stage_held", "s, t, held", namespace)
+            "_stage", "s, t", self._namespace)
         writer = _Writer(model)
         self.point = writer.point().function("_point", "s, t, held",
-                                             namespace)
+                                             self._namespace)
         self.columns = writer.columns
+
+    @functools.cached_property
+    def stage_held(self):
+        """The stage under given control outputs, generated when first
+        read."""
+        return _Writer(self._model).stage_held().function(
+            "_stage_held", "s, t, held", self._namespace)
 
 
 class _Writer:

@@ -9,7 +9,9 @@ the expression engine at load time, so new systems need no code changes.
 
 Loading validates shapes, positivity, and controller premises, and keeps
 the normalized mapping alongside the typed objects so a loaded scenario
-serializes back to an identical file.
+serializes back to an identical file.  The text is parsed with libyaml
+(`yaml.CSafeLoader`) where PyYAML has it; a text it rejects is parsed
+again by the pure-Python loader, whose message the error carries.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from importlib import resources
 
 import yaml
 
@@ -359,9 +360,15 @@ def _deep_copy(value):
 
 def loads_scenario(text: str) -> ScenarioSpec:
     try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"not valid YAML: {exc}") from None
+        # libyaml's parser, where PyYAML was built with it, is the faster
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
+                                              yaml.SafeLoader))
+    except yaml.YAMLError:
+        # the pure-Python parser words the error, as the message always was
+        try:
+            data = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ScenarioError(f"not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise ScenarioError("scenario: expected a top-level mapping")
     for key in ("name", "plant", "proxy", "rho", "controller", "controllers",
@@ -468,15 +475,18 @@ def save_scenario(spec: ScenarioSpec, path) -> None:
         fh.write(dumps_scenario(spec))
 
 
+def _builtin_root():
+    from importlib import resources     # a scenario file needs none
+    return resources.files("proxysafe") / "scenarios"
+
+
 def builtin_names() -> list:
-    root = resources.files("proxysafe") / "scenarios"
-    return sorted(p.name[:-5] for p in root.iterdir()
+    return sorted(p.name[:-5] for p in _builtin_root().iterdir()
                   if p.name.endswith(".yaml"))
 
 
 def load_builtin(name: str) -> ScenarioSpec:
-    root = resources.files("proxysafe") / "scenarios"
-    entry = root / f"{name}.yaml"
+    entry = _builtin_root() / f"{name}.yaml"
     if not entry.is_file():
         raise ScenarioError(
             f"no built-in scenario '{name}' (available: "

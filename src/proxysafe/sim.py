@@ -47,7 +47,8 @@ complete, and the trace it returns keeps no rows: reading a column
 reads the file back.  Either way the file goes through `_write_csv`,
 the one writer `SimTrace.to_csv` uses too, so it is the same byte for
 byte, and a run or a write that fails or does not finish removes its
-file when the path is regular (`_regular`).
+file when the path is regular (`_regular`).  A writer child that ends
+early stops the run at the next batch it would take.
 The RK4 step itself is generated once per state length as
 straight-line code.
 """
@@ -60,7 +61,6 @@ import itertools
 import math
 import operator
 import os
-import signal
 from array import array
 from dataclasses import dataclass, field
 
@@ -74,7 +74,6 @@ from proxysafe.dob import dob_derivative, dob_outputs, filter_derivative
 from proxysafe.expr import DomainError, EvalError, compile_expr, evaluate
 from proxysafe.filter import FEAS_TOL, Infeasible, project_halfspace, \
     solve_cbf_qp_pair
-from proxysafe.loop import ClosedLoop
 from proxysafe.scenario import ScenarioError, ScenarioSpec
 
 __all__ = ["CheckFailed", "LoopMismatch", "RunDomainError", "SimTrace",
@@ -385,13 +384,16 @@ def _leave_parent_cpu() -> None:
         os.sched_setaffinity(0, others)
 
 
-def _put(fd, rows: array, width: int) -> None:
+def _put(fd, rows: array, width: int) -> bool:
     """Send the row-major `rows` down the pipe `fd`, headed by their
-    count, unless the reader has ended (its exit status tells why)."""
+    count; False when the reader has ended (its exit status tells why)."""
     view = memoryview(array("d", [len(rows) // width]) + rows).cast("B")
-    with contextlib.suppress(BrokenPipeError):
+    try:
         while view:
             view = view[os.write(fd, view):]
+    except BrokenPipeError:
+        return False
+    return True
 
 
 def _write_forked(path, columns, batches) -> None:
@@ -403,11 +405,12 @@ def _write_forked(path, columns, batches) -> None:
     The child writes through `_write_csv`, as `SimTrace.to_csv` does, so
     it removes its file itself when the stream ends without the commit
     or a write fails.  It stops at the first OSError and sends it back
-    pickled over a second pipe; the run still goes on to its end, its
-    later batches unsent.  When the batches end, or the run raises, the
-    pipe is closed and the child waited for.  A child that dies without
-    reporting may leave part of the file, which is then removed, where
-    it is regular.  After a run that returned, the OSError the child
+    pickled over a second pipe.  The run stops too, at the first batch
+    the pipe no longer takes: `batches`, a generator, is closed there.
+    When the batches end or stop, or the run raises, the pipe is closed
+    and the child waited for.  A child that dies without reporting may
+    leave part of the file, which is then removed, where it is regular.
+    After a run that returned or stopped, the OSError the child
     reported, or one for a child that died, is raised; after a run that
     raised, the run's exception wins.  Nothing is opened before the
     fork, and a device or a FIFO is never removed.  The child runs off
@@ -429,6 +432,7 @@ def _write_forked(path, columns, batches) -> None:
     if pid == 0:
         status = 1
         try:
+            import signal
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             _leave_parent_cpu()
             os.close(data_w)    # else the child never sees the end
@@ -441,9 +445,11 @@ def _write_forked(path, columns, batches) -> None:
     os.close(err_w)
     try:
         for batch in batches:
-            if batch:
-                _put(data_w, batch, len(columns))
-        _put(data_w, array("d"), len(columns))      # no rows: the commit
+            if batch and not _put(data_w, batch, len(columns)):
+                batches.close()     # the writer has ended: so does the run
+                break
+        else:
+            _put(data_w, array("d"), len(columns))      # no rows: the commit
     finally:
         os.close(data_w)
         with open(err_r, "rb") as fh:
@@ -740,7 +746,7 @@ def _first_step(model: RuntimeModel, steps) -> dict:
     return out
 
 
-def _check_start(model: RuntimeModel, loop: ClosedLoop) -> None:
+def _check_start(model: RuntimeModel, loop) -> None:
     """Compute the t=0 row and the first step through the reference
     composition and through the generated loop; raise LoopMismatch
     unless they agree bit for bit, abort reason and fallbacks included."""
@@ -852,11 +858,12 @@ class _Fold:
         return "SAFE" if safe else "UNSAFE"
 
 
-def _integrate(model: RuntimeModel, loop: ClosedLoop, fold: _Fold):
-    """Run the grid loop, yielding its rows row after row in one
-    `array('d')`, `_BATCH_ROWS` rows at a time: each batch is folded into
-    `fold`, yielded, and cleared once the consumer asks for the next, so
-    the loop itself holds one batch of rows at most.  The abort reason is
+def _integrate(model: RuntimeModel, loop, fold: _Fold):
+    """Run the grid loop of the generated `loop.ClosedLoop` `loop`,
+    yielding its rows row after row in one `array('d')`, `_BATCH_ROWS`
+    rows at a time: each batch is folded into `fold`, yielded, and
+    cleared once the consumer asks for the next, so the loop itself
+    holds one batch of rows at most.  The abort reason is
     left in `fold.reason` (None when the loop reached the horizon)."""
     model.qp_fallbacks = 0
     batch = array("d")
@@ -908,21 +915,22 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
     trace monitors; a check that cannot be evaluated raises the
     ScenarioError of `RuntimeModel.run_checks` either way.  The loop runs
     on the generated closed loop, checked against the reference
-    composition over its first step.
+    composition over its first step.  `loop.ClosedLoop` is imported
+    here, so a process that only checks never loads the generator.
 
     With `out`, a path, the trace CSV there is written while the run
     integrates, by a forked child that the rows stream to, and in process
     where `os.fork` does not exist; either way the run holds one batch of
     rows.  `simulate` returns once the file is complete, and the returned
     trace keeps no rows (`SimTrace`); `trace.to_csv(out)` then writes
-    nothing.  An output error, or a writer that dies, raises its OSError
-    from `simulate`.  A run that raises leaves no child behind.  A failed
-    check, `LoopMismatch` or a failed fork raises before the file is
-    opened, so a file already at `out` is untouched.  Once it is open, an
-    exception or an interrupt mid-run, an output error and a writer that
-    dies each leave no regular file at `out`: neither the partial trace
-    nor the file that was there before.  A device or a FIFO is never
-    removed.
+    nothing.  An output error, or a writer that dies, stops the run at
+    the next batch it sends and raises its OSError from `simulate`.  A
+    run that raises leaves no child behind.  A failed check,
+    `LoopMismatch` or a failed fork raises before the file is opened, so
+    a file already at `out` is untouched.  Once it is open, an exception
+    or an interrupt mid-run, an output error and a writer that dies each
+    leave no regular file at `out`: neither the partial trace nor the
+    file that was there before.  A device or a FIFO is never removed.
     """
     model = RuntimeModel(spec, controller=controller, dt=dt, horizon=horizon)
     monitors: dict = {}
@@ -933,6 +941,7 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
     if bad:
         monitors["check_forced"] = 1.0
 
+    from proxysafe.loop import ClosedLoop   # so `check` never loads it
     loop = ClosedLoop(model)
     _check_start(model, loop)
 

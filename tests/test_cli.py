@@ -14,8 +14,10 @@ Coverage:
   5. `--batch`: concurrent directory runs with isolated outputs, a
      broken or too deeply nested file reported in its own entry, two
      files that would write one trace path refused before any run
-  6. usage errors exit with code 1; importing the CLI leaves the
-     process pool of `--batch` out
+  6. usage errors exit with code 1, and a file that is not YAML gives
+     the pure-Python parser's error text, with libyaml or without;
+     importing the CLI leaves the process pool of `--batch` out, `check`
+     loads no closed-loop generator, plots or json, and `run` no plots
   7. `check` output pinned byte for byte: ship, electromech and the m=4
      chain, text and `--json`
 """
@@ -612,6 +614,54 @@ def test_usage_errors_exit_one(argv, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == EXIT_OK
     assert "check" in capsys.readouterr().out
+
+
+NOT_YAML_ERROR = """\
+error: not valid YAML: while parsing a flow sequence
+  in "<unicode string>", line 1, column 6:
+    not: [a, scenario
+         ^
+expected ',' or ']', but got '<stream end>'
+  in "<unicode string>", line 2, column 1:
+    \n    ^
+"""
+
+
+@pytest.mark.parametrize("libyaml", [True, False],
+                         ids=["libyaml", "pure-python"])
+def test_a_file_that_is_not_yaml_keeps_its_error_text(libyaml, tmp_path,
+                                                      capsys, monkeypatch):
+    if libyaml and not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path = tmp_path / "broken.yaml"
+    path.write_text("not: [a, scenario\n")
+    assert main(["check", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == NOT_YAML_ERROR
+
+
+def loaded_modules(argv, cwd):
+    """The modules `python -m proxysafe.cli argv` imports, as -X importtime
+    names them."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "proxysafe.cli", *argv],
+        capture_output=True, text=True, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    return {line.rsplit("|", 1)[1].strip()
+            for line in done.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_a_command_loads_only_what_it_runs(tmp_path):
+    checked = loaded_modules(["check", "ship"], tmp_path)
+    assert "proxysafe.sim" in checked
+    assert not checked & {"proxysafe.loop", "proxysafe.plots", "json"}
+    ran = loaded_modules(["run", "ship", "--horizon", "0.05",
+                          "--out", "x.csv"], tmp_path)
+    assert "proxysafe.loop" in ran
+    assert "proxysafe.plots" not in ran
 
 
 def test_import_leaves_the_process_pool_out():

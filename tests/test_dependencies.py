@@ -5,16 +5,19 @@ Every `[project].dependencies` entry of pyproject.toml must be imported
 somewhere under src/proxysafe, and every third-party module imported
 there must come from a declared distribution.  Import names map to
 distributions through `importlib.metadata.packages_distributions()`.
-Every name in a module's `__all__` and every name the package
-`__init__` imports must resolve, so a stale export fails here rather
-than at a user's `import *`.
+Every name in a module's `__all__` must resolve, and the package
+exports, which load on first use, must be the pinned set, each the
+object its module defines, so a stale export fails here rather than at
+a user's `import *`.
 """
 
 import ast
 import importlib
 import importlib.metadata
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -76,16 +79,53 @@ def test_every_name_in_all_resolves(name):
     exec(f"from proxysafe.{name} import *", {})
 
 
+# the package's exports by defining module
+EXPORTS = {
+    "expr": "Expr Const Var Call parse differentiate simplify evaluate "
+            "compile_expr compile_exprs ExprError ParseError EvalError "
+            "UnboundVariableError DomainError",
+    "barrier": "ProxySpec RhoSpec BarrierStack ConditionCheck "
+               "ConditionReport build_barrier_stack chi check_conditions "
+               "rho_budget",
+    "filter": "Infeasible project_halfspace solve_cbf_qp_pair",
+    "dob": "DobSpec dob_derivative dob_outputs filter_derivative",
+    "controllers": "BarrierBreach FunnelBreach SingularGain NominalGains "
+                   "PpcGains NussbaumGains DobBackstepGains build_nominal "
+                   "ppc_control nussbaum_control nussbaum_gain "
+                   "build_dob_backstepping eval_dob_backstepping",
+    "scenario": "ScenarioError PlantSpec ScenarioSpec load_scenario "
+                "loads_scenario save_scenario dumps_scenario builtin_names "
+                "load_builtin",
+    "sim": "CheckFailed RuntimeModel SimTrace rk4_step simulate",
+    "plots": "PlotError Series plot_trace render_panel",
+}
+
+
 def test_every_package_export_resolves():
-    """Each `from proxysafe.X import a, b` of the package __init__ names
-    what proxysafe.X defines, and the package binds it."""
+    """Each export is the object its module defines; `import *` binds
+    exactly the pinned exports, and `dir` lists them."""
     package = importlib.import_module("proxysafe")
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(node.module)
-        for alias in node.names:
-            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
-            assert getattr(package, alias.asname or alias.name) is \
-                getattr(module, alias.name)
+    pinned = {name: module for module, names in EXPORTS.items()
+              for name in names.split()}
+    assert set(package.__all__) == set(pinned)
+    for name, module in pinned.items():
+        obj = getattr(package, name)
+        assert obj is getattr(importlib.import_module(f"proxysafe.{module}"),
+                              name), name
+        assert obj.__module__ == f"proxysafe.{module}", name
+    namespace = {}
+    exec("from proxysafe import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(pinned)
+    assert set(pinned) <= set(dir(package))
+    with pytest.raises(AttributeError):
+        package.no_such_export
+
+
+def test_import_loads_no_submodule():
+    code = ("import sys, proxysafe; print(sorted(m for m in sys.modules "
+            "if m.startswith('proxysafe.')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -14,7 +14,10 @@ Covers, in order:
 5. validation errors: every malformed field is rejected with a
    ScenarioError naming the offending key path;
 6. the README's scenario example, which must load as the shipped ship
-   scenario.
+   scenario;
+7. the two YAML parsers: libyaml's, which loading uses where PyYAML has
+   it, and the pure-Python one give equal scenarios, or equal errors,
+   for every built-in and every file the CLI fuzz test generates.
 
 Error cases are generated by editing a valid built-in mapping, so each
 test exercises exactly one defect.
@@ -27,6 +30,7 @@ import sys
 
 import pytest
 import yaml
+from hypothesis import given, settings
 
 from proxysafe.expr import evaluate
 from proxysafe.scenario import (
@@ -34,6 +38,7 @@ from proxysafe.scenario import (
     load_scenario, loads_scenario, save_scenario,
 )
 from proxysafe.sim import simulate
+from test_fuzz import cases
 
 
 def broken(name, mutate):
@@ -490,3 +495,48 @@ def test_readme_example_is_the_ship_scenario():
         text = re.search(r"```yaml\n(.*?)```", fh.read(), re.S).group(1)
     spec = loads_scenario(text)
     assert spec.to_mapping() == load_builtin("ship").to_mapping()
+
+
+# ═══════════════════════════════════════════════════════════════════
+# 7. libyaml and the pure-Python parser
+# ═══════════════════════════════════════════════════════════════════
+
+needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                                   reason="PyYAML was built without libyaml")
+SCENARIO_DIR = os.path.join(os.path.dirname(README), "src", "proxysafe",
+                            "scenarios")
+
+
+def loaded(text):
+    """loads_scenario(text): the ScenarioSpec, or the ScenarioError text."""
+    try:
+        return loads_scenario(text)
+    except ScenarioError as exc:
+        return f"ScenarioError: {exc}"
+
+
+def assert_parsers_agree(text):
+    fast = loaded(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(yaml, "CSafeLoader")
+        pure = loaded(text)
+    assert fast == pure
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.safe_load(text)
+
+
+@needs_libyaml
+@pytest.mark.parametrize("name", builtin_names())
+def test_libyaml_loads_each_builtin_as_the_pure_parser(name):
+    with open(os.path.join(SCENARIO_DIR, f"{name}.yaml"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    assert loaded(text) == load_builtin(name)
+    assert_parsers_agree(text)
+
+
+@needs_libyaml
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cases())
+def test_libyaml_loads_each_fuzz_case_as_the_pure_parser(case):
+    _, text, _ = case
+    assert_parsers_agree(text)

@@ -35,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxysafe import sim
+from proxysafe import loop, sim
 from proxysafe.loop import ClosedLoop
 from proxysafe.scenario import ScenarioError, load_builtin, loads_scenario
 from proxysafe.sim import CheckFailed, RuntimeModel, SimTrace, rk4_step, simulate
@@ -337,7 +337,7 @@ def hand_built_trace(monkeypatch, edits, out=None):
         def point(self, s, t, held):
             return [0.0] * len(s), next(self.rows), None
 
-    monkeypatch.setattr(sim, "ClosedLoop", HandBuilt)
+    monkeypatch.setattr(loop, "ClosedLoop", HandBuilt)
     monkeypatch.setattr(sim, "_check_start", lambda model, loop: None)
     tr = simulate(spec, horizon=(len(rows) - 1) * spec.dt, out=out)
     assert tr.reason is None and tr.monitors["steps"] == len(rows) - 1
