@@ -380,6 +380,9 @@ def loads_scenario(text: str) -> ScenarioSpec:
     name, name_path = _get(raw, "name", "")
     if not isinstance(name, str) or not name:
         _fail(name_path, "expected a nonempty string")
+    # a run's trace file is named after it: one file-name component
+    if name in (".", "..") or any(c in name for c in "/\\\0"):
+        _fail(name_path, f"expected a file name, got {name!r}")
     angle_unit, unit_path = _get(raw, "angle_unit", "", default="radian")
     if angle_unit not in ("radian", "degree"):
         _fail(unit_path, "expected 'radian' or 'degree'")

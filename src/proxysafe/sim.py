@@ -36,21 +36,18 @@ The run collects its grid rows as raw doubles, row after row in one
 monitors and the verdict's NaN scan are folded over each batch as it
 completes (`_Fold`), reading strided memoryviews of it with no copy.
 `_integrate` yields each batch to the one consumer `simulate` picks.
-Without an output path the batches are kept, joined in `SimTrace.data`
-(8 bytes a value), and `SimTrace.column` copies a column out as a
-strided slice of it.  Given an output path, each batch is written to
-the trace CSV there while the run integrates, by a writer child forked
-once the run's start checks have passed (`_write_forked`), or in process
-where `os.fork` does not exist, and then dropped: the run holds one
-batch of rows, not all of them.  `simulate` returns once the file is
-complete, and the trace it returns keeps no rows: reading a column
-reads the file back.  Either way the file goes through `_write_csv`,
-the one writer `SimTrace.to_csv` uses too, so it is the same byte for
-byte, and a run or a write that fails or does not finish removes its
-file when the path is regular (`_regular`).  A writer child that ends
-early stops the run at the next batch it would take.
-The RK4 step itself is generated once per state length as
-straight-line code.
+Without an output path the batches are kept, joined in `SimTrace.data`.
+Given one, each batch is written to the trace CSV there while the run
+integrates, by a writer child forked once the run's start checks have
+passed (`_write_forked`), or in process where `os.fork` does not exist,
+and then dropped: the run holds one batch of rows, and the trace it
+returns holds none; `SimTrace.from_csv` reads them from the file.
+Either way the file goes through `_write_csv`, the one writer
+`SimTrace.to_csv` uses too, so it is the same byte for byte, and a run
+or a write that fails or does not finish removes its file when the
+path is regular (`_regular`).  A writer child that ends early stops
+the run at the next batch it would take.  The RK4 step itself is
+generated once per state length as straight-line code.
 """
 
 from __future__ import annotations
@@ -180,20 +177,15 @@ def _identity(path) -> tuple:
 class SimTrace:
     """Uniform-grid run log plus the verdict and summary monitors.
 
-    `data` holds every value of the grid rows in one `array('d')`, row
-    after row, `len(columns)` values a row: 8 bytes a value, 152 bytes a
-    ship row, where a list of floats per row took about 630.
-    `column(name)` returns one column as an `array('d')`, a strided copy
-    out of `data`, and `n_rows` counts the rows.  A trace read by
-    `from_csv` keeps only the columns it parsed, one `array('d')` each,
-    and `data` is empty.
-
-    A trace that `simulate(..., out=path)` wrote out keeps no rows:
-    `data` is empty, and the verdict, the reason, the monitors, the
-    columns and `n_rows` are all it holds.  Its first `column` call, and
-    a `to_csv` to another file, read the file back whole through
-    `from_csv`, after checking that it is unchanged since the run wrote
-    it; from then on the trace is a parsed one.
+    Where its rows live is fixed when the trace is made.  A run kept in
+    memory holds them in `data`, one `array('d')`, row after row,
+    `len(columns)` values a row (8 bytes a value); `column(name)` copies
+    one out as a strided slice.  A trace read by `from_csv` holds only the
+    columns it parsed, one `array('d')` each.  A trace that
+    `simulate(..., out=path)` wrote out holds no rows, only the verdict,
+    the reason, the monitors, the columns and `n_rows`;
+    `SimTrace.from_csv(path)` reads them.  `column` and `to_csv` serve
+    only the rows a trace holds, and raise ValueError for the others.
     """
 
     scenario: str
@@ -204,8 +196,7 @@ class SimTrace:
     reason: str | None = None
     monitors: dict = field(default_factory=dict)
     # (row count, column name -> values) of a trace whose rows are not in
-    # `data`: read by from_csv, or written out by simulate (None until
-    # read back)
+    # `data`: the columns from_csv parsed, or None for a written-out trace
     _parsed: tuple | None = field(default=None, init=False, repr=False)
     # (path, `_identity`) of the file simulate wrote the rows to
     _file: tuple | None = field(default=None, init=False, repr=False,
@@ -221,7 +212,7 @@ class SimTrace:
     def column(self, name: str):
         """The values of column `name`, one per grid row, as an
         `array('d')`; a column that `from_csv` did not parse reads as a
-        list of None."""
+        list of None.  A written-out trace raises ValueError."""
         try:
             idx = self.columns.index(name)
         except ValueError:
@@ -229,45 +220,32 @@ class SimTrace:
                            f"(columns: {', '.join(self.columns)})") from None
         if self._parsed is None:
             return self.data[idx::len(self.columns)]
-        n_rows, parsed = self._parsed_columns()
+        n_rows, parsed = self._parsed
+        if parsed is None:
+            path = os.fspath(self._file[0])
+            raise ValueError(f"the rows of this trace are in {path}: read "
+                             f"them with SimTrace.from_csv({path!r})")
         return parsed[name] if name in parsed else [None] * n_rows
 
-    def _parsed_columns(self) -> tuple:
-        """`_parsed`, after reading the rows of a written-out trace back
-        from its file, unless that file changed since the run wrote it."""
-        if self._parsed[1] is None:
-            path, written = self._file
-            if _identity(path) != written:
-                raise OSError(f"{path}: changed since the run wrote its "
-                              "trace")
-            self._parsed = type(self).from_csv(path)._parsed
-        return self._parsed
-
     def to_csv(self, path) -> None:
-        """Write the trace as CSV, every value as `%.17g`, through
+        """Write the rows in `data` as CSV, every value as `%.17g`, through
         `_write_csv`: a write that fails or is interrupted leaves no
         regular file at `path`.
 
-        Nothing is written when `path` is the file `simulate(...,
-        out=...)` wrote this trace to, unchanged since; for any other
-        path the rows are read back from that file before `path` is
-        opened.  A trace that `from_csv` read only some columns of raises
-        ValueError naming the others, before `path` is opened.
+        A trace whose rows are not in `data`, parsed or written out,
+        raises ValueError before `path` is opened; but `path` being the
+        file `simulate(..., out=...)` wrote this trace to, unchanged
+        since, writes nothing.
         """
         if self._file is not None:
             with contextlib.suppress(OSError):
                 if _identity(path) == self._file[1]:
                     return
-        if self._parsed is None:
-            rows = _row_tuples(self.data, len(self.columns))
-        else:
-            parsed = self._parsed_columns()[1]
-            missing = [name for name in self.columns if name not in parsed]
-            if missing:
-                raise ValueError("cannot write a trace without the columns "
-                                 f"it did not parse: {', '.join(missing)}")
-            rows = zip(*(parsed[name] for name in self.columns))
-        _write_csv(path, self.columns, [rows])
+        if self._parsed is not None:
+            raise ValueError("cannot write a trace whose rows are not in "
+                             "memory: they are in the file it came from")
+        _write_csv(path, self.columns,
+                   [_row_tuples(self.data, len(self.columns))])
 
     @classmethod
     def from_csv(cls, path, columns=None):
@@ -873,7 +851,7 @@ def _integrate(model: RuntimeModel, loop, fold: _Fold):
     flush_at = _BATCH_ROWS
     stage = loop.stage
     held = None
-    next_hold = 0.0
+    n_holds = 0     # hold times passed; the j-th is j * hold_dt: a sum drifts
     refresh = model.hold_dt is not None     # t=0 is the first hold time
     try:
         k1, row, ctrl = loop.point(state, 0.0, None)
@@ -882,7 +860,7 @@ def _integrate(model: RuntimeModel, loop, fold: _Fold):
             t_prev = (k - 1) * model.dt
             if refresh:     # ctrl holds fresh outputs of the hold time t_prev
                 held = ctrl
-                next_hold += model.hold_dt
+                n_holds += 1
                 stage = functools.partial(loop.stage_held, held=held)
             if k1 is None:      # the derivative failed where the row did not
                 k1 = loop.stage_held(state, t_prev, ctrl)
@@ -891,7 +869,8 @@ def _integrate(model: RuntimeModel, loop, fold: _Fold):
             if not all(map(math.isfinite, state)):
                 fold.reason = f"non-finite state at t={t:.6g}"
                 break
-            refresh = model.hold_dt is not None and t >= next_hold - 1e-12
+            refresh = model.hold_dt is not None and \
+                t >= n_holds * model.hold_dt * (1.0 - 1e-12)  # up to rounding
             k1, row, ctrl = loop.point(state, t, None if refresh else held)
             batch.fromlist(row)
             if k + 1 == flush_at:       # k + 1 rows so far
@@ -921,16 +900,17 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
     With `out`, a path, the trace CSV there is written while the run
     integrates, by a forked child that the rows stream to, and in process
     where `os.fork` does not exist; either way the run holds one batch of
-    rows.  `simulate` returns once the file is complete, and the returned
-    trace keeps no rows (`SimTrace`); `trace.to_csv(out)` then writes
-    nothing.  An output error, or a writer that dies, stops the run at
-    the next batch it sends and raises its OSError from `simulate`.  A
-    run that raises leaves no child behind.  A failed check,
-    `LoopMismatch` or a failed fork raises before the file is opened, so
-    a file already at `out` is untouched.  Once it is open, an exception
-    or an interrupt mid-run, an output error and a writer that dies each
-    leave no regular file at `out`: neither the partial trace nor the
-    file that was there before.  A device or a FIFO is never removed.
+    rows.  `simulate` returns once the file is complete, with a trace that
+    holds no rows: `SimTrace.from_csv(out)` reads them, and
+    `trace.to_csv(out)` writes nothing.  An output error, or a writer that
+    dies, stops the run at the next batch it sends and raises its OSError
+    from `simulate`.  A run that raises leaves no child behind.  A failed
+    check, `LoopMismatch` or a failed fork raises before the file is
+    opened, so a file already at `out` is untouched.  Once it is open, an
+    exception or an interrupt mid-run, an output error and a writer that
+    dies each leave no regular file at `out`: neither the partial trace
+    nor the file that was there before.  A device or a FIFO is never
+    removed.
     """
     model = RuntimeModel(spec, controller=controller, dt=dt, horizon=horizon)
     monitors: dict = {}

@@ -538,6 +538,27 @@ def test_batch_reports_broken_files(tmp_path, capsys):
     assert doc[0]["verdict"] == "ERROR"
 
 
+def test_batch_writes_nothing_outside_its_out_directory(tmp_path, capsys):
+    # a scenario name that is a path, relative or absolute, is an input
+    # error: no trace is written outside --out, and the others still run
+    for sub in ("batch", "work/out", "work/victim", "abs"):
+        (tmp_path / sub).mkdir(parents=True)
+    names = {"up": "../victim/ship", "abs": str(tmp_path / "abs" / "ship"),
+             "good": "good"}
+    for stem, name in names.items():
+        _write_variant(tmp_path / "batch" / f"{stem}.yaml", "ship",
+                       lambda m: m.update(name=name, horizon=0.5))
+    before = sorted(tmp_path.rglob("*"))
+    code = main(["run", "--batch", str(tmp_path / "batch"),
+                 "--out", str(tmp_path / "work" / "out")])
+    assert sorted(tmp_path.rglob("*")) == sorted(
+        before + [tmp_path / "work" / "out" / "good_nussbaum.csv"])
+    assert code == EXIT_USAGE
+    doc = json.loads(capsys.readouterr().out)
+    assert [(item["verdict"], item.get("reason", "")[:5]) for item in doc] \
+        == [("ERROR", "name:"), ("SAFE", ""), ("ERROR", "name:")]
+
+
 def test_batch_reports_a_file_too_deep_to_build(tmp_path):
     """ship with 480 extra terms in its barrier loads, then overflows the
     stack in the barrier build inside the worker: that file gets its own

@@ -314,7 +314,7 @@ def reference_run(model):
     diagnostics, until the next hold time."""
     dt = model.dt
     rows, reason = [], None
-    held, next_hold = None, 0.0
+    held, n_holds = None, 0
     refresh = model.hold_dt is not None
     state = model.initial_state()
     try:
@@ -324,13 +324,14 @@ def reference_run(model):
             t_prev = (k - 1) * dt
             if refresh:
                 held = outputs
-                next_hold += model.hold_dt
+                n_holds += 1
             state = model.step(state, t_prev, dt, held=held, c1=outputs)
             t = k * dt
             if not all(math.isfinite(v) for v in state):
                 return rows, f"non-finite state at t={t:.6g}"
             outputs, internals = model.controls(state, t)
-            refresh = model.hold_dt is not None and t >= next_hold - 1e-12
+            refresh = model.hold_dt is not None and \
+                t >= n_holds * model.hold_dt * (1.0 - 1e-12)
             if held is not None and not refresh:
                 outputs = held
             rows.append(model.trace_row(state, t, outputs, internals))

@@ -320,6 +320,15 @@ def test_rejects_non_yaml_and_non_mappings():
         loads_scenario("")
 
 
+@pytest.mark.parametrize("name", ["../victim/ship", "/abs/ship", "a/b",
+                                  "a\\b", "a\0b", ".", ".."])
+def test_a_name_that_is_not_one_file_name_is_rejected(name):
+    # a run writes its trace as {name}_{controller}.csv in its output
+    # directory, so the name can neither leave that directory nor be one
+    with pytest.raises(ScenarioError, match="^name: expected a file name"):
+        loads_scenario(broken("ship", lambda m: m.update(name=name)))
+
+
 @pytest.mark.parametrize("key", ["name", "plant", "proxy", "rho",
                                  "controller", "controllers", "nominal",
                                  "initial", "horizon", "dt"])

@@ -8,13 +8,15 @@ Covers, in order:
    process for an unstreamed run of the same scenario, for
    ship/nussbaum, electromech/dob_backstepping, electromech/ppc, hold
    mode and an ABORTED partial trace, and the streamed trace has that
-   run's monitors bit for bit and reads its rows back from the file;
-   without os.fork, `simulate` writes the same bytes itself during the
-   loop and keeps no rows either; `to_csv` of the written file by any
-   name writes nothing, and a written file changed since is not read
-   back; a streamed run's peak memory does not grow with its horizon,
-   with os.fork or without; when `simulate` returns, the file is
-   complete and no child is left;
+   run's monitors bit for bit while `SimTrace.from_csv` reads its rows
+   from the file; without os.fork, `simulate` writes the same bytes
+   itself during the loop and keeps no rows either; `to_csv` of the
+   written file by any name writes nothing, and to any other file, or
+   to the written file changed since, raises before it opens anything;
+   a streamed trace gives its summary without opening a file, and its
+   `column` raises; a streamed run's peak memory does not grow with
+   its horizon, with os.fork or without; when `simulate` returns, the
+   file is complete and no child is left;
 2. runs that raise (CheckFailed, LoopMismatch, an exception or an
    interrupt mid-run, also after the writer child died) leave no file
    and no child, also where a file they truncated was before, with
@@ -49,8 +51,8 @@ from hypothesis import strategies as st
 
 from proxysafe import loop, sim
 from proxysafe.scenario import load_builtin
-from proxysafe.sim import (CheckFailed, LoopMismatch, RuntimeModel, rk4_step,
-                           simulate)
+from proxysafe.sim import (CheckFailed, LoopMismatch, RuntimeModel, SimTrace,
+                           rk4_step, simulate)
 from scenario_variants import variant
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -105,14 +107,16 @@ def test_streamed_file_is_the_in_process_file(name, tmp_path):
                              controller=controller, **kw)
     assert out.read_bytes() == want
     # the streamed trace keeps no rows but the summary of the same run,
-    # its monitors bit for bit; its columns read back from the file
+    # its monitors bit for bit; from_csv reads its rows from the file
     assert len(trace.data) == 0 and trace.n_rows == plain.n_rows
     assert (trace.verdict, trace.reason, trace.columns) == \
         (plain.verdict, plain.reason, plain.columns)
     assert {k: v.hex() for k, v in trace.monitors.items()} == \
         {k: v.hex() for k, v in plain.monitors.items()}
+    back = SimTrace.from_csv(out)
+    assert back.n_rows == plain.n_rows
     for column in trace.columns:
-        assert bits(trace.column(column)) == bits(plain.column(column))
+        assert bits(back.column(column)) == bits(plain.column(column))
 
 
 def test_stream_overwrites_an_existing_file(tmp_path):
@@ -140,13 +144,17 @@ def test_without_fork_to_csv_writes_the_same_bytes(tmp_path, monkeypatch):
     assert plain.read_bytes() == streamed.read_bytes()
 
 
-def test_to_csv_elsewhere_waits_for_the_stream_first(tmp_path):
+def test_to_csv_of_a_streamed_trace_elsewhere_is_refused(tmp_path):
+    # the rows are in out.csv only: a write anywhere else raises before
+    # it opens anything, and the file simulate wrote is not rewritten
     out, other = tmp_path / "out.csv", tmp_path / "other.csv"
     trace = simulate(load_builtin("ship"), horizon=3.0, out=out)
-    trace.to_csv(other)     # reads out.csv back, then writes
-    assert out.read_bytes() == other.read_bytes()
-    trace.to_csv(out)       # the file simulate wrote: not rewritten
-    assert out.read_bytes() == other.read_bytes()
+    other.write_text("t,x\n0,0\n")
+    before = out.read_bytes(), other.read_bytes()
+    with pytest.raises(ValueError, match="not in memory"):
+        trace.to_csv(other)
+    trace.to_csv(out)
+    assert (out.read_bytes(), other.read_bytes()) == before
 
 
 def test_to_csv_of_the_streamed_file_writes_nothing(tmp_path, monkeypatch):
@@ -167,18 +175,41 @@ def test_to_csv_of_the_streamed_file_writes_nothing(tmp_path, monkeypatch):
 
 
 def test_a_streamed_file_changed_since_is_not_read_back(tmp_path):
-    # the rows of a streamed trace are in its file only: once another run
-    # rewrote that file, reading them back raises instead of returning
-    # another run's rows, and to_csv of that file does not skip
+    # once another run rewrote the file, to_csv of it is no longer the
+    # no-op: it raises like a write anywhere else, and column raises as
+    # ever; neither file is read or written
+    out, other = tmp_path / "t.csv", tmp_path / "other.csv"
+    trace = simulate(load_builtin("ship"), horizon=3.0, out=out)
+    simulate(load_builtin("ship"), horizon=2.0, out=out).to_csv(out)
+    other.write_text("t,x\n0,0\n")
+    before = out.read_bytes(), other.read_bytes()
+    with pytest.raises(ValueError, match=r"SimTrace\.from_csv\("):
+        trace.column("x")
+    for target in (out, other):
+        with pytest.raises(ValueError, match="not in memory"):
+            trace.to_csv(target)
+    assert (out.read_bytes(), other.read_bytes()) == before
+    assert len(before[0].splitlines()) == 202
+
+
+def test_a_streamed_trace_opens_no_file(tmp_path, monkeypatch):
+    # its summary is in memory and its rows are not: with from_csv and
+    # open failing, the summary reads and column raises the ValueError
+    # that names from_csv of the file
     out = tmp_path / "t.csv"
     trace = simulate(load_builtin("ship"), horizon=3.0, out=out)
-    trace.to_csv(out)
-    simulate(load_builtin("ship"), horizon=2.0, out=out).to_csv(out)
-    with pytest.raises(OSError, match="changed since the run wrote"):
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a file was opened")
+
+    monkeypatch.setattr(SimTrace, "from_csv", fail)
+    monkeypatch.setattr("builtins.open", fail)
+    assert (trace.n_rows, trace.verdict) == (301, "SAFE")
+    assert trace.monitors["steps"] == 300.0
+    assert trace.columns[:2] == ["t", "x"]
+    with pytest.raises(ValueError) as info:
         trace.column("x")
-    with pytest.raises(OSError, match="changed since the run wrote"):
-        trace.to_csv(out)
-    assert len(out.read_text().splitlines()) == 202
+    assert str(info.value).endswith(f"SimTrace.from_csv({str(out)!r})")
 
 
 def test_a_streamed_run_holds_one_batch_of_rows(tmp_path):
