@@ -14,10 +14,10 @@ JSON summary; `plot` renders the standard SVG panels from a trace;
 built-in name or a path to a scenario file (an existing file wins when
 both match).
 
-A process loads what its command runs: the plots module only for
-`plot`, `json` only where JSON is printed, and `glob` and the process
-pool only for `run --batch`.  `check` loads no closed-loop generator
-(`sim.simulate` imports it).
+A process loads what its command runs: the plots module and the trace
+reader only for `plot`, `json` only where JSON is printed, and `glob`
+and the process pool only for `run --batch`.  `check` loads no
+closed-loop generator (`sim.simulate` imports it).
 
 Exit codes: 0 success, 1 usage or input error (a condition check that
 cannot be evaluated included), 2 condition check failed, 3 run finished

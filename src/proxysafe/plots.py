@@ -13,13 +13,22 @@ boundary-touching extremes stay visible at the resolution of the plot.
 A series is a list or an `array('d')`: `plot_trace` draws the trace's
 columns as they are and builds each derived series (the head state and
 its reference in degrees, and -rho) as an `array('d')`, 8 bytes a
-value.
+value.  Each distinct array is scanned once per `plot_trace` call for
+its finiteness, min and max (`_extent`): the time column is the x of
+every long series.
+
+Any finite data range gets an axis: `_pad` and `_fit` keep the range
+inside the finite doubles and at least a few ulps and 1e-300 wide, and
+a span past the largest double is mapped in halves (`_unit`), so the
+tick ladder ends and every coordinate is finite.  Ordinary ranges get
+the ticks and pixels they always had.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -34,6 +43,8 @@ WIDTH, HEIGHT = 720, 405
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 18, 36, 48
 POINT_BUDGET = 4000
 DERIVE_CHUNK = 4096     # values a derived series converts per list
+_MAX = sys.float_info.max
+_MIN_SPAN = 1e-300      # an axis narrower has no ladder of normal doubles
 
 
 class PlotError(Exception):
@@ -85,54 +96,105 @@ def _fmt(value: float) -> str:
 
 
 def _ticks(lo: float, hi: float, target: int = 6) -> list:
-    """A 1-2-5 ladder of at most `target`-ish round ticks over [lo, hi]."""
-    span = hi - lo
-    raw = span / max(target - 1, 1)
+    """A 1-2-5 ladder of at most `target`-ish round ticks over [lo, hi],
+    a range `_pad` or `_fit` made.  A span past the largest double is
+    taken in halves (`_unit`)."""
+    unit = _unit(lo, hi)
+    span_u = hi * unit - lo * unit      # the span times `unit`
+    raw = span_u / max(target - 1, 1) / unit
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
-        if span / step <= target - 1:
+        if span_u / step / unit <= target - 1:
             break
     first = math.ceil(lo / step) * step
     ticks = []
     value = first
-    while value <= hi + 1e-9 * span:
-        ticks.append(0.0 if abs(value) < 1e-12 * span else value)
+    while value <= min(hi + 1e-9 * span_u / unit, _MAX):
+        ticks.append(0.0 if abs(value) < 1e-12 * span_u / unit else value)
         value += step
     return ticks
 
 
+def _unit(lo: float, hi: float) -> float:
+    """1.0, or 0.5 where `hi - lo` overflows: the axis arithmetic then
+    runs on halved values, which are exact and keep the span finite."""
+    return 0.5 if math.isinf(hi - lo) else 1.0
+
+
+def _fit(lo: float, hi: float):
+    """[lo, hi] within the finite doubles and widened about its middle to
+    at least `_MIN_SPAN` and 16 ulps: the ladder's step then stays a
+    normal double wider than an ulp, so its ticks are finite, distinct
+    and few, and so are the pixel positions."""
+    lo, hi = max(lo, -_MAX), min(hi, _MAX)
+    need = max(_MIN_SPAN, 16 * math.ulp(max(abs(lo), abs(hi))))
+    if hi - lo < need:
+        mid = lo * 0.5 + hi * 0.5
+        lo, hi = max(mid - need / 2, -_MAX), min(mid + need / 2, _MAX)
+    return lo, hi
+
+
 def _pad(lo: float, hi: float):
+    """The axis range of data within [lo, hi]: 5 % of the span beyond
+    each end, or 10 % of a flat value (1.0 at zero), then `_fit`."""
     if lo == hi:
         slack = abs(lo) * 0.1 or 1.0
-        return lo - slack, hi + slack
-    slack = (hi - lo) * 0.05
-    return lo - slack, hi + slack
+    else:
+        slack = (hi - lo) * 0.05
+        if math.isinf(slack):
+            slack = (hi * 0.5 - lo * 0.5) * 0.1
+    return _fit(lo - slack, hi + slack)
 
 
-def render_panel(path, title: str, xlabel: str, ylabel: str, series) -> str:
-    """Write one SVG panel; returns the path written."""
+def _extent(values, extents: dict) -> tuple:
+    """Whether every value of `values` is finite, and their min and max
+    (None when empty): scanned once per distinct object, which `extents`
+    holds by its id, with the object, for as long as it is shared."""
+    entry = extents.get(id(values))
+    if entry is None:
+        entry = extents[id(values)] = (
+            values, all(map(math.isfinite, values)),
+            min(values, default=None), max(values, default=None))
+    return entry[1:]
+
+
+def render_panel(path, title: str, xlabel: str, ylabel: str, series,
+                 extents: dict | None = None) -> str:
+    """Write one SVG panel; returns the path written.
+
+    `extents` holds each series' finiteness, min and max by the id of its
+    values (`_extent`); `plot_trace` passes one dict to all four panels,
+    so values that several series share are scanned once.
+    """
     series = list(series)
+    extents = {} if extents is None else extents
     if not series or not any(s.xs for s in series):
         raise PlotError(f"panel '{title}': nothing to draw")
-    if not all(all(map(math.isfinite, s.xs)) and all(map(math.isfinite, s.ys))
-               for s in series):
+    x_ext = [_extent(s.xs, extents) for s in series]
+    y_ext = [_extent(s.ys, extents) for s in series]
+    if not all(finite for finite, _, _ in x_ext + y_ext):
         raise PlotError(f"panel '{title}': series contain non-finite values")
-    drawn = [s for s in series if s.xs]
-    x_lo, x_hi = min(min(s.xs) for s in drawn), max(max(s.xs) for s in drawn)
-    if x_lo == x_hi:
-        x_lo, x_hi = _pad(x_lo, x_hi)
-    y_lo, y_hi = _pad(min(min(s.ys) for s in drawn),
-                      max(max(s.ys) for s in drawn))
+    drawn = [i for i, s in enumerate(series) if s.xs]
+    x_lo = min(x_ext[i][1] for i in drawn)
+    x_hi = max(x_ext[i][2] for i in drawn)
+    x_lo, x_hi = _pad(x_lo, x_hi) if x_lo == x_hi else _fit(x_lo, x_hi)
+    y_lo, y_hi = _pad(min(y_ext[i][1] for i in drawn),
+                      max(y_ext[i][2] for i in drawn))
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
+    # the positions within [lo, hi]; see `_unit`
+    xu, yu = _unit(x_lo, x_hi), _unit(y_lo, y_hi)
+    x_lo_u, x_span_u = x_lo * xu, x_hi * xu - x_lo * xu
+    y_hi_u, y_span_u = y_hi * yu, y_hi * yu - y_lo * yu
+
     def px(x):
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return MARGIN_L + (x * xu - x_lo_u) / x_span_u * plot_w
 
     def py(y):
-        return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return MARGIN_T + (y_hi_u - y * yu) / y_span_u * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
@@ -323,5 +385,6 @@ def plot_trace(trace, out_base, spec=None) -> list:
         (f"{base}_input.svg", "control input", "u", inputs),
         (f"{base}_barrier.svg", "barrier values", "h", barriers),
     ]
-    return [render_panel(path, title, "t [s]", ylabel, series)
+    extents: dict = {}      # `t` is the x of every long series
+    return [render_panel(path, title, "t [s]", ylabel, series, extents)
             for path, title, ylabel, series in jobs]

@@ -48,6 +48,9 @@ or a write that fails or does not finish removes its file when the
 path is regular (`_regular`).  A writer child that ends early stops
 the run at the next batch it would take.  The RK4 step itself is
 generated once per state length as straight-line code.
+
+`SimTrace.from_csv` is the one trace reader; it parses through
+`traceread`, which a run never loads.
 """
 
 from __future__ import annotations
@@ -254,33 +257,13 @@ class SimTrace:
         `columns`, when given, maps the file's column names to the ones
         to parse: only those fields become floats, and the others read
         as None.  `columns` of the trace is always the whole header.
+
+        The parse is `traceread.read_csv`'s: on two cores for a large
+        regular file, with the serial parse's columns, bit for bit, and
+        its errors, the first bad line in file order as `path:line`.
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if not header:
-                raise ValueError(f"{path}: empty trace file")
-            names = header.split(",")
-            width = len(names)
-            wanted = set(names if columns is None else columns(names))
-            parsed = {name: array("d") for name in names if name in wanted}
-            # a name the header repeats reads from its first field
-            keep = [(names.index(name), values.append)
-                    for name, values in parsed.items()]
-            n_rows = 0
-            for line_no, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != width:
-                    raise ValueError(f"{path}:{line_no}: expected "
-                                     f"{width} fields, got {len(parts)}")
-                try:
-                    for i, append in keep:
-                        append(float(parts[i]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: {exc}") from None
-                n_rows += 1
+        from proxysafe.traceread import read_csv    # only a reader loads it
+        names, n_rows, parsed = read_csv(path, columns)
         trace = cls(scenario="", controller="", columns=names,
                     data=array("d"), verdict="LOADED")
         trace._parsed = (n_rows, parsed)

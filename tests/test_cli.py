@@ -10,14 +10,16 @@ Coverage:
      forced runs, aborted runs, output errors, a grid past the step
      cap, exit codes
   4. `plot`: panel files, only the plotted columns parsed, errors for
-     bad inputs
+     bad inputs (a missing file's text pinned), an input at the double
+     limits drawn in four panels
   5. `--batch`: concurrent directory runs with isolated outputs, a
      broken or too deeply nested file reported in its own entry, two
      files that would write one trace path refused before any run
   6. usage errors exit with code 1, and a file that is not YAML gives
      the pure-Python parser's error text, with libyaml or without;
      importing the CLI leaves the process pool of `--batch` out, `check`
-     loads no closed-loop generator, plots or json, and `run` no plots
+     loads no closed-loop generator, plots, trace reader or json, and
+     `run` no plots or trace reader
   7. `check` output pinned byte for byte: ship, electromech and the m=4
      chain, text and `--json`
 """
@@ -25,6 +27,7 @@ Coverage:
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -479,6 +482,40 @@ def test_plot_missing_file_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_plot_missing_file_keeps_its_error_text(capsys):
+    assert main(["plot", "/no/such/trace.csv"]) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "error: [Errno 2] No such file or directory: "
+            "'/no/such/trace.csv'\n")
+
+
+@pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (0.0, 5e-324),
+                                   (1e16, 1e16 + 4)])
+def test_plot_draws_an_input_at_the_double_limits(tmp_path, lo, hi):
+    # u spanning more than the largest double, a subnormal, or less
+    # than a few ulps: four panels, exit 0, finite coordinates; in a
+    # child with a time limit and capped memory, so a ladder that never
+    # ends fails here instead of hanging the tests
+    path = tmp_path / "trace.csv"
+    rows = [(k * 0.1, 0.01 * k, 0.0, 0.01 * k, 0.5, (lo, hi)[k % 2],
+             0.3 - 0.01 * k) for k in range(11)]
+    path.write_text("t,x,x_d,e,rho,u,h1\n" + "".join(
+        ",".join(repr(v) for v in row) + "\n" for row in rows))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "proxysafe.cli", "plot", str(path), "--out",
+         str(tmp_path / "p")], capture_output=True, text=True, timeout=20,
+        preexec_fn=cap, env=dict(os.environ, PYTHONPATH=SRC))
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert len(done.stdout.splitlines()) == 4
+    for suffix in ("state", "funnel", "input", "barrier"):
+        text = (tmp_path / f"p_{suffix}.svg").read_text()
+        assert "inf" not in text and "nan" not in text
+
+
 def test_plot_empty_trace_writes_nothing(ship_csv, tmp_path, capsys):
     header_only = tmp_path / "empty.csv"
     with open(ship_csv) as fh:
@@ -678,11 +715,12 @@ def loaded_modules(argv, cwd):
 def test_a_command_loads_only_what_it_runs(tmp_path):
     checked = loaded_modules(["check", "ship"], tmp_path)
     assert "proxysafe.sim" in checked
-    assert not checked & {"proxysafe.loop", "proxysafe.plots", "json"}
+    assert not checked & {"proxysafe.loop", "proxysafe.plots", "json",
+                          "proxysafe.traceread"}
     ran = loaded_modules(["run", "ship", "--horizon", "0.05",
                           "--out", "x.csv"], tmp_path)
     assert "proxysafe.loop" in ran
-    assert "proxysafe.plots" not in ran
+    assert not ran & {"proxysafe.plots", "proxysafe.traceread"}
 
 
 def test_import_leaves_the_process_pool_out():

@@ -1,13 +1,19 @@
 """SVG panel rendering tests.
 
 Coverage:
-  1. axis tick ladder: round steps, in-range, ordered
+  1. axis tick ladder: round steps, in-range, ordered; the same ticks
+     as the plain ladder (kept here as the reference) for ordinary
+     ranges; over the whole double range, subnormals included, a short
+     ladder of finite distinct ticks and a panel with finite coordinates;
+     a span below one ulp's ladder step, run in a capped child
   2. series construction and length validation
   3. render_panel output: well-formed XML, titles, dash patterns,
-     legend dedup, point thinning
+     legend dedup, point thinning; series on one shared array and on
+     equal distinct arrays give the same bytes
   4. safe-set boundary root finding on the built-in scenarios
   5. plot_trace end to end: four panels, degree conversion, derived
-     series at 8 bytes a value, empty trace and missing column errors
+     series at 8 bytes a value, empty trace and missing column errors,
+     the same bytes from a trace read on two cores and one read serially
 """
 
 import gc
@@ -15,17 +21,27 @@ import itertools
 import math
 import operator
 import os
+import resource
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from array import array
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from proxysafe import scenario as scenario_mod
 from proxysafe import sim as sim_mod
-from proxysafe.plots import (POINT_BUDGET, PlotError, Series, _safe_bounds,
-                             _ticks, plot_trace, plotted_columns,
-                             render_panel)
+from proxysafe import traceread
+from proxysafe.plots import (POINT_BUDGET, PlotError, Series, _pad,
+                             _safe_bounds, _ticks, plot_trace,
+                             plotted_columns, render_panel)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+MEMORY_CAP = 512 << 20      # bytes of address space for a capped child
 
 
 def _svg(path):
@@ -55,6 +71,91 @@ def test_ticks_cover_range_with_round_steps(lo, hi):
     step = steps.pop()
     mantissa = step / 10.0 ** math.floor(math.log10(step))
     assert min(abs(mantissa - m) for m in (1.0, 2.0, 5.0, 10.0)) < 1e-9
+
+
+def plain_ticks(lo, hi, target=6):
+    """The ladder as it was before ranges near the double limits were
+    handled: the reference for ordinary ranges."""
+    span = hi - lo
+    raw = span / max(target - 1, 1)
+    mag = 10.0 ** math.floor(math.log10(raw))
+    for mult in (1.0, 2.0, 5.0, 10.0):
+        step = mult * mag
+        if span / step <= target - 1:
+            break
+    ticks = []
+    value = math.ceil(lo / step) * step
+    while value <= hi + 1e-9 * span:
+        ticks.append(0.0 if abs(value) < 1e-12 * span else value)
+        value += step
+    return ticks
+
+
+def plain_pad(lo, hi):
+    if lo == hi:
+        slack = abs(lo) * 0.1 or 1.0
+        return lo - slack, hi + slack
+    slack = (hi - lo) * 0.05
+    return lo - slack, hi + slack
+
+
+ORDINARY = st.floats(-1e12, 1e12)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)   # subnormals too
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ORDINARY, ORDINARY)
+def test_ordinary_ranges_keep_their_ticks(a, b):
+    # ordinary: a span of at least 1e-290 and 1e-9 of the magnitude
+    lo, hi = sorted((a, b))
+    if abs(lo) >= 1e-290 or lo == 0.0:
+        assert _pad(lo, lo) == plain_pad(lo, lo)
+        assert _ticks(*_pad(lo, lo)) == plain_ticks(*plain_pad(lo, lo))
+    assume(hi - lo >= max(1e-290, 1e-9 * max(abs(lo), abs(hi))))
+    assert _pad(lo, hi) == plain_pad(lo, hi)
+    assert _ticks(*_pad(lo, hi)) == plain_ticks(*plain_pad(lo, hi))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(FINITE, FINITE, FINITE, FINITE)
+def test_every_finite_range_has_a_short_finite_ladder(tmp_path_factory,
+                                                      a, b, c, d):
+    lo, hi = sorted((a, b))
+    axis = _pad(lo, hi)
+    assert all(map(math.isfinite, axis))
+    assert axis[0] <= lo <= hi <= axis[1]
+    ticks = _ticks(*axis)
+    assert 2 <= len(ticks) <= 7
+    assert all(map(math.isfinite, ticks))
+    assert ticks == sorted(set(ticks))
+    # a panel over both ranges: every coordinate is finite
+    path = tmp_path_factory.mktemp("range") / "panel.svg"
+    render_panel(path, "t", "x", "y",
+                 [Series("u", sorted((c, d)) * 2, [lo, hi, hi, lo])])
+    text = path.read_text()
+    assert "inf" not in text and "nan" not in text
+    _svg(path)
+
+
+def capped_python(args, timeout=10.0):
+    """`python args` in a child whose address space is capped at
+    MEMORY_CAP, so a ladder that never ends fails there within seconds
+    instead of hanging the tests."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=timeout, preexec_fn=cap,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+
+
+def test_a_step_below_one_ulp_ends():
+    # 1e16 + 1 rounds to 1e16: a step of 1 never moved the ladder on
+    done = capped_python(["-c", "from proxysafe.plots import _pad, _ticks; "
+                                "print(_ticks(*_pad(1e16, 1e16 + 4)))"])
+    assert done.returncode == 0, done.stderr
+    ticks = eval(done.stdout)
+    assert 2 <= len(ticks) <= 7 and ticks == sorted(set(ticks))
 
 
 # ═══════════════════════════════════════════════════════════════════
@@ -108,6 +209,34 @@ def test_render_panel_thins_long_series(tmp_path):
     last_x = float(points[-1].split(",")[0])
     first_x = float(points[0].split(",")[0])
     assert last_x > first_x
+
+
+def test_shared_and_distinct_arrays_draw_the_same_bytes(tmp_path):
+    # extremes are kept by the id of the values, with the values: one
+    # array shared by three series, equal copies, and arrays made after
+    # an earlier panel's were dropped, against a dict that still holds
+    # that panel's entries, all draw the same bytes
+    ts = array("d", [k * 0.01 for k in range(5000)])
+    ys = array("d", [math.sin(t) for t in ts])
+    zs = array("d", [math.cos(t) for t in ts])
+
+    def panel(name, series, extents=None):
+        render_panel(tmp_path / name, "t", "x", "y", series, extents)
+        return (tmp_path / name).read_bytes()
+
+    shared = panel("shared.svg", [Series("a", ts, ys), Series("b", ts, zs),
+                                  Series("c", ts, ys)])
+    copies = panel("copies.svg",
+                   [Series(label, array("d", ts), array("d", values))
+                    for label, values in (("a", ys), ("b", zs), ("c", ys))])
+    assert shared == copies
+    extents = {}
+    panel("before.svg", [Series("a", array("d", [5.0] * 9),
+                                array("d", [-1e3] * 9))], extents)
+    gc.collect()
+    later = [Series(label, array("d", ts), array("d", values))
+             for label, values in (("a", ys), ("b", zs), ("c", ys))]
+    assert panel("later.svg", later, extents) == shared
 
 
 def test_render_panel_flat_series_padded(tmp_path):
@@ -230,3 +359,27 @@ def test_plot_trace_missing_column_named(tmp_path):
                              array("d", [0.0, 0.0, 0.1, 0.0]), "SAFE")
     with pytest.raises(PlotError, match="missing column 'x_d'"):
         plot_trace(trace, tmp_path / "short")
+
+
+def test_a_trace_read_on_two_cores_draws_the_same_panels(tmp_path,
+                                                         monkeypatch,
+                                                         ship_trace):
+    spec, trace = ship_trace
+    trace.to_csv(tmp_path / "ship.csv")
+    split = []
+    real = traceread._read_split
+
+    def spy(*args):
+        split.append(real(*args))
+        return split[-1]
+
+    monkeypatch.setattr(traceread, "_read_split", spy)
+    drawn = {}
+    for name, floor in (("serial", math.inf), ("split", 0)):
+        monkeypatch.setattr(traceread, "_SPLIT_BYTES", floor)
+        read = sim_mod.SimTrace.from_csv(tmp_path / "ship.csv",
+                                         columns=plotted_columns)
+        drawn[name] = [open(path, "rb").read() for path in
+                       plot_trace(read, tmp_path / name, spec=spec)]
+    assert split == [None, trace.n_rows]
+    assert drawn["split"] == drawn["serial"]
