@@ -28,11 +28,12 @@ before construction, and the two global conditions below are skipped.
 The module also checks the three conditions under which the barrier
 constraint is guaranteed feasible: (i) wherever the g0-gradient of h
 vanishes on the safe set, h must already exceed xi (proved over the
-check box by interval bisection, falsified by a concrete point, or left
-inconclusive on the width the cell budget did not decide); (ii) an
-analytic budget comparing iterated (d/dt + lambda) applications on rho^2
-against the product of the lambdas; (iii) positivity of y_0 and every
-b_i at the initial state, by evaluating the trees there.
+check box by `expr.prove`, the bisection the plot's safe bounds share,
+or falsified by a point, or left inconclusive on the width its cell
+budget did not decide); (ii) an analytic budget comparing iterated
+(d/dt + lambda) applications on rho^2 against the product of the
+lambdas; (iii) positivity of y_0 and every b_i at the initial state,
+by evaluating the trees there.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import cached_property
 
 from proxysafe.expr import (
     Call, Const, Div, Expr, Sub, Var, compile_expr, compile_exprs,
-    differentiate, evaluate, interval, simplify,
+    differentiate, evaluate, interval, prove, simplify,
 )
 
 __all__ = [
@@ -54,7 +55,6 @@ __all__ = [
 
 EPS_GRAD = 1e-8       # |L_g0 h| below this counts as vanishing
 H_SLACK = 1e-9        # tolerance on h >= xi at vanishing-gradient points
-CELL_BUDGET = 4000    # cells the condition (i) bisection may visit
 _CHI_MAX_ORDER = 12
 CHI_SATURATE = 1.0 - 1e-12   # chi and its derivatives saturate from here
 
@@ -339,14 +339,11 @@ class ConditionReport:
         return self.grad_check.ok and self.budget_check.ok and self.init_check.ok
 
     def lines(self) -> list:
-        out = []
-        for label, check in [
-            ("vanishing-gradient implication", self.grad_check),
-            ("funnel derivative budget", self.budget_check),
-            ("initial positivity", self.init_check),
-        ]:
-            out.append(f"[{check.verdict:>18}] {label}: {check.detail}")
-        return out
+        return [f"[{check.verdict:>18}] {label}: {check.detail}"
+                for label, check in [
+                    ("vanishing-gradient implication", self.grad_check),
+                    ("funnel derivative budget", self.budget_check),
+                    ("initial positivity", self.init_check)]]
 
 
 def rho_budget(proxy: ProxySpec, rho: RhoSpec) -> dict:
@@ -381,12 +378,12 @@ def rho_budget(proxy: ProxySpec, rho: RhoSpec) -> dict:
 
 
 def _grad_condition(stack: BarrierStack, box) -> ConditionCheck:
-    """Condition (i) over the box, by bisection.  A cell is discharged
+    """Condition (i) over the box, by `expr.prove`.  A cell is discharged
     when the interval enclosures prove it outside the safe set (h < 0),
     at or above xi (h >= xi - H_SLACK), or free of a vanishing gradient
     ((L_g0 h)^2 > EPS_GRAD^2); a flagged enclosure proves nothing.  An
     undischarged cell's midpoint is a witness when the condition fails
-    there; otherwise the cell is halved, until CELL_BUDGET cells."""
+    there; otherwise the cell is halved."""
     proxy = stack.proxy
     if box is None:
         raise ValueError("condition check needs one (lo, hi) interval")
@@ -395,40 +392,32 @@ def _grad_condition(stack: BarrierStack, box) -> ConditionCheck:
     n2 = simplify(mg * mg)
     h, floor, eps2 = proxy.h, proxy.xi - H_SLACK, EPS_GRAD * EPS_GRAD
 
-    cells = [(*(float(v) for v in box), 0)]
-    visited = depth = 0
-    undecided = 0.0
-    while cells and visited < CELL_BUDGET:
-        lo, hi, level = cells.pop()
-        visited += 1
-        depth = max(depth, level)
+    def rule(lo, hi, x):
         h_lo, h_hi, h_bad = interval(h, "x", lo, hi)
         if h_bad is None and (h_hi < 0.0 or h_lo >= floor):
-            continue
+            return True
         n_lo, _, n_bad = interval(n2, "x", lo, hi)
         if n_bad is None and n_lo > eps2:
-            continue
-        x = 0.5 * lo + 0.5 * hi
+            return True
         h_x = evaluate(h, {"x": x})
         if 0.0 <= h_x < floor and evaluate(n2, {"x": x}) <= eps2:
-            return ConditionCheck(
-                "falsified", f"gradient vanishes at {[x]} but "
-                f"h={h_x:.6g} < xi={proxy.xi:.6g}",
-                {"witness": [x], "h": h_x, "cells": visited, "depth": depth})
-        if lo < x < hi:
-            cells += [(x, hi, level + 1), (lo, x, level + 1)]
-        else:
-            undecided += hi - lo
-    undecided += sum(hi - lo for lo, hi, _ in cells)
-    data = {"cells": visited, "depth": depth, "undecided_width": undecided}
-    if undecided:
+            return x, h_x
+        return False
+
+    proof = prove(rule, *box)
+    data = {"cells": proof.cells, "depth": proof.depth}
+    if proof.verdict == "falsified":
+        x, h_x = proof.witness
         return ConditionCheck(
-            "inconclusive-pass",
-            f"undecided on width {undecided:.3g} of the box after "
-            f"{visited} cells", data)
-    return ConditionCheck(
-        "pass", f"proven on the box (cells: {visited}, depth: {depth})",
-        data)
+            "falsified", f"gradient vanishes at {[x]} but "
+            f"h={h_x:.6g} < xi={proxy.xi:.6g}",
+            {"witness": [x], "h": h_x, **data})
+    detail = (f"undecided on width {proof.width:.3g} of the box after "
+              f"{proof.cells} cells" if proof.width else
+              f"proven on the box (cells: {proof.cells}, "
+              f"depth: {proof.depth})")
+    return ConditionCheck(proof.verdict, detail,
+                          {**data, "undecided_width": proof.width})
 
 
 def check_conditions(stack: BarrierStack, x0, z1_0, box=None) -> ConditionReport:
@@ -438,11 +427,11 @@ def check_conditions(stack: BarrierStack, x0, z1_0, box=None) -> ConditionReport
     which seeds the first virtual state (remaining virtual states start
     at zero).  box, one finite (lo, hi) interval of x, is where the
     vanishing-gradient condition is proved; it is required in switched
-    mode.  Its verdict is proven, not sampled: ``pass`` when every cell
-    of the bisection is discharged (``data`` holds the cell count, the
-    depth and an undecided width of 0), ``falsified`` with a witness
-    point, or ``inconclusive-pass`` with the width of the cells the
-    budget left undecided.
+    mode.  Its verdict is proven, not sampled, by the bisection of
+    `expr.prove`: ``pass`` when every cell is discharged (``data`` holds
+    the cell count, the depth and an undecided width of 0),
+    ``falsified`` with a witness point, or ``inconclusive-pass`` with
+    the width of the cells the budget left undecided.
 
     Every evaluation, h at x0 first, walks the trees, so a failure raises
     a DomainError naming the subexpression.  Nothing is compiled.

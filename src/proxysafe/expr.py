@@ -26,7 +26,7 @@ deliberately not a canonicalizer.
 ``interval`` encloses an expression of one variable over an interval of
 it, with each bound rounded outward unless its operation was exact, so
 a bound it proves holds for the real expression, not only for its
-floating-point evaluation.
+floating-point evaluation; ``prove`` bisects an interval with it.
 For inner loops, ``compile_exprs`` turns a batch of trees into one
 generated Python function with common subexpressions evaluated once:
 a shared subexpression is bound to a local once, and one read only once
@@ -38,16 +38,18 @@ with statements of their own.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import Counter
 from itertools import chain
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprError", "ParseError", "EvalError", "UnboundVariableError", "DomainError",
     "FUNCTIONS", "parse", "differentiate", "simplify", "evaluate",
-    "interval", "compile_expr", "compile_exprs", "Emitter",
+    "interval", "CELL_BUDGET", "Proof", "prove", "compile_expr",
+    "compile_exprs", "Emitter",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -65,27 +67,6 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 def _clip(text: str, limit: int = 120) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
-def _text(e: "Expr") -> str:
-    """str(e): the text of each distinct node is built once, from the
-    texts of its children, without recursion."""
-    done: dict = {}
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        if id(node) in done:
-            stack.pop()
-            continue
-        parts = node._parts()
-        todo = [p for p in parts if type(p) is not str and id(p) not in done]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        done[id(node)] = "".join(p if type(p) is str else done[id(p)]
-                                 for p in parts)
-    return done[id(e)]
 
 
 def _clip_expr(e: "Expr", limit: int = 120) -> str:
@@ -211,47 +192,7 @@ class Expr:
             stack.extend(zip(p.children(), q.children()))
         return True
 
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        other = _coerce_opt(other)
-        return NotImplemented if other is None else Add(self, other)
-
-    def __radd__(self, other):
-        other = _coerce_opt(other)
-        return NotImplemented if other is None else Add(other, self)
-
-    def __sub__(self, other):
-        other = _coerce_opt(other)
-        return NotImplemented if other is None else Sub(self, other)
-
-    def __rsub__(self, other):
-        other = _coerce_opt(other)
-        return NotImplemented if other is None else Sub(other, self)
-
-    def __mul__(self, other):
-        other = _coerce_opt(other)
-        return NotImplemented if other is None else Mul(self, other)
-
-    def __rmul__(self, other):
-        other = _coerce_opt(other)
-        return NotImplemented if other is None else Mul(other, self)
-
-    def __truediv__(self, other):
-        other = _coerce_opt(other)
-        return NotImplemented if other is None else Div(self, other)
-
-    def __rtruediv__(self, other):
-        other = _coerce_opt(other)
-        return NotImplemented if other is None else Div(other, self)
-
-    def __pow__(self, other):
-        other = _coerce_opt(other)
-        return NotImplemented if other is None else Pow(self, other)
-
-    def __rpow__(self, other):
-        other = _coerce_opt(other)
-        return NotImplemented if other is None else Pow(other, self)
+    # -- operator sugar: + - * / ** and reflections come from `_operators` --
 
     def __neg__(self):
         return Neg(self)
@@ -261,7 +202,24 @@ class Expr:
         raise NotImplementedError
 
     def __str__(self):
-        return _text(self)
+        """The text of each distinct node is built once, from the texts of
+        its children, without recursion."""
+        done: dict = {}
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if id(node) in done:
+                stack.pop()
+                continue
+            parts = node._parts()
+            todo = [p for p in parts if type(p) is not str and id(p) not in done]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            done[id(node)] = "".join(p if type(p) is str else done[id(p)]
+                                     for p in parts)
+        return done[id(self)]
 
     def __repr__(self):
         return f"{type(self).__name__}({_clip_expr(self)})"
@@ -424,10 +382,7 @@ class Add(_Binary):
     __slots__ = ()
     op = "+"
     prec = 10
-
-    @staticmethod
-    def _apply(x, y):
-        return x + y
+    _apply = staticmethod(operator.add)
 
     @staticmethod
     def _ratio(a, b, c, d):
@@ -445,10 +400,7 @@ class Sub(_Binary):
     __slots__ = ()
     op = "-"
     prec = 10
-
-    @staticmethod
-    def _apply(x, y):
-        return x - y
+    _apply = staticmethod(operator.sub)
 
     @staticmethod
     def _ratio(a, b, c, d):
@@ -466,10 +418,7 @@ class Mul(_Binary):
     __slots__ = ()
     op = "*"
     prec = 20
-
-    @staticmethod
-    def _apply(x, y):
-        return x * y
+    _apply = staticmethod(operator.mul)
 
     @staticmethod
     def _ratio(a, b, c, d):
@@ -492,10 +441,7 @@ class Div(_Binary):
     op = "/"
     prec = 20
     _domain_msg = "division by zero"
-
-    @staticmethod
-    def _apply(x, y):
-        return x / y
+    _apply = staticmethod(operator.truediv)
 
     @staticmethod
     def _ratio(a, b, c, d):
@@ -518,10 +464,7 @@ class Pow(_Binary):
     prec = 30
     _domain_msg = ("invalid power (negative base with fractional exponent, "
                    "zero with negative exponent, or overflow)")
-
-    @staticmethod
-    def _apply(x, y):
-        return math.pow(x, y)
+    _apply = staticmethod(math.pow)
 
     def _diff(self, d, var):
         base, expo = self.a, self.b
@@ -632,6 +575,26 @@ class Call(Expr):
 
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
+
+
+def _operators(name: str, kind) -> None:
+    """Give Expr the operator ``__name__`` that builds a ``kind`` node, and
+    its reflection; a plain number is coerced to a constant, anything
+    else is NotImplemented."""
+    def op(self, other):
+        other = _coerce_opt(other)
+        return NotImplemented if other is None else kind(self, other)
+
+    def rop(self, other):
+        other = _coerce_opt(other)
+        return NotImplemented if other is None else kind(other, self)
+    setattr(Expr, f"__{name}__", op)
+    setattr(Expr, f"__r{name}__", rop)
+
+
+for _name, _kind in (("add", Add), ("sub", Sub), ("mul", Mul),
+                     ("truediv", Div), ("pow", Pow)):
+    _operators(_name, _kind)
 
 
 # ---------------------------------------------------------------------------
@@ -925,6 +888,51 @@ def interval(e: Expr, var: str, lo: float, hi: float) -> tuple:
     return low, high, None
 
 
+CELL_BUDGET = 4000      # cells one `prove` call may visit
+
+
+class Proof(NamedTuple):
+    """`prove`'s verdict, cells visited, deepest level, the rule's
+    witness, and the (lo, hi) cells left undecided with their width."""
+    verdict: str            # pass | falsified | inconclusive-pass
+    cells: int
+    depth: int
+    witness: object = None
+    undecided: list | tuple = ()
+    width: float = 0.0
+
+
+def prove(rule: Callable, lo: float, hi: float) -> Proof:
+    """Decide a claim over [lo, hi] by bisection (Moore, Kearfott & Cloud,
+    *Introduction to Interval Analysis*, SIAM 2009).  ``rule(lo, hi,
+    mid)`` judges a cell, typically from ``interval`` enclosures: True
+    discharges it, False halves it at ``mid``, and any other value is a
+    witness that falsifies the claim.  Cells go depth first, lower half
+    first, until CELL_BUDGET were visited; one too narrow to halve and
+    those left then are undecided."""
+    cells = [(float(lo), float(hi), 0)]
+    visited = depth = 0
+    undecided = []
+    while cells and visited < CELL_BUDGET:
+        lo, hi, level = cells.pop()
+        visited += 1
+        depth = max(depth, level)
+        mid = 0.5 * lo + 0.5 * hi
+        judged = rule(lo, hi, mid)
+        if judged is True:
+            continue
+        if judged is not False:
+            return Proof("falsified", visited, depth, judged)
+        if lo < mid < hi:
+            cells += [(mid, hi, level + 1), (lo, mid, level + 1)]
+        else:
+            undecided.append((lo, hi))
+    undecided += [(lo, hi) for lo, hi, _ in cells]
+    width = sum((hi - lo for lo, hi in undecided), 0.0)
+    return Proof("inconclusive-pass" if width else "pass", visited, depth,
+                 None, undecided, width)
+
+
 # ---------------------------------------------------------------------------
 # simplification
 # ---------------------------------------------------------------------------
@@ -941,9 +949,10 @@ def _rewrite(node: Expr) -> Expr | None:
     of each operator, double negation, and folding of constants through
     nested products.  Every rule shrinks the tree, so iteration
     terminates.  The rules of each node kind are one function, found by
-    the node's type.
+    the node's type; a leaf has none.
     """
-    return _RULES[type(node)](node)
+    rule = _RULES.get(type(node))
+    return None if rule is None else rule(node)
 
 
 def _fold(node: _Binary, a: Const, b: Const) -> Expr | None:
@@ -1044,13 +1053,9 @@ def _rewrite_pow(node: Pow) -> Expr | None:
     return None
 
 
-def _no_rule(node: Expr) -> None:
-    return None
-
-
-_RULES = {Const: _no_rule, Var: _no_rule, Neg: _rewrite_neg,
-          Call: _rewrite_call, Add: _rewrite_add, Sub: _rewrite_sub,
-          Mul: _rewrite_mul, Div: _rewrite_div, Pow: _rewrite_pow}
+_RULES = {Neg: _rewrite_neg, Call: _rewrite_call, Add: _rewrite_add,
+          Sub: _rewrite_sub, Mul: _rewrite_mul, Div: _rewrite_div,
+          Pow: _rewrite_pow}
 
 
 def _combine_product(c1: float, c2: float, rest: Expr) -> Expr | None:
@@ -1107,11 +1112,6 @@ def simplify(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # compilation
 # ---------------------------------------------------------------------------
-
-def _literal(value: float) -> str:
-    text = repr(value)
-    return f"({text})" if value < 0 else text
-
 
 class Emitter:
     """Straight-line Python source for expression trees.
@@ -1173,7 +1173,8 @@ class Emitter:
         if atom is not None:
             return atom
         if isinstance(node, Const):
-            atom = _literal(node.value)
+            text = repr(node.value)     # -2.0 ** 2 would be -(2.0 ** 2)
+            atom = f"({text})" if node.value < 0 else text
         elif isinstance(node, Var):
             atom = self.names.get(node.name)
             if atom is None:
@@ -1204,8 +1205,8 @@ class Emitter:
         body = _inline(self.lines, self._assignments)
         src = "\n".join([f"def {name}({params}):", *body])
         ns = {
-            "_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
-            "_log": math.log, "_sqrt": math.sqrt, "_pow": math.pow,
+            **{f"_{fn}": impl for fn, impl in _FUNC_IMPL.items()},
+            "_pow": math.pow,
             **(namespace or {}),
             "__builtins__": {},
         }

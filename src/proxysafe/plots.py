@@ -5,23 +5,22 @@ the safe-set boundaries dashed, the tracking error inside its funnel,
 the control input, and the barrier values.  The markup is emitted
 directly -- a fixed viewport, a 1-2-5 tick ladder per axis, polyline
 series with an optional dash pattern, and a small legend -- so plotting
-needs no dependency beyond the file system.
+needs no dependency beyond the file system.  The boundaries are the
+roots of each barrier that `expr.prove` isolates (`_roots`); a stretch
+it leaves undecided at its cell budget is dashed at both ends.
 
-Long traces are thinned to a fixed point budget per series before
-rendering; the thinning always keeps the first and last samples, so
-boundary-touching extremes stay visible at the resolution of the plot.
-A series is a list or an `array('d')`: `plot_trace` draws the trace's
-columns as they are and builds each derived series (the head state and
-its reference in degrees, and -rho) as an `array('d')`, 8 bytes a
-value.  Each distinct array is scanned once per `plot_trace` call for
-its finiteness, min and max (`_extent`): the time column is the x of
-every long series.
+A series longer than POINT_BUDGET is drawn through every k-th sample
+and the last (`_thin`), so a peak between two kept samples is not drawn
+while the axis still spans it (ROADMAP item 15).  A series is a list or
+an `array('d')`: `plot_trace` builds each derived series (the head state
+and its reference in degrees, and -rho) as an `array('d')`.  Each
+distinct array is scanned once per `plot_trace` call for its
+finiteness, min and max (`_extent`).
 
 Any finite data range gets an axis: `_pad` and `_fit` keep the range
 inside the finite doubles and at least a few ulps and 1e-300 wide, and
 a span past the largest double is mapped in halves (`_unit`), so the
-tick ladder ends and every coordinate is finite.  Ordinary ranges get
-the ticks and pixels they always had.
+tick ladder ends and every coordinate is finite.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 
-from .expr import compile_expr
+from .expr import differentiate, evaluate, interval, prove
 
 __all__ = ["PlotError", "Series", "render_panel", "plot_trace",
            "plotted_columns"]
@@ -227,16 +226,17 @@ def render_panel(path, title: str, xlabel: str, ylabel: str, series,
                  f'font-size="13" text-anchor="middle" transform="rotate(-90 '
                  f'18 {MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>')
 
+    styles = [(s.color or PALETTE[idx % len(PALETTE)],
+               f' stroke-dasharray="{DASH}"' if s.dashed else "")
+              for idx, s in enumerate(series)]
     legend = []
     seen = set()
-    for idx, s in enumerate(series):
+    for s, (color, dash) in zip(series, styles):
         if s.label in seen:
             continue
         seen.add(s.label)
-        color = s.color or PALETTE[idx % len(PALETTE)]
         y = MARGIN_T + 14 + 16 * (len(seen) - 1)
         x = MARGIN_L + plot_w - 130
-        dash = f' stroke-dasharray="{DASH}"' if s.dashed else ""
         legend.append(f'<line x1="{x}" y1="{y - 4}" x2="{x + 26}" '
                       f'y2="{y - 4}" stroke="{color}" stroke-width="1.4"'
                       f'{dash}/>')
@@ -245,9 +245,7 @@ def render_panel(path, title: str, xlabel: str, ylabel: str, series,
     legend.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
-        for idx, s in enumerate(series):
-            color = s.color or PALETTE[idx % len(PALETTE)]
-            dash = f' stroke-dasharray="{DASH}"' if s.dashed else ""
+        for s, (color, dash) in zip(series, styles):
             fh.write('<polyline points="')
             fh.writelines(_points(map(px, _thin(s.xs)),
                                   map(py, _thin(s.ys))))
@@ -290,49 +288,58 @@ def _column(trace, name):
                         f"(has: {', '.join(trace.columns)})") from None
 
 
-def _safe_bounds(spec, x_lo: float, x_hi: float) -> list:
-    """Zero crossings of each barrier along a scalar state axis.
+def _roots(h, lo: float, hi: float) -> tuple:
+    """The roots of h on [lo, hi] as (root, cell lo, cell hi), and the
+    (lo, hi) cells `prove` left undecided.  A cell holds no root where
+    the enclosure of h excludes 0.  Where that of dh/dx does, h is
+    monotone and evaluates on the whole cell: one root, bisected to
+    adjacent doubles, if h has opposite signs at the ends, else none."""
+    dh = differentiate(h, "x")
+    found = []
 
-    Scans a padded interval around the observed state range (and the
-    scenario's declared box, when present) for sign changes of h, then
-    bisects each bracket.
-    """
+    def rule(lo, hi, mid):
+        h_lo, h_hi, bad = interval(h, "x", lo, hi)
+        if bad is None and (h_lo > 0.0 or h_hi < 0.0):
+            return True
+        d_lo, d_hi, d_bad = interval(dh, "x", lo, hi)
+        if bad is not None or d_bad is not None or d_lo <= 0.0 <= d_hi:
+            return False
+        below = evaluate(h, {"x": lo}) < 0.0
+        if below == (evaluate(h, {"x": hi}) < 0.0):
+            return True
+        a, b = lo, hi
+        while a < mid < b:
+            h_mid = evaluate(h, {"x": mid})
+            # a keeps the sign h has at lo; an exact 0 moves b
+            if h_mid != 0.0 and (h_mid < 0.0) == below:
+                a = mid
+            else:
+                b = mid
+            mid = 0.5 * a + 0.5 * b
+        found.append((mid, lo, hi))
+        return True
+
+    return found, prove(rule, lo, hi).undecided
+
+
+def _safe_bounds(spec, x_lo: float, x_hi: float) -> tuple:
+    """The roots of every barrier on a state axis, in order, and the ends
+    of the stretch holding every cell left undecided (none, or two).  The
+    axis spans the state range and check box, a tenth more on each side,
+    within the finite doubles (an inf or NaN end is the largest)."""
     lo, hi = x_lo, x_hi
     if spec.check_box is not None:
         lo, hi = min(lo, spec.check_box[0]), max(hi, spec.check_box[1])
     slack = (hi - lo) * 0.1 or 1.0
-    lo, hi = lo - slack, hi + slack
-    grid = 2048
-    roots = []
+    # max and min keep their first argument against a NaN
+    lo, hi = max(-_MAX, lo - slack), min(_MAX, hi + slack)
+    roots, cells = [], []
     for proxy in spec.proxies:
-        h_fn = compile_expr(proxy.h, ["x"])
-
-        def h(x):
-            try:
-                value = h_fn(x)
-            except (ArithmeticError, ValueError):
-                return None
-            return value if math.isfinite(value) else None
-
-        prev_x, prev_h = lo, h(lo)
-        for i in range(1, grid + 1):
-            x = lo + (hi - lo) * i / grid
-            cur = h(x)
-            if prev_h is not None and cur is not None and prev_h * cur <= 0.0 \
-                    and (prev_h != 0.0 or cur != 0.0):
-                a, fa, b = prev_x, prev_h, x
-                for _ in range(80):
-                    mid = 0.5 * (a + b)
-                    fm = h(mid)
-                    if fm is None:
-                        break
-                    if fa * fm <= 0.0:
-                        b = mid
-                    else:
-                        a, fa = mid, fm
-                roots.append(0.5 * (a + b))
-            prev_x, prev_h = x, cur
-    return sorted(roots)
+        found, undecided = _roots(proxy.h, lo, hi)
+        roots += [root for root, _, _ in found]
+        cells += undecided
+    ends = [min(a for a, _ in cells), max(b for _, b in cells)] if cells else []
+    return sorted(roots), ends
 
 
 def plot_trace(trace, out_base, spec=None) -> list:
@@ -359,10 +366,12 @@ def plot_trace(trace, out_base, spec=None) -> list:
     xd = _derived(_column(trace, "x_d"), scaled)
     state = [Series("x", ts, xs), Series("reference", ts, xd, dashed=True)]
     if spec is not None:
-        for root in _safe_bounds(spec, min(raw_x), max(raw_x)):
-            state.append(Series("safe bound", [ts[0], ts[-1]],
-                                [root * scale] * 2, dashed=True,
-                                color="#d62728"))
+        roots, undecided = _safe_bounds(spec, min(raw_x), max(raw_x))
+        lines = [("safe bound", "#d62728", root) for root in roots]
+        lines += [("undecided", "#ff7f0e", end) for end in undecided]
+        state += [Series(label, [ts[0], ts[-1]], [value * scale] * 2,
+                         dashed=True, color=color)
+                  for label, color, value in lines]
 
     es = _column(trace, "e")
     rho = _column(trace, "rho")

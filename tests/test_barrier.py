@@ -32,7 +32,7 @@ import random
 
 import pytest
 
-from proxysafe import barrier as barrier_mod
+from proxysafe import expr as expr_mod
 from proxysafe.barrier import (
     BarrierStack, ConditionReport, ProxySpec, RhoSpec, build_barrier_stack,
     check_conditions, chi, rho_budget,
@@ -471,7 +471,7 @@ def test_gradient_condition_proven_at_the_root_when_nonvanishing():
 
 
 def test_gradient_condition_inconclusive_past_the_cell_budget(monkeypatch):
-    monkeypatch.setattr(barrier_mod, "CELL_BUDGET", 5)
+    monkeypatch.setattr(expr_mod, "CELL_BUDGET", 5)
     stack = build_barrier_stack(ship_proxy(), RhoSpec(0.02, 0.02))
     rep = check_conditions(stack, 0.0, 0.0, box=SHIP_BOX)
     data = rep.grad_check.data

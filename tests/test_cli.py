@@ -477,6 +477,26 @@ def test_plot_bad_number_names_its_line(ship_csv, tmp_path, capsys):
     assert not list(tmp_path.glob("p*.svg"))
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("row", [1, 2])
+def test_plot_of_a_nonfinite_state_names_its_panel(ship_csv, tmp_path,
+                                                   capsys, value, row):
+    # the safe bounds are sought on a finite axis before the panel
+    # rejects the series: no traceback, the panel named
+    with open(ship_csv) as fh:
+        lines = fh.read().splitlines()
+    fields = lines[row].split(",")
+    fields[lines[0].split(",").index("x")] = value
+    lines[row] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["plot", str(bad), "--scenario", "ship",
+                 "--out", str(tmp_path / "p")]) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "error: panel 'head state and reference': series contain "
+            "non-finite values\n")
+
+
 def test_plot_missing_file_is_usage_error(capsys):
     assert main(["plot", "/no/such/trace.csv"]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err

@@ -129,3 +129,14 @@ def test_import_loads_no_submodule():
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_plots_loads_no_barrier_code():
+    # the safe bounds are proven by `expr.prove`, not by barrier code
+    code = ("import sys, proxysafe.plots; "
+            "print('proxysafe.barrier' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

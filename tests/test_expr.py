@@ -33,8 +33,10 @@ Covers, in order:
     point where evaluation fails is flagged, the exact rational value
     lies inside it too (which needs the outward rounding), and a
     square encloses to a nonnegative interval, [0, w^2] around 0.
-    Alongside, as properties over the same trees: `simplify` keeps
-    values, and `str` -> `parse` keeps the text and the value.
+    The bisection prover on top of it: its cell order, witness, cell
+    budget and undecided cells.  Alongside, as properties over the same
+    trees: `simplify` keeps values, and `str` -> `parse` keeps the text
+    and the value.
 """
 
 import ast
@@ -1182,6 +1184,36 @@ def test_interval_examples():
         E.interval(x, "x", 0.0, math.inf)
     with pytest.raises(ValueError):
         E.interval(x, "x", 1.0, 0.0)
+
+
+def test_prove_bisects_depth_first_lower_half_first(monkeypatch):
+    seen = []
+
+    def rule(lo, hi, mid):
+        seen.append((lo, hi))
+        return hi <= 0.25 or lo >= 0.5     # [0.25, 0.5] is never decided
+
+    proof = E.prove(rule, 0.0, 1.0)
+    assert seen[:4] == [(0.0, 1.0), (0.0, 0.5), (0.0, 0.25), (0.25, 0.5)]
+    assert proof.verdict == "inconclusive-pass"
+    assert proof.cells == E.CELL_BUDGET and proof.witness is None
+    # the budget ran out within [0.25, 0.5], before [0.5, 1] was taken:
+    # the undecided cells tile [0.25, 1]
+    cells = sorted(proof.undecided)
+    assert cells[0][0] == 0.25 and cells[-1][1] == 1.0
+    assert all(a[1] == b[0] for a, b in zip(cells, cells[1:]))
+    assert proof.width == 0.75
+    # a witness ends the proof where it is found
+    proof = E.prove(lambda lo, hi, mid: mid if hi - lo < 0.3 else False,
+                    0.0, 1.0)
+    assert proof[:4] == ("falsified", 3, 2, 0.125)
+    # a cell that cannot be halved is undecided; a point has width 0
+    assert E.prove(lambda *cell: False, 1.0, math.nextafter(1.0, 2.0))[:3] \
+        == ("inconclusive-pass", 1, 0)
+    assert E.prove(lambda *cell: False, 1.0, 1.0)[:3] == ("pass", 1, 0)
+    monkeypatch.setattr(E, "CELL_BUDGET", 1)
+    assert E.prove(lambda *cell: False, 0.0, 1.0).undecided == [
+        (0.5, 1.0), (0.0, 0.5)]
 
 
 def value_or_error(e, binding):

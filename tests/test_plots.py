@@ -10,7 +10,10 @@ Coverage:
   3. render_panel output: well-formed XML, titles, dash patterns,
      legend dedup, point thinning; series on one shared array and on
      equal distinct arrays give the same bytes
-  4. safe-set boundary root finding on the built-in scenarios
+  4. safe-set boundary roots isolated by `expr.prove`: the built-in
+     scenarios, a narrow unsafe interval, ship over a wide state range,
+     a property against a dense numpy oracle, and the undecided
+     stretches drawn at a cell budget
   5. plot_trace end to end: four panels, degree conversion, derived
      series at 8 bytes a value, empty trace and missing column errors,
      the same bytes from a trace read on two cores and one read serially
@@ -26,19 +29,23 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import types
 import xml.etree.ElementTree as ET
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from proxysafe import expr as expr_mod
 from proxysafe import scenario as scenario_mod
 from proxysafe import sim as sim_mod
 from proxysafe import traceread
-from proxysafe.plots import (POINT_BUDGET, PlotError, Series, _pad,
-                             _safe_bounds, _ticks, plot_trace,
-                             plotted_columns, render_panel)
+from proxysafe.expr import evaluate, parse
+from proxysafe.plots import (MARGIN_R, POINT_BUDGET, WIDTH, PlotError,
+                             Series, _pad, _roots, _safe_bounds, _ticks,
+                             plot_trace, plotted_columns, render_panel)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -199,15 +206,15 @@ def test_render_panel_legend_dedupes_repeated_labels(tmp_path):
 
 def test_render_panel_thins_long_series(tmp_path):
     path = tmp_path / "panel.svg"
-    n = 3 * POINT_BUDGET
+    n = 3 * POINT_BUDGET + 1    # the stride does not land on the last
     ts = [i / n for i in range(n + 1)]
     render_panel(path, "t", "x", "y", [Series("long", ts, ts)])
     _, polys, _ = _svg(path)
     points = polys[0].get("points").split()
     assert len(points) <= POINT_BUDGET + 2
-    # the final sample survives thinning
-    assert points[-1].split(",")[0] == points[-1].split(",")[0]
+    # the final sample survives thinning: it is drawn at the right edge
     last_x = float(points[-1].split(",")[0])
+    assert last_x == WIDTH - MARGIN_R
     first_x = float(points[0].split(",")[0])
     assert last_x > first_x
 
@@ -263,19 +270,92 @@ def test_render_panel_nothing_to_draw(tmp_path):
 
 def test_ship_boundary_roots():
     spec = scenario_mod.load_builtin("ship")
-    roots = _safe_bounds(spec, -0.1, 0.1)
+    roots, undecided = _safe_bounds(spec, -0.1, 0.1)
     edge = math.pi / 9.0
-    assert len(roots) == 2
+    assert len(roots) == 2 and undecided == []
     assert abs(roots[0] + edge) < 1e-9
     assert abs(roots[1] - edge) < 1e-9
 
 
 def test_electromech_boundary_roots():
     spec = scenario_mod.load_builtin("electromech")
-    roots = _safe_bounds(spec, -0.1, 0.1)
-    assert len(roots) == 2
+    roots, undecided = _safe_bounds(spec, -0.1, 0.1)
+    assert len(roots) == 2 and undecided == []
     assert abs(roots[0] + 0.5) < 1e-9
     assert abs(roots[1] - 0.3) < 1e-9
+
+
+def _spec(h):
+    """A scenario of one barrier `h` and no check box."""
+    proxy = types.SimpleNamespace(h=parse(h))
+    return types.SimpleNamespace(proxies=[proxy], check_box=None)
+
+
+def test_a_narrow_unsafe_interval_has_both_bounds():
+    # unsafe on a stretch 2e-4 wide: 2,048 samples of [-0.6, 0.6] step
+    # over it, root isolation does not
+    roots, undecided = _safe_bounds(_spec("(x - 0.1234)^2 - 1e-8"), -0.5, 0.5)
+    assert undecided == []
+    assert roots == pytest.approx([0.1233, 0.1235], abs=1e-12)
+
+
+def test_ship_bounds_over_a_wide_state_range():
+    # a trace whose x reaches 5000 pads the axis to about [-500, 5500]
+    roots, undecided = _safe_bounds(scenario_mod.load_builtin("ship"),
+                                    -0.1, 5000.0)
+    assert undecided == []
+    assert roots == pytest.approx([-math.pi / 9.0, math.pi / 9.0], abs=1e-15)
+
+
+ROOT_TOL = 1e-9     # |h| at a reported root
+
+_coef = st.floats(-5.0, 5.0).map(lambda c: round(c, 3))
+_polys = st.lists(_coef, min_size=2, max_size=6).map(
+    lambda cs: " + ".join([f"({cs[0]})", f"({cs[1]})*x",
+                           *(f"({c})*x^{k}" for k, c in enumerate(cs)
+                             if k > 1)]))
+_trigs = st.tuples(st.floats(0.1, 3.0), st.floats(0.5, 20.0),
+                   st.floats(-3.0, 3.0), st.floats(-2.0, 2.0)).map(
+    lambda p: "({})*sin(({})*x + ({})) + ({})".format(
+        *(round(v, 3) for v in p)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_polys, _trigs))
+def test_every_sign_change_is_a_root_or_undecided(text):
+    lo, hi = -2.0, 2.0
+    found, undecided = _roots(parse(text), lo, hi)
+    cells = [(a, b) for _, a, b in found] + undecided
+    for root, a, b in found:
+        assert a <= root <= b
+        assert abs(evaluate(parse(text), {"x": root})) <= ROOT_TOL
+    xs = np.linspace(lo, hi, 20001)
+    ys = eval(text.replace("^", "**"), {"x": xs, "sin": np.sin})
+    ys = np.broadcast_to(ys, xs.shape)
+    nonzero = np.flatnonzero(ys)
+    for i, j in zip(nonzero, nonzero[1:]):
+        if (ys[i] < 0) != (ys[j] < 0):
+            assert any(a <= xs[j] and xs[i] <= b for a, b in cells), \
+                (text, xs[i], xs[j])
+
+
+def test_cells_left_at_the_budget_are_drawn_as_undecided(tmp_path,
+                                                          monkeypatch,
+                                                          ship_trace):
+    # ship's two roots take 7 cells; at 3, part of the axis is undecided
+    # and drawn as dashed lines at the two ends of its stretch
+    spec, trace = ship_trace
+    monkeypatch.setattr(expr_mod, "CELL_BUDGET", 3)
+    roots, undecided = _safe_bounds(spec, -0.1, 0.1)
+    assert roots == pytest.approx([-math.pi / 9.0], abs=1e-15)
+    assert undecided[0] < math.pi / 9.0 < undecided[1]
+    plot_trace(trace, tmp_path / "ship", spec=spec)
+    _, polys, texts = _svg(tmp_path / "ship_state.svg")
+    dashed = [p for p in polys if p.get("stroke") == "#ff7f0e"]
+    assert len(dashed) == 2 and "undecided" in texts
+    ys = sorted(float(p.get("points").split()[0].split(",")[1])
+                for p in dashed)
+    assert ys[0] < ys[1]
 
 
 # ═══════════════════════════════════════════════════════════════════
