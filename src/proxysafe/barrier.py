@@ -39,7 +39,7 @@ by evaluating the trees there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from proxysafe.expr import (
@@ -110,19 +110,17 @@ def chi(tau: float, k: int = 0) -> float:
 # specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RhoSpec:
+class RhoSpec(namedtuple("RhoSpec", "rho0 rho_inf decay")):
     """Error funnel rho(t) = (rho0 - rho_inf) exp(-decay t) + rho_inf."""
 
-    rho0: float
-    rho_inf: float
-    decay: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.rho0 >= self.rho_inf > 0.0):
+    def __new__(cls, rho0: float, rho_inf: float, decay: float = 0.0):
+        if not (rho0 >= rho_inf > 0.0):
             raise ValueError("need rho0 >= rho_inf > 0")
-        if self.decay < 0.0:
+        if decay < 0.0:
             raise ValueError("decay must be nonnegative")
+        return super().__new__(cls, rho0, rho_inf, decay)
 
     def value(self, t: float) -> float:
         return (self.rho0 - self.rho_inf) * math.exp(-self.decay * t) + self.rho_inf
@@ -134,8 +132,8 @@ class RhoSpec:
         return simplify(e)
 
 
-@dataclass(frozen=True)
-class ProxySpec:
+class ProxySpec(namedtuple("ProxySpec",
+                           "m f0 g0 h xi lambdas betas mode")):
     """Proxy subsystem data: dynamics, safe set, and chain constants.
 
     The proxy is scalar: f0, g0 and h are expressions in the one state
@@ -144,32 +142,27 @@ class ProxySpec:
     "switched" (default construction through chi) or "plain".
     """
 
-    m: int
-    f0: Expr
-    g0: Expr
-    h: Expr
-    xi: float
-    lambdas: tuple
-    betas: tuple
-    mode: str = "switched"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, m: int, f0: Expr, g0: Expr, h: Expr, xi: float,
+                lambdas: tuple, betas: tuple, mode: str = "switched"):
+        if m < 1:
             raise ValueError("chain length m must be >= 1")
-        if self.mode not in ("switched", "plain"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.xi <= 0.0:
+        if mode not in ("switched", "plain"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if xi <= 0.0:
             raise ValueError("xi must be positive")
-        if len(self.lambdas) != self.m + 1 or any(v <= 0 for v in self.lambdas):
-            raise ValueError(f"need {self.m + 1} positive lambdas")
-        if len(self.betas) != self.m or any(v <= 0 for v in self.betas):
-            raise ValueError(f"need {self.m} positive betas")
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        object.__setattr__(self, "betas", tuple(float(v) for v in self.betas))
-        for name in ("h", "f0", "g0"):
-            extra = getattr(self, name).variables() - {"x"}
+        if len(lambdas) != m + 1 or any(v <= 0 for v in lambdas):
+            raise ValueError(f"need {m + 1} positive lambdas")
+        if len(betas) != m or any(v <= 0 for v in betas):
+            raise ValueError(f"need {m} positive betas")
+        lambdas = tuple(float(v) for v in lambdas)
+        betas = tuple(float(v) for v in betas)
+        for name, e in (("h", h), ("f0", f0), ("g0", g0)):
+            extra = e.variables() - {"x"}
             if extra:
                 raise ValueError(f"{name} uses undeclared variables {sorted(extra)}")
+        return super().__new__(cls, m, f0, g0, h, xi, lambdas, betas, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +310,30 @@ def build_barrier_stack(proxy: ProxySpec, rho: RhoSpec) -> BarrierStack:
 # feasibility conditions
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ConditionCheck:
-    verdict: str          # pass | fail | falsified | inconclusive-pass | skipped
-    detail: str
-    data: dict = field(default_factory=dict)
+    """One condition's verdict (pass, fail, falsified, inconclusive-pass
+    or skipped), its detail line and its data."""
+
+    def __init__(self, verdict: str, detail: str, data: dict | None = None):
+        self.verdict = verdict
+        self.detail = detail
+        self.data = {} if data is None else data
 
     @property
     def ok(self) -> bool:
         return self.verdict in ("pass", "inconclusive-pass", "skipped")
 
 
-@dataclass
 class ConditionReport:
-    grad_check: ConditionCheck      # vanishing g0-gradient implies h >= xi
-    budget_check: ConditionCheck    # iterated funnel derivative budget
-    init_check: ConditionCheck      # positivity at the initial state
+    """The checks of one barrier stack: a vanishing g0-gradient implies
+    h >= xi, the iterated funnel derivative budget, and positivity at
+    the initial state."""
+
+    def __init__(self, grad_check: ConditionCheck,
+                 budget_check: ConditionCheck, init_check: ConditionCheck):
+        self.grad_check = grad_check
+        self.budget_check = budget_check
+        self.init_check = init_check
 
     @property
     def ok(self) -> bool:

@@ -19,7 +19,7 @@ input the toolkit cannot build, reported like any other bad input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from proxysafe.barrier import ProxySpec, RhoSpec
 from proxysafe.dob import DobSpec
@@ -84,26 +84,22 @@ def _node_count(exprs) -> int:
 # nominal proxy backstepping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NominalGains:
+class NominalGains(namedtuple("NominalGains", "ks cs x_d")):
     """Gains k_0..k_m, c_0..c_m and the reference trajectory x_d(t)."""
 
-    ks: tuple
-    cs: tuple
-    x_d: Expr
+    __slots__ = ()
 
-    def __post_init__(self):
-        ks = tuple(float(v) for v in self.ks)
-        cs = tuple(float(v) for v in self.cs)
+    def __new__(cls, ks: tuple, cs: tuple, x_d: Expr):
+        ks = tuple(float(v) for v in ks)
+        cs = tuple(float(v) for v in cs)
         if not ks or len(ks) != len(cs):
             raise ValueError("need matching nonempty k and c gain tuples")
         if any(v <= 0.0 for v in ks + cs):
             raise ValueError("gains must be positive")
-        extra = self.x_d.variables() - {"t"}
+        extra = x_d.variables() - {"t"}
         if extra:
             raise ValueError(f"reference may only depend on t, found {sorted(extra)}")
-        object.__setattr__(self, "ks", ks)
-        object.__setattr__(self, "cs", cs)
+        return super().__new__(cls, ks, cs, x_d)
 
 
 class NominalController:
@@ -123,11 +119,12 @@ class NominalController:
         self.partials = dict(partials)
         self.params = tuple(params)
         self._fn = None
-        self._g0_fn = compile_expr(proxy.g0, ["x"])
 
     def control(self, x, mu, t) -> float:
-        """Numeric nominal input at one state."""
+        """Numeric nominal input at one state; the law and g0 compile on
+        the first call."""
         if self._fn is None:
+            self._g0_fn = compile_expr(self.proxy.g0, ["x"])
             self._fn = compile_expr(self.nu_d, list(self.params))
         x = float(x)
         g0 = self._g0_fn(x)
@@ -193,22 +190,19 @@ def build_nominal(proxy: ProxySpec, gains: NominalGains) -> NominalController:
 # approximation-free funnel control
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PpcGains:
+class PpcGains(namedtuple("PpcGains", "ks margin floor")):
     """Per-level gains and the parameters that size the intermediate
     funnels from the initial state (see initialize_funnels)."""
 
-    ks: tuple
-    margin: float = 1.5
-    floor: float = 0.1
+    __slots__ = ()
 
-    def __post_init__(self):
-        ks = tuple(float(v) for v in self.ks)
+    def __new__(cls, ks: tuple, margin: float = 1.5, floor: float = 0.1):
+        ks = tuple(float(v) for v in ks)
         if not ks or any(v <= 0.0 for v in ks):
             raise ValueError("need positive funnel gains")
-        if self.margin <= 1.0 or self.floor <= 0.0:
+        if margin <= 1.0 or floor <= 0.0:
             raise ValueError("margin must exceed 1 and floor must be positive")
-        object.__setattr__(self, "ks", ks)
+        return super().__new__(cls, ks, margin, floor)
 
 
 def _eta(k: float, xi: float, sign: float, level: int, t: float) -> float:
@@ -267,15 +261,13 @@ def initialize_funnels(gains: PpcGains, signs, z0, mu1_0: float,
 # Nussbaum-gain adaptive control
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NussbaumGains:
-    gamma1: float
-    gamma2: float
-    k: float
+class NussbaumGains(namedtuple("NussbaumGains", "gamma1 gamma2 k")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.gamma1 <= 0.0 or self.gamma2 < 0.0 or self.k <= 0.0:
+    def __new__(cls, gamma1: float, gamma2: float, k: float):
+        if gamma1 <= 0.0 or gamma2 < 0.0 or k <= 0.0:
             raise ValueError("need gamma1, k > 0 and gamma2 >= 0")
+        return super().__new__(cls, gamma1, gamma2, k)
 
 
 def nussbaum_gain(zeta: float) -> float:
@@ -312,8 +304,7 @@ def nussbaum_control(gains: NussbaumGains, zeta: float, theta_hat, e: float,
 # observer-based backstepping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DobBackstepGains:
+class DobBackstepGains(namedtuple("DobBackstepGains", "ks gamma_fs sigmas")):
     """Feedback gains k_i, filter-energy gains, and damping margins.
 
     sigmas[i] must sit below gamma_fs[i] for i < n; the last sigma must
@@ -321,14 +312,12 @@ class DobBackstepGains:
     build time when the observer spec is known.
     """
 
-    ks: tuple
-    gamma_fs: tuple
-    sigmas: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        ks = tuple(float(v) for v in self.ks)
-        gfs = tuple(float(v) for v in self.gamma_fs)
-        sigmas = tuple(float(v) for v in self.sigmas)
+    def __new__(cls, ks: tuple, gamma_fs: tuple, sigmas: tuple):
+        ks = tuple(float(v) for v in ks)
+        gfs = tuple(float(v) for v in gamma_fs)
+        sigmas = tuple(float(v) for v in sigmas)
         n = len(ks)
         if n < 2:
             raise ValueError("observer backstepping needs at least two levels")
@@ -339,9 +328,7 @@ class DobBackstepGains:
         for i, (s, g) in enumerate(zip(sigmas, gfs), start=1):
             if s >= g:
                 raise ValueError(f"sigma_{i}={s} must stay below gamma_f_{i}={g}")
-        object.__setattr__(self, "ks", ks)
-        object.__setattr__(self, "gamma_fs", gfs)
-        object.__setattr__(self, "sigmas", sigmas)
+        return super().__new__(cls, ks, gfs, sigmas)
 
 
 class DobBackstepController:

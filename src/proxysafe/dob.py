@@ -24,13 +24,12 @@ holds exactly rather than drifting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = ["DobSpec", "dob_outputs", "dob_derivative", "filter_derivative"]
 
 
-@dataclass(frozen=True)
-class DobSpec:
+class DobSpec(namedtuple("DobSpec", "alphas nus time_constants")):
     """Observer gains, analysis constants, and filter time constants.
 
     alphas holds one positive gain per plant level.  nus are the analysis
@@ -40,22 +39,21 @@ class DobSpec:
     filter because its estimate is used directly.
     """
 
-    alphas: tuple
-    nus: tuple = ()
-    time_constants: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        alphas = tuple(float(a) for a in self.alphas)
+    def __new__(cls, alphas: tuple, nus: tuple = (),
+                time_constants: tuple = ()):
+        alphas = tuple(float(a) for a in alphas)
         if not alphas or any(a <= 0.0 for a in alphas):
             raise ValueError("need at least one positive observer gain")
-        nus = tuple(float(v) for v in self.nus) or tuple(1.0 for _ in alphas)
+        nus = tuple(float(v) for v in nus) or tuple(1.0 for _ in alphas)
         if len(nus) != len(alphas):
             raise ValueError("need one nu per level")
         for a, v in zip(alphas, nus):
             if not 0.0 < v < 2.0 * a:
                 raise ValueError(f"nu={v} outside (0, {2 * a})")
         n = len(alphas)
-        tcs = tuple(tuple(float(t) for t in row) for row in self.time_constants)
+        tcs = tuple(tuple(float(t) for t in row) for row in time_constants)
         if not tcs:
             tcs = tuple(tuple(1.0 for _ in range(n - i)) for i in range(1, n))
         if len(tcs) != n - 1 or any(len(row) != n - i for i, row
@@ -64,9 +62,7 @@ class DobSpec:
                              "for every level i < n")
         if any(t <= 0.0 for row in tcs for t in row):
             raise ValueError("filter time constants must be positive")
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "nus", nus)
-        object.__setattr__(self, "time_constants", tcs)
+        return super().__new__(cls, alphas, nus, tcs)
 
     @property
     def n(self) -> int:

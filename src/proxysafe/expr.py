@@ -490,6 +490,8 @@ class Pow(_Binary):
                 if c % 2.0 == 0.0:
                     return _even_power(lo, hi, *ends)
                 return _down(_down(min(ends))), _up(_up(max(ends)))
+            if hi < 0.0 and math.floor(d) < math.ceil(c):
+                return _NOWHERE     # a negative base, no integer exponent
             if lo < 0.0 or lo == 0.0 and c <= 0.0:
                 return None
             # monotone in the base and in the exponent: the corners bound it
@@ -561,6 +563,8 @@ class Call(Expr):
             return _trig(math.sin, lo, hi, 0.5 * math.pi)
         if fn == "cos":
             return _trig(math.cos, lo, hi, 0.0)
+        if fn == "sqrt" and hi < 0.0 or fn == "log" and hi <= 0.0:
+            return _NOWHERE     # no point of the box in the domain
         # exp, log and sqrt increase; an end outside the domain raises
         try:
             low, high = _FUNC_IMPL[fn](lo), _FUNC_IMPL[fn](hi)
@@ -834,9 +838,13 @@ def _trig(fn, lo: float, hi: float, peak: float) -> tuple:
     return low, high
 
 
+# what `_enclose` returns where its node is undefined on the whole box
+_NOWHERE = (math.inf, -math.inf)
+
+
 class _Flagged(Exception):
-    def __init__(self, node: Expr):
-        self.node = node
+    def __init__(self, node: Expr, bounds: tuple):
+        self.node, self.bounds = node, bounds
 
 
 def interval(e: Expr, var: str, lo: float, hi: float) -> tuple:
@@ -858,11 +866,15 @@ def interval(e: Expr, var: str, lo: float, hi: float) -> tuple:
     leave its real domain or the finite range: a division by an
     interval holding 0, log of one reaching 0, sqrt of one reaching
     below 0, a power that may raise or overflow, a bound that is not
-    finite.  Then low
-    and high are -inf and inf.  Wherever ``evaluate`` raises DomainError
-    at a point of the interval the enclosure is flagged; it may also be
-    flagged where no point fails.  Nothing is raised for a domain;
-    another variable raises UnboundVariableError.
+    finite.  Then low and high are -inf and inf, or inf and -inf, the
+    empty enclosure, where ``bad`` leaves its domain on the whole
+    interval: sqrt of an enclosure below 0, log of one at or below 0,
+    a negative base to an exponent enclosure holding no integer.  Then
+    ``e`` is undefined there too, since ``evaluate`` evaluates every
+    subexpression.  Wherever ``evaluate`` raises DomainError at a point
+    of the interval the enclosure is flagged; it may also be flagged
+    where no point fails.  Nothing is raised for a domain; another
+    variable raises UnboundVariableError.
     """
     lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
@@ -877,14 +889,15 @@ def interval(e: Expr, var: str, lo: float, hi: float) -> tuple:
         if out is None:
             out = node._enclose(iv, box)
             if out is None or not (finite(out[0]) and finite(out[1])):
-                raise _Flagged(node)
+                raise _Flagged(node, _NOWHERE if out is _NOWHERE
+                               else (-math.inf, math.inf))
             memo[id(node)] = out
         return out
 
     try:
         low, high = iv(e)
     except _Flagged as flag:
-        return -math.inf, math.inf, flag.node
+        return (*flag.bounds, flag.node)
     return low, high, None
 
 

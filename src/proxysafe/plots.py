@@ -7,7 +7,8 @@ directly -- a fixed viewport, a 1-2-5 tick ladder per axis, polyline
 series with an optional dash pattern, and a small legend -- so plotting
 needs no dependency beyond the file system.  The boundaries are the
 roots of each barrier that `expr.prove` isolates (`_roots`); a stretch
-it leaves undecided at its cell budget is dashed at both ends.
+left undecided, at the cell budget or in cells narrower than a pixel,
+is dashed at both ends.
 
 A series longer than POINT_BUDGET is drawn through every k-th sample
 and the last (`_thin`), so a peak between two kept samples is not drawn
@@ -29,7 +30,6 @@ import itertools
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 
 from .expr import differentiate, evaluate, interval, prove
 
@@ -41,6 +41,7 @@ DASH = "7 5"
 WIDTH, HEIGHT = 720, 405
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 18, 36, 48
 POINT_BUDGET = 4000
+MIN_CELL = 2.0 ** -5    # narrowest cell `_roots` halves, in pixel columns
 DERIVE_CHUNK = 4096     # values a derived series converts per list
 _MAX = sys.float_info.max
 _MIN_SPAN = 1e-300      # an axis narrower has no ladder of normal doubles
@@ -50,21 +51,17 @@ class PlotError(Exception):
     """The trace cannot be plotted; the message names what is missing."""
 
 
-@dataclass
 class Series:
     """One labeled line: x/y samples, each a list or an `array('d')`,
     plus its drawing style."""
 
-    label: str
-    xs: list | array
-    ys: list | array
-    dashed: bool = False
-    color: str | None = None
-
-    def __post_init__(self):
-        if len(self.xs) != len(self.ys):
-            raise PlotError(f"series '{self.label}': "
-                            f"{len(self.xs)} x values vs {len(self.ys)} y")
+    def __init__(self, label: str, xs: list | array, ys: list | array,
+                 dashed: bool = False, color: str | None = None):
+        if len(xs) != len(ys):
+            raise PlotError(f"series '{label}': "
+                            f"{len(xs)} x values vs {len(ys)} y")
+        self.label, self.xs, self.ys = label, xs, ys
+        self.dashed, self.color = dashed, color
 
 
 def _thin(values):
@@ -290,20 +287,31 @@ def _column(trace, name):
 
 def _roots(h, lo: float, hi: float) -> tuple:
     """The roots of h on [lo, hi] as (root, cell lo, cell hi), and the
-    (lo, hi) cells `prove` left undecided.  A cell holds no root where
-    the enclosure of h excludes 0.  Where that of dh/dx does, h is
-    monotone and evaluates on the whole cell: one root, bisected to
-    adjacent doubles, if h has opposite signs at the ends, else none."""
+    (lo, hi) cells left undecided.  A cell holds no root where the
+    enclosure of h excludes 0, the empty one of a cell where h is
+    undefined included.  Where that of dh/dx does, h is monotone and
+    evaluates on the whole cell: one root, bisected to adjacent doubles,
+    if h has opposite signs at the ends, else none.  An undischarged
+    cell narrower than MIN_CELL pixel columns of a panel spanning
+    [lo, hi] is left undecided rather than halved, as are those `prove`
+    leaves at its budget: two roots that close draw as one line, and a
+    root of dh/dx too (a multiple root) would be halved to subnormal
+    widths.  Roots a tenth of a column apart are still told apart."""
     dh = differentiate(h, "x")
-    found = []
+    columns = WIDTH - MARGIN_L - MARGIN_R
+    narrow = (hi / columns - lo / columns) * MIN_CELL   # (hi - lo) may overflow
+    found, undecided = [], []
 
     def rule(lo, hi, mid):
         h_lo, h_hi, bad = interval(h, "x", lo, hi)
-        if bad is None and (h_lo > 0.0 or h_hi < 0.0):
+        if h_lo > 0.0 or h_hi < 0.0:
             return True
         d_lo, d_hi, d_bad = interval(dh, "x", lo, hi)
         if bad is not None or d_bad is not None or d_lo <= 0.0 <= d_hi:
-            return False
+            if hi - lo >= narrow:
+                return False
+            undecided.append((lo, hi))
+            return True
         below = evaluate(h, {"x": lo}) < 0.0
         if below == (evaluate(h, {"x": hi}) < 0.0):
             return True
@@ -319,7 +327,8 @@ def _roots(h, lo: float, hi: float) -> tuple:
         found.append((mid, lo, hi))
         return True
 
-    return found, prove(rule, lo, hi).undecided
+    left = prove(rule, lo, hi).undecided
+    return found, undecided + left
 
 
 def _safe_bounds(spec, x_lo: float, x_hi: float) -> tuple:

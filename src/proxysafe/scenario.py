@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 import yaml
 
@@ -129,8 +129,8 @@ def _num_list(value, path, count=None):
     return out
 
 
-@dataclass(frozen=True)
-class PlantSpec:
+class PlantSpec(namedtuple("PlantSpec",
+                           "n f0 g0 fs gs disturbances known")):
     """The true scalar strict-feedback plant.
 
     The head state x follows f0 + g0*z1; each level i follows
@@ -139,25 +139,21 @@ class PlantSpec:
     the controller may consume.
     """
 
-    n: int
-    f0: Expr
-    g0: Expr
-    fs: tuple
-    gs: tuple
-    disturbances: tuple
-    known: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, f0: Expr, g0: Expr, fs: tuple, gs: tuple,
+                disturbances: tuple, known: tuple):
+        if n < 1:
             raise ScenarioError("plant.n: must be at least 1")
-        for name in ("fs", "gs", "disturbances", "known"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        if len(self.fs) != self.n or len(self.gs) != self.n:
+        fs, gs, disturbances, known = \
+            tuple(fs), tuple(gs), tuple(disturbances), tuple(known)
+        if len(fs) != n or len(gs) != n:
             raise ScenarioError("plant.levels: need one f,g pair per level")
-        if self.disturbances and len(self.disturbances) != self.n:
+        if disturbances and len(disturbances) != n:
             raise ScenarioError("plant.disturbances: need one per level or none")
-        if len(self.known) != self.n:
+        if len(known) != n:
             raise ScenarioError("plant.known: need one flag per level")
+        return super().__new__(cls, n, f0, g0, fs, gs, disturbances, known)
 
 
 def _parse_plant(data, path) -> PlantSpec:
@@ -314,25 +310,17 @@ def _parse_controllers(data, path, plant: PlantSpec):
     return out
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """One validated closed-loop setup plus its normalized source mapping."""
+class ScenarioSpec(namedtuple(
+        "ScenarioSpec", "name angle_unit plant proxies rho controller "
+        "controllers nominal initial_x initial_z horizon dt hold_dt "
+        "check_box raw")):
+    """One validated closed-loop setup plus its normalized source mapping:
+    the plant, the proxies, the funnel rho, the selected controller and
+    the blocks of all configured ones, the nominal gains, the initial
+    state, the run grid (hold_dt None for none), the check box (None or
+    one (lo, hi) interval) and the raw mapping."""
 
-    name: str
-    angle_unit: str
-    plant: PlantSpec
-    proxies: tuple
-    rho: RhoSpec
-    controller: str
-    controllers: dict
-    nominal: NominalGains
-    initial_x: float
-    initial_z: tuple
-    horizon: float
-    dt: float
-    hold_dt: float | None
-    check_box: tuple | None
-    raw: dict
+    __slots__ = ()
 
     @property
     def m(self) -> int:

@@ -62,7 +62,6 @@ import math
 import operator
 import os
 from array import array
-from dataclasses import dataclass, field
 
 from proxysafe.barrier import build_barrier_stack, check_conditions
 from proxysafe.controllers import (
@@ -176,7 +175,6 @@ def _identity(path) -> tuple:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-@dataclass
 class SimTrace:
     """Uniform-grid run log plus the verdict and summary monitors.
 
@@ -191,19 +189,22 @@ class SimTrace:
     only the rows a trace holds, and raise ValueError for the others.
     """
 
-    scenario: str
-    controller: str
-    columns: list
-    data: array
-    verdict: str
-    reason: str | None = None
-    monitors: dict = field(default_factory=dict)
-    # (row count, column name -> values) of a trace whose rows are not in
-    # `data`: the columns from_csv parsed, or None for a written-out trace
-    _parsed: tuple | None = field(default=None, init=False, repr=False)
-    # (path, `_identity`) of the file simulate wrote the rows to
-    _file: tuple | None = field(default=None, init=False, repr=False,
-                                compare=False)
+    def __init__(self, scenario: str, controller: str, columns: list,
+                 data: array, verdict: str, reason: str | None = None,
+                 monitors: dict | None = None):
+        self.scenario = scenario
+        self.controller = controller
+        self.columns = columns
+        self.data = data
+        self.verdict = verdict
+        self.reason = reason
+        self.monitors = {} if monitors is None else monitors
+        # (row count, column name -> values) of a trace whose rows are
+        # not in `data`: the columns from_csv parsed, or None for a
+        # written-out trace
+        self._parsed = None
+        # (path, `_identity`) of the file simulate wrote the rows to
+        self._file = None
 
     @property
     def n_rows(self) -> int:
@@ -458,18 +459,9 @@ class RuntimeModel:
         self.rho = spec.rho
         self.has_plant = self.kind != "nominal"
 
-        zs = [f"z{i}" for i in range(1, self.n + 1)]
-        self.f0_fn = compile_expr(plant.f0, ["x"])
-        self.g0_fn = compile_expr(plant.g0, ["x"])
-        self.f_fns = [compile_expr(f, ["x", *zs[:i + 1]])
-                      for i, f in enumerate(plant.fs)]
-        self.g_fns = [compile_expr(g, ["x", *zs[:i + 1]])
-                      for i, g in enumerate(plant.gs)]
-        self.d_fns = [compile_expr(d, ["t"]) for d in plant.disturbances]
         self.stacks = [build_barrier_stack(proxy, spec.rho)
                        for proxy in spec.proxies]
         self.nominal = build_nominal(spec.proxies[0], spec.nominal)
-        self.xd_fn = compile_expr(spec.nominal.x_d, ["t"])
 
         self.dob = None
         self.dob_ctrl = None
@@ -478,7 +470,6 @@ class RuntimeModel:
         self.ppc_signs = None
         self.nuss_gains = None
         self.phis = ()
-        self.phi_fns = []
         if self.kind == "dob_backstepping":
             self.dob = block["observer"]
             self.dob_ctrl = build_dob_backstepping(
@@ -492,7 +483,6 @@ class RuntimeModel:
         elif self.kind == "nussbaum":
             self.nuss_gains = block["gains"]
             self.phis = block["phi"]
-            self.phi_fns = [compile_expr(p, ["z1"]) for p in self.phis]
             self.nuss_init = (block["zeta0"], *block["theta0"])
 
         # state layout: x, the plant levels, the virtual chain, then the
@@ -514,6 +504,43 @@ class RuntimeModel:
         self.i_mu = names.index("mu1")
         self.i_extra = self.i_mu + self.m
         self.qp_fallbacks = 0
+
+    # -- compiled model functions -------------------------------------------
+    # The reference composition (`controls`, `deriv`, `trace_row`) is all
+    # that calls these, so each compiles on first use: `check` needs none.
+
+    @functools.cached_property
+    def f0_fn(self):
+        return compile_expr(self.spec.plant.f0, ["x"])
+
+    @functools.cached_property
+    def g0_fn(self):
+        return compile_expr(self.spec.plant.g0, ["x"])
+
+    def _level_fns(self, exprs) -> list:
+        zs = [f"z{i}" for i in range(1, self.n + 1)]
+        return [compile_expr(e, ["x", *zs[:i + 1]])
+                for i, e in enumerate(exprs)]
+
+    @functools.cached_property
+    def f_fns(self):
+        return self._level_fns(self.spec.plant.fs)
+
+    @functools.cached_property
+    def g_fns(self):
+        return self._level_fns(self.spec.plant.gs)
+
+    @functools.cached_property
+    def d_fns(self):
+        return [compile_expr(d, ["t"]) for d in self.spec.plant.disturbances]
+
+    @functools.cached_property
+    def xd_fn(self):
+        return compile_expr(self.spec.nominal.x_d, ["t"])
+
+    @functools.cached_property
+    def phi_fns(self):
+        return [compile_expr(p, ["z1"]) for p in self.phis]
 
     # -- state helpers ------------------------------------------------------
 

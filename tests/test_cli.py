@@ -733,14 +733,21 @@ def loaded_modules(argv, cwd):
 
 
 def test_a_command_loads_only_what_it_runs(tmp_path):
+    # no command builds its value classes with `dataclasses`, which
+    # loads `inspect`: both cost a fresh process several milliseconds
+    machinery = {"dataclasses", "inspect"}
     checked = loaded_modules(["check", "ship"], tmp_path)
     assert "proxysafe.sim" in checked
     assert not checked & {"proxysafe.loop", "proxysafe.plots", "json",
-                          "proxysafe.traceread"}
+                          "proxysafe.traceread", *machinery}
     ran = loaded_modules(["run", "ship", "--horizon", "0.05",
                           "--out", "x.csv"], tmp_path)
     assert "proxysafe.loop" in ran
-    assert not ran & {"proxysafe.plots", "proxysafe.traceread"}
+    assert not ran & {"proxysafe.plots", "proxysafe.traceread", *machinery}
+    plotted = loaded_modules(["plot", "x.csv", "--scenario", "ship"],
+                             tmp_path)
+    assert "proxysafe.plots" in plotted
+    assert not plotted & machinery
 
 
 def test_import_leaves_the_process_pool_out():

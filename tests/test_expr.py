@@ -1073,17 +1073,20 @@ def boxes(draw):
 @example(Call("sqrt", Var("x")), (-1.0, 1.0, [-1.0, 0.0, 1.0]))
 def test_interval_encloses_evaluate(e, box):
     """Wherever evaluate returns a value it lies in the enclosure, and
-    wherever it raises DomainError the enclosure is flagged."""
+    wherever it raises DomainError the enclosure is flagged.  A flagged
+    enclosure is the whole line, or it is empty and evaluate raises at
+    every point."""
     lo, hi, points = box
     low, high, bad = E.interval(e, "x", lo, hi)
     if bad is not None:
-        assert (low, high) == (-math.inf, math.inf)
+        assert (low, high) in ((-math.inf, math.inf), (math.inf, -math.inf))
     for p in points:
         try:
             v = E.evaluate(e, {"x": p})
         except DomainError:
             assert bad is not None, (e, lo, hi, p)
             continue
+        assert low <= high, (e, lo, hi, p)     # an empty one has no value
         if bad is None:
             assert low <= v <= high, (e, lo, hi, p, v, low, high)
 
@@ -1178,6 +1181,16 @@ def test_interval_examples():
     assert E.interval(sqrt + x, "x", 0.0, 2.0)[2] is not None
     assert E.interval(sqrt + x, "x", 1.0, 2.0)[2] is None
     assert E.interval(Call("exp", x), "x", 0.0, 800.0)[2] is not None
+    # undefined on the whole interval: the empty enclosure
+    assert E.interval(sqrt + x, "x", -1.0, 0.5) == (math.inf, -math.inf, sqrt)
+    log = Call("log", x)
+    assert E.interval(log * x, "x", -2.0, 0.0) == (math.inf, -math.inf, log)
+    assert E.interval(log, "x", -2.0, 1e-300)[:2] == (-math.inf, math.inf)
+    root = Pow(x, Const(0.5))
+    assert E.interval(root, "x", -2.0, -1.0) == (math.inf, -math.inf, root)
+    assert E.interval(Pow(x, Const(3.0)), "x", -2.0, -1.0)[2] is None
+    assert E.interval(Pow(Const(-2.0), x), "x", 1.0, 3.0)[:2] == (
+        -math.inf, math.inf)     # x = 2 is defined there
     with pytest.raises(UnboundVariableError):
         E.interval(Var("y"), "x", 0.0, 1.0)
     with pytest.raises(ValueError):

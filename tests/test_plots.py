@@ -12,8 +12,9 @@ Coverage:
      equal distinct arrays give the same bytes
   4. safe-set boundary roots isolated by `expr.prove`: the built-in
      scenarios, a narrow unsafe interval, ship over a wide state range,
-     a property against a dense numpy oracle, and the undecided
-     stretches drawn at a cell budget
+     a barrier undefined on part of the axis, a multiple root, a
+     property against a dense numpy oracle, and the undecided stretches
+     drawn at a cell budget
   5. plot_trace end to end: four panels, degree conversion, derived
      series at 8 bytes a value, empty trace and missing column errors,
      the same bytes from a trace read on two cores and one read serially
@@ -39,13 +40,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proxysafe import expr as expr_mod
+from proxysafe import plots as plots_mod
 from proxysafe import scenario as scenario_mod
 from proxysafe import sim as sim_mod
 from proxysafe import traceread
 from proxysafe.expr import evaluate, parse
-from proxysafe.plots import (MARGIN_R, POINT_BUDGET, WIDTH, PlotError,
-                             Series, _pad, _roots, _safe_bounds, _ticks,
-                             plot_trace, plotted_columns, render_panel)
+from proxysafe.plots import (MARGIN_L, MARGIN_R, POINT_BUDGET, WIDTH,
+                             PlotError, Series, _pad, _roots, _safe_bounds,
+                             _ticks, plot_trace, plotted_columns,
+                             render_panel)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -285,10 +288,10 @@ def test_electromech_boundary_roots():
     assert abs(roots[1] - 0.3) < 1e-9
 
 
-def _spec(h):
-    """A scenario of one barrier `h` and no check box."""
+def _spec(h, check_box=None):
+    """A scenario of one barrier `h` and the check box, none by default."""
     proxy = types.SimpleNamespace(h=parse(h))
-    return types.SimpleNamespace(proxies=[proxy], check_box=None)
+    return types.SimpleNamespace(proxies=[proxy], check_box=check_box)
 
 
 def test_a_narrow_unsafe_interval_has_both_bounds():
@@ -305,6 +308,33 @@ def test_ship_bounds_over_a_wide_state_range():
                                     -0.1, 5000.0)
     assert undecided == []
     assert roots == pytest.approx([-math.pi / 9.0, math.pi / 9.0], abs=1e-15)
+
+
+def test_a_barrier_undefined_on_part_of_the_axis_has_its_root():
+    # sqrt(x + 0.5) is undefined below -0.5, on the first twelfth of
+    # the axis [-0.58, 0.38]: the empty enclosure discharges those cells
+    roots, undecided = _safe_bounds(
+        _spec("sqrt(x + 0.5) - 0.1", check_box=(-0.5, 0.3)), -0.1, 0.1)
+    assert roots == pytest.approx([-0.49], abs=1e-12)
+    assert undecided == [] or undecided[0] <= -0.5 <= undecided[1] and \
+        undecided[1] - undecided[0] < 0.96 / (WIDTH - MARGIN_L - MARGIN_R)
+
+
+def test_a_multiple_root_stops_below_a_pixel(monkeypatch):
+    # h and dh/dx both vanish at 0, so no enclosure decides the cells
+    # around it; they are left undecided a fraction of a pixel wide
+    # instead of being halved about 1,075 times down to subnormal widths
+    proofs = []
+
+    def spy(rule, lo, hi):
+        proofs.append(expr_mod.prove(rule, lo, hi))
+        return proofs[-1]
+
+    monkeypatch.setattr(plots_mod, "prove", spy)
+    found, undecided = _roots(parse("2.659*x^3 - 4.289*x^4"), -2.0, 2.0)
+    assert proofs[0].cells <= 100
+    assert [root for root, _, _ in found] == pytest.approx([2.659 / 4.289])
+    assert min(a for a, _ in undecided) <= 0.0 <= max(b for _, b in undecided)
 
 
 ROOT_TOL = 1e-9     # |h| at a reported root

@@ -212,27 +212,51 @@ def test_a_streamed_trace_opens_no_file(tmp_path, monkeypatch):
     assert str(info.value).endswith(f"SimTrace.from_csv({str(out)!r})")
 
 
+STREAM_SLACK = 64 * 1024    # bytes two streamed runs' peaks may differ by
+
+
+def _no_trace(frame, event, arg):
+    return None
+
+
 def test_a_streamed_run_holds_one_batch_of_rows(tmp_path):
     # each batch of rows is dropped once it is sent to the writer, so a
-    # streamed run's peak memory does not grow with its horizon: 2,001
-    # and 20,001 ship rows peak alike, where keeping the rows took 8
-    # bytes a value, 2.7 MB more at 20,001 rows
+    # streamed run's peak memory does not grow with its horizon: a run
+    # of 257 ship rows, one full batch and one row, and one of 6,401
+    # rows peak alike, where keeping the rows takes 8 bytes a value,
+    # 0.93 MB more at 6,401 rows, over 14 times the slack
     spec = load_builtin("ship")
-    simulate(spec, horizon=0.1)     # compiled and cached pieces built
-    peaks = []
-    for horizon in (20.0, 200.0):
-        out = tmp_path / f"{horizon:g}.csv"
-        gc.collect()
-        tracemalloc.start()
-        try:
-            trace = simulate(spec, horizon=horizon, out=out)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        trace.to_csv(out)
-        assert trace.n_rows == round(horizon / spec.dt) + 1
-    print(f"\n  streamed run peaks at 2,001 / 20,001 rows: {peaks} B")
-    assert abs(peaks[1] - peaks[0]) <= 64 * 1024
+    peaks, rows = [], []
+    # tracemalloc finds the line of each allocation.  CPython 3.11 reads
+    # it from a table per function while a trace function is set (this
+    # one traces no frame), and otherwise decodes the long generated
+    # loop functions' line data each time, which takes four times the
+    # run.  The warm-up run builds those tables, and the compiled and
+    # cached pieces of the run.
+    tracer = sys.gettrace()
+    sys.settrace(_no_trace)
+    try:
+        simulate(spec, horizon=0.1)
+        for horizon in (2.56, 64.0):
+            out = tmp_path / f"{horizon:g}.csv"
+            gc.collect()
+            tracemalloc.start()
+            try:
+                trace = simulate(spec, horizon=horizon, out=out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            trace.to_csv(out)
+            assert trace.n_rows == round(horizon / spec.dt) + 1
+            rows.append(trace.n_rows)
+    finally:
+        sys.settrace(tracer)
+    print(f"\n  streamed run peaks at {rows[0]:,} / {rows[1]:,} rows: "
+          f"{peaks} B")
+    assert rows[0] == sim._BATCH_ROWS + 1
+    kept = 8 * len(trace.columns) * (rows[1] - rows[0])
+    assert kept >= 14 * STREAM_SLACK
+    assert abs(peaks[1] - peaks[0]) <= STREAM_SLACK
 
 
 def test_without_fork_a_run_holds_one_batch_of_rows(tmp_path, monkeypatch):
