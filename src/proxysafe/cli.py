@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_spec(target: str):
-    if os.path.exists(target):
+    if os.path.exists(target) and not os.path.isdir(target):
         return scenario_mod.load_scenario(target)
     if target in scenario_mod.builtin_names():
         return scenario_mod.load_builtin(target)

@@ -9,13 +9,16 @@ projection of the nominal input onto a half-line: either the nominal is
 already feasible and is returned untouched, or it is shifted along psi1
 by exactly the violation over psi1^2.  No QP library is needed.
 
-A two-constraint variant serves the case where a scenario carries two
-safe-set barriers and sequential filtering leaves the first constraint
-violated: it clamps the nominal input into the intersection of the two
-half-lines, or raises Infeasible when that intersection is empty.
+With several barriers the rows are projected onto one after another,
+which on a scalar lands in their intersection whenever it is nonempty;
+only where a row is still violated beyond the tolerance does
+`solve_cbf_qp_pair` clamp the nominal input into all the half-lines at
+once, raising Infeasible when they miss each other.
 """
 
 from __future__ import annotations
+
+import math
 
 __all__ = ["Infeasible", "project_halfspace", "solve_cbf_qp_pair",
            "EPS_PSI", "FEAS_TOL"]
@@ -55,51 +58,42 @@ def project_halfspace(nu_d: float, psi0: float, psi1: float) -> float:
     return nu_d + (-margin / nrm2) * psi1
 
 
-def solve_cbf_qp_pair(nu_d: float, psi0_a: float, psi1_a: float,
-                      psi0_b: float, psi1_b: float) -> float:
-    """Clamp the scalar nu_d into the intersection of two half-lines
-    {nu : psi0 + psi1 nu >= 0}.
+def solve_cbf_qp_pair(nu_d: float, *psi: float) -> float:
+    """Clamp the scalar nu_d into the intersection of the half-lines
+    {nu : psi0 + psi1 nu >= 0}, given as one (psi0, psi1) pair per row.
 
-    The candidates are the nominal and each row's boundary point (its
-    single projection); a candidate is kept when it meets both rows
-    within FEAS_TOL, and the kept one closest to the nominal wins.  When
-    none is kept, the crossing point of two rows of opposite slope is
-    tried last: inside the tolerance window the intersection can hold
-    neither the nominal nor either boundary point.
-    Degenerate (zero-row) constraints are constant: they are dropped when
-    slack and fatal when violated.
+    nu_d is kept when it meets every row within FEAS_TOL, else clamped
+    between the largest root of a rising row and the smallest of a
+    falling one.  Where the half-lines miss each other by less than the
+    tolerance, the crossings of a rising with a falling row are tried
+    next; the point that maximises the smallest margin is one of them.
+    Degenerate (zero-row) rows are dropped when slack, fatal when violated.
     """
-    nu_d = float(nu_d)
-    rows = [(float(psi0_a), float(psi1_a)), (float(psi0_b), float(psi1_b))]
-
-    live = []
-    for a, b in rows:
-        if b * b <= EPS_PSI * EPS_PSI:
-            if a + b * nu_d < -FEAS_TOL:
-                raise Infeasible(a, b)
-        else:
-            live.append((a, b))
+    rows = list(zip(psi[::2], psi[1::2]))
 
     def feasible(nu):
         return all(a + b * nu >= -FEAS_TOL for a, b in rows)
 
-    candidates = [nu_d] if feasible(nu_d) else []
-    for a, b in live:
-        nu = project_halfspace(nu_d, a, b)
-        if feasible(nu):
-            candidates.append(nu)
+    def root(a, b):
+        # moved one ulp into the half-line when rounding left it outside,
+        # so that its margin rounds to >= 0 however large psi0 is
+        nu = -a / b
+        return nu if a + b * nu >= 0.0 else math.nextafter(nu, b * math.inf)
 
-    if not candidates and len(live) == 2 and live[0][1] * live[1][1] < 0.0:
-        # rows of opposite slope meet where their margins are equal, the
-        # point that maximises the smaller margin: it meets both within
-        # FEAS_TOL whenever any point does
-        (a1, b1), (a2, b2) = live
-        nu = (a2 - a1) / (b1 - b2)
+    if feasible(nu_d):
+        return nu_d
+    rising, falling = [], []
+    for a, b in rows:
+        if b * b > EPS_PSI * EPS_PSI:
+            (rising if b > 0.0 else falling).append((a, b))
+        elif a + b * nu_d < -FEAS_TOL:
+            raise Infeasible(a, b)
+    lo = max((root(a, b) for a, b in rising), default=-math.inf)
+    hi = min((root(a, b) for a, b in falling), default=math.inf)
+    for nu in [min(max(nu_d, lo), hi),
+               *((a2 - a1) / (b1 - b2) for a1, b1 in rising
+                 for a2, b2 in falling)]:
         if feasible(nu):
-            candidates.append(nu)
-
-    if not candidates:
-        # the half-lines are disjoint beyond the tolerance
-        a, b = min(rows, key=lambda row: row[0] + row[1] * nu_d)
-        raise Infeasible(a, b)
-    return min(candidates, key=lambda nu: (nu - nu_d) ** 2)
+            return nu
+    # the half-lines are disjoint beyond the tolerance
+    raise Infeasible(*min(rows, key=lambda row: row[0] + row[1] * nu_d))

@@ -12,13 +12,14 @@ x_d) go through `expr.Emitter`, so a subexpression they share is
 computed once and bound to a local, while one read once is written
 inline where it is read.  The projection, the funnel, Nussbaum and
 observer laws and their breach checks are inline statements, in the
-order the composition runs them; only the two-barrier fallback stays a
-call.  Gains, observer constants and the constant funnel widths are
-written as literals.  The state unpacks into locals named by the
-model's `state_names`, the one statement of the state layout, and the
-grid row is written as (column name, value) pairs: `ClosedLoop.columns`
-names each value where it is written.  Every float comes from the same
-operations in the same order, so the two paths agree bit for bit.
+order the composition runs them; only the clamp into every barrier row
+at once stays a call.  Gains, observer constants and the constant
+funnel widths are written as literals.  The state unpacks into locals
+named by the model's `state_names`, the one statement of the state
+layout, and the grid row is written as (column name, value) pairs:
+`ClosedLoop.columns` names each value where it is written.  Every float
+comes from the same operations in the same order, so the two paths
+agree bit for bit.
 
 Three functions are generated:
 
@@ -186,10 +187,14 @@ class _Writer:
             em.line(f"    if _n2 <= {_lit(EPS_PSI * EPS_PSI)}:")
             em.line(f"        raise _Infeasible({p0}, {p1})")
             em.line(f"    _nu = _nu + (-_m / _n2) * {p1}")
-        if len(self.psi) == 2:
-            (a0, a1), (b0, b1) = self.psi
-            em.line(f"if {a0} + {a1} * _nu < {_lit(-FEAS_TOL)}:")
-            em.line(f"    _nu = _pair(_nu_d, {a0}, {a1}, {b0}, {b1})")
+        # the clamp into every row when one before the last is violated;
+        # `|`, not `or`, as the condition reads temporaries
+        violated = [f"{p0} + {p1} * _nu < {_lit(-FEAS_TOL)}"
+                    for p0, p1 in self.psi[:-1]]
+        if violated:
+            em.line("if " + (" | ".join(f"({v})" for v in violated)
+                             if violated[1:] else violated[0]) + ":")
+            em.line(f"    _nu = _pair(_nu_d, {', '.join(sum(self.psi, ()))})")
             em.line("    _model.qp_fallbacks += 1")
         getattr(self, f"_law_{m.kind}")()
 

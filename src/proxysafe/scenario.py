@@ -92,7 +92,7 @@ def _const(value, path) -> float:
     expression string (handy for values like pi^2/81)."""
     if isinstance(value, str):
         try:
-            return float(evaluate(parse(value), {}))
+            value = evaluate(parse(value), {})
         except ExprError as exc:
             _fail(path, f"not a constant expression: {exc}")
         except RecursionError:

@@ -573,18 +573,18 @@ class RuntimeModel:
     # -- control evaluation -------------------------------------------------
 
     def safe_input(self, x: float, mu, t: float):
-        """Nominal virtual input projected through every barrier filter."""
+        """Nominal virtual input projected through every barrier filter
+        in turn, then clamped into all the rows at once when one before
+        the last is still violated beyond FEAS_TOL."""
         nu = nu_d = self.nominal.control(x, mu, t)
         rows = []
         for stack in self.stacks:
             psi0, psi1 = stack.eval_constraint(x, mu, t)
             rows.append((psi0, psi1))
             nu = project_halfspace(nu, psi0, psi1)
-        if len(rows) == 2:
-            psi0, psi1 = rows[0]
-            if psi0 + psi1 * nu < -FEAS_TOL:
-                nu = solve_cbf_qp_pair(nu_d, *rows[0], *rows[1])
-                self.qp_fallbacks += 1
+        if any(psi0 + psi1 * nu < -FEAS_TOL for psi0, psi1 in rows[:-1]):
+            nu = solve_cbf_qp_pair(nu_d, *itertools.chain(*rows))
+            self.qp_fallbacks += 1
         return nu_d, nu, rows
 
     def controls(self, state, t: float) -> tuple:

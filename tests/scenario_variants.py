@@ -15,3 +15,12 @@ def variant(name, **edits):
             node = node[key]
         node[keys[-1]] = value
     return loads_scenario(yaml.safe_dump(mapping))
+
+
+def three_barriers():
+    """electromech under the funnel law with a third barrier, a copy of
+    the lower one at x >= -0.45."""
+    mapping = load_builtin("electromech").to_mapping()
+    mapping["proxy"].append(dict(mapping["proxy"][0], h="x + 0.45"))
+    mapping["controller"] = "ppc"
+    return loads_scenario(yaml.safe_dump(mapping))

@@ -2,9 +2,10 @@
 
 Coverage:
   1. `scenarios` listing
-  2. `check`: pass/fail output, margins, JSON mode (strict JSON also
-     past an overflow), exit codes, and a check that cannot be evaluated
-     or a controller past the node cap, each an input error for `check`,
+  2. `check`: pass/fail output, three barriers, margins, JSON mode
+     (strict JSON also past an overflow), exit codes, a directory named
+     like a built-in, and a check that cannot be evaluated or a
+     controller past the node cap, each an input error for `check`,
      `run`, `run --force` and `--batch` alike
   3. `run`: summary block, trace file, overrides, default naming,
      forced runs, aborted runs, output errors, a grid past the step
@@ -41,6 +42,7 @@ from proxysafe.cli import (EXIT_ABORTED, EXIT_CHECK, EXIT_OK, EXIT_UNSAFE,
                            EXIT_USAGE, main)
 from proxysafe.plots import plot_trace
 from proxysafe.sim import SimTrace
+from scenario_variants import three_barriers
 from test_symbolic_build import chain_scenario
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -96,6 +98,16 @@ def test_check_electromech_passes(capsys):
     assert "barrier 1:" in out and "barrier 2:" in out
 
 
+def test_check_three_barriers_passes(tmp_path, capsys):
+    path = str(tmp_path / "three.yaml")
+    scenario_mod.save_scenario(three_barriers(), path)
+    assert main(["check", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert [ln for ln in out.splitlines() if ln.startswith("barrier")] == \
+        ["barrier 1:", "barrier 2:", "barrier 3:"]
+    assert out.endswith("result: pass\n")
+
+
 def test_check_wide_funnel_fails_budget(tmp_path, capsys):
     path = _write_variant(tmp_path / "wide.yaml", "ship",
                           lambda m: m.update(rho={"initial": 10}))
@@ -148,6 +160,19 @@ def test_check_json_is_strict_json_past_overflow(lambdas, betas, verdict,
 def test_check_unknown_name_is_usage_error(capsys):
     assert main(["check", "no_such_scenario"]) == EXIT_USAGE
     assert "no scenario file or built-in" in capsys.readouterr().err
+
+
+def test_a_directory_does_not_shadow_a_builtin(tmp_path, monkeypatch,
+                                               capsys):
+    # a path wins over a built-in name only when it is a file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ship").mkdir()
+    (tmp_path / "nowhere").mkdir()
+    assert main(["check", "ship"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("result: pass\n")
+    assert main(["check", "nowhere"]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "error: no scenario file or built-in named 'nowhere'\n"
 
 
 def test_check_too_deep_to_build_is_usage_error(tmp_path, monkeypatch,

@@ -6,9 +6,11 @@
  3. 1000 random scalar instances against a projected-grid brute force,
     with a convexity certificate on a subsample.
  4. Infeasibility signaling when psi1 is numerically zero.
- 5. Two-constraint clamp of a scalar input against a line grid search.
- 6. Generated inputs: the two-constraint clamp against an exact interval
-    oracle, and the 1-D half-space projection.
+ 5. The clamp of a scalar input into several constraints: against a
+    line grid search, in the tolerance window, with three rows, and at
+    a psi0 whose margin rounds coarser than the tolerance.
+ 6. Generated inputs: the clamp into two to four rows against an exact
+    interval oracle, and the 1-D half-space projection.
 """
 
 import math
@@ -230,7 +232,7 @@ def test_zero_row_with_slack_is_fine():
 
 
 # ═══════════════════════════════════════════════════════════════════════════
-# 5. two-constraint projection
+# 5. clamp into several constraints
 # ═══════════════════════════════════════════════════════════════════════════
 
 def test_pair_slab():
@@ -264,6 +266,38 @@ def test_pair_degenerate_rows():
         solve_cbf_qp_pair(0.0, -1.0, 0.0, 1.0, 1.0)
     got = solve_cbf_qp_pair(0.0, 1.0, 0.0, -2.0, 1.0)
     assert got == 2.0
+
+
+def test_three_rows_take_the_crossing_that_meets_them_all():
+    """nu >= 1, nu >= 1 - 1e-10 with a slope of 1000 and nu <= 1 - 5e-10
+    miss each other by less than the tolerance: the crossing of the rows
+    with the largest and the smallest root misses the steep row by
+    1.5e-7, the crossing of the steep row with the falling one meets all
+    three."""
+    rows = [(-1.0, 1.0), (-1000.0 * (1.0 - 1e-10), 1000.0),
+            (1.0 - 5e-10, -1.0)]
+    got = solve_cbf_qp_pair(0.0, *(v for row in rows for v in row))
+    for a, b in rows:
+        assert a + b * got >= -FEAS_TOL
+    assert abs(got - (1.0 - 1e-10)) < 1e-12
+
+
+def test_three_rows_that_miss_raise_the_most_violated():
+    with pytest.raises(Infeasible) as info:
+        solve_cbf_qp_pair(0.0, -1.0, 1.0, 0.5, -1.0, -2.0, 1.0)
+    assert (info.value.psi0, info.value.psi1) == (-2.0, 1.0)
+    assert solve_cbf_qp_pair(0.0, -1.0, 1.0, 3.0, -1.0, -2.0, 1.0) == 2.0
+
+
+def test_a_root_that_rounds_outside_moves_in():
+    """At psi0 = -1.7e9 a margin resolves to 2.4e-7, coarser than the
+    tolerance, and -psi0/psi1 rounds to a point that misses the row by
+    that much: the clamp takes the next double inside."""
+    a, b = -1689276757.4213386, 2.429059626098005
+    assert a + b * (-a / b) < -FEAS_TOL
+    got = solve_cbf_qp_pair(0.0, a, b, 1.0, 0.0)
+    assert got == math.nextafter(-a / b, math.inf)
+    assert a + b * got >= 0.0
 
 
 def test_pair_random_against_plane_grid():
@@ -308,18 +342,22 @@ _slope = st.one_of(st.just(0.0), st.floats(1e-3, 1e3),
 
 
 @st.composite
-def _pair_rows(draw):
-    """Two scalar rows; half the time the second one is placed so that
-    the half-lines touch, overlap or miss each other by about FEAS_TOL,
-    either in nu or in units of the first row's margin."""
+def _rows(draw):
+    """Two to four scalar rows; half the time each row after the first
+    is placed so that its half-line touches, overlaps or misses the
+    first one's by about FEAS_TOL, either in nu or in units of the first
+    row's margin, rising or falling."""
     a1, b1 = draw(_value), draw(_slope)
-    a2, b2 = draw(_value), draw(_slope)
-    if b1 != 0.0 and draw(st.booleans()):
-        b2 = -b1 * draw(st.floats(0.5, 2.0))
-        scale = draw(st.sampled_from((1.0, 1.0 / abs(b1))))
-        edge = -a1 / b1 + draw(st.floats(-3e-9, 3e-9)) * scale
-        a2 = -b2 * edge
-    return a1, b1, a2, b2
+    rows = [(a1, b1)]
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(_value), draw(_slope)
+        if b1 != 0.0 and draw(st.booleans()):
+            b = draw(st.sampled_from((-b1, b1))) * draw(st.floats(0.5, 2.0))
+            scale = draw(st.sampled_from((1.0, 1.0 / abs(b1))))
+            edge = -a1 / b1 + draw(st.floats(-3e-9, 3e-9)) * scale
+            a = -b * edge
+        rows.append((a, b))
+    return rows
 
 
 def _interval(rows, slack):
@@ -339,28 +377,26 @@ def _interval(rows, slack):
 
 
 @PROPERTY
-@given(_value, _pair_rows())
+@given(_value, _rows())
 def test_pair_matches_interval_oracle(nu_d, rows):
-    """The scalar pair solver is the clamp into the intersection of two
+    """The scalar solver is the clamp into the intersection of the
     half-lines: it succeeds whenever the intersection, widened by the
     tolerance less a few ulps of the rows' terms, is nonempty, fails
     whenever it is empty even widened by the tolerance, and a returned
-    value meets both rows, is the nominal itself when that meets both
-    rows, and is no farther from the nominal than the exact clamp."""
-    a1, b1, a2, b2 = rows
-    pairs = [(a1, b1), (a2, b2)]
+    value meets every row, is the nominal itself when that meets every
+    row, and is no farther from the nominal than the exact clamp."""
     tol = Fraction(FEAS_TOL)
-    exact = _interval(pairs, Fraction(0))
+    exact = _interval(rows, Fraction(0))
     try:
-        got = solve_cbf_qp_pair(nu_d, a1, b1, a2, b2)
+        got = solve_cbf_qp_pair(nu_d, *(v for row in rows for v in row))
     except Infeasible:
-        edge = Fraction(16 * math.ulp(max(abs(a1), abs(a2), 1.0)))
-        assert _interval(pairs, tol - edge) is None
+        edge = Fraction(16 * math.ulp(max(*(abs(a) for a, _ in rows), 1.0)))
+        assert _interval(rows, tol - edge) is None
         return
-    assert _interval(pairs, tol) is not None
-    for a, b in pairs:
+    assert _interval(rows, tol) is not None
+    for a, b in rows:
         assert a + b * got >= -FEAS_TOL
-    if all(a + b * nu_d >= -FEAS_TOL for a, b in pairs):
+    if all(a + b * nu_d >= -FEAS_TOL for a, b in rows):
         assert got == nu_d
     if exact is not None:
         lo, hi = exact

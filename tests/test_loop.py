@@ -11,18 +11,22 @@ computes call by call.  Covers, in order:
 2. hold mode: the derivative under held outputs and the grid point that
    logs them; every trace column, at sampled states, against its own
    per-module law;
-3. the two-barrier pair fallback: the same calls and the same count;
-   a derivative that fails alone at a grid point, which keeps the row
-   and names the failing scenario expression; the number of locals the
-   generated functions bind;
+3. the fallback clamp into every barrier row: the same calls and the
+   same count; with three barriers, every row met wherever the filter
+   returns an input; a derivative that fails alone at a grid point,
+   which keeps the row and names the failing scenario expression; the
+   number of locals the generated functions bind; the generated
+   sources, pinned by digest;
 4. whole runs of `simulate` against the loop that drove the reference
-   composition, hold mode and aborts included;
+   composition, hold mode and aborts included, and a full three-barrier
+   run;
 5. the run-start check, which must raise on any mismatch.
 
 Values are compared as bit patterns, so -0.0 and 0.0 differ and NaN
 equals NaN.
 """
 
+import hashlib
 import math
 import random
 
@@ -38,11 +42,11 @@ from proxysafe.controllers import (
 )
 from proxysafe.dob import dob_outputs
 from proxysafe.expr import EvalError, evaluate
-from proxysafe.filter import Infeasible
+from proxysafe.filter import FEAS_TOL, Infeasible
 from proxysafe.loop import ClosedLoop
 from proxysafe.scenario import load_builtin, loads_scenario
 from proxysafe.sim import LoopMismatch, RunDomainError, RuntimeModel, simulate
-from scenario_variants import variant
+from scenario_variants import three_barriers, variant
 
 ABORTS = (Infeasible, BarrierBreach, FunnelBreach, SingularGain, EvalError,
           ValueError, ArithmeticError)
@@ -68,6 +72,7 @@ SPECS = {
     "electromech/ppc, plain, one barrier": plain_one_barrier,
     "electromech/dob_backstepping": lambda: load_builtin("electromech"),
     "electromech/ppc": lambda: variant("electromech", controller="ppc"),
+    "electromech/ppc, three barriers": three_barriers,
     "electromech/nominal": lambda: variant(
         "electromech", plant__disturbances=[], **NOMINAL),
 }
@@ -281,6 +286,59 @@ def test_pair_fallback_same_calls_and_count(monkeypatch):
     assert calls["generated"] == calls["reference"]
 
 
+def test_three_barriers_meet_every_row():
+    # the rows are projected onto one after another and the clamp takes
+    # over when a row before the last is still violated, so every row
+    # before the last is met within FEAS_TOL; the last one is met by its
+    # own projection, up to that projection's rounding, which at |psi0|
+    # near 1e9 is 1 ulp of psi0, above FEAS_TOL
+    model = RuntimeModel(three_barriers())
+    loop = ClosedLoop(model)
+    rng = random.Random("pair")
+    fallbacks = 0
+    for _ in range(SAMPLES):
+        state, t = sample_state(model, rng)
+        want = outcome(model, lambda: reference_point(model, state, t))
+        assert outcome(model, lambda: loop.point(state, t, None)) == want
+        x, mu = state[0], state[model.i_mu:model.i_extra]
+        try:
+            nu, rows = model.safe_input(x, mu, t)[1:]
+        except Infeasible as exc:
+            assert want[0] == f"Infeasible: {exc}"
+            continue
+        fallbacks += want[1]
+        *before, (a, b) = rows
+        for psi0, psi1 in before:
+            assert psi0 + psi1 * nu >= -FEAS_TOL, (state, t)
+        assert a + b * nu >= -FEAS_TOL - 4 * math.ulp(a), (state, t)
+    assert fallbacks > 0
+
+
+# (scenario, controller) -> sha256 of the generated stage, point and
+# stage_held sources, joined in that order
+PINNED_SOURCES = {
+    ("electromech", "dob_backstepping"):
+        "17c83f25b51bba374343c329c288507ed97fed9beb677f046c960ae5c11fe86a",
+    ("electromech", "ppc"):
+        "fe01286f899bc68822a47b32d0fe87ad00c5badbba18f7395fd142847937726a",
+    ("ship", "nussbaum"):
+        "b729e3a7f191467f293e91a48152cbe016cdd913640ec82bcf61c9db33c0a8d5",
+}
+
+
+@pytest.mark.parametrize("name, controller", sorted(PINNED_SOURCES))
+def test_generated_sources_are_pinned(name, controller):
+    """The built-in scenarios' generated closed loop is the source it was
+    when the multi-row fallback replaced the two-barrier one, which left
+    the two-barrier source as it was.  Retake a digest only for a
+    deliberate change of the generated code, recorded as such."""
+    loop = ClosedLoop(RuntimeModel(load_builtin(name), controller=controller))
+    source = "".join(f._source for f in
+                     (loop.stage, loop.point, loop.stage_held))
+    assert hashlib.sha256(source.encode()).hexdigest() == \
+        PINNED_SOURCES[name, controller], source
+
+
 def test_failing_derivative_keeps_the_grid_row():
     # a plant term the funnel law never reads fails in the derivative
     # only: the row is still logged, as the composition logged it before
@@ -358,6 +416,7 @@ RUNS = {
         controllers__ppc__gains__ks=[2, 2]),
         {"horizon": 0.2, "controller": "ppc"}),
     "electromech nominal": (SPECS["electromech/nominal"], {"horizon": 0.2}),
+    "electromech ppc three barriers": (three_barriers, {"horizon": 0.2}),
 }
 
 
@@ -371,6 +430,17 @@ def test_simulate_matches_reference_run(name):
     assert bits(list(tr.data)) == bits([v for row in rows for v in row])
     assert tr.reason == reason
     assert tr.monitors["qp_fallbacks"] == model.qp_fallbacks
+
+
+def test_three_barrier_run_is_safe():
+    # the fallback is never taken: the run is what the projections
+    # alone give, and every margin is at most rounding below zero
+    tr = simulate(three_barriers())
+    assert tr.verdict == "SAFE"
+    assert len(tr.column("t")) == 20001
+    assert tr.monitors["qp_fallbacks"] == 0
+    for k in (1, 2, 3):
+        assert min(tr.column(f"margin{k}")) >= -FEAS_TOL
 
 
 def test_run_start_mismatch_raises(monkeypatch):

@@ -417,6 +417,19 @@ def test_a_number_out_of_range_is_named(key, value, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("value, shown", [("1e308*10", "inf"),
+                                          ("0*(1e308*10)", "nan")],
+                         ids=["inf", "nan"])
+def test_a_constant_expression_that_overflows_is_named(value, shown):
+    # 0*1e308*10 reads as (0*1e308)*10, which is 0: the nan needs the
+    # parentheses
+    with pytest.raises(ScenarioError) as info:
+        loads_scenario(broken("ship",
+                              lambda m: m["proxy"][0].update(xi=value)))
+    assert str(info.value) == \
+        f"proxy[0].xi: expected a finite number, got {shown}"
+
+
 @pytest.mark.parametrize("mutate, fragment", [
     (lambda m: m["controllers"]["dob_backstepping"].update(observer=[1, 2]),
      "controllers.dob_backstepping.observer: expected a mapping"),
