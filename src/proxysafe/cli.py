@@ -16,8 +16,14 @@ both match).
 
 A process loads what its command runs: the plots module and the trace
 reader only for `plot`, `json` only where JSON is printed, and `glob`
-and the process pool only for `run --batch`.  `check` loads no
-closed-loop generator (`sim.simulate` imports it).
+and the process pool only for `run --batch`.  Only `run` loads the run
+engine `stream` and the closed-loop generator `loop` (`sim.simulate`
+imports both), so `check` and `plot` compile neither.
+
+The `proxysafe` console script and `python -m proxysafe.cli` both call
+`entry`: `main`, then `gc.freeze()`, so that the collections of the
+interpreter's shutdown skip every object still alive.  `main` freezes
+nothing, since tests and library code call it in process.
 
 Exit codes: 0 success, 1 usage or input error (a condition check that
 cannot be evaluated included), 2 condition check failed, 3 run finished
@@ -27,6 +33,7 @@ UNSAFE, 4 run ABORTED.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -40,7 +47,7 @@ from . import scenario as scenario_mod
 from .scenario import ScenarioError
 from .sim import CheckFailed
 
-__all__ = ["main", "build_parser",
+__all__ = ["main", "entry", "build_parser",
            "EXIT_OK", "EXIT_USAGE", "EXIT_CHECK", "EXIT_UNSAFE",
            "EXIT_ABORTED"]
 
@@ -330,5 +337,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def entry() -> int:
+    """`main()` of the command line, then the heap frozen for the exit."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -14,12 +14,15 @@ studies.
 nominal law, the barrier constraint, the projection, the tracking law
 and the plant and observer derivatives one by one, passing the control
 outputs as the generated loop does; `state_names` is the state layout.
-`simulate` runs the loop, and takes the trace columns, from what
-`loop.ClosedLoop` generates from the same symbolic pieces; a grid row
-comes from the same evaluation that supplies the next step's first
-RK4 stage.
-At the start of every run the first step and the t=0 row are computed
-both ways and must agree bit for bit, or the run raises `LoopMismatch`.
+`simulate` checks the scenario's feasibility conditions and hands the
+run to `stream`, imported then: the loop runs on what `loop.ClosedLoop`
+generates from the same symbolic pieces, once its t=0 row and first
+step agree bit for bit with the reference composition (else
+`LoopMismatch`), and its rows stream into memory or to a trace CSV.  A
+grid row comes from the same evaluation that supplies the next step's
+first RK4 stage, and the RK4 step itself is generated once per state
+length as straight-line code.  A process that only checks or plots
+compiles neither module.
 
 Each grid point is logged with the barrier values, the filter constraint
 row and its margin, the funnel, and the controller internals, and the
@@ -31,26 +34,9 @@ horizon.  A compiled expression that leaves its real domain aborts the
 run as a `RunDomainError` naming the scenario expression that fails at
 that stage.
 
-The run collects its grid rows as raw doubles, row after row in one
-`array('d')`, a batch of `_BATCH_ROWS` rows at a time.  The summary
-monitors and the verdict's NaN scan are folded over each batch as it
-completes (`_Fold`), reading strided memoryviews of it with no copy.
-`_integrate` yields each batch to the one consumer `simulate` picks.
-Without an output path the batches are kept, joined in `SimTrace.data`.
-Given one, each batch is written to the trace CSV there while the run
-integrates, by a writer child forked once the run's start checks have
-passed (`_write_forked`), or in process where `os.fork` does not exist,
-and then dropped: the run holds one batch of rows, and the trace it
-returns holds none; `SimTrace.from_csv` reads them from the file.
-Either way the file goes through `_write_csv`, the one writer
-`SimTrace.to_csv` uses too, so it is the same byte for byte, and a run
-or a write that fails or does not finish removes its file when the
-path is regular (`_regular`).  A writer child that ends early stops
-the run at the next batch it would take.  The RK4 step itself is
-generated once per state length as straight-line code.
-
 `SimTrace.from_csv` is the one trace reader; it parses through
-`traceread`, which a run never loads.
+`traceread`, which a run never loads; `SimTrace.to_csv` writes
+through `stream`.
 """
 
 from __future__ import annotations
@@ -58,34 +44,27 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-import math
-import operator
 import os
 from array import array
 
 from proxysafe.barrier import build_barrier_stack, check_conditions
 from proxysafe.controllers import (
-    BarrierBreach, FunnelBreach, SingularGain,
     build_dob_backstepping, build_nominal, eval_dob_backstepping,
     initialize_funnels, nussbaum_control, ppc_control,
 )
 from proxysafe.dob import dob_derivative, dob_outputs, filter_derivative
 from proxysafe.expr import DomainError, EvalError, compile_expr, evaluate
-from proxysafe.filter import FEAS_TOL, Infeasible, project_halfspace, \
-    solve_cbf_qp_pair
+from proxysafe.filter import FEAS_TOL, project_halfspace, solve_cbf_qp_pair
 from proxysafe.scenario import ScenarioError, ScenarioSpec
 
 __all__ = ["CheckFailed", "LoopMismatch", "RunDomainError", "SimTrace",
            "RuntimeModel", "rk4_step", "simulate"]
 
-H_TOL = 1e-6     # verdict slack on the barrier values
-E_TOL = 1e-9     # verdict slack on the funnel bound
 # step cap of one run: without an output file every grid row stays in
 # memory, 8 bytes a value (about 300 MB at the cap for ship's 19 columns);
 # a run written to a file holds one batch of them
 MAX_STEPS = 2_000_000
 
-_ABORTS = (Infeasible, BarrierBreach, FunnelBreach, SingularGain, EvalError)
 _RAW = (ValueError, ArithmeticError)     # what compiled code raises itself
 
 
@@ -153,21 +132,6 @@ def rk4_step(deriv, state, t: float, dt: float, k1=None) -> list:
     return _rk4_body(len(state))(deriv, state, t, dt, k1)
 
 
-def _csv_line(width: int) -> str:
-    """The format of one trace CSV line of `width` values."""
-    return ",".join(["%.17g"] * width) + "\n"
-
-
-def _write_rows(fh, line: str, rows) -> None:
-    for row in rows:
-        fh.write(line % row)
-
-
-def _row_tuples(values, width: int):
-    """The rows of the row-major `values`, `width` values each, as tuples."""
-    return zip(*[iter(values)] * width)
-
-
 def _identity(path) -> tuple:
     """What tells the file at `path` apart and shows that it changed: its
     device, inode, size and modification time."""
@@ -233,7 +197,7 @@ class SimTrace:
 
     def to_csv(self, path) -> None:
         """Write the rows in `data` as CSV, every value as `%.17g`, through
-        `_write_csv`: a write that fails or is interrupted leaves no
+        `stream._write_csv`: a write that fails or is interrupted leaves no
         regular file at `path`.
 
         A trace whose rows are not in `data`, parsed or written out,
@@ -248,8 +212,9 @@ class SimTrace:
         if self._parsed is not None:
             raise ValueError("cannot write a trace whose rows are not in "
                              "memory: they are in the file it came from")
-        _write_csv(path, self.columns,
-                   [_row_tuples(self.data, len(self.columns))])
+        from proxysafe import stream    # only a run or a write loads it
+        stream._write_csv(path, self.columns,
+                          [stream._row_tuples(self.data, len(self.columns))])
 
     @classmethod
     def from_csv(cls, path, columns=None):
@@ -271,65 +236,6 @@ class SimTrace:
         return trace
 
 
-_BATCH_ROWS = 256     # grid rows per message to the trace writer
-
-
-def _regular(path) -> bool:
-    """Whether `path` is a regular file or no file yet: the only kind of
-    path a trace write removes again."""
-    return not os.path.exists(path) or os.path.isfile(path)
-
-
-def _write_csv(path, columns, batches) -> None:
-    """Write a trace CSV: the header, then each batch of rows, every value
-    as `%.17g`.  An exception once `path` is open (an OSError, a stream
-    that ends without the commit, an interrupt) removes a regular `path`
-    before it propagates, so no partial file is left."""
-    regular = _regular(path)
-    line = _csv_line(len(columns))
-    fh = open(path, "w", encoding="utf-8", newline="")
-    try:
-        with fh:
-            fh.write(",".join(columns) + "\n")
-            for rows in batches:
-                _write_rows(fh, line, rows)
-    except BaseException:
-        if regular:
-            with contextlib.suppress(OSError):
-                os.unlink(path)
-        raise
-
-
-def _batches(src, width: int):
-    """The row batches read from the stream `src` up to the commit; raises
-    EOFError where the stream ends without it."""
-    def read(size):
-        data = src.read(size)
-        if len(data) < size:
-            raise EOFError("trace stream ended without the commit")
-        return array("d", data)
-
-    while n := int(read(8)[0]):
-        yield _row_tuples(read(8 * width * n), width)
-
-
-def _write_stream(path, columns, src, err_fd) -> int:
-    """The writer child's work: `_write_csv` of the batches read from
-    `src`.  Returns the child's exit status: 0 when the file is complete
-    or the run raised (the file is then removed), 1 after an OSError,
-    which goes back pickled on `err_fd`."""
-    try:
-        _write_csv(path, columns, _batches(src, len(columns)))
-    except EOFError:
-        return 0
-    except OSError as exc:
-        import pickle
-        with open(err_fd, "wb", closefd=False) as fh:
-            pickle.dump(exc, fh)
-        return 1
-    return 0
-
-
 def _leave_parent_cpu() -> None:
     """Keep this forked child off the CPU its parent runs on, where /proc
     tells that CPU and others are allowed: the scheduler does not always
@@ -344,87 +250,6 @@ def _leave_parent_cpu() -> None:
     others = os.sched_getaffinity(0) - {cpu}
     if others:
         os.sched_setaffinity(0, others)
-
-
-def _put(fd, rows: array, width: int) -> bool:
-    """Send the row-major `rows` down the pipe `fd`, headed by their
-    count; False when the reader has ended (its exit status tells why)."""
-    view = memoryview(array("d", [len(rows) // width]) + rows).cast("B")
-    try:
-        while view:
-            view = view[os.write(fd, view):]
-    except BrokenPipeError:
-        return False
-    return True
-
-
-def _write_forked(path, columns, batches) -> None:
-    """`_write_csv` of the row-major `batches` in a forked child, which
-    writes the trace CSV while the run yielding them integrates.
-
-    Each batch goes over a pipe as raw doubles, headed by its row count;
-    a batch of no rows commits the file once `batches` is exhausted.
-    The child writes through `_write_csv`, as `SimTrace.to_csv` does, so
-    it removes its file itself when the stream ends without the commit
-    or a write fails.  It stops at the first OSError and sends it back
-    pickled over a second pipe.  The run stops too, at the first batch
-    the pipe no longer takes: `batches`, a generator, is closed there.
-    When the batches end or stop, or the run raises, the pipe is closed
-    and the child waited for.  A child that dies without reporting may
-    leave part of the file, which is then removed, where it is regular.
-    After a run that returned or stopped, the OSError the child
-    reported, or one for a child that died, is raised; after a run that
-    raised, the run's exception wins.  Nothing is opened before the
-    fork, and a device or a FIFO is never removed.  The child runs off
-    the run's CPU, ignores SIGINT (the run ends it), and leaves through
-    os._exit, so it runs no exit handler and flushes none of the stdio
-    buffers it inherited.
-    """
-    regular = _regular(path)
-    fds: list = []
-    try:
-        fds += os.pipe()
-        fds += os.pipe()
-        pid = os.fork()
-    except BaseException:
-        for fd in fds:
-            os.close(fd)
-        raise
-    data_r, data_w, err_r, err_w = fds
-    if pid == 0:
-        status = 1
-        try:
-            import signal
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            _leave_parent_cpu()
-            os.close(data_w)    # else the child never sees the end
-            os.close(err_r)
-            with open(data_r, "rb") as src:
-                status = _write_stream(path, columns, src, err_w)
-        finally:
-            os._exit(status)
-    os.close(data_r)
-    os.close(err_w)
-    try:
-        for batch in batches:
-            if batch and not _put(data_w, batch, len(columns)):
-                batches.close()     # the writer has ended: so does the run
-                break
-        else:
-            _put(data_w, array("d"), len(columns))      # no rows: the commit
-    finally:
-        os.close(data_w)
-        with open(err_r, "rb") as fh:
-            report = fh.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code and not report and regular:
-            with contextlib.suppress(OSError):
-                os.unlink(path)
-    if report:
-        import pickle
-        raise pickle.loads(report)
-    if code:
-        raise OSError(f"trace writer for {path} ended with status {code}")
 
 
 class RuntimeModel:
@@ -718,182 +543,6 @@ class RuntimeModel:
         return row + list(internals)
 
 
-def _first_step(model: RuntimeModel, steps) -> dict:
-    """The t=0 row and the state one step later that `steps` yields, as
-    bit patterns, up to an abort; the abort's raw reason; and the pair
-    fallbacks counted on the way."""
-    model.qp_fallbacks = 0
-    out: dict = {"t=0 row": None, "first step": None, "abort": None}
-    try:
-        for key, values in zip(["t=0 row", "first step"], steps):
-            out[key] = [float(v).hex() for v in values]
-    except _ABORTS + _RAW as exc:
-        exc = exc.raw if isinstance(exc, RunDomainError) else exc
-        out["abort"] = f"{type(exc).__name__}: {exc}"
-    out["qp_fallbacks"] = model.qp_fallbacks
-    return out
-
-
-def _check_start(model: RuntimeModel, loop) -> None:
-    """Compute the t=0 row and the first step through the reference
-    composition and through the generated loop; raise LoopMismatch
-    unless they agree bit for bit, abort reason and fallbacks included."""
-    hold, dt = model.hold_dt is not None, model.dt
-
-    def reference():
-        state = model.initial_state()
-        outputs, internals = model.controls(state, 0.0)
-        yield model.trace_row(state, 0.0, outputs, internals)
-        yield model.step(state, 0.0, dt, held=outputs if hold else None,
-                         c1=outputs)
-
-    def generated():
-        state = model.initial_state()
-        k1, row, ctrl = loop.point(state, 0.0, None)
-        yield row
-        if k1 is None:
-            k1 = loop.stage_held(state, 0.0, ctrl)
-        stage = functools.partial(loop.stage_held, held=ctrl) if hold \
-            else loop.stage
-        yield rk4_step(stage, state, 0.0, dt, k1)
-
-    want = _first_step(model, reference())
-    got = _first_step(model, generated())
-    for key in want:
-        if got[key] != want[key]:
-            raise LoopMismatch(
-                f"generated closed loop of {model.spec.name}/{model.kind} "
-                f"disagrees with the reference composition ({key}): "
-                f"reference {want[key]!r}, generated {got[key]!r}")
-
-
-class _Fold:
-    """The summary monitors of a run and its verdict's NaN scan, folded
-    over the grid rows one batch at a time.
-
-    `add` reads each monitored column of a batch as a strided memoryview
-    of it, with no copy, and releases every view before it returns, since
-    an array that exports its buffer cannot grow or shrink.  Each monitor
-    is a running extreme over the rows in order, carried from one batch
-    to the next, so any split of the rows into batches gives the floats
-    of one pass over all of them.  A NaN never replaces a running
-    extreme, so the verdict also fails on a NaN barrier value or funnel
-    excess, which the monitors skip.
-    """
-
-    def __init__(self, model: RuntimeModel, columns):
-        at, stacks = columns.index, range(1, len(model.stacks) + 1)
-        self.width = len(columns)
-        self.h = [at(f"h{k}") for k in stacks]
-        self.margins = [at(f"margin{k}") for k in stacks]
-        self.bs = [at(f"b{k}_{i}") for k in stacks
-                   for i in range(model.m + 1)]
-        self.e, self.rho = at("e"), at("rho")
-        self.rows = 0
-        self.min_h = self.min_qp_margin = self.min_b = math.inf
-        self.max_e_excess = -math.inf
-        self.max_e_over_rho = None      # started by the first row's value
-        self.nan = False
-        self.reason = None      # the run's abort reason
-
-    def add(self, batch: array) -> None:
-        """Fold the rows of the row-major `batch`."""
-        width = self.width
-        with contextlib.ExitStack() as views:
-            rows = views.enter_context(memoryview(batch))
-
-            def column(i):
-                return views.enter_context(rows[i::width])
-
-            def lowest(start, idx):
-                # a running minimum over the rows in order
-                values = itertools.chain.from_iterable(zip(*map(column, idx)))
-                return min(itertools.chain([start], values))
-
-            e, rho = column(self.e), column(self.rho)
-
-            def excess():
-                return map(operator.sub, map(abs, e), rho)
-
-            self.min_h = lowest(self.min_h, self.h)
-            self.max_e_excess = max(itertools.chain([self.max_e_excess],
-                                                    excess()))
-            over = map(operator.truediv, map(abs, e), rho)
-            first = self.max_e_over_rho
-            if first is None:
-                first = next(over, None)
-            if first is not None:
-                self.max_e_over_rho = max(itertools.chain([first], over))
-            self.min_qp_margin = lowest(self.min_qp_margin, self.margins)
-            self.min_b = lowest(self.min_b, self.bs)
-            self.nan = self.nan or any(map(math.isnan, itertools.chain(
-                *map(column, self.h), excess())))
-        self.rows += len(batch) // width
-
-    def monitors(self) -> dict:
-        """The summary monitors of the rows folded so far."""
-        over = self.max_e_over_rho
-        return dict(min_h=self.min_h, max_e_excess=self.max_e_excess,
-                    max_e_over_rho=0.0 if over is None else over,
-                    min_qp_margin=self.min_qp_margin, min_b=self.min_b)
-
-    def verdict(self, reason) -> str:
-        """ABORTED with an abort reason, else SAFE or UNSAFE."""
-        if reason is not None:
-            return "ABORTED"
-        safe = self.min_h >= -H_TOL and self.max_e_excess <= E_TOL and \
-            not self.nan
-        return "SAFE" if safe else "UNSAFE"
-
-
-def _integrate(model: RuntimeModel, loop, fold: _Fold):
-    """Run the grid loop of the generated `loop.ClosedLoop` `loop`,
-    yielding its rows row after row in one `array('d')`, `_BATCH_ROWS`
-    rows at a time: each batch is folded into `fold`, yielded, and
-    cleared once the consumer asks for the next, so the loop itself
-    holds one batch of rows at most.  The abort reason is
-    left in `fold.reason` (None when the loop reached the horizon)."""
-    model.qp_fallbacks = 0
-    batch = array("d")
-    state = model.initial_state()
-    n_steps = max(1, int(round(model.horizon / model.dt)))
-    step = _rk4_body(model.dim)
-    flush_at = _BATCH_ROWS
-    stage = loop.stage
-    held = None
-    n_holds = 0     # hold times passed; the j-th is j * hold_dt: a sum drifts
-    refresh = model.hold_dt is not None     # t=0 is the first hold time
-    try:
-        k1, row, ctrl = loop.point(state, 0.0, None)
-        batch.fromlist(row)
-        for k in range(1, n_steps + 1):
-            t_prev = (k - 1) * model.dt
-            if refresh:     # ctrl holds fresh outputs of the hold time t_prev
-                held = ctrl
-                n_holds += 1
-                stage = functools.partial(loop.stage_held, held=held)
-            if k1 is None:      # the derivative failed where the row did not
-                k1 = loop.stage_held(state, t_prev, ctrl)
-            state = step(stage, state, t_prev, model.dt, k1)
-            t = k * model.dt
-            if not all(map(math.isfinite, state)):
-                fold.reason = f"non-finite state at t={t:.6g}"
-                break
-            refresh = model.hold_dt is not None and \
-                t >= n_holds * model.hold_dt * (1.0 - 1e-12)  # up to rounding
-            k1, row, ctrl = loop.point(state, t, None if refresh else held)
-            batch.fromlist(row)
-            if k + 1 == flush_at:       # k + 1 rows so far
-                fold.add(batch)
-                yield batch
-                del batch[:]
-                flush_at += _BATCH_ROWS
-    except _ABORTS as exc:
-        fold.reason = f"{type(exc).__name__}: {exc}"
-    fold.add(batch)
-    yield batch
-
-
 def simulate(spec: ScenarioSpec, controller: str | None = None,
              dt: float | None = None, horizon: float | None = None,
              force: bool = False, out=None) -> SimTrace:
@@ -904,8 +553,8 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
     trace monitors; a check that cannot be evaluated raises the
     ScenarioError of `RuntimeModel.run_checks` either way.  The loop runs
     on the generated closed loop, checked against the reference
-    composition over its first step.  `loop.ClosedLoop` is imported
-    here, so a process that only checks never loads the generator.
+    composition over its first step.  `stream` and `loop.ClosedLoop` are
+    imported here, so a process that only checks loads neither.
 
     With `out`, a path, the trace CSV there is written while the run
     integrates, by a forked child that the rows stream to, and in process
@@ -931,29 +580,5 @@ def simulate(spec: ScenarioSpec, controller: str | None = None,
     if bad:
         monitors["check_forced"] = 1.0
 
-    from proxysafe.loop import ClosedLoop   # so `check` never loads it
-    loop = ClosedLoop(model)
-    _check_start(model, loop)
-
-    columns = loop.columns
-    fold = _Fold(model, columns)
-    batches = _integrate(model, loop, fold)
-    data = array("d")
-    if out is None:
-        for batch in batches:
-            data.extend(batch)
-    elif hasattr(os, "fork"):
-        _write_forked(out, columns, batches)
-    else:
-        _write_csv(out, columns, (_row_tuples(batch, len(columns))
-                                  for batch in batches))
-    monitors.update(fold.monitors(), qp_fallbacks=float(model.qp_fallbacks),
-                    steps=float(fold.rows - 1))
-    trace = SimTrace(scenario=spec.name, controller=model.kind,
-                     columns=columns, data=data,
-                     verdict=fold.verdict(fold.reason), reason=fold.reason,
-                     monitors=monitors)
-    if out is not None:
-        trace._parsed = (fold.rows, None)
-        trace._file = (out, _identity(out))
-    return trace
+    from proxysafe import stream    # so `check` and `plot` never load it
+    return stream.run(model, out, monitors)

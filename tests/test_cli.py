@@ -19,18 +19,24 @@ Coverage:
   6. usage errors exit with code 1, and a file that is not YAML gives
      the pure-Python parser's error text, with libyaml or without;
      importing the CLI leaves the process pool of `--batch` out, `check`
-     loads no closed-loop generator, plots, trace reader or json, and
-     `run` no plots or trace reader
+     loads no run engine, closed-loop generator, plots, trace reader or
+     json, `plot` no run engine, and `run` no plots or trace reader; the
+     console script and `python -m` call one entry function, which
+     freezes the heap before the exit where `main` in process does not,
+     and a `python -m` process exits with each of the codes 0-4
   7. `check` output pinned byte for byte: ship, electromech and the m=4
      chain, text and `--json`
 """
 
+import ast
+import gc
 import hashlib
 import json
 import os
 import resource
 import subprocess
 import sys
+import tomllib
 
 import pytest
 import yaml
@@ -763,16 +769,80 @@ def test_a_command_loads_only_what_it_runs(tmp_path):
     machinery = {"dataclasses", "inspect"}
     checked = loaded_modules(["check", "ship"], tmp_path)
     assert "proxysafe.sim" in checked
-    assert not checked & {"proxysafe.loop", "proxysafe.plots", "json",
-                          "proxysafe.traceread", *machinery}
+    assert not checked & {"proxysafe.stream", "proxysafe.loop",
+                          "proxysafe.plots", "json", "proxysafe.traceread",
+                          *machinery}
     ran = loaded_modules(["run", "ship", "--horizon", "0.05",
                           "--out", "x.csv"], tmp_path)
-    assert "proxysafe.loop" in ran
+    assert {"proxysafe.stream", "proxysafe.loop"} <= ran
     assert not ran & {"proxysafe.plots", "proxysafe.traceread", *machinery}
     plotted = loaded_modules(["plot", "x.csv", "--scenario", "ship"],
                              tmp_path)
     assert "proxysafe.plots" in plotted
-    assert not plotted & machinery
+    assert not plotted & {"proxysafe.stream", "proxysafe.loop", *machinery}
+
+
+def test_the_script_and_python_m_call_one_entry():
+    # `proxysafe = "proxysafe.cli:entry"` and `sys.exit(entry())`
+    root = os.path.dirname(SRC)
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["proxysafe"]
+    module, func = target.split(":")
+    assert module == "proxysafe.cli"
+    with open(cli_mod.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert ast.unparse(block) == \
+        f"if __name__ == '__main__':\n    sys.exit({func}())"
+    assert callable(getattr(cli_mod, func))
+
+
+def test_python_m_freezes_the_heap_before_the_exit(tmp_path):
+    # the entry freezes the heap once main returns, so the collections
+    # of the interpreter's shutdown skip every object alive then
+    code = ("import gc, runpy, sys\n"
+            "sys.argv = ['proxysafe', 'check', 'ship']\n"
+            "try:\n"
+            "    runpy.run_module('proxysafe.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print('exit', exc.code, gc.get_freeze_count() > 0)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=tmp_path, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "exit 0 True"
+
+
+def test_main_in_process_leaves_the_collector_as_it_was(capsys):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(["check", "ship"]) == EXIT_OK
+    assert main(["scenarios"]) == EXIT_OK
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["scenarios"], EXIT_OK),
+    (["check"], EXIT_USAGE),
+    (["check", "ship_bad_init.yaml"], EXIT_CHECK),
+    (["run", "outside.yaml", "--force", "--out", "t.csv"], EXIT_UNSAFE),
+    (["run", "stall.yaml", "--out", "t.csv"], EXIT_ABORTED),
+], ids=["ok", "usage", "check", "unsafe", "aborted"])
+def test_python_m_exits_with_the_command_code(argv, want, bad_init_ship,
+                                              tmp_path):
+    # a start well outside the barrier ends UNSAFE; a Nussbaum gain
+    # started at zero stalls and ABORTS
+    _write_variant(tmp_path / "outside.yaml", "ship",
+                   lambda m: m.update(initial={"x": [0.5], "z": [0.0]},
+                                      horizon=1.0))
+    _write_variant(
+        tmp_path / "stall.yaml", "ship",
+        lambda m: (m["controllers"]["nussbaum"]["initial"].update(zeta=0.0),
+                   m.update(name="stall", horizon=5.0)))
+    done = subprocess.run([sys.executable, "-m", "proxysafe.cli", *argv],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert done.returncode == want, done.stderr
 
 
 def test_import_leaves_the_process_pool_out():

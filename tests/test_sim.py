@@ -35,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxysafe import loop, sim
+from proxysafe import loop, stream
 from proxysafe.loop import ClosedLoop
 from proxysafe.scenario import ScenarioError, load_builtin, loads_scenario
 from proxysafe.sim import CheckFailed, RuntimeModel, SimTrace, rk4_step, simulate
@@ -353,7 +353,7 @@ def hand_built_trace(monkeypatch, edits, out=None):
             return [0.0] * len(s), next(self.rows), None
 
     monkeypatch.setattr(loop, "ClosedLoop", HandBuilt)
-    monkeypatch.setattr(sim, "_check_start", lambda model, loop: None)
+    monkeypatch.setattr(stream, "_check_start", lambda model, loop: None)
     tr = simulate(spec, horizon=(len(rows) - 1) * spec.dt, out=out)
     assert tr.reason is None and tr.monitors["steps"] == len(rows) - 1
     if out is not None:
@@ -363,8 +363,8 @@ def hand_built_trace(monkeypatch, edits, out=None):
 
 # a batch edge at rows 255 | 256 and more than two batches of rows, for
 # the tests that run the hand-built rows in memory and streamed
-EDGE = sim._BATCH_ROWS - 1
-N_PADDED = 2 * sim._BATCH_ROWS + 88
+EDGE = stream._BATCH_ROWS - 1
+N_PADDED = 2 * stream._BATCH_ROWS + 88
 STREAMED = pytest.mark.parametrize("streamed", [False, True],
                                    ids=["in memory", "streamed"])
 
@@ -522,7 +522,7 @@ def test_monitors_copy_no_column():
     assert width == 19
     data = array("d", [1.0]) * (width * n_rows)
     data[columns.index("e")::width] = array("d", [0.1]) * n_rows
-    fold = sim._Fold(model, columns)
+    fold = stream._Fold(model, columns)
     gc.collect()
     tracemalloc.start()
     try:
@@ -554,7 +554,7 @@ def test_fold_over_any_batches_is_one_fold(data):
         max_size=20))
     cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)),
                                      max_size=6)))
-    whole, split = sim._Fold(model, columns), sim._Fold(model, columns)
+    whole, split = stream._Fold(model, columns), stream._Fold(model, columns)
     whole.add(array("d", itertools.chain.from_iterable(rows)))
     for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
         split.add(array("d", itertools.chain.from_iterable(rows[lo:hi])))

@@ -25,8 +25,9 @@ Covers, in order:
 3. output errors come back from the child and `simulate` raises them
    as the OSError the in-process write raises, and a child that dies is
    reported, after a run that stopped at the first batch the child did
-   not take; an output error, a writer that dies and an interrupted
-   in-process write leave no file;
+   not take, also where the run would have raised later; an output
+   error, a writer that dies and an interrupted in-process write leave
+   no file;
 4. the child never flushes the stdio buffers it inherited: what the run
    printed before it forked appears once;
 5. the generated RK4 step equals the textbook list-comprehension step
@@ -49,7 +50,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxysafe import loop, sim
+from proxysafe import loop, stream
 from proxysafe.scenario import load_builtin
 from proxysafe.sim import (CheckFailed, LoopMismatch, RuntimeModel, SimTrace,
                            rk4_step, simulate)
@@ -98,8 +99,8 @@ def test_streamed_file_is_the_in_process_file(name, tmp_path):
     out = tmp_path / "streamed.csv"
     trace = simulate(make(), controller=controller, out=out, **kw)
     trace.to_csv(out)
-    assert trace.n_rows > 3 * sim._BATCH_ROWS
-    assert trace.n_rows % sim._BATCH_ROWS
+    assert trace.n_rows > 3 * stream._BATCH_ROWS
+    assert trace.n_rows % stream._BATCH_ROWS
     if name == "electromech aborted":
         assert trace.verdict == "ABORTED"
         assert "RunDomainError" in trace.reason
@@ -166,7 +167,8 @@ def test_to_csv_of_the_streamed_file_writes_nothing(tmp_path, monkeypatch):
     os.link("t.csv", "link.csv")
     written = os.stat("t.csv").st_mtime_ns, (tmp_path / "t.csv").read_bytes()
     writes = []
-    monkeypatch.setattr(sim, "_write_csv", lambda *args: writes.append(args))
+    monkeypatch.setattr(stream, "_write_csv",
+                        lambda *args: writes.append(args))
     for path in ("./t.csv", tmp_path / "t.csv", "link.csv"):
         trace.to_csv(path)
     assert writes == []
@@ -253,7 +255,7 @@ def test_a_streamed_run_holds_one_batch_of_rows(tmp_path):
         sys.settrace(tracer)
     print(f"\n  streamed run peaks at {rows[0]:,} / {rows[1]:,} rows: "
           f"{peaks} B")
-    assert rows[0] == sim._BATCH_ROWS + 1
+    assert rows[0] == stream._BATCH_ROWS + 1
     kept = 8 * len(trace.columns) * (rows[1] - rows[0])
     assert kept >= 14 * STREAM_SLACK
     assert abs(peaks[1] - peaks[0]) <= STREAM_SLACK
@@ -301,9 +303,11 @@ def test_loop_mismatch_leaves_no_file(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def fail_after_three_batches(monkeypatch, exc_type):
-    """Make the generated grid point raise exc_type("injected") once 3
-    batches of rows were computed; returns the count of its calls."""
+def fail_after_three_batches(monkeypatch, exc_type, before=None):
+    """Make the generated grid point raise exc_type("injected") at its
+    call for the last row of the third batch, after two batches went to
+    the writer, calling `before()` first when given; returns the count
+    of its calls (the first is the start check's)."""
     calls = [0]
 
     class Failing(loop.ClosedLoop):
@@ -312,8 +316,10 @@ def fail_after_three_batches(monkeypatch, exc_type):
             point = self.point
 
             def failing(state, t, held):
-                calls[0] += 1       # the first call is the start check's
-                if calls[0] > 3 * sim._BATCH_ROWS:
+                calls[0] += 1
+                if calls[0] > 3 * stream._BATCH_ROWS:
+                    if before is not None:
+                        before()
                     raise exc_type("injected")
                 return point(state, t, held)
 
@@ -329,7 +335,7 @@ def test_exception_mid_run_leaves_no_file(exc_type, tmp_path, monkeypatch):
     out = tmp_path / "no.csv"
     with pytest.raises(exc_type, match="injected"):
         simulate(load_builtin("ship"), horizon=10.0, out=out)
-    assert calls[0] == 3 * sim._BATCH_ROWS + 1
+    assert calls[0] == 3 * stream._BATCH_ROWS + 1
     assert not out.exists()
 
 
@@ -371,22 +377,47 @@ def test_without_fork_an_exception_mid_run_removes_only_a_regular_file(
         exc_type, target, tmp_path, monkeypatch)
 
 
-def test_exception_after_the_writer_died_leaves_no_file(tmp_path,
-                                                        monkeypatch):
-    # the child writes its first batch and dies; the run then raises
-    # after 3 batches, and the partial file the child left is removed
-    write_rows = sim._write_rows
+def writer_that_dies(monkeypatch, after: int):
+    """Make the writer child write the first batch of rows and exit with
+    status 9 once it has read `after` batches.  Returns a function that
+    waits in this process until the child has exited: the child holds
+    the write end of a pipe whose read end sees EOF then."""
+    gone_r, gone_w = os.pipe()
+    write_rows = stream._write_rows
+    seen = [0]
 
     def write_then_die(fh, line, rows):
-        write_rows(fh, line, rows)
-        fh.flush()
-        os._exit(9)
+        seen[0] += 1
+        if seen[0] == 1:
+            write_rows(fh, line, rows)
+            fh.flush()
+        if seen[0] == after:
+            os._exit(9)
 
-    monkeypatch.setattr(sim, "_write_rows", write_then_die)
-    fail_after_three_batches(monkeypatch, RuntimeError)
+    def wait_for_exit():
+        os.close(gone_w)
+        try:
+            assert os.read(gone_r, 1) == b""
+        finally:
+            os.close(gone_r)
+
+    monkeypatch.setattr(stream, "_write_rows", write_then_die)
+    return wait_for_exit
+
+
+def test_exception_after_the_writer_died_leaves_no_file(tmp_path,
+                                                        monkeypatch):
+    # the child writes the first batch, reads the second and dies; the
+    # run, which put both, raises in its third batch only once the child
+    # has exited, so it puts no batch to a dead child; the partial file
+    # the child left is removed
+    wait_for_exit = writer_that_dies(monkeypatch, after=2)
+    calls = fail_after_three_batches(monkeypatch, RuntimeError,
+                                     before=wait_for_exit)
     out = tmp_path / "no.csv"
     with pytest.raises(RuntimeError, match="injected"):
         simulate(load_builtin("ship"), horizon=10.0, out=out)
+    assert calls[0] == 3 * stream._BATCH_ROWS + 1
     assert not out.exists()
 
 
@@ -435,7 +466,7 @@ def record_runs(monkeypatch):
     of one stopped early, which `simulate` does not return when its
     writer fails."""
     runs = []
-    integrate = sim._integrate
+    integrate = stream._integrate
 
     def recorded(model, loop, fold):
         try:
@@ -443,7 +474,7 @@ def record_runs(monkeypatch):
         finally:
             runs.append((fold.verdict(fold.reason), fold.rows))
 
-    monkeypatch.setattr(sim, "_integrate", recorded)
+    monkeypatch.setattr(stream, "_integrate", recorded)
     return runs
 
 
@@ -451,7 +482,7 @@ def test_a_writer_that_dies_is_reported(tmp_path, monkeypatch):
     # the child exits at once with status 7, before it reads any row; the
     # run stops at the first batch the pipe no longer takes, well before
     # its 1001 rows, then simulate raises
-    monkeypatch.setattr(sim, "_write_stream", lambda *args: 7)
+    monkeypatch.setattr(stream, "_write_stream", lambda *args: 7)
     runs = record_runs(monkeypatch)
     out = tmp_path / "x.csv"
     with pytest.raises(OSError, match="ended with status 7"):
@@ -460,21 +491,39 @@ def test_a_writer_that_dies_is_reported(tmp_path, monkeypatch):
     assert verdict == "SAFE" and rows < 1001
 
 
+def test_the_run_stops_at_the_batch_a_dead_writer_refuses(tmp_path,
+                                                          monkeypatch):
+    # the child writes the first batch and dies before the run puts the
+    # second, which the pipe refuses: the run stops there, before its
+    # injected exception in the third batch, and raises the child's status
+    wait_for_exit = writer_that_dies(monkeypatch, after=1)
+    put, puts = stream._put, [0]
+
+    def put_once_the_writer_is_gone(fd, rows, width):
+        puts[0] += 1
+        if puts[0] == 2:
+            wait_for_exit()
+        return put(fd, rows, width)
+
+    monkeypatch.setattr(stream, "_put", put_once_the_writer_is_gone)
+    calls = fail_after_three_batches(monkeypatch, RuntimeError)
+    out = tmp_path / "no.csv"
+    with pytest.raises(OSError, match="ended with status 9"):
+        simulate(load_builtin("ship"), horizon=10.0, out=out)
+    assert puts[0] == 2
+    assert calls[0] == 2 * stream._BATCH_ROWS + 1
+    assert not out.exists()
+
+
 def test_a_writer_that_dies_in_a_committed_run_leaves_no_file(
         tmp_path, monkeypatch):
     # the child writes its first batch and dies; the run raises nothing
-    write_rows = sim._write_rows
-
-    def write_then_die(fh, line, rows):
-        write_rows(fh, line, rows)
-        fh.flush()
-        os._exit(9)
-
-    monkeypatch.setattr(sim, "_write_rows", write_then_die)
+    wait_for_exit = writer_that_dies(monkeypatch, after=1)
     runs = record_runs(monkeypatch)
     out = tmp_path / "x.csv"
     with pytest.raises(OSError, match="ended with status 9"):
         simulate(load_builtin("ship"), horizon=10.0, out=out)
+    wait_for_exit()     # reaped already: closes the pipe
     [(verdict, rows)] = runs
     assert verdict == "SAFE" and rows < 1001
     assert not out.exists()
@@ -488,7 +537,7 @@ def test_an_interrupted_in_process_write_leaves_no_file(tmp_path,
         fh.write(line % next(iter(rows)))
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(sim, "_write_rows", write_one_then_interrupt)
+    monkeypatch.setattr(stream, "_write_rows", write_one_then_interrupt)
     out = tmp_path / "x.csv"
     with pytest.raises(KeyboardInterrupt):
         trace.to_csv(out)
